@@ -121,7 +121,9 @@ func main() {
 	// can bind :0 and parse the kernel-assigned port from this line.
 	fmt.Printf("rdfserver listening on %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: s.Handler()}
+	// A connection that never finishes its request headers is dropped, not
+	// held: admission control only starts once a request has been read.
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

@@ -29,7 +29,7 @@ const None ID = 0
 type Dict struct {
 	mu      sync.RWMutex
 	byValue map[string]ID
-	terms   []rdf.Term // terms[i] is the term with ID i+1
+	terms   []rdf.Term // terms[i] is the term with ID i+1; append-only, see View
 }
 
 // New returns an empty dictionary.
@@ -77,18 +77,39 @@ func (d *Dict) Lookup(t rdf.Term) (ID, bool) {
 // Term returns the term for a previously assigned ID. It panics on an
 // ID that was never assigned (including None), since that always
 // indicates a bug in the caller.
-func (d *Dict) Term(id ID) rdf.Term {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if id == None || int(id) > len(d.terms) {
-		//lint:ignore panicfree documented invariant accessor: an unassigned ID is a caller bug, not a recoverable condition
-		panic(fmt.Sprintf("dict: Term called with unassigned ID %d (dictionary size %d)", id, len(d.terms)))
-	}
-	return d.terms[id-1]
+func (d *Dict) Term(id ID) rdf.Term { return d.View().Term(id) }
+
+// View is a lock-free read view of the IDs assigned before it was taken.
+// The dictionary only ever appends to its term table, so a view stays
+// valid, and safe to read beside concurrent Encodes, for as long as it is
+// held: take one per answer rather than locking once per cell.
+type View struct {
+	terms []rdf.Term
 }
 
-// Value returns the canonical spelling of the term for the ID.
-func (d *Dict) Value(id ID) string { return d.Term(id).Canonical() }
+// View returns a view of every ID assigned so far.
+func (d *Dict) View() View {
+	d.mu.RLock()
+	terms := d.terms
+	d.mu.RUnlock()
+	return View{terms: terms}
+}
+
+// Term is Dict.Term over the view's IDs.
+func (v View) Term(id ID) rdf.Term {
+	if id == None || int(id) > len(v.terms) {
+		v.unassigned(id)
+	}
+	return v.terms[id-1]
+}
+
+// unassigned is Term's failure, kept out of line so that Term inlines.
+//
+//go:noinline
+func (v View) unassigned(id ID) {
+	//lint:ignore panicfree documented invariant accessor: an unassigned ID is a caller bug, not a recoverable condition
+	panic(fmt.Sprintf("dict: Term called with unassigned ID %d (dictionary size %d)", id, len(v.terms)))
+}
 
 // Len returns the number of distinct values in the dictionary.
 func (d *Dict) Len() int {

@@ -103,3 +103,43 @@ func TestDictConcurrentReadWrite(t *testing.T) {
 		t.Errorf("Len = %d, want %d", d.Len(), want)
 	}
 }
+
+// A View taken once keeps resolving its IDs, with no lock, while writers
+// append past it — including across the reallocations of the term table.
+// Run with -race: the view's reads and Encode's writes must not overlap.
+func TestViewReadsBesideEncode(t *testing.T) {
+	d := New()
+	seed := make([]rdf.Term, 50)
+	for i := range seed {
+		seed[i] = rdf.NewIRI(fmt.Sprintf("http://x/seed/%d", i))
+		d.Encode(seed[i])
+	}
+	v := d.View()
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 5000; i++ {
+			d.Encode(rdf.NewIRI(fmt.Sprintf("http://x/new/%d", i)))
+		}
+	}()
+	for alive := true; alive; {
+		select {
+		case <-done:
+			alive = false
+		default:
+		}
+		for i, want := range seed {
+			if got := v.Term(ID(i + 1)); got != want {
+				t.Fatalf("view Term(%d) = %v, want %v", i+1, got, want)
+			}
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("an ID assigned after the view was taken must be unassigned in it")
+		}
+	}()
+	v.Term(ID(len(seed) + 1))
+}

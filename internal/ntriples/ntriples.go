@@ -38,6 +38,11 @@ func (r *Reader) Read() (rdf.Triple, error) {
 		}
 		t, err := ParseLine(line)
 		if err != nil {
+			// A failed read hands the scanner's buffered remainder over as
+			// a last line: report the read, not the line it cut short.
+			if rerr := r.scan.Err(); rerr != nil {
+				return rdf.Triple{}, rerr
+			}
 			return rdf.Triple{}, fmt.Errorf("ntriples: line %d: %w", r.line, err)
 		}
 		return t, nil

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/rdf"
 )
@@ -151,5 +152,18 @@ func TestRoundTrip(t *testing.T) {
 		if got[i] != triples[i] {
 			t.Errorf("triple %d: got %v, want %v", i, got[i], triples[i])
 		}
+	}
+}
+
+// A read that fails mid-line must surface as that read error, not as a
+// parse error on the fragment the scanner had buffered.
+func TestReaderReportsReadErrorOverCutLine(t *testing.T) {
+	input := "<http://a> <http://b> <http://c> .\n<http://a> <http://b> <htt"
+	r := NewReader(io.MultiReader(strings.NewReader(input), iotest.ErrReader(io.ErrUnexpectedEOF)))
+	if _, err := r.Read(); err != nil {
+		t.Fatalf("first, complete line: %v", err)
+	}
+	if _, err := r.Read(); err != io.ErrUnexpectedEOF {
+		t.Fatalf("cut line: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }

@@ -12,7 +12,7 @@ package rdf
 
 import (
 	"fmt"
-	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the three kinds of RDF terms.
@@ -99,47 +99,137 @@ func (t Term) Canonical() string {
 		return "<" + t.Value + ">"
 	case Blank:
 		return "_:" + t.Value
-	case Literal:
-		var b strings.Builder
-		b.Grow(len(t.Value) + len(t.Datatype) + len(t.Lang) + 8)
-		b.WriteByte('"')
-		escapeLiteral(&b, t.Value)
-		b.WriteByte('"')
-		if t.Lang != "" {
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
-		} else if t.Datatype != "" {
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
-		}
-		return b.String()
 	default:
-		return fmt.Sprintf("!invalid-term(%d)", uint8(t.Kind))
+		var buf [64]byte // keeps short literals to the one allocation of the result
+		return string(AppendCanonical(buf[:0], t))
 	}
 }
 
 // String returns Canonical; Terms print in N-Triples syntax.
 func (t Term) String() string { return t.Canonical() }
 
-// escapeLiteral writes s with N-Triples string escapes applied.
-func escapeLiteral(b *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
+// AppendCanonical appends t.Canonical() to dst without building the
+// intermediate string.
+func AppendCanonical(dst []byte, t Term) []byte { return appendTerm(dst, t, false) }
+
+// AppendJSONCanonical appends t.Canonical() as a JSON string literal,
+// quotes included, in one pass over the term's fields: the N-Triples
+// escapes and the JSON escapes are composed per byte. Control characters
+// go out as \u00XX (or their short form) and invalid UTF-8 as U+FFFD, as
+// encoding/json does; unlike encoding/json, '<', '>' and '&' go out raw —
+// valid JSON, and it keeps an IRI cell free of backslashes.
+func AppendJSONCanonical(dst []byte, t Term) []byte {
+	dst = append(dst, '"')
+	dst = appendTerm(dst, t, true)
+	return append(dst, '"')
+}
+
+// appendTerm appends the canonical spelling of t, escaped for the inside
+// of a JSON string when js is set.
+func appendTerm(dst []byte, t Term, js bool) []byte {
+	switch t.Kind {
+	case IRI:
+		dst = append(dst, '<')
+		dst = appendEscaped(dst, t.Value, false, js)
+		return append(dst, '>')
+	case Blank:
+		dst = append(dst, '_', ':')
+		return appendEscaped(dst, t.Value, false, js)
+	case Literal:
+		quote := `"`
+		if js {
+			quote = `\"`
+		}
+		dst = append(dst, quote...)
+		dst = appendEscaped(dst, t.Value, true, js)
+		dst = append(dst, quote...)
+		if t.Lang != "" {
+			dst = append(dst, '@')
+			dst = appendEscaped(dst, t.Lang, false, js)
+		} else if t.Datatype != "" {
+			dst = append(dst, '^', '^', '<')
+			dst = appendEscaped(dst, t.Datatype, false, js)
+			dst = append(dst, '>')
+		}
+		return dst
+	default:
+		return fmt.Appendf(dst, "!invalid-term(%d)", uint8(t.Kind))
+	}
+}
+
+// verbatim marks the bytes every escaping mode copies unchanged: printable
+// ASCII other than '"' and '\\'. Everything else takes the slow path of
+// appendEscaped.
+var verbatim = func() (tbl [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		tbl[c] = c != '"' && c != '\\'
+	}
+	return tbl
+}()
+
+// appendEscaped appends s to dst, applying the N-Triples string escapes
+// (" \\ LF CR TAB) when nt is set and then, when js is set, the JSON string
+// escapes to the result. Neither set copies s as is, invalid UTF-8
+// included; otherwise invalid UTF-8 becomes U+FFFD — JSON must be valid,
+// and N-Triples literals have always been canonicalized rune by rune.
+func appendEscaped(dst []byte, s string, nt, js bool) []byte {
+	if !nt && !js {
+		return append(dst, s...)
+	}
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if verbatim[c] {
+			i++
+			continue
+		}
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && size == 1 {
+				dst = append(dst, s[start:i]...)
+				dst = append(dst, "\uFFFD"...)
+				start = i + 1
+			}
+			i += size
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		i++
+		start = i
+		e := shortEscape(c)
+		switch {
+		case e != 0 && nt && js: // \e, escaped again: the backslash, and e if it is '"' or '\\'
+			dst = append(dst, '\\', '\\')
+			if e == c {
+				dst = append(dst, '\\')
+			}
+			dst = append(dst, e)
+		case e != 0:
+			dst = append(dst, '\\', e)
+		case js: // any other control character
+			const hex = "0123456789abcdef"
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
 		default:
-			b.WriteRune(r)
+			dst = append(dst, c)
 		}
 	}
+	return append(dst, s[start:]...)
+}
+
+// shortEscape returns what follows the backslash in the two-byte escape
+// of c, which N-Triples and JSON spell alike, or 0 if c has none.
+func shortEscape(c byte) byte {
+	switch c {
+	case '"', '\\':
+		return c
+	case '\n':
+		return 'n'
+	case '\r':
+		return 'r'
+	case '\t':
+		return 't'
+	}
+	return 0
 }
 
 // Triple is an RDF triple: subject s has property P with value O.

@@ -1,0 +1,246 @@
+package server
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro"
+	"repro/internal/rdf"
+)
+
+func ex(local string) rdf.Term { return rdf.NewIRI("http://example.org/" + local) }
+
+const (
+	qProduct = `PREFIX ex: <http://example.org/>
+		SELECT ?x ?y ?l WHERE { ?x a ex:A . ?y a ex:B . ?y ex:label ?l }`
+	qFlat = `PREFIX ex: <http://example.org/>
+		SELECT ?y ?l WHERE { ?y ex:label ?l }`
+	qNone = `PREFIX ex: <http://example.org/>
+		SELECT ?x WHERE { ?x a ex:Nothing }`
+	qAsk = `PREFIX ex: <http://example.org/>
+		ASK WHERE { ?x a ex:A }`
+)
+
+// productStore holds na instances of A and nb of B; every B carries a
+// label that needs each kind of escaping. qProduct's answer is the
+// na x nb cross product, which the engine keeps factorized.
+func productStore(t testing.TB, na, nb int) *repro.Store {
+	t.Helper()
+	st := repro.NewStore()
+	add := func(s, p, o rdf.Term) {
+		t.Helper()
+		if err := st.Add(rdf.NewTriple(s, p, o)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < na; i++ {
+		add(ex(fmt.Sprintf("a%d?x=1&y=2", i)), rdf.Type, ex("A"))
+	}
+	labels := []rdf.Term{
+		rdf.NewLiteral("say \"hi\"\\\n\r\t<b>&amp;</b>\x01"),
+		rdf.NewLangLiteral("s\u00e9parateurs \u2028\u2029 \U0001F600", "fr"),
+		rdf.NewTypedLiteral("42", rdf.XSDInteger),
+		rdf.NewLiteral("bad \xff utf-8"),
+		rdf.NewLiteral(""),
+	}
+	for i := 0; i < nb; i++ {
+		b := ex(fmt.Sprintf("b%d", i))
+		add(b, rdf.Type, ex("B"))
+		add(b, ex("label"), labels[i%len(labels)])
+	}
+	st.Freeze()
+	return st
+}
+
+func mustQuery(t testing.TB, st *repro.Store, text string) *repro.Result {
+	t.Helper()
+	res, err := st.NewAnswerer(repro.Native, repro.Options{}).Query(text, repro.GCov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// reference is the response the row-at-a-time json.Marshal encoder this
+// package used to have would decode to: Rows() and Canonical(), through
+// encoding/json.
+func reference(t testing.TB, res *repro.Result) QueryResponse {
+	t.Helper()
+	want := QueryResponse{Vars: res.Vars, Rows: make([][]string, 0, res.NumRows()), Strategy: "gcov", Profile: "native", ElapsedMS: 1.5}
+	for _, row := range res.Rows() {
+		cells := make([]string, len(row))
+		for j, term := range row {
+			cells[j] = term.Canonical()
+		}
+		want.Rows = append(want.Rows, cells)
+	}
+	data, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back QueryResponse
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// Whatever the answer's representation and however many chunks it takes,
+// the wire bytes decode to exactly what Rows() + Canonical() describe,
+// streamed or held back under a cap.
+func TestWriteAnswerMatchesRows(t *testing.T) {
+	small, big := productStore(t, 3, 7), productStore(t, 60, 90)
+	cases := []struct {
+		name       string
+		res        *repro.Result
+		factorized bool
+		chunks     int // 1, or 2 for "more than one"
+	}{
+		{"flat", mustQuery(t, small, qFlat), false, 1},
+		{"factorized", mustQuery(t, small, qProduct), true, 1},
+		{"factorized-multichunk", mustQuery(t, big, qProduct), true, 2},
+		{"zero-rows", mustQuery(t, small, qNone), false, 1},
+		{"ask", mustQuery(t, small, qAsk), false, 1},
+	}
+	for _, tc := range cases {
+		if got := tc.res.NumRows() > 0 && tc.res.StoredBytes() < int64(tc.res.NumRows()*len(tc.res.Vars)*4); got != tc.factorized {
+			t.Errorf("%s: factorized = %v, want %v — bad fixture", tc.name, got, tc.factorized)
+		}
+		want := reference(t, tc.res)
+		for _, limit := range []int64{0, 64 << 20} {
+			rec := httptest.NewRecorder()
+			if err := writeAnswer(rec, tc.res, "gcov", "native", 1.5, limit); err != nil {
+				t.Fatalf("%s limit %d: %v", tc.name, limit, err)
+			}
+			var got QueryResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatalf("%s limit %d: body is not a QueryResponse: %v", tc.name, limit, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s limit %d: decoded response differs from Rows()+Canonical()\n got: %.300v\nwant: %.300v", tc.name, limit, got, want)
+			}
+			if multi := rec.Body.Len() > chunkSize; multi != (tc.chunks > 1) {
+				t.Errorf("%s: body of %d bytes — bad fixture for %d chunk(s)", tc.name, rec.Body.Len(), tc.chunks)
+			}
+		}
+	}
+}
+
+// countingWriter is a ResponseWriter that keeps nothing.
+type countingWriter struct {
+	h        http.Header
+	code     int
+	writes   int
+	bytes    int
+	maxWrite int
+}
+
+func (w *countingWriter) Header() http.Header  { return w.h }
+func (w *countingWriter) WriteHeader(code int) { w.code = code }
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.bytes += len(p)
+	if len(p) > w.maxWrite {
+		w.maxWrite = len(p)
+	}
+	return len(p), nil
+}
+
+// Over the cap nothing reaches the client, whichever chunk the cap is
+// crossed in; at the cap exactly, everything does.
+func TestWriteAnswerCap(t *testing.T) {
+	res := mustQuery(t, productStore(t, 60, 90), qProduct)
+	full := &countingWriter{h: http.Header{}}
+	if err := writeAnswer(full, res, "gcov", "native", 1.5, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int64{1, 100, chunkSize + 1, int64(full.bytes) - 1} {
+		w := &countingWriter{h: http.Header{}}
+		if err := writeAnswer(w, res, "gcov", "native", 1.5, limit); err != errResponseTooLarge {
+			t.Errorf("limit %d: err = %v, want errResponseTooLarge", limit, err)
+		}
+		if w.code != 0 || w.writes != 0 {
+			t.Errorf("limit %d: a refused answer wrote status %d, %d writes", limit, w.code, w.writes)
+		}
+	}
+	w := &countingWriter{h: http.Header{}}
+	if err := writeAnswer(w, res, "gcov", "native", 1.5, int64(full.bytes)); err != nil || w.bytes != full.bytes {
+		t.Errorf("limit = body size: err %v, wrote %d of %d bytes", err, w.bytes, full.bytes)
+	}
+}
+
+// The encoder's allocations are a constant: the same few for 5,400 rows
+// as for 30,000, none of them sized by the answer. A multi-megabyte answer
+// is written a chunk at a time and allocates less than one chunk doing so.
+func TestWriteAnswerAllocsIndependentOfRows(t *testing.T) {
+	encode := func(res *repro.Result) (allocs float64, w *countingWriter) {
+		w = &countingWriter{h: http.Header{}}
+		allocs = testing.AllocsPerRun(20, func() {
+			*w = countingWriter{h: w.h}
+			if err := writeAnswer(w, res, "gcov", "native", 1.5, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, w
+	}
+	medium, _ := encode(mustQuery(t, productStore(t, 60, 90), qProduct))
+	bigRes := mustQuery(t, productStore(t, 200, 150), qProduct)
+	big, w := encode(bigRes)
+	// The one of slack is the race detector's: it makes sync.Pool drop a
+	// share of its Puts, so a run now and then allocates its chunk anew.
+	if big > medium+1 || medium > big+1 {
+		t.Errorf("allocs/op = %v for 5,400 rows, %v for %d: must not depend on the row count", medium, big, bigRes.NumRows())
+	}
+	if w.bytes < 2<<20 || w.writes < w.bytes/chunkSize || w.maxWrite > chunkSize {
+		t.Fatalf("%d bytes in %d writes, largest %d: want a >2 MB body written in chunks of at most %d", w.bytes, w.writes, w.maxWrite, chunkSize)
+	}
+
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := writeAnswer(w, bigRes, "gcov", "native", 1.5, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= chunkSize {
+		t.Errorf("encoding a %d-byte answer allocates %d bytes, want less than one %d-byte chunk", w.bytes/(runs+1), perRun, chunkSize)
+	}
+}
+
+var encodeSink int
+
+// BenchmarkEncodeResponse measures the response-encode layer alone — a
+// finished Result to bytes handed to the ResponseWriter — on the two
+// answer shapes of the serve_bulk workload.
+func BenchmarkEncodeResponse(b *testing.B) {
+	for _, bc := range []struct {
+		name, query string
+		na, nb      int
+	}{
+		{"flat-7kx2", qFlat, 0, 7000},
+		{"factorized-15kx3", qProduct, 100, 150},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			res := mustQuery(b, productStore(b, bc.na, bc.nb), bc.query)
+			w := &countingWriter{h: http.Header{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := writeAnswer(w, res, "gcov", "native", 1.5, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			rows := float64(b.N) * float64(res.NumRows())
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+			b.ReportMetric(float64(w.bytes)/rows, "B/row")
+			encodeSink = w.writes
+		})
+	}
+}

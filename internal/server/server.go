@@ -23,7 +23,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -38,6 +37,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/dict"
 	"repro/internal/ntriples"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -70,11 +70,13 @@ type Config struct {
 	// MaxTimeout caps the deadline a request may ask for
 	// (0 = 4 x DefaultTimeout).
 	MaxTimeout time.Duration
-	// MaxResponseBytes caps the encoded size of a query response body.
-	// Answers are streamed from the (possibly factorized) result one row
-	// at a time, so a query whose *expanded* answer set exceeds the cap
-	// is rejected with 413 response_too_large as soon as the cap is hit,
-	// without ever materializing the rest. 0 = unlimited.
+	// MaxResponseBytes caps the encoded size of a query response body,
+	// and with it the encoded bytes the server holds for one answer: the
+	// body is kept back, in pooled chunks, until it is known to fit, and
+	// a query whose *expanded* answer outgrows the cap is rejected with
+	// 413 response_too_large before any header is written, without
+	// encoding the rest. 0 = unlimited: the body is streamed to the
+	// client a chunk at a time and only one chunk is ever resident.
 	MaxResponseBytes int64
 	// Profiles extends or overrides the built-in engine profiles by
 	// name — tests inject tiny-budget profiles this way.
@@ -263,8 +265,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad_request", Message: err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+		writeBodyError(w, "bad_request", err)
 		return
 	}
 	if req.Strategy == "" {
@@ -312,75 +314,170 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, ErrorResponse{Error: name, Message: err.Error()})
 		return
 	}
-	s.served.Add(1)
-	var buf bytes.Buffer
 	elapsed := float64(time.Since(start)) / float64(time.Millisecond)
-	if err := encodeQueryResponse(&buf, res, req.Strategy, req.Profile, elapsed, s.maxRespBytes); err != nil {
+	if err := writeAnswer(w, res, req.Strategy, req.Profile, elapsed, s.maxRespBytes); err == errResponseTooLarge {
 		writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
 			Error:   "response_too_large",
 			Message: fmt.Sprintf("encoded response exceeds the %d-byte limit", s.maxRespBytes),
 		})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return // client went away; nothing left to tell it
+	// Any other error is a failed write after the 200 was committed: the
+	// client went away mid-body and there is no one left to tell.
+	s.served.Add(1)
+}
+
+// Request bodies are read through http.MaxBytesReader under these
+// limits; a body that runs past its limit is answered 413
+// request_too_large.
+const (
+	maxQueryBody  = 1 << 20
+	maxUpdateBody = 64 << 20
+)
+
+// writeBodyError answers a request whose body could not be read or
+// parsed: 413 when it ran past its size limit, 400 under name otherwise.
+func writeBodyError(w http.ResponseWriter, name string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
+			Error:   "request_too_large",
+			Message: fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit),
+		})
+		return
 	}
+	writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: name, Message: err.Error()})
 }
 
 // errResponseTooLarge aborts response encoding at the size cap.
 var errResponseTooLarge = errors.New("server: encoded response exceeds the size limit")
 
-// encodeQueryResponse writes the QueryResponse JSON into buf by
-// streaming the answer rows through the result's cursor: a factorized
-// result is expanded and decoded one row at a time, so the only full
-// copy of a large cross-product answer ever built is the response body
-// itself — and with limit > 0 not even that: encoding stops with
-// errResponseTooLarge the moment the body outgrows the cap, before any
-// header is written.
-func encodeQueryResponse(buf *bytes.Buffer, res *repro.Result, strategy, profile string, elapsedMS float64, limit int64) error {
-	field := func(v any) {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return // cannot happen for strings, []string, float64
-		}
-		buf.Write(data)
+// A response body is encoded into fixed-size pooled chunks. A chunk is
+// handed on once fewer than chunkSlack bytes of it are free, so a row of
+// ordinary size never outgrows it; a longer row grows that one chunk,
+// which is then dropped rather than pooled.
+const (
+	chunkSize  = 64 << 10
+	chunkSlack = 4 << 10
+)
+
+var chunkPool = sync.Pool{New: func() any { return new([chunkSize]byte) }}
+
+func getChunk() []byte { return chunkPool.Get().(*[chunkSize]byte)[:0] }
+
+func putChunk(b []byte) {
+	if cap(b) == chunkSize {
+		chunkPool.Put((*[chunkSize]byte)(b[:chunkSize]))
 	}
-	buf.WriteString(`{"vars":`)
-	field(res.Vars)
-	buf.WriteString(`,"rows":[`)
-	first, over := true, false
-	res.Each(func(row []rdf.Term) bool {
+}
+
+// bodyWriter carries an encoded body from the chunk being filled to the
+// client. With no limit a full chunk is written at once, so one chunk is
+// all a large answer ever holds and the client reads while the rest is
+// encoded; with a limit full chunks are held back until finish, so an
+// answer that outgrows the limit is refused before anything is written,
+// and at most limit plus one chunk is ever resident. Framing is left to
+// net/http (chunked transfer for any body past its 2 KB buffer), which
+// ends the body after the handler returns: no client sees the end of an
+// answer while the server still accounts for it.
+type bodyWriter struct {
+	w     http.ResponseWriter
+	limit int64
+	buf   []byte   // the chunk being filled
+	held  [][]byte // full chunks kept back under a limit
+	size  int64    // bytes in held
+}
+
+// flush hands the full chunk on and starts the next one.
+func (b *bodyWriter) flush() error {
+	if b.limit > 0 {
+		if b.size += int64(len(b.buf)); b.size > b.limit {
+			return errResponseTooLarge
+		}
+		b.held = append(b.held, b.buf)
+		b.buf = getChunk()
+		return nil
+	}
+	_, err := b.w.Write(b.buf)
+	b.buf = b.buf[:0]
+	return err
+}
+
+// finish writes what is still held.
+func (b *bodyWriter) finish() error {
+	if b.limit > 0 && b.size+int64(len(b.buf)) > b.limit {
+		return errResponseTooLarge
+	}
+	for _, c := range b.held {
+		if _, err := b.w.Write(c); err != nil {
+			return err
+		}
+	}
+	_, err := b.w.Write(b.buf)
+	return err
+}
+
+// release returns every chunk to the pool.
+func (b *bodyWriter) release() {
+	putChunk(b.buf)
+	for _, c := range b.held {
+		putChunk(c)
+	}
+}
+
+// writeAnswer encodes the QueryResponse JSON for res and sends it, in one
+// pass from dictionary IDs to wire bytes: the result's cursor expands a
+// factorized answer one row at a time, each cell is resolved through one
+// lock-free dictionary view and appended, already JSON-quoted, to the
+// current chunk. Nothing is allocated per row and no copy of the body is
+// built; see bodyWriter for what limit changes. It returns
+// errResponseTooLarge with nothing written, or the error of a failed
+// write once the client is gone.
+func writeAnswer(w http.ResponseWriter, res *repro.Result, strategy, profile string, elapsedMS float64, limit int64) error {
+	b := &bodyWriter{w: w, limit: limit, buf: getChunk()}
+	defer b.release()
+	w.Header().Set("Content-Type", "application/json")
+	b.buf = appendJSON(append(b.buf, `{"vars":`...), res.Vars)
+	b.buf = append(b.buf, `,"rows":[`...)
+	var err error
+	first := true
+	res.EachIDs(func(ids []dict.ID, terms dict.View) bool {
+		buf := b.buf
 		if !first {
-			buf.WriteByte(',')
+			buf = append(buf, ',')
 		}
 		first = false
-		out := make([]string, len(row))
-		for j, term := range row {
-			out[j] = term.Canonical()
+		buf = append(buf, '[')
+		for j, id := range ids {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			buf = rdf.AppendJSONCanonical(buf, terms.Term(id))
 		}
-		field(out)
-		if limit > 0 && int64(buf.Len()) > limit {
-			over = true
-			return false
+		b.buf = append(buf, ']')
+		if len(b.buf) > chunkSize-chunkSlack {
+			err = b.flush()
 		}
-		return true
+		return err == nil
 	})
-	if over {
-		return errResponseTooLarge
+	if err != nil {
+		return err
 	}
-	buf.WriteString(`],"strategy":`)
-	field(strategy)
-	buf.WriteString(`,"profile":`)
-	field(profile)
-	buf.WriteString(`,"elapsed_ms":`)
-	field(elapsedMS)
-	buf.WriteByte('}')
-	if limit > 0 && int64(buf.Len()) > limit {
-		return errResponseTooLarge
+	b.buf = appendJSON(append(b.buf, `],"strategy":`...), strategy)
+	b.buf = appendJSON(append(b.buf, `,"profile":`...), profile)
+	b.buf = appendJSON(append(b.buf, `,"elapsed_ms":`...), elapsedMS)
+	b.buf = append(b.buf, '}')
+	return b.finish()
+}
+
+// appendJSON appends the JSON encoding of one of the response's envelope
+// values (strings, a []string, a float64), which cannot fail to marshal.
+func appendJSON(dst []byte, v any) []byte {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return dst
 	}
-	return nil
+	return append(dst, data...)
 }
 
 // UpdateResponse is the body of a successful POST /update.
@@ -394,18 +491,19 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if op == "" {
 		op = "add"
 	}
+	body := http.MaxBytesReader(w, r.Body, maxUpdateBody)
 	switch op {
 	case "add":
 		s.mu.Lock()
-		n, err := s.store.LoadNTriples(r.Body)
+		n, err := s.store.LoadNTriples(body)
 		s.mu.Unlock()
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad_update", Message: err.Error()})
+			writeBodyError(w, "bad_update", err)
 			return
 		}
 		writeJSON(w, http.StatusOK, UpdateResponse{Added: n})
 	case "remove":
-		rd := ntriples.NewReader(r.Body)
+		rd := ntriples.NewReader(body)
 		n := 0
 		s.mu.Lock()
 		for {
@@ -415,7 +513,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			}
 			if err != nil {
 				s.mu.Unlock()
-				writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad_update", Message: err.Error()})
+				writeBodyError(w, "bad_update", err)
 				return
 			}
 			removed, err := s.store.Remove(t)

@@ -1,11 +1,13 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -706,5 +708,244 @@ func TestMaxResponseBytesCaps(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("streamed answer differs from direct evaluation\n got: %v\nwant: %v", got, want)
+	}
+}
+
+func getStatz(t testing.TB, url string) server.StatzResponse {
+	t.Helper()
+	resp, err := http.Get(url + "/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var statz server.StatzResponse
+	err = json.NewDecoder(resp.Body).Decode(&statz)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return statz
+}
+
+// crossStore holds n instances each of two classes; qCross over it
+// answers their n x n cross product, about 75 bytes a row on the wire.
+func crossStore(t testing.TB, n int) *repro.Store {
+	t.Helper()
+	st := repro.NewStore()
+	for i := 0; i < n; i++ {
+		for _, class := range []string{"Left", "Right"} {
+			if err := st.Add(rdf.NewTriple(iri(fmt.Sprintf("%s%d", class, i)), rdf.Type, iri(class))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st.Freeze()
+	return st
+}
+
+const qCross = `PREFIX ex: <http://example.org/>
+	SELECT ?x ?y WHERE { ?x a ex:Left . ?y a ex:Right }`
+
+// /statz counts an answer as served once its 200 is committed: once for
+// a streamed (chunked) answer, not at all for one refused at the cap.
+func TestServedCountsCommittedAnswers(t *testing.T) {
+	st := crossStore(t, 60) // 3,600 rows, ~270 kB: several chunks
+	_, capped := newTestServer(t, server.Config{Store: st, MaxResponseBytes: 100 << 10})
+	if code, body := postJSON(t, capped.URL+"/query", server.QueryRequest{Query: qCross}); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("capped POST /query = %d, want 413: %.200s", code, body)
+	}
+	if got := getStatz(t, capped.URL).Served; got != 0 {
+		t.Errorf("served = %d after a 413 response_too_large, want 0", got)
+	}
+
+	_, open := newTestServer(t, server.Config{Store: st})
+	resp, err := http.Post(open.URL+"/query", "application/json", strings.NewReader(`{"query":`+jsonString(qCross)+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Read to the end of the body: net/http ends it once the handler has
+	// returned, so the count below is not racing the handler.
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res server.QueryResponse
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(res.Rows) != 3600 {
+		t.Fatalf("POST /query = %d with %d rows, want 200 with 3600", resp.StatusCode, len(res.Rows))
+	}
+	if resp.ContentLength != -1 || len(resp.TransferEncoding) == 0 {
+		t.Errorf("a multi-chunk answer must stream: Content-Length %d, Transfer-Encoding %v", resp.ContentLength, resp.TransferEncoding)
+	}
+	if got := getStatz(t, open.URL).Served; got != 1 {
+		t.Errorf("served = %d after one streamed answer, want 1", got)
+	}
+}
+
+func jsonString(s string) string {
+	data, _ := json.Marshal(s)
+	return string(data)
+}
+
+// rawPost sends one request verbatim, half-closes the connection and
+// returns the reply's status and body.
+func rawPost(t testing.TB, ts *httptest.Server, request string) (int, []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, request); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// Request bodies are bounded: past the limit both endpoints answer 413
+// request_too_large; a body cut short of its Content-Length is a 400, not
+// a hang or a 5xx; and the server answers normally afterwards.
+func TestRequestBodyLimits(t *testing.T) {
+	st := bookStore(t, 10)
+	_, ts := newTestServer(t, server.Config{Store: st})
+	wantError := func(what string, code int, body []byte, wantCode int, wantName string) {
+		t.Helper()
+		var er server.ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || code != wantCode || er.Error != wantName {
+			t.Errorf("%s: %d %.200s — want %d %s", what, code, body, wantCode, wantName)
+		}
+	}
+
+	huge := `{"query":"` + strings.Repeat("x", 1<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	wantError("oversized /query", resp.StatusCode, body, http.StatusRequestEntityTooLarge, "request_too_large")
+
+	// 64 MiB of valid N-Triples and one line more, generated as it is sent.
+	line := "<http://example.org/junk> <http://example.org/noise> <http://example.org/x> .\n"
+	lines := (64<<20)/len(line) + 1
+	before := getStatz(t, ts.URL).Triples
+	resp, err = http.Post(ts.URL+"/update?op=remove", "application/n-triples", io.LimitReader(repeatReader(line), int64(lines*len(line))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	wantError("oversized /update", resp.StatusCode, body, http.StatusRequestEntityTooLarge, "request_too_large")
+
+	code, body := rawPost(t, ts, "POST /query HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n"+`{"query":"SELECT`)
+	wantError("truncated /query", code, body, http.StatusBadRequest, "bad_request")
+	code, body = rawPost(t, ts, "POST /update HTTP/1.1\r\nHost: x\r\nContent-Length: 4096\r\n\r\n"+line+line[:40])
+	wantError("truncated /update", code, body, http.StatusBadRequest, "bad_update")
+
+	if after := getStatz(t, ts.URL).Triples; after != before+1 {
+		t.Errorf("triples = %d, want %d: the complete line of the truncated add, nothing else", after, before+1)
+	}
+	if rows := queryRows(t, ts.URL, qPub, "gcov"); len(rows) == 0 {
+		t.Error("no rows from a plain query after the rejected bodies")
+	}
+}
+
+// repeatReader reads s over and over.
+type repeatReader string
+
+func (r repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n+len(r) <= len(p) {
+		n += copy(p[n:], r)
+	}
+	if n == 0 {
+		n = copy(p, r[:len(p)]) // only ever the first read of a tiny buffer
+	}
+	return n, nil
+}
+
+// A client that walks away from a streaming answer must not keep its
+// admission slot, a goroutine or anything else: the failed write ends
+// the encoding and the handler.
+func TestClientDisconnectMidStream(t *testing.T) {
+	st := crossStore(t, 500) // 250,000 rows, ~19 MB: more than the socket buffers hold
+	_, ts := newTestServer(t, server.Config{Store: st, MaxInflight: 1})
+	reqBody := `{"query":` + jsonString(qCross) + `}`
+
+	baseline := runtime.NumGoroutine()
+	deadline := time.Now().Add(10 * time.Second)
+	for left := 3; left > 0; {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fmt.Fprintf(conn, "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", len(reqBody), reqBody); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// With MaxInflight 1, a 200 means the stream abandoned before
+		// this one has already given its slot back.
+		if resp.StatusCode == http.StatusOK {
+			left--
+			head := make([]byte, 4096)
+			if _, err := io.ReadFull(resp.Body, head); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(head, []byte(`{"vars":["x","y"],"rows":[["<http://example.org/Left0>"`)) {
+				t.Fatalf("unexpected start of the streamed answer: %.300s", head)
+			}
+		} else if resp.StatusCode != http.StatusTooManyRequests || time.Now().After(deadline) {
+			t.Fatalf("streaming query: status %d", resp.StatusCode)
+		}
+		if err := conn.Close(); err != nil { // unread data pending: the server's next writes fail
+			t.Fatal(err)
+		}
+	}
+
+	for {
+		code, body := postJSON(t, ts.URL+"/query", server.QueryRequest{Query: `PREFIX ex: <http://example.org/>
+			SELECT ?x WHERE { ?x a ex:Left }`})
+		if code == http.StatusOK {
+			break
+		}
+		if code != http.StatusTooManyRequests || time.Now().After(deadline) {
+			t.Fatalf("query after the disconnects: %d %.200s", code, body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if statz := getStatz(t, ts.URL); statz.Inflight != 0 {
+		t.Errorf("inflight = %d after every client left, want 0", statz.Inflight)
+	}
+	for {
+		runtime.GC()
+		if n := runtime.NumGoroutine(); n <= baseline+5 {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, baseline = %d: abandoned streams leaked", n, baseline)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

@@ -562,21 +562,31 @@ func (r *Result) Rows() [][]rdf.Term {
 // factorized result one row at a time; f returning false stops the
 // iteration. Each row slice is freshly allocated and may be retained.
 func (r *Result) Each(f func(row []rdf.Term) bool) {
-	if r.rows != nil || r.rel == nil {
-		for _, row := range r.rows {
-			if !f(row) {
-				return
-			}
-		}
-		return
-	}
-	r.rel.Each(func(ids []dict.ID) bool {
+	r.EachIDs(func(ids []dict.ID, terms dict.View) bool {
 		out := make([]rdf.Term, len(ids))
 		for i, id := range ids {
-			out[i] = r.dict.Term(id)
+			out[i] = terms.Term(id)
 		}
 		return f(out)
 	})
+}
+
+// EachIDs is the streaming primitive under Each: the answers in their
+// canonical order as dictionary IDs, expanded one row at a time, with one
+// lock-free view that resolves every ID of the result — so a consumer
+// that only wants bytes (the query service) decodes each cell once and
+// allocates nothing per row. ids is only valid during the call.
+func (r *Result) EachIDs(f func(ids []dict.ID, terms dict.View) bool) {
+	if r.rel == nil {
+		return
+	}
+	terms := r.dict.View()
+	c := r.rel.Cursor()
+	for ids, ok := c.Next(); ok; ids, ok = c.Next() {
+		if !f(ids, terms) {
+			return
+		}
+	}
 }
 
 // StoredBytes estimates the bytes held by the answer representation —

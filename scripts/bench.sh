@@ -20,7 +20,8 @@
 # gated on the estimation error shrinking at least 2x), and the
 # factorized-answer sweep from `benchall -factjson` (bytes/answer under
 # the factorized vs flat answer representations, gated on identical
-# answers and at least one cross-product query compressing 2x).
+# answers and at least one cross-product query compressing 2x), and the
+# response-encode layer from `BenchmarkEncodeResponse` in internal/server.
 # `make bench-json` and CI run exactly this script.
 set -eu
 
@@ -93,6 +94,12 @@ if ! grep -q 'BenchmarkFactorizedAnswers' "$raw"; then
     echo "==> factorized: recording factorized vs flat answer footprint"
     go test -run '^$' -bench '^BenchmarkFactorizedAnswers$' -benchmem . | tee -a "$raw"
 fi
+
+# encode: the query service's response encoder (ns/row, B/row, allocs/op
+# on a flat and a factorized bulk answer) is its own package's benchmark,
+# outside the root sweep; it is in every committed report.
+echo "==> encode: recording the response-encode layer"
+go test -run '^$' -bench '^BenchmarkEncodeResponse$' -benchmem ./internal/server | tee -a "$raw"
 
 echo "==> benchall -sharedscan (strict shared-vs-baseline equality sweep)"
 go run ./cmd/benchall -scale "$REPRO_BENCH_SCALE" -sharedscan

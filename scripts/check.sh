@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh runs the full verification gauntlet: build, go vet, the
-# repository's own static-analysis suite (cmd/lint), the test suite, and
-# the race detector. CI runs exactly this script; run it locally before
-# sending changes.
+# repository's own static-analysis suite (cmd/lint), the test suite, the
+# race detector and a short fuzz of the answer encoder. CI runs exactly
+# this script; run it locally before sending changes.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,6 +21,9 @@ go test ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> go test -fuzz=FuzzAppendJSONCanonical -fuzztime=10s ./internal/rdf"
+go test -run='^$' -fuzz=FuzzAppendJSONCanonical -fuzztime=10s ./internal/rdf
 
 echo "==> scripts/serve_smoke.sh (query service end-to-end)"
 ./scripts/serve_smoke.sh
