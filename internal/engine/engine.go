@@ -225,16 +225,16 @@ func (e *Engine) WithSpan(sp *trace.Span) *Engine {
 
 // WithContext returns a copy of the engine whose evaluations stop early
 // with ErrCanceled once ctx is done. Cancellation shares the budget seam:
-// the shared atomic work counter every scanned tuple and deduplicated row
-// already charges doubles as the poll clock, and the context's done
-// channel is polled only when a charge crosses a cancelCheckWork
-// boundary — about once per 4096 work units, from whichever worker lands
-// the crossing charge. Workers of a parallel evaluation all charge the
-// one counter, so a cancellation surfaces on every shard within one poll
-// interval and the evaluation unwinds through the ordinary error path:
-// pools drain, the snapshot is released, and the typed error reports the
-// context's cause. A ctx that can never be canceled (context.Background)
-// leaves the poll disabled entirely.
+// the shared atomic work counter doubles as the poll clock, and the
+// context's done channel is polled only when a charge crosses a
+// cancelCheckWork boundary — about once per 4096 work units, from
+// whichever worker lands the crossing charge (workers hold back at most
+// half that before charging; see meter). Workers of a parallel evaluation
+// all charge the one counter, so a cancellation surfaces on every shard
+// within one poll interval and the evaluation unwinds through the
+// ordinary error path: pools drain, the snapshot is released, and the
+// typed error reports the context's cause. A ctx that can never be
+// canceled (context.Background) leaves the poll disabled entirely.
 func (e *Engine) WithContext(ctx context.Context) *Engine {
 	e2 := *e
 	e2.ctx = ctx
@@ -243,16 +243,15 @@ func (e *Engine) WithContext(ctx context.Context) *Engine {
 
 // WithSharedScan returns a copy of the engine with the shared-scan
 // layer enabled (the default) or disabled. The layer comprises the
-// per-evaluation pattern-scan memo, the merged evaluation of member CQs
-// differing in one constant, and the cross-member planning memos (join
-// orders and cardinality probes shared across an arm); disabling it
-// reproduces the pre-refactor scan-per-member evaluation — the baseline
-// the ablation benchmarks compare against. Results and Metrics are
-// identical either way — the layer shares scan-locating and planning
-// work, never the per-tuple accounting. Snapshot pinning is not
-// affected: every evaluation reads through an immutable snapshot
-// regardless, which is what makes nested bind-join scans safe under
-// concurrent store mutation.
+// per-evaluation memo of outermost pattern scans, the merged evaluation
+// of member CQs differing in one constant, and the cross-member planning
+// memos (join orders and cardinality probes shared across an arm);
+// disabling it reproduces scan-per-member evaluation — the baseline the
+// ablation benchmarks compare against. Results and Metrics are identical
+// either way — the layer shares scan-locating and planning work, never
+// the accounting. Snapshot pinning is not affected: every evaluation
+// reads through an immutable snapshot regardless, which is what makes
+// nested bind-join scans safe under concurrent store mutation.
 func (e *Engine) WithSharedScan(on bool) *Engine {
 	e2 := *e
 	e2.noShared = !on
@@ -316,6 +315,7 @@ func (e *Engine) Store() *storage.Store { return e.store }
 // the typed budget errors fire when the *total* spent by all workers
 // exceeds the profile limit, independent of goroutine interleaving. With
 // a single worker the accumulated values are exactly the sequential ones.
+// The bind-join charges them through its worker's meter, in batches.
 type evalCtx struct {
 	prof Profile
 	par  int // resolved worker count; <= 1 evaluates sequentially
@@ -328,7 +328,7 @@ type evalCtx struct {
 	// concurrent store mutations cannot deadlock or skew the evaluation
 	// mid-flight.
 	snap *storage.Snapshot
-	// scans is the shared pattern-scan memo (nil when shared is false).
+	// scans is the shared memo of depth-0 scans (nil when shared is false).
 	scans *scanCache
 	// shared enables the scan memo and merged member scans.
 	shared bool
@@ -418,8 +418,8 @@ func (c *evalCtx) finishSpan(sp *trace.Span, err error) {
 // the done channel is polled when a charge crosses a multiple of
 // 2^cancelCheckShift (4096) work units. One work unit is one scanned
 // tuple or one deduplicated row, so even the cheapest evaluations poll
-// within microseconds of real work, while the per-tuple cost stays one
-// predictable branch on the counter value.
+// within microseconds of real work, while a charge costs one predictable
+// branch on the counter value.
 const cancelCheckShift = 12
 
 // charge adds n work units, failing when the budget is exhausted or —

@@ -319,9 +319,8 @@ func (e *Engine) evalArm(ctx *evalCtx, sp *trace.Span, arm ArmSource) (*Relation
 	if ctx.par > 1 {
 		return e.evalArmSharded(ctx, sp, arm)
 	}
-	out := &Relation{Vars: arm.Vars}
 	dedup := newDedupSet(ctx)
-	sc := newArmScratch()
+	sc := newArmScratch(ctx)
 	defer sc.release()
 	var failure error
 	window := make([]bgp.CQ, 0, mergeWindow)
@@ -329,13 +328,9 @@ func (e *Engine) evalArm(ctx *evalCtx, sp *trace.Span, arm ArmSource) (*Relation
 		if len(window) == 0 {
 			return true
 		}
-		_, err := e.evalMemberRun(ctx, sc, window, dedup, out)
+		_, failure = e.evalMemberRun(ctx, sc, window, dedup)
 		window = window[:0]
-		if err != nil {
-			failure = err
-			return false
-		}
-		return true
+		return failure == nil
 	}
 	arm.Each(func(cq bgp.CQ) bool {
 		window = append(window, cq)
@@ -350,6 +345,8 @@ func (e *Engine) evalArm(ctx *evalCtx, sp *trace.Span, arm ArmSource) (*Relation
 	if failure != nil {
 		return nil, failure
 	}
+	// The set's rows, in first-occurrence order, are the arm's relation.
+	out := &Relation{Vars: arm.Vars, Rows: dedup.set.rows}
 	if sp != nil {
 		sp.SetInt("rows_out", int64(out.Len()))
 		sp.SetInt("dedup_hits", dedup.hits)
@@ -375,22 +372,19 @@ type distKey struct {
 	v uint32
 }
 
-// armScratch is the per-worker evaluation state of one arm: the row
-// arena, the planning memos (join orders per member key, per-atom
-// cardinalities and per-variable distinct counts shared across the
-// arm's near-identical members), the merge-planning buffers, and the
-// reusable bind-join buffers. One scratch is owned by one goroutine —
-// the sequential arm loop or a single shard worker — so none of it
-// needs locking.
+// armScratch is the per-worker evaluation state of one arm: the planning
+// memos (join orders per member key, per-atom cardinalities and
+// per-variable distinct counts shared across the arm's near-identical
+// members), the merge-planning buffers, and the compiled bind-join
+// program with its environment, probe hints and meter. One scratch is
+// owned by one goroutine — the sequential arm loop or a single shard
+// worker — so none of it needs locking.
 type armScratch struct {
-	arena  rowArena
 	orders map[string][]int
 	cards  map[bgp.Atom]float64
 	dist   map[distKey]float64
 	plans  []memberPlan
-	bind   map[uint32]dict.ID
-	row    []dict.ID
-	newly  [][]uint32
+	bj     bindJoin
 
 	// planMergedScans scratch, reused window after window.
 	mergeBy map[mergeKey]int
@@ -439,25 +433,29 @@ var armScratchPool = sync.Pool{New: func() any {
 		orders:  make(map[string][]int),
 		cards:   make(map[bgp.Atom]float64),
 		dist:    make(map[distKey]float64),
-		bind:    make(map[uint32]dict.ID),
 		mergeBy: make(map[mergeKey]int),
 	}
 }}
 
-func newArmScratch() *armScratch { return armScratchPool.Get().(*armScratch) }
+// newArmScratch takes a scratch from the pool for one worker of ctx's
+// evaluation.
+func newArmScratch(ctx *evalCtx) *armScratch {
+	sc := armScratchPool.Get().(*armScratch)
+	sc.bj.m.ctx = ctx
+	return sc
+}
 
 // release returns the scratch to the pool, dropping everything that
-// must not carry across evaluations: the row arena (its chunks are
-// referenced by the relation just produced), the planning memos (stale
-// against the next evaluation's snapshot) and every retained member or
-// snapshot slice. Only the owning goroutine may call it, after the
-// produced rows were copied or handed off.
+// must not carry across evaluations: the planning memos and probe hints
+// (stale against the next evaluation's snapshot, and the hints hold its
+// decoded blocks) and every retained member or snapshot slice. Only the
+// owning goroutine may call it.
 func (sc *armScratch) release() {
-	sc.arena = rowArena{}
 	clear(sc.orders)
 	clear(sc.cards)
 	clear(sc.dist)
-	clear(sc.bind)
+	clear(sc.bj.hints)
+	sc.bj.m, sc.bj.dedup, sc.bj.emit, sc.bj.pre = meter{}, nil, nil, nil
 	clear(sc.plans[:cap(sc.plans)])
 	sc.plans = sc.plans[:0]
 	clear(sc.ranges[:cap(sc.ranges)])
@@ -473,7 +471,7 @@ func (sc *armScratch) release() {
 // differing in one constant; evaluation order, per-member join orders
 // and all per-tuple accounting are exactly those of member-at-a-time
 // evaluation.
-func (e *Engine) evalMemberRun(ctx *evalCtx, sc *armScratch, cqs []bgp.CQ, dedup *dedupSet, out *Relation) (int, error) {
+func (e *Engine) evalMemberRun(ctx *evalCtx, sc *armScratch, cqs []bgp.CQ, dedup *dedupSet) (int, error) {
 	plans := sc.plans[:0]
 	for _, cq := range cqs {
 		p := memberPlan{cq: cq, order: e.memberOrder(ctx, sc, cq)}
@@ -488,7 +486,7 @@ func (e *Engine) evalMemberRun(ctx *evalCtx, sc *armScratch, cqs []bgp.CQ, dedup
 	}
 	for i := range plans {
 		ctx.unionArms.Add(1)
-		if err := e.evalMember(ctx, sc, &plans[i], dedup, out); err != nil {
+		if err := sc.evalMember(&plans[i], dedup); err != nil {
 			return i + 1, err
 		}
 	}
@@ -659,98 +657,19 @@ func maskPos(p storage.Pattern, pos int) storage.Pattern {
 	return p
 }
 
-// evalMember evaluates one planned member CQ by an index bind-join in
-// its chosen atom order, emitting projected head rows. Fresh rows are
-// copied out of the shared row buffer into the dedup set's arena (the
-// set stores and returns the copy, so emission is one copy total). The
-// depth-0 scan replays the plan's pre-located merged range when one
-// exists; every other scan goes through the evaluation's scan memo.
-// Either way the triples consumed — and hence every metric — are those
-// of a plain snapshot scan.
-func (e *Engine) evalMember(ctx *evalCtx, sc *armScratch, p *memberPlan, dedup *dedupSet, out *Relation) error {
-	cq, order := p.cq, p.order
-	bind := sc.bind // empty here; fully unwound before every return below
-	if cap(sc.row) < len(cq.Head) {
-		sc.row = make([]dict.ID, len(cq.Head))
+// evalMember evaluates one planned member CQ: its compiled program (see
+// bindjoin.go) bind-joins the atoms in the chosen order and admits the
+// projected head rows to the arm's dedup set, whose arena holds the one
+// copy made of each fresh row. The depth-0 scan replays the plan's
+// pre-located merged range when one exists.
+func (sc *armScratch) evalMember(p *memberPlan, dedup *dedupSet) error {
+	k := &sc.bj
+	k.compile(p.cq, p.order)
+	for _, t := range p.cq.Head {
+		k.project(t)
 	}
-	row := sc.row[:len(cq.Head)]
-	for len(sc.newly) < len(order) {
-		sc.newly = append(sc.newly, nil)
-	}
-	newlyStack := sc.newly
-	var rec func(depth int) error
-	rec = func(depth int) error {
-		if depth == len(order) {
-			for i, h := range cq.Head {
-				if h.Var {
-					row[i] = bind[h.ID]
-				} else {
-					row[i] = h.Const()
-				}
-			}
-			stored, fresh, err := dedup.add(row)
-			if err != nil {
-				return err
-			}
-			if fresh {
-				out.Rows = append(out.Rows, stored)
-			}
-			return nil
-		}
-		a := cq.Atoms[order[depth]]
-		pat := storage.Pattern{}
-		term := func(t bgp.Term) dict.ID {
-			if !t.Var {
-				return t.Const()
-			}
-			return bind[t.ID] // dict.None when unbound
-		}
-		pat.S, pat.P, pat.O = term(a.S), term(a.P), term(a.O)
-
-		var failure error
-		scan := func(tr storage.Triple) bool {
-			ctx.tuplesScanned.Add(1)
-			if err := ctx.charge(1); err != nil {
-				failure = err
-				return false
-			}
-			vals := [3]dict.ID{tr.S, tr.P, tr.O}
-			terms := a.Positions()
-			newly := newlyStack[depth][:0]
-			ok := true
-			for i, t := range terms {
-				if !t.Var {
-					continue
-				}
-				if v, bound := bind[t.ID]; bound {
-					if v != vals[i] {
-						ok = false
-						break
-					}
-				} else {
-					bind[t.ID] = vals[i]
-					newly = append(newly, t.ID)
-				}
-			}
-			newlyStack[depth] = newly
-			if ok {
-				if err := rec(depth + 1); err != nil {
-					failure = err
-				}
-			}
-			for _, v := range newly {
-				delete(bind, v)
-			}
-			return failure == nil
-		}
-		if depth == 0 && p.preOK {
-			ctx.snap.ScanRange(p.pre, pat, scan)
-		} else {
-			ctx.scanPattern(pat, scan)
-		}
-		return failure
-	}
-	return rec(0)
+	k.pre, k.preOK, k.dedup, k.emit = p.pre, p.preOK, dedup, nil
+	return k.exec()
 }
 
 // memberOrder returns the evaluation join order for one member CQ,

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/dict"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -30,7 +29,7 @@ import (
 // pre-seeded flat dedup set and continues on the ordinary flat path.
 //
 // The metrics part is accounted by replay: each segment is scanned once
-// for real (charging per tuple, exactly like evalMember), and the scans
+// for real (charging what evalMember charges), and the scans
 // flat evaluation would repeat per outer binding are charged in bulk —
 // segment i costs (Π_{j<i} B_j) × T_i tuples flat, of which one T_i was
 // paid for real on the segment's first evaluation. Emissions (Π B_i per
@@ -89,7 +88,7 @@ func (e *Engine) evalArmFactorized(ctx *evalCtx, sp *trace.Span, arm ArmSource) 
 	if !got {
 		return nil, false, nil
 	}
-	sc := newArmScratch()
+	sc := newArmScratch(ctx)
 	defer sc.release()
 	order := e.memberOrder(ctx, sc, first)
 	segs := segmentize(first, order)
@@ -112,25 +111,20 @@ func (e *Engine) evalArmFactorized(ctx *evalCtx, sp *trace.Span, arm ArmSource) 
 	}
 
 	var failure error
-	var flat *Relation // non-nil once a mismatching member forced the fallback
-	var dedup *dedupSet
+	var dedup *dedupSet // non-nil once a mismatching member forced the flat fallback
 	window := make([]bgp.CQ, 0, mergeWindow)
 	flush := func() bool {
 		if len(window) == 0 {
 			return true
 		}
-		_, err := e.evalMemberRun(ctx, sc, window, dedup, flat)
+		_, failure = e.evalMemberRun(ctx, sc, window, dedup)
 		window = window[:0]
-		if err != nil {
-			failure = err
-			return false
-		}
-		return true
+		return failure == nil
 	}
 	memberIdx := 0
 	arm.Each(func(cq bgp.CQ) bool {
 		memberIdx++
-		if flat != nil {
+		if dedup != nil {
 			window = append(window, cq)
 			if len(window) == mergeWindow {
 				return flush()
@@ -146,9 +140,8 @@ func (e *Engine) evalArmFactorized(ctx *evalCtx, sp *trace.Span, arm ArmSource) 
 				// already admitted and charged under the factorized
 				// accounting — into a pre-seeded flat set, and continue
 				// exactly as the sequential flat path would.
-				flat = &Relation{Vars: arm.Vars}
 				dedup = newDedupSet(ctx)
-				acc.expandInto(flat, dedup)
+				acc.expandInto(dedup)
 				window = append(window, cq)
 				return true
 			}
@@ -160,14 +153,16 @@ func (e *Engine) evalArmFactorized(ctx *evalCtx, sp *trace.Span, arm ArmSource) 
 		}
 		return true
 	})
-	if failure == nil && flat != nil {
+	if failure == nil && dedup != nil {
 		flush()
 	}
 	if failure != nil {
 		return nil, true, failure
 	}
-	out := flat
-	if out == nil {
+	var out *Relation
+	if dedup != nil {
+		out = &Relation{Vars: arm.Vars, Rows: dedup.set.rows}
+	} else {
 		out = acc.buildRelation(arm.Vars)
 	}
 	if sp != nil {
@@ -335,7 +330,7 @@ func intsEqual(a, b []int) bool {
 // exactly what flat evaluation of the member charges:
 //
 //   - segment scans: each segment is bind-joined once for real (one
-//     work unit and one tuplesScanned per tuple, like evalMember); the
+//     work unit and one tuplesScanned a tuple, like evalMember); the
 //     repeats flat performs — segment i runs once per binding of the
 //     segments before it — are charged in bulk as replay. Segments are
 //     reached lazily in nesting order, so a segment whose outer product
@@ -367,10 +362,6 @@ func (e *Engine) evalFactMember(ctx *evalCtx, sc *armScratch, acc *factAcc, cq b
 			continue
 		}
 		cols := plan.cols[i]
-		var sub []dict.ID
-		if len(cols) > 0 {
-			sub = make([]dict.ID, len(cols))
-		}
 		var b int64
 		emit := func(row []dict.ID) {
 			b++
@@ -383,7 +374,7 @@ func (e *Engine) evalFactMember(ctx *evalCtx, sc *armScratch, acc *factAcc, cq b
 				comp.set.add(acc.arena.copy(row))
 			}
 		}
-		t, err := e.evalSegment(ctx, sc, cq, segs[i], cols, sub, emit)
+		t, err := sc.evalSegment(cq, segs[i], cols, emit)
 		if err != nil {
 			return err
 		}
@@ -431,79 +422,20 @@ func (e *Engine) evalFactMember(ctx *evalCtx, sc *armScratch, acc *factAcc, cq b
 }
 
 // evalSegment bind-joins one segment's atoms in order over the pinned
-// snapshot, exactly like evalMember's recursion (same per-tuple charge
-// and tuplesScanned accounting, same shared-scan memo), and calls emit
-// with the binding projected on the segment's head columns. It returns
-// the tuples scanned; emit observes the binding count. The projected
-// row aliases a scratch buffer valid only during the call.
-func (e *Engine) evalSegment(ctx *evalCtx, sc *armScratch, cq bgp.CQ, atoms []int, cols []int, sub []dict.ID, emit func([]dict.ID)) (int64, error) {
-	bind := sc.bind // empty here; fully unwound before every return below
-	for len(sc.newly) < len(atoms) {
-		sc.newly = append(sc.newly, nil)
+// snapshot with the same compiled program as evalMember (same
+// accounting, same shared-scan memo), calling emit with each binding
+// projected on the segment's head columns. It returns the tuples scanned;
+// emit observes the binding count. The projected row aliases a scratch
+// buffer valid only during the call.
+func (sc *armScratch) evalSegment(cq bgp.CQ, atoms []int, cols []int, emit func([]dict.ID)) (int64, error) {
+	k := &sc.bj
+	k.compile(cq, atoms)
+	for _, c := range cols {
+		k.project(cq.Head[c])
 	}
-	newlyStack := sc.newly
-	var tuples int64
-	var rec func(depth int) error
-	rec = func(depth int) error {
-		if depth == len(atoms) {
-			for j, c := range cols {
-				sub[j] = bind[cq.Head[c].ID]
-			}
-			emit(sub)
-			return nil
-		}
-		a := cq.Atoms[atoms[depth]]
-		pat := storage.Pattern{}
-		term := func(t bgp.Term) dict.ID {
-			if !t.Var {
-				return t.Const()
-			}
-			return bind[t.ID] // dict.None when unbound
-		}
-		pat.S, pat.P, pat.O = term(a.S), term(a.P), term(a.O)
-
-		var failure error
-		scan := func(tr storage.Triple) bool {
-			tuples++
-			ctx.tuplesScanned.Add(1)
-			if err := ctx.charge(1); err != nil {
-				failure = err
-				return false
-			}
-			vals := [3]dict.ID{tr.S, tr.P, tr.O}
-			terms := a.Positions()
-			newly := newlyStack[depth][:0]
-			ok := true
-			for i, t := range terms {
-				if !t.Var {
-					continue
-				}
-				if v, bound := bind[t.ID]; bound {
-					if v != vals[i] {
-						ok = false
-						break
-					}
-				} else {
-					bind[t.ID] = vals[i]
-					newly = append(newly, t.ID)
-				}
-			}
-			newlyStack[depth] = newly
-			if ok {
-				if err := rec(depth + 1); err != nil {
-					failure = err
-				}
-			}
-			for _, v := range newly {
-				delete(bind, v)
-			}
-			return failure == nil
-		}
-		ctx.scanPattern(pat, scan)
-		return failure
-	}
-	err := rec(0)
-	return tuples, err
+	k.preOK, k.dedup, k.emit, k.tuples = false, nil, emit, 0
+	err := k.exec()
+	return k.tuples, err
 }
 
 // buildRelation freezes the accumulator into the arm's relation: a
@@ -539,15 +471,13 @@ func (acc *factAcc) buildRelation(vars []uint32) *Relation {
 	return out
 }
 
-// expandInto expands the accumulator into a flat relation seeding a
-// dedup set — the fallback when a member breaks the factorization
-// pattern. No charges: every expanded row was already charged as a
-// fresh admission when its member was folded in.
-func (acc *factAcc) expandInto(out *Relation, dedup *dedupSet) {
-	rel := acc.buildRelation(out.Vars)
-	for _, row := range rel.Materialize() {
+// expandInto expands the accumulator into a dedup set, whose rows become
+// the arm's flat relation — the fallback when a member breaks the
+// factorization pattern. No charges: every expanded row was already
+// charged as a fresh admission when its member was folded in.
+func (acc *factAcc) expandInto(dedup *dedupSet) {
+	for _, row := range acc.buildRelation(nil).Materialize() {
 		dedup.seed(row)
-		out.Rows = append(out.Rows, row)
 	}
 }
 

@@ -240,6 +240,10 @@ func TestFactorizedParallelStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Expand the shared reference once, up front: Materialize caches into
+	// the relation and is not safe for concurrent use, and a cursor that
+	// sees the cache appear mid-expansion restarts from row 0.
+	want.Materialize()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -91,10 +91,11 @@ func (e *Engine) evalAllArms(ctx *evalCtx, arms []ArmSource) ([]*Relation, error
 	return rels, nil
 }
 
-// shardResult is one shard's share of an arm evaluation: the locally
-// fresh rows of every batch the shard processed, in dispatch order.
+// shardResult is one shard's share of an arm evaluation: the shard set's
+// locally fresh rows in dispatch order, and where each batch's rows end.
 type shardResult struct {
-	batches  [][][]dict.ID // batches[k] is the rows of global batch k*shards+s
+	rows     [][]dict.ID // the shard's dedup set rows, first-occurrence order
+	ends     []int       // rows[ends[k-1]:ends[k]] came from global batch k*shards+s
 	err      error
 	errBatch int // global index of the batch err occurred in
 }
@@ -102,9 +103,10 @@ type shardResult struct {
 // evalArmSharded evaluates one arm's member CQs on ctx.par workers. The
 // producer streams members into fixed-size batches, round-robin over the
 // shards; every shard bind-joins its members against its own dedup set
-// and buffers the locally fresh rows per batch; the merge then walks the
-// batches in global order through one final set. See the file comment for
-// why the result (and the success-path metrics) are exactly sequential.
+// and notes where each batch's locally fresh rows end in it; the merge
+// then walks the batches in global order through one final set, whose
+// rows the relation adopts. See the file comment for why the result (and
+// the success-path metrics) are exactly sequential.
 func (e *Engine) evalArmSharded(ctx *evalCtx, sp *trace.Span, arm ArmSource) (*Relation, error) {
 	shards := ctx.par
 	type batch struct {
@@ -127,30 +129,29 @@ func (e *Engine) evalArmSharded(ctx *evalCtx, sp *trace.Span, arm ArmSource) (*R
 		go func(in chan batch, res *shardResult, shardSp *trace.Span) {
 			defer wg.Done()
 			dedup := newDedupSet(ctx)
-			sc := newArmScratch()
+			sc := newArmScratch(ctx)
 			defer sc.release()
-			var members, rows int64
+			var members int64
 			for b := range in {
 				if res.err != nil {
 					continue // drain after a failure
 				}
-				out := &Relation{Vars: arm.Vars}
 				// Each batch is planned as one window: merged scans form
 				// within it, and the scan memo is shared with every other
 				// shard through the evaluation context.
-				n, err := e.evalMemberRun(ctx, sc, b.cqs, dedup, out)
+				n, err := e.evalMemberRun(ctx, sc, b.cqs, dedup)
 				members += int64(n)
 				if err != nil {
 					res.err, res.errBatch = err, b.idx
 					failed.Store(true)
 					continue
 				}
-				rows += int64(len(out.Rows))
-				res.batches = append(res.batches, out.Rows)
+				res.ends = append(res.ends, dedup.size())
 			}
+			res.rows = dedup.set.rows
 			if shardSp != nil {
 				shardSp.SetInt("members", members)
-				shardSp.SetInt("rows_out", rows)
+				shardSp.SetInt("rows_out", int64(len(res.rows)))
 				shardSp.SetInt("dedup_hits", dedup.hits)
 				shardSp.SetInt("arena_chunks", int64(dedup.arena.chunks))
 				shardSp.End()
@@ -205,19 +206,25 @@ func (e *Engine) evalArmSharded(ctx *evalCtx, sp *trace.Span, arm ArmSource) (*R
 		mergeSp.SetInt("batches", int64(nextBatch))
 		defer mergeSp.End()
 	}
-	out := &Relation{Vars: arm.Vars}
 	merge := newDedupSet(ctx)
+	total := 0
+	for _, res := range results {
+		total += len(res.rows)
+	}
+	merge.set.grow(total)
 	for b := 0; b < nextBatch; b++ {
-		for _, row := range results[b%shards].batches[b/shards] {
-			fresh, err := merge.addMerged(row)
-			if err != nil {
+		res, k := results[b%shards], b/shards
+		start := 0
+		if k > 0 {
+			start = res.ends[k-1]
+		}
+		for _, row := range res.rows[start:res.ends[k]] {
+			if _, err := merge.addMerged(row); err != nil {
 				return nil, err
-			}
-			if fresh {
-				out.Rows = append(out.Rows, row)
 			}
 		}
 	}
+	out := &Relation{Vars: arm.Vars, Rows: merge.set.rows}
 	if mergeSp != nil {
 		mergeSp.SetInt("rows_out", int64(out.Len()))
 		mergeSp.SetInt("dedup_hits", merge.hits)

@@ -311,6 +311,16 @@ func (s *rowSet) has(row []dict.ID) bool {
 // len returns the number of distinct rows.
 func (s *rowSet) len() int { return len(s.rows) }
 
+// grow sizes an empty set for n rows, so that filling it neither rehashes
+// nor regrows the row slice.
+func (s *rowSet) grow(n int) {
+	slots := rowSetMinSlots
+	for n*8 > slots*7 {
+		slots <<= 1
+	}
+	s.tbl, s.rows = make([]uint32, slots), make([][]dict.ID, 0, n)
+}
+
 // reserve grows the table before an insertion would push the load
 // factor past 7/8, so a later insertAt never invalidates a found slot.
 func (s *rowSet) reserve() {
@@ -375,29 +385,25 @@ func newDedupSet(ctx *evalCtx) *dedupSet {
 // size returns the number of distinct rows admitted so far.
 func (d *dedupSet) size() int { return d.set.len() }
 
-// add admits row, charging one work unit and enforcing the
-// materialization budget on the set size. A fresh row is copied into
-// the set's arena and the stored copy returned (callers append it to
-// their output instead of copying again); a duplicate returns
-// fresh=false and row is not retained.
-func (d *dedupSet) add(row []dict.ID) (stored []dict.ID, fresh bool, err error) {
-	if err := d.ctx.charge(1); err != nil {
-		return nil, false, err
+// add admits row — the bind-join's emission — charging one work unit to
+// the worker's meter and enforcing the materialization budget on the set
+// size. A fresh row is copied into the set's arena (set.rows then holds
+// it, in first-occurrence order, for the relation to adopt); a duplicate
+// is counted and not retained.
+func (d *dedupSet) add(m *meter, row []dict.ID) error {
+	if err := m.charge(1); err != nil {
+		return err
 	}
 	d.set.reserve()
 	slot, found := d.set.find(row)
 	if found {
 		d.hits++
-		d.ctx.rowsDeduped.Add(1)
-		return nil, false, nil
+		m.deduped++
+		return nil
 	}
-	cp := d.arena.copy(row)
-	d.set.rows = append(d.set.rows, cp)
+	d.set.rows = append(d.set.rows, d.arena.copy(row))
 	d.set.tbl[slot] = uint32(len(d.set.rows))
-	if err := d.ctx.checkRows(d.set.len()); err != nil {
-		return nil, false, err
-	}
-	return cp, true, nil
+	return d.ctx.checkRows(d.set.len())
 }
 
 // addOwned is add for rows the caller already owns stable storage for

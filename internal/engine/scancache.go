@@ -7,39 +7,31 @@ import (
 	"repro/internal/storage"
 )
 
-// scanCache is the per-evaluation pattern-scan memo: triple pattern →
-// the exact triple sequence Scan yields for it on the pinned snapshot.
-// Reformulation members are near-identical, so the bind-join re-issues
-// the same patterns member after member (and, at inner depths, binding
-// after binding); the memo turns every repeat into a slice walk with no
-// index lookup. Entries are shared read-only across members, arms and
+// scanCache is the per-evaluation memo of depth-0 pattern scans: triple
+// pattern → the exact triple sequence Scan yields for it on the pinned
+// snapshot. Reformulation members are near-identical, so the bind-join
+// re-issues the same outermost patterns member after member; the memo
+// turns every repeat into a slice walk, which matters when the snapshot
+// cannot hand the pattern out as a range and each repeat would otherwise
+// re-filter a pending delta or tombstones. Entries are shared read-only across members, arms and
 // shard workers of one evaluation and die with it, so mutation safety
 // is inherited from the snapshot's immutability.
 //
 //lint:cache scancache
 type scanCache struct {
-	// entries counts cached patterns across all shards; inserts stop at
-	// maxScanCacheEntries (repeats of cached patterns still hit).
-	entries atomic.Int64
 	// seen is a fixed tag table marking patterns scanned once: most
 	// distinct patterns of an evaluation are never scanned again (the
 	// repeats concentrate on a few), so entries are only installed on a
 	// pattern's second scan. A collision merely overwrites a mark or
 	// pre-marks a pattern — caching happens one scan early or late,
 	// never incorrectly.
-	seen   [scanSeenSlots]atomic.Uint32
-	shards [scanCacheShards]scanShard
-}
-
-type scanShard struct {
+	seen [scanSeenSlots]atomic.Uint32
+	// One lock: the memo is consulted once per member, not per probe.
 	mu sync.RWMutex
 	m  map[storage.Pattern][]storage.Triple
 }
 
 const (
-	// scanCacheShards spreads concurrent shard workers over independent
-	// locks; must be a power of two.
-	scanCacheShards = 8
 	// scanSeenSlots sizes the seen-once tag table; must be a power of
 	// two. 8K slots cost 32KB per evaluation.
 	scanSeenSlots = 1 << 13
@@ -52,10 +44,12 @@ const (
 	maxScanCacheRows = 4096
 )
 
-// scanCachePool recycles evaluation scan memos: the shard maps keep
-// their buckets across evaluations, so steady-state cache installs
-// allocate (almost) nothing.
-var scanCachePool = sync.Pool{New: func() any { return new(scanCache) }}
+// scanCachePool recycles evaluation scan memos: the map keeps its buckets
+// across evaluations, so steady-state cache installs allocate (almost)
+// nothing.
+var scanCachePool = sync.Pool{New: func() any {
+	return &scanCache{m: make(map[storage.Pattern][]storage.Triple, 64)}
+}}
 
 func newScanCache() *scanCache { return scanCachePool.Get().(*scanCache) }
 
@@ -63,7 +57,6 @@ func newScanCache() *scanCache { return scanCachePool.Get().(*scanCache) }
 // retains — and returns it to the pool. The caller must have joined
 // every worker of the owning evaluation first; EvalArms does.
 func (c *scanCache) release() {
-	c.entries.Store(0)
 	// Reset the tag table slot by slot through the atomic API. A plain
 	// clear() would be a non-atomic wholesale store racing any Load on
 	// the slots — benign today only because release runs after the
@@ -72,18 +65,8 @@ func (c *scanCache) release() {
 	for i := range c.seen {
 		c.seen[i].Store(0)
 	}
-	for i := range c.shards {
-		clear(c.shards[i].m)
-	}
+	clear(c.m)
 	scanCachePool.Put(c)
-}
-
-func patternHash(p storage.Pattern) uint64 {
-	return uint64(p.S)*0x9E3779B1 ^ uint64(p.P)*0x85EBCA77 ^ uint64(p.O)*0xC2B2AE3D
-}
-
-func (c *scanCache) shard(p storage.Pattern) *scanShard {
-	return &c.shards[patternHash(p)&(scanCacheShards-1)]
 }
 
 // seenBefore reports whether the pattern was (probably) scanned before
@@ -91,7 +74,7 @@ func (c *scanCache) shard(p storage.Pattern) *scanShard {
 // shard workers: a racing pair both read unseen, both stream uncached,
 // and the pattern is cached on a later scan.
 func (c *scanCache) seenBefore(p storage.Pattern) bool {
-	h := patternHash(p)
+	h := uint64(p.S)*0x9E3779B1 ^ uint64(p.P)*0x85EBCA77 ^ uint64(p.O)*0xC2B2AE3D
 	slot := &c.seen[(h>>3)&(scanSeenSlots-1)]
 	tag := uint32(h>>32) | 1
 	if slot.Load() == tag {
@@ -104,116 +87,72 @@ func (c *scanCache) seenBefore(p storage.Pattern) bool {
 // get returns the cached triple sequence for the pattern. ok
 // distinguishes a cached empty result (nil slice) from a miss.
 func (c *scanCache) get(p storage.Pattern) ([]storage.Triple, bool) {
-	sh := c.shard(p)
-	sh.mu.RLock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	//lint:ignore versionstamp per-evaluation memo pinned to one snapshot (EvalArms pins ctx.snap); entries die with the evaluation and cannot span store versions
-	ts, ok := sh.m[p]
-	sh.mu.RUnlock()
+	ts, ok := c.m[p]
 	return ts, ok
 }
 
 // full reports whether the entry budget is exhausted — callers skip
 // materializing results they would not be able to cache.
-func (c *scanCache) full() bool { return c.entries.Load() >= maxScanCacheEntries }
+func (c *scanCache) full() bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.m) >= maxScanCacheEntries
+}
 
-// put caches the triple sequence for the pattern. The first writer
-// wins; a concurrent duplicate (two workers scanning the same pattern)
-// computed the identical sequence anyway and is dropped.
+// put caches the triple sequence for the pattern while the entry budget
+// lasts. The first writer wins; a concurrent duplicate (two workers
+// scanning the same pattern) computed the identical sequence anyway and
+// is dropped.
 func (c *scanCache) put(p storage.Pattern, ts []storage.Triple) {
-	if c.entries.Add(1) > maxScanCacheEntries {
-		c.entries.Add(-1)
-		return
-	}
-	sh := c.shard(p)
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[storage.Pattern][]storage.Triple, 64)
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	//lint:ignore versionstamp per-evaluation memo pinned to one snapshot; duplicate probe of an unversioned entry that dies with the evaluation
-	if _, dup := sh.m[p]; dup {
-		sh.mu.Unlock()
-		c.entries.Add(-1)
+	if _, dup := c.m[p]; dup || len(c.m) >= maxScanCacheEntries {
 		return
 	}
 	//lint:ignore versionstamp per-evaluation memo pinned to one snapshot; entries are released before the next evaluation and cannot go stale
-	sh.m[p] = ts
-	sh.mu.Unlock()
+	c.m[p] = ts
 }
 
-// scanPattern is the engine's scan entry point during evaluation: every
-// bind-join scan goes through it. It reads from the evaluation's pinned
-// snapshot — never the live store, so no lock is held and scans nest
-// freely — and, with the shared-scan layer on, consults the pattern
-// memo first. The triple sequence delivered to f is byte-identical to
-// snap.Scan(p, f) in every case; only the locating work is shared.
-func (c *evalCtx) scanPattern(p storage.Pattern, f func(storage.Triple) bool) {
-	if !c.shared {
-		c.snap.Scan(p, f)
-		return
+// scanPattern is the bind-join's depth-0 probe: it returns the exact
+// triple sequence snap.Scan(p) yields as a slice — from the pattern memo,
+// from a zero-copy snapshot range found through the probe site's hint,
+// or, for a repeated pattern the snapshot cannot range over, materialized
+// once into the memo. ok=false means the caller must stream the pattern
+// through snap.Scan. Deeper probes do not come here: measured with seeks
+// at their hinted price, consulting the memo per inner probe cost more
+// than the seeks it saved even at a 45 % hit rate (EXPERIMENTS.md,
+// Figure 10), so they go straight to the snapshot.
+func (c *evalCtx) scanPattern(m *meter, p storage.Pattern, h *storage.Hint) ([]storage.Triple, bool) {
+	if c.scans == nil {
+		return c.snap.RangeFrom(p, h)
 	}
 	if ts, ok := c.scans.get(p); ok {
-		c.scanHits.Add(1)
-		for _, t := range ts {
-			if !f(t) {
-				return
-			}
-		}
-		return
+		m.hits++
+		return ts, true
 	}
-	c.scanMisses.Add(1)
+	m.misses++
 	repeat := c.scans.seenBefore(p)
-	if ts, ok := c.snap.Range(p); ok {
+	if ts, ok := c.snap.RangeFrom(p, h); ok {
 		// Exact zero-copy range: the subslice header is free to walk, and
 		// worth a cache entry once the pattern has shown up twice.
-		c.snapRanges.Add(1)
+		m.ranges++
 		if repeat {
 			c.scans.put(p, ts)
 		}
-		for _, t := range ts {
-			if !f(t) {
-				return
-			}
-		}
-		return
+		return ts, true
 	}
-	if !repeat || c.scans.full() {
-		c.snap.Scan(p, f)
-		return
+	if !repeat || c.scans.full() || c.snap.Count(p) > maxScanCacheRows {
+		return nil, false
 	}
-	// Materialize-and-replay, abandoning the buffer if the result
-	// outgrows the per-entry cap: buffered triples are flushed to f and
-	// the rest of the scan streams straight through.
 	var buf []storage.Triple
-	overflow := false
-	stopped := false
 	c.snap.Scan(p, func(t storage.Triple) bool {
-		if overflow {
-			if !f(t) {
-				stopped = true
-				return false
-			}
-			return true
-		}
 		buf = append(buf, t)
-		if len(buf) > maxScanCacheRows {
-			overflow = true
-			for _, bt := range buf {
-				if !f(bt) {
-					stopped = true
-					return false
-				}
-			}
-			buf = nil
-		}
 		return true
 	})
-	if overflow || stopped {
-		return
-	}
 	c.scans.put(p, buf)
-	for _, t := range buf {
-		if !f(t) {
-			return
-		}
-	}
+	return buf, true
 }

@@ -34,18 +34,18 @@ func TestScanCacheBasics(t *testing.T) {
 
 	// First writer wins; a duplicate put neither replaces the entry nor
 	// leaks an entry count.
-	before := c.entries.Load()
+	before := len(c.m)
 	c.put(q, []storage.Triple{{S: 9, P: 9, O: 9}})
-	if c.entries.Load() != before {
-		t.Fatalf("duplicate put changed the entry count: %d -> %d", before, c.entries.Load())
+	if len(c.m) != before {
+		t.Fatalf("duplicate put changed the entry count: %d -> %d", before, len(c.m))
 	}
 	if ts, _ := c.get(q); !reflect.DeepEqual(ts, want) {
 		t.Fatalf("duplicate put replaced the entry")
 	}
 }
 
-// release must fully reset the recycled cache: the entry budget, every
-// seen-once tag mark, and the shard maps. A stale seen mark only shifts
+// release must fully reset the recycled cache: every seen-once tag mark
+// and the map. A stale seen mark only shifts
 // when a pattern gets cached, but a stale map entry would replay
 // triples from another evaluation's snapshot — and the tag-table reset
 // must go through the slots' atomic Store API, not a wholesale clear()
@@ -60,12 +60,12 @@ func TestScanCacheReleaseResets(t *testing.T) {
 		t.Fatalf("second scan of the pattern not reported seen")
 	}
 	c.put(p, []storage.Triple{{S: 5, P: 6, O: 7}})
-	if c.entries.Load() == 0 {
+	if len(c.m) == 0 {
 		t.Fatalf("put did not account an entry")
 	}
 
 	c.release()
-	if got := c.entries.Load(); got != 0 {
+	if got := len(c.m); got != 0 {
 		t.Fatalf("released cache keeps entry count %d", got)
 	}
 	for i := range c.seen {
@@ -90,7 +90,9 @@ func TestScanCacheReleaseResets(t *testing.T) {
 
 func TestScanCacheEntryCap(t *testing.T) {
 	c := newScanCache()
-	c.entries.Store(maxScanCacheEntries)
+	for i := 0; i < maxScanCacheEntries; i++ {
+		c.put(storage.Pattern{O: dict.ID(i + 1)}, nil)
+	}
 	if !c.full() {
 		t.Fatalf("cache at capacity not reported full")
 	}
@@ -99,14 +101,14 @@ func TestScanCacheEntryCap(t *testing.T) {
 	if _, ok := c.get(p); ok {
 		t.Fatalf("put succeeded beyond the entry cap")
 	}
-	if c.entries.Load() != maxScanCacheEntries {
-		t.Fatalf("rejected put leaked an entry count: %d", c.entries.Load())
+	if len(c.m) != maxScanCacheEntries {
+		t.Fatalf("rejected put leaked an entry count: %d", len(c.m))
 	}
 }
 
-// scanPattern must deliver the exact Scan sequence on every path: cold
-// (materialize-and-replay or exact range), warm (memo walk), and with
-// early termination by the consumer.
+// scanPattern must stand for the exact Scan sequence on every path: cold
+// (exact range, materialize-and-replay, or a decline the caller streams),
+// warm (memo walk), with and without a hint carried between probes.
 func TestScanPatternMatchesSnapshotScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	b := storage.NewBuilder()
@@ -124,32 +126,28 @@ func TestScanPatternMatchesSnapshotScan(t *testing.T) {
 	st.Remove(storage.Triple{S: 2, P: 2, O: 2})
 
 	ctx := &evalCtx{snap: st.Snapshot(), shared: true, scans: newScanCache()}
+	m := &meter{ctx: ctx}
 	patterns := []storage.Pattern{
 		{}, {S: 1}, {P: 3}, {O: 5}, {S: 1, P: 1}, {P: 2, O: 2}, {S: 3, O: 7},
 	}
-	collect := func(scan func(storage.Pattern, func(storage.Triple) bool), p storage.Pattern) []storage.Triple {
-		var out []storage.Triple
-		scan(p, func(tr storage.Triple) bool { out = append(out, tr); return true })
-		return out
-	}
-	for round := 0; round < 2; round++ { // round 0 cold, round 1 from the memo
+	var hint storage.Hint
+	declined := 0
+	for round := 0; round < 3; round++ { // round 0 cold, later rounds from the memo
 		for _, p := range patterns {
-			want := collect(ctx.snap.Scan, p)
-			got := collect(ctx.scanPattern, p)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d pattern %+v: scanPattern %v, snapshot scan %v", round, p, got, want)
+			var want []storage.Triple
+			ctx.snap.Scan(p, func(tr storage.Triple) bool { want = append(want, tr); return true })
+			got, ok := ctx.scanPattern(m, p, &hint)
+			if !ok {
+				declined++ // the caller streams: nothing to compare
+				continue
 			}
-			// Early termination after the first triple.
-			n := 0
-			ctx.scanPattern(p, func(storage.Triple) bool { n++; return false })
-			if len(want) > 0 && n != 1 {
-				t.Fatalf("pattern %+v: early-terminated scan delivered %d triples", p, n)
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("round %d pattern %+v: scanPattern %v, snapshot scan %v", round, p, got, want)
 			}
 		}
 	}
-	if ctx.scanHits.Load() == 0 || ctx.scanMisses.Load() == 0 {
-		t.Fatalf("hit/miss counters did not move: hits=%d misses=%d",
-			ctx.scanHits.Load(), ctx.scanMisses.Load())
+	if m.hits == 0 || m.misses == 0 || declined == 0 {
+		t.Fatalf("paths not all taken: hits=%d misses=%d declined=%d", m.hits, m.misses, declined)
 	}
 }
 
@@ -172,8 +170,8 @@ func TestMemberOrderAgreesWithJoinOrder(t *testing.T) {
 	e := New(raw, stats.Collect(raw, schema.Vocab{}), Native)
 	shared := &evalCtx{snap: raw.Snapshot(), shared: true}
 	base := &evalCtx{snap: raw.Snapshot()}
-	sc := newArmScratch()
-	baseSc := newArmScratch()
+	sc := newArmScratch(shared)
+	baseSc := newArmScratch(base)
 
 	term := func() bgp.Term {
 		if rng.Intn(2) == 0 {

@@ -79,8 +79,10 @@ func TestSharedScanMatchesBaseline(t *testing.T) {
 }
 
 // A handcrafted UCQ whose members differ only in the class constant must
-// light up the new trace counters deterministically: every member joins
-// one merged-scan group, and the shared depth-1 scans hit the memo.
+// light up the trace counters deterministically: every member joins one
+// merged-scan group and the inner probes go straight to the snapshot,
+// past the memo; three single-member arms that open with the same atom
+// meet in the memo at depth 0.
 func TestSharedScanCountersObservable(t *testing.T) {
 	const (
 		typeID   = dict.ID(1)
@@ -125,16 +127,36 @@ func TestSharedScanCountersObservable(t *testing.T) {
 	if got := snap["merged_members"]; got != int64(len(classes)) {
 		t.Errorf("merged_members = %d, want %d", got, len(classes))
 	}
-	// Entries install on a pattern's second scan: member 1 marks the 10
-	// depth-1 (subject, worksFor) patterns seen, member 2 caches them,
-	// members 3-4 replay them: 20 hits, 20 misses.
-	if got := snap["scancache.misses"]; got != 20 {
-		t.Errorf("scancache.misses = %d, want 20", got)
-	}
-	if got := snap["scancache.hits"]; got != 20 {
-		t.Errorf("scancache.hits = %d, want 20", got)
+	// Depth-0 scans were all pre-located by the merged group, and depth-1
+	// probes do not consult the memo: it saw nothing.
+	if hits, misses := snap["scancache.hits"], snap["scancache.misses"]; hits != 0 || misses != 0 {
+		t.Errorf("scancache hits/misses = %d/%d, want 0/0", hits, misses)
 	}
 	if got := snap["snapshot_ranges"]; got <= 0 {
 		t.Errorf("snapshot_ranges = %d, want > 0", got)
+	}
+
+	// Entries install on a pattern's second scan: arm 0 marks the shared
+	// opening pattern seen, arm 1 caches it, arm 2 replays it.
+	open := bgp.Atom{S: bgp.V(1), P: bgp.C(typeID), O: bgp.C(classes[0])}
+	var arms []engine.ArmSource
+	for _, c := range classes[1:] {
+		arms = append(arms, engine.SourceFromUCQ(bgp.UCQ{Vars: []uint32{1}, CQs: []bgp.CQ{{
+			Head:  []bgp.Term{bgp.V(1)},
+			Atoms: []bgp.Atom{open, {S: bgp.V(1), P: bgp.C(typeID), O: bgp.C(c)}},
+		}}}))
+	}
+	sp = trace.New("memo")
+	rel, _, err = engine.New(raw, st, engine.Native).WithParallelism(1).WithSpan(sp).EvalArms([]uint32{1}, arms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.End()
+	if rel.Len() != 10 {
+		t.Fatalf("got %d rows, want 10", rel.Len())
+	}
+	snap = sp.Registry().Snapshot()
+	if hits, misses := snap["scancache.hits"], snap["scancache.misses"]; hits != 1 || misses != 2 {
+		t.Errorf("scancache hits/misses = %d/%d, want 1/2", hits, misses)
 	}
 }

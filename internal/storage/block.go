@@ -20,8 +20,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/dict"
 )
 
 const (
@@ -57,10 +55,10 @@ const (
 
 // fblock is one compressed block plus its fence-directory entry.
 type fblock struct {
-	first [3]dict.ID // (S,P,O) of the block's first triple — the fence key
-	off   int        // global position of the first triple in the index
-	n     int        // triples in the block
-	data  []byte     // compressed payload
+	first Triple // the block's first triple — the fence key
+	off   int    // global position of the first triple in the index
+	n     int    // triples in the block
+	data  []byte // compressed payload
 }
 
 // frozenIndex is one immutable compressed permutation index.
@@ -91,9 +89,10 @@ type blockBuf struct {
 func (b *blockBuf) retain() { b.refs.Add(1) }
 
 // release drops one reference; the last release returns the buffer to
-// the pool. The holder must not touch b.ts afterwards.
+// the pool. The holder must not touch b.ts afterwards. Releasing nil — what
+// acquire hands out beside a cached block — is a no-op.
 func (b *blockBuf) release() {
-	if b.refs.Add(-1) != 0 {
+	if b == nil || b.refs.Add(-1) != 0 {
 		return
 	}
 	if b.class >= 0 {
@@ -224,53 +223,81 @@ func (v *frozenView) acquire(i int) (ts []Triple, buf *blockBuf, cached bool) {
 	return b.ts, b, false
 }
 
-// keyAt returns the (S,P,O) key of the triple at global position pos.
-func (v *frozenView) keyAt(pos int) [3]dict.ID {
-	i := v.fi.blockOf(pos)
-	ts, buf, cached := v.acquire(i)
-	k := key(ts[pos-v.fi.blocks[i].off])
-	if !cached {
-		buf.release()
-	}
-	return k
-}
-
-// lowerBound returns the first global position whose key satisfies pred,
-// which must be monotone in index order. The fence directory narrows the
-// search to one candidate block; only that block is decoded.
-func (v *frozenView) lowerBound(pred func([3]dict.ID) bool) int {
+// firstBlock returns the first block in [lo, hi) whose fence key compares
+// >= thr against the probe (hi if none).
+func (v *frozenView) firstBlock(q *probe, lo, hi, thr int) int {
 	blocks := v.fi.blocks
-	fb := sort.Search(len(blocks), func(i int) bool { return pred(blocks[i].first) })
-	if fb == 0 {
-		return 0
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if q.cmp(blocks[m].first) >= thr {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
-	b := fb - 1
-	ts, buf, cached := v.acquire(b)
-	in := sort.Search(len(ts), func(j int) bool { return pred(key(ts[j])) })
-	if !cached {
-		buf.release()
-	}
-	return blocks[b].off + in
+	return lo
 }
 
-// searchRange returns the [lo, hi) global range of triples matching the
-// bound prefix of the pattern — the frozen counterpart of searchRange on
-// a flat index, at the cost of decoding at most two boundary blocks.
-func (v *frozenView) searchRange(p Pattern) (int, int) {
-	perm := v.fi.perm
-	want, prefix := prefixOf(perm, p)
-	if prefix == 0 {
+// seek returns the [lo, hi) global range of triples matching the probe's
+// bound prefix — the frozen counterpart of the flat branch of
+// Snapshot.locate — in one descent: the fence directory names the one
+// block that can hold the lower bound, a search inside its decoded
+// triples finds it, and the upper bound is galloped to from there, in
+// the same block unless the run reaches the block's end (then one more
+// directory search finds the block it stops in). A hint whose block still
+// brackets the key skips the directory and the block lookup; one whose
+// block lies wholly below or above the key narrows the directory search
+// to the blocks on that side. The hint leaves holding the landing block
+// only if that block is cached on the view, so its slice stays valid as
+// long as the snapshot that owns the hint's view reference does.
+func (v *frozenView) seek(q *probe, h *Hint) (lo, hi int) {
+	blocks := v.fi.blocks
+	ts, c, in := h.ts, h.blk, 0
+	h.ts = nil
+	if q.prefix == 0 || len(blocks) == 0 {
 		return 0, v.fi.n
 	}
-	lo := v.lowerBound(func(k [3]dict.ID) bool { return cmpPrefix(k, want, perm, prefix) >= 0 })
-	hi := v.lowerBound(func(k [3]dict.ID) bool { return cmpPrefix(k, want, perm, prefix) > 0 })
+	from, to := 0, len(blocks) // the directory range left to search
+	switch {
+	case ts == nil:
+	case q.cmp(ts[len(ts)-1]) < 0: // the whole block is below the key
+		ts, from = nil, c+1
+	case c > 0 && q.cmp(ts[0]) >= 0: // the bound may lie in an earlier block
+		ts, to = nil, c+1
+	default:
+		in = q.lowerFrom(ts, h.at)
+	}
+	var buf *blockBuf
+	if ts == nil {
+		c, in = v.firstBlock(q, from, to, 0), 0
+		if c > from { // block c-1 starts below the key: the bound is inside it or at its end
+			if ts, buf, _ = v.acquire(c - 1); q.cmp(ts[len(ts)-1]) >= 0 {
+				c, in = c-1, q.bound(ts, 0, len(ts)-1, 0)
+			} else {
+				buf.release()
+				ts = nil
+			}
+		}
+		if c == len(blocks) {
+			return v.fi.n, v.fi.n
+		}
+		if ts == nil {
+			ts, buf, _ = v.acquire(c)
+		}
+	}
+	end := q.gallop(ts, in, 1)
+	lo, hi = blocks[c].off+in, blocks[c].off+end
+	if end == len(ts) && c+1 < len(blocks) && q.cmp(blocks[c+1].first) == 0 {
+		last := v.firstBlock(q, c+2, len(blocks), 1) - 1 // the run stops inside this block or at its end
+		lts, lbuf, _ := v.acquire(last)
+		hi = blocks[last].off + q.bound(lts, 0, len(lts), 1)
+		lbuf.release()
+	}
+	if buf == nil {
+		h.ts, h.blk, h.at = ts, c, in
+	}
+	buf.release()
 	return lo, hi
-}
-
-// searchPos returns the first position in [lo, hi) whose key satisfies
-// pred (monotone over the range), binary-searching with point decodes.
-func (v *frozenView) searchPos(lo, hi int, pred func([3]dict.ID) bool) int {
-	return lo + sort.Search(hi-lo, func(j int) bool { return pred(v.keyAt(lo + j)) })
 }
 
 // iterate streams the triples of the global range [lo, hi) to f in index
@@ -419,31 +446,6 @@ func (v *frozenView) putSpanLocked(k spanKey, s []Triple) {
 	v.spans[k] = s
 }
 
-// prefixOf returns the bound values of the pattern and the length of its
-// bound prefix under perm (how many leading sort positions are bound).
-func prefixOf(perm [3]int, p Pattern) (want [3]dict.ID, prefix int) {
-	want = [3]dict.ID{p.S, p.P, p.O}
-	for prefix < 3 && want[perm[prefix]] != dict.None {
-		prefix++
-	}
-	return want, prefix
-}
-
-// cmpPrefix compares a triple key against the bound prefix of a pattern:
-// -1 below, 0 inside, +1 above the matching range.
-func cmpPrefix(k, want [3]dict.ID, perm [3]int, prefix int) int {
-	for i := 0; i < prefix; i++ {
-		pos := perm[i]
-		if k[pos] < want[pos] {
-			return -1
-		}
-		if k[pos] > want[pos] {
-			return 1
-		}
-	}
-	return 0
-}
-
 // frozenBuilder encodes a sorted triple stream into a frozenIndex
 // without materializing the flat slice — the streaming encoder the
 // merge-based compaction feeds. Blocks are cut every blockTriples.
@@ -453,7 +455,7 @@ type frozenBuilder struct {
 	blockTriples int
 	arena        []byte
 	starts       []int // arena offset where each block's payload begins
-	firsts       [][3]dict.ID
+	firsts       []Triple
 	counts       []int
 	buf          []Triple
 	n            int
@@ -483,7 +485,7 @@ func (fb *frozenBuilder) flush() {
 		return
 	}
 	fb.starts = append(fb.starts, len(fb.arena))
-	fb.firsts = append(fb.firsts, key(fb.buf[0]))
+	fb.firsts = append(fb.firsts, fb.buf[0])
 	fb.counts = append(fb.counts, len(fb.buf))
 	fb.arena = encodeBlock(fb.arena, fb.buf, fb.perm)
 	fb.n += len(fb.buf)

@@ -259,7 +259,7 @@ func buildFrozenIndex(ts []Triple, order Order, blockTriples int, g gate) *froze
 					hi := min(lo+blockTriples, len(ts))
 					chunk := ts[lo:hi]
 					fi.blocks[i] = fblock{
-						first: key(chunk[0]),
+						first: chunk[0],
 						off:   lo,
 						n:     hi - lo,
 						data:  encodeBlock(nil, chunk, perm),

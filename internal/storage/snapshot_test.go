@@ -147,12 +147,29 @@ func TestSnapshotRange(t *testing.T) {
 	if _, ok := sn.Range(Pattern{}); ok {
 		t.Fatalf("Range claimed exactness over a live delta")
 	}
-	// With tombstones, Range must refuse everything.
+	// With tombstones, Range must refuse every pattern a tombstone could
+	// match, and only those: a bound value outside the tombstones' box
+	// keeps the zero-copy range.
 	s.Compact()
 	s.Remove(ts[0])
 	sn = s.Snapshot()
-	if _, ok := sn.Range(Pattern{S: ts[1].S}); ok {
-		t.Fatalf("Range claimed exactness over tombstones")
+	for _, p := range []Pattern{{}, {S: ts[0].S}, {P: ts[0].P, O: ts[0].O}} {
+		if _, ok := sn.Range(p); ok {
+			t.Fatalf("Range(%+v) claimed exactness over a tombstone it may match", p)
+		}
+	}
+	for _, probe := range ts[1:] {
+		if probe.S == ts[0].S {
+			continue
+		}
+		p := Pattern{S: probe.S}
+		got, ok := sn.Range(p)
+		if !ok {
+			t.Fatalf("Range(%+v) declined though no tombstone has that subject", p)
+		}
+		if want := collectScan(sn.Scan, p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Range(%+v) beside a tombstone = %v, Scan gives %v", p, got, want)
+		}
 	}
 }
 

@@ -304,55 +304,140 @@ func (s *Store) containsLocked(t Triple) bool {
 	if _, ok := s.present[t]; ok {
 		return true
 	}
-	p := Pattern{S: t.S, P: t.P, O: t.O}
-	o := pickOrder(s.orders, p)
-	if v := s.views[o]; v != nil {
-		lo, hi := v.searchRange(p)
-		return hi > lo
-	}
-	lo, hi := searchRange(s.indexes[o], o.perm(), p)
+	lo, hi := s.live().seek(Pattern{S: t.S, P: t.P, O: t.O}, &Hint{})
 	return hi > lo
 }
 
-// pickOrder returns the first order whose sort prefix covers the bound
-// positions of the pattern, so the matching triples form one contiguous
-// range; it falls back to the first order (with a residual filter at scan
-// time) when no order covers them — possible with a custom order set.
-func pickOrder(orders []Order, p Pattern) Order {
-	bound := [3]bool{p.S != dict.None, p.P != dict.None, p.O != dict.None}
-	nBound := 0
-	for _, b := range bound {
-		if b {
-			nBound++
-		}
+// live returns the store's current state as a snapshot value for one read
+// under the lock: nothing is copied or retained, so it must not outlive
+// the lock, and its boxes are the conservative "anything may match".
+func (s *Store) live() *Snapshot {
+	sn := &Snapshot{store: s, version: s.version.Load(), orders: s.orders, indexes: s.indexes, frozen: s.views, delta: s.delta, deleted: s.deleted}
+	if len(s.delta) > 0 {
+		sn.deltaBox = fullBox
 	}
-	for _, o := range orders {
-		perm := o.perm()
-		ok := true
-		for i := 0; i < nBound; i++ {
-			if !bound[perm[i]] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return o
-		}
+	if len(s.deleted) > 0 {
+		sn.deadBox = fullBox
 	}
-	return orders[0]
+	return sn
 }
 
-// searchRange returns the [lo, hi) range of triples matching the bound
-// prefix of the pattern under the given permutation. The frozen
-// counterpart is frozenView.searchRange.
-func searchRange(idx []Triple, perm [3]int, p Pattern) (int, int) {
-	want, prefix := prefixOf(perm, p)
-	if prefix == 0 {
-		return 0, len(idx)
+// path is how one pattern shape — which positions are bound, as a bit
+// mask (1=S, 2=P, 4=O) — reads the index set: the first order whose sort
+// prefix covers the bound positions, so the matching triples form one
+// contiguous range, or the first order with a residual filter at scan
+// time when none covers them (possible with a custom order set). It is
+// resolved once per shape, not per probe (see Hint).
+type path struct {
+	mask    uint8
+	order   Order
+	perm    [3]int
+	prefix  int  // leading sort positions that are bound
+	covered bool // the prefix holds every bound position: no residual filter
+}
+
+func maskOf(p Pattern) (m uint8) {
+	if p.S != dict.None {
+		m |= 1
 	}
-	lo := sort.Search(len(idx), func(i int) bool { return cmpPrefix(key(idx[i]), want, perm, prefix) >= 0 })
-	hi := sort.Search(len(idx), func(i int) bool { return cmpPrefix(key(idx[i]), want, perm, prefix) > 0 })
-	return lo, hi
+	if p.P != dict.None {
+		m |= 2
+	}
+	if p.O != dict.None {
+		m |= 4
+	}
+	return m
+}
+
+func choosePath(orders []Order, mask uint8) path {
+	nBound := int(mask&1 + mask>>1&1 + mask>>2&1)
+	leading := func(perm [3]int) (k int) {
+		for k < 3 && mask&(1<<perm[k]) != 0 {
+			k++
+		}
+		return k
+	}
+	for _, o := range orders {
+		if perm := o.perm(); leading(perm) == nBound {
+			return path{mask: mask, order: o, perm: perm, prefix: nBound, covered: true}
+		}
+	}
+	perm := orders[0].perm()
+	return path{mask: mask, order: orders[0], perm: perm, prefix: leading(perm)}
+}
+
+// probe is one lookup: a path plus the bound values of its sort prefix,
+// in sort order.
+type probe struct {
+	perm   [3]int
+	prefix int
+	want   [3]dict.ID
+}
+
+func (pa *path) probe(p Pattern) probe {
+	k := [3]dict.ID{p.S, p.P, p.O}
+	return probe{perm: pa.perm, prefix: pa.prefix, want: [3]dict.ID{k[pa.perm[0]], k[pa.perm[1]], k[pa.perm[2]]}}
+}
+
+// cmp places a triple against the probe's bound prefix: -1 below, 0
+// inside, +1 above the matching range. Small enough to inline into the
+// search loops, which is worth more than a cleverer compare.
+func (q *probe) cmp(t Triple) int {
+	k := [3]dict.ID{t.S, t.P, t.O}
+	for i := 0; i < q.prefix; i++ {
+		if a, b := k[q.perm[i]], q.want[i]; a != b {
+			if a < b {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// bound binary-searches ts[lo:hi] for the first triple with cmp >= thr:
+// thr 0 is the lower bound of the matching range, thr 1 its upper bound.
+func (q *probe) bound(ts []Triple, lo, hi, thr int) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if q.cmp(ts[m]) >= thr {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// gallop is bound for an answer expected just after from (everything
+// before from compares below thr): it doubles a step until a triple
+// passes, then binary-searches the bracket — a handful of compares on
+// adjacent cache lines when the run is short or the probes ascend.
+func (q *probe) gallop(ts []Triple, from, thr int) int {
+	hi, step := from, 1
+	for hi < len(ts) && q.cmp(ts[hi]) < thr {
+		from = hi + 1
+		hi += step
+		step <<= 1
+	}
+	return q.bound(ts, from, min(hi, len(ts)), thr)
+}
+
+// lowerFrom returns the lower bound in ts given where the site's last
+// probe landed (at < 0: nowhere yet). An ascending sequence gallops
+// forward from there; a key that moved backwards re-descends on the part
+// before it.
+func (q *probe) lowerFrom(ts []Triple, at int) int {
+	switch {
+	case at < 0 || at >= len(ts):
+		return q.bound(ts, 0, len(ts), 0)
+	case q.cmp(ts[at]) < 0:
+		return q.gallop(ts, at+1, 0)
+	case at == 0 || q.cmp(ts[at-1]) < 0:
+		return at
+	default:
+		return q.bound(ts, 0, at-1, 0)
+	}
 }
 
 // Scan calls f for every triple matching the pattern, stopping early if f
@@ -369,112 +454,18 @@ func searchRange(idx []Triple, perm [3]int, p Pattern) (int, int) {
 func (s *Store) Scan(p Pattern, f func(Triple) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	o := pickOrder(s.orders, p)
-	stopped := false
-	visit := func(t Triple) bool {
-		if !p.Matches(t) { // residual filter; no-op for covering indexes
-			return true
-		}
-		if len(s.deleted) > 0 {
-			if _, dead := s.deleted[t]; dead {
-				return true
-			}
-		}
-		if !f(t) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-	if v := s.views[o]; v != nil {
-		lo, hi := v.searchRange(p)
-		v.iterate(lo, hi, visit)
-	} else {
-		idx := s.indexes[o]
-		lo, hi := searchRange(idx, o.perm(), p)
-		for _, t := range idx[lo:hi] {
-			if !visit(t) {
-				break
-			}
-		}
-	}
-	if stopped {
-		return
-	}
-	for _, t := range s.delta {
-		if p.Matches(t) {
-			if !f(t) {
-				return
-			}
-		}
-	}
+	s.live().Scan(p, f)
 }
 
 // Count returns the number of triples matching the pattern. For patterns
-// whose bound positions are a sort prefix of some index this is two binary
-// searches — on a frozen index the fence-key directory narrows them to at
-// most two boundary-block decodes, never a full decode — which is what
-// makes statistics collection cheap.
+// whose bound positions are a sort prefix of some index this is one seek
+// — on a frozen index the fence-key directory narrows it to at most two
+// boundary-block decodes, never a full decode — which is what makes
+// statistics collection cheap.
 func (s *Store) Count(p Pattern) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	o := pickOrder(s.orders, p)
-	perm := o.perm()
-	n := 0
-	if v := s.views[o]; v != nil {
-		lo, hi := v.searchRange(p)
-		if coversBound(perm, p) {
-			n = hi - lo
-		} else {
-			v.iterate(lo, hi, func(t Triple) bool {
-				if p.Matches(t) {
-					n++
-				}
-				return true
-			})
-		}
-	} else {
-		idx := s.indexes[o]
-		lo, hi := searchRange(idx, perm, p)
-		if coversBound(perm, p) {
-			n = hi - lo
-		} else {
-			for _, t := range idx[lo:hi] {
-				if p.Matches(t) {
-					n++
-				}
-			}
-		}
-	}
-	// Tombstones always refer to sorted entries, so matching ones were
-	// counted above and must be subtracted.
-	for t := range s.deleted {
-		if p.Matches(t) {
-			n--
-		}
-	}
-	for _, t := range s.delta {
-		if p.Matches(t) {
-			n++
-		}
-	}
-	return n
-}
-
-func coversBound(perm [3]int, p Pattern) bool {
-	bound := [3]bool{p.S != dict.None, p.P != dict.None, p.O != dict.None}
-	nBound := 0
-	for _, b := range bound {
-		if b {
-			nBound++
-		}
-	}
-	for i := 0; i < nBound; i++ {
-		if !bound[perm[i]] {
-			return false
-		}
-	}
-	return true
+	return s.live().Count(p)
 }
 
 // Triples returns all triples in SPO order (delta compacted first). It

@@ -21,7 +21,10 @@
 # factorized-answer sweep from `benchall -factjson` (bytes/answer under
 # the factorized vs flat answer representations, gated on identical
 # answers and at least one cross-product query compressing 2x), and the
-# response-encode layer from `BenchmarkEncodeResponse` in internal/server.
+# response-encode layer from `BenchmarkEncodeResponse` in internal/server,
+# and the index-probe and bind-join layers from `BenchmarkProbe`,
+# `BenchmarkProbeWithDelta` (internal/storage) and `BenchmarkBindJoinMember`
+# (internal/engine).
 # `make bench-json` and CI run exactly this script.
 set -eu
 
@@ -100,6 +103,16 @@ fi
 # outside the root sweep; it is in every committed report.
 echo "==> encode: recording the response-encode layer"
 go test -run '^$' -bench '^BenchmarkEncodeResponse$' -benchmem ./internal/server | tee -a "$raw"
+
+# probe / bindjoin: the two layers under the engine's join queries — one
+# hinted index probe on the small frozen store (ns/probe, ascending vs
+# shuffled keys, with and without a pending delta) and the bind-join
+# kernel on one Q01 arm (ns/tuple, allocs/op). Both build LUBM small
+# themselves, whatever REPRO_BENCH_SCALE says.
+echo "==> probe: recording the index-probe layer"
+go test -run '^$' -bench '^(BenchmarkProbe|BenchmarkProbeWithDelta)$' -benchmem ./internal/storage | tee -a "$raw"
+echo "==> bindjoin: recording the bind-join kernel"
+go test -run '^$' -bench '^BenchmarkBindJoinMember$' -benchmem ./internal/engine | tee -a "$raw"
 
 echo "==> benchall -sharedscan (strict shared-vs-baseline equality sweep)"
 go run ./cmd/benchall -scale "$REPRO_BENCH_SCALE" -sharedscan

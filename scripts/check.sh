@@ -19,6 +19,10 @@ go run ./cmd/lint -jsonfile lint-findings.json ./...
 echo "==> go test ./..."
 go test ./...
 
+# The race pass is also where the seek and bind-join property tests
+# (storage: TestSeekHintedEqualsColdEqualsLinear,
+# TestReadsAgreeWithModelUnderDeltaAndTombstones; engine:
+# TestCompiledProgramMatchesNaive at Parallelism 4) run under the detector.
 echo "==> go test -race ./..."
 go test -race ./...
 
