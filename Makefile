@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-fix-fixtures bench bench-json bench-scale bench-serve bench-feedback bench-factorized serve-smoke check
+.PHONY: build test race vet lint lint-fix-fixtures bench bench-json bench-scale bench-serve bench-feedback bench-factorized profile-join serve-smoke check
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,19 @@ bench-feedback:
 # expanded answers are identical to flat and one query compresses 2x.
 bench-factorized:
 	$(GO) run ./cmd/benchall -scale tiny -factorized
+
+# profile-join takes the CPU profile ROADMAP and EXPERIMENTS.md quote for
+# join queries (Figure 10's gcov and saturation bars at the small scale)
+# and prints its top entries; the profile and the test binary stay under
+# PROFILE_DIR. PROFILE_QUERIES='Q01|Q08|Q09|Q13|Q18|Q23' covers serve_join.
+PROFILE_DIR ?= /tmp/repro-profile
+PROFILE_QUERIES ?= Q01|Q09|Q23
+profile-join:
+	mkdir -p $(PROFILE_DIR)
+	REPRO_BENCH_SCALE=small $(GO) test -run '^$$' \
+		-bench 'BenchmarkStrategyEvaluation/($(PROFILE_QUERIES))/(gcov|saturation)' \
+		-benchtime 30x -cpuprofile $(PROFILE_DIR)/join.prof -o $(PROFILE_DIR)/repro.test .
+	$(GO) tool pprof -top -nodecount 30 $(PROFILE_DIR)/repro.test $(PROFILE_DIR)/join.prof
 
 # serve-smoke exercises rdfserver + loadgen end to end on an ephemeral port.
 serve-smoke:

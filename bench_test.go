@@ -262,7 +262,7 @@ func BenchmarkCoverSearch(b *testing.B) {
 func BenchmarkStrategyEvaluation(b *testing.B) {
 	db := lubmDB(b)
 	a := db.Answerer(engine.PostgresLike, core.Options{})
-	for _, name := range []string{"Q01", "Q05", "Q09", "Q23"} {
+	for _, name := range []string{"Q01", "Q05", "Q08", "Q09", "Q13", "Q18", "Q23"} {
 		qi := db.QueryIndex(name)
 		for _, s := range []core.Strategy{core.UCQ, core.SCQ, core.GCov, core.Saturation} {
 			b.Run(name+"/"+string(s), func(b *testing.B) {

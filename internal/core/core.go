@@ -661,14 +661,20 @@ func (a *Answerer) evaluateFrags(ctx context.Context, head []uint32, frags []fra
 	arms := make([]engine.ArmSource, len(frags))
 	for i, fa := range frags {
 		arms[i] = armSource(fa.cq, fa.ref)
+		arms[i].EstRows = fa.stats.ResultTuples
 	}
 	eng := engineFor(a.raw, ctx)
 	fb := a.opts.Feedback
 	var armRows []int64
 	if fb != nil && obs != nil {
-		// Each arm index is observed exactly once, so the callback can
-		// write into the preallocated slice without synchronization.
+		// The engine reports only arms it evaluated in full; an arm it
+		// ran under a key filter keeps the -1 and is left out of the
+		// observation, so its shared correction never learns the share of
+		// the fragment that one query's other arms let through.
 		armRows = make([]int64, len(arms))
+		for i := range armRows {
+			armRows[i] = -1
+		}
 		eng = eng.WithArmObserver(func(i int, n int64) { armRows[i] = n })
 	}
 	var evalSp *trace.Span
@@ -689,15 +695,17 @@ func (a *Answerer) evaluateFrags(ctx context.Context, head []uint32, frags []fra
 		return &Answer{Report: rep}, err
 	}
 	if fb != nil && obs != nil {
-		for i := range obs.Arms {
-			if i < len(armRows) {
-				obs.Arms[i].ActualRows = armRows[i]
-			}
-		}
 		obs.ActualRows = int64(rel.Len())
 		obs.Metrics = m
 		obs.EvalNs = rep.EvalTime.Nanoseconds()
 		a.annotateEstimates(evalSp, obs)
+		for i, n := range armRows {
+			if n < 0 {
+				obs.Arms[i].Key = "" // Observe skips keyless arms
+				continue
+			}
+			obs.Arms[i].ActualRows = n
+		}
 		fb.Observe(*obs)
 		a.opts.Trace.Registry().Counter("feedback.observations").Add(1)
 	}
@@ -732,20 +740,22 @@ func (a *Answerer) annotateEstimates(evalSp *trace.Span, obs *feedback.Observati
 // counterpart of EvaluateCover. name, if non-nil, decodes dictionary
 // constants for display.
 func (a *Answerer) ExplainPlan(q bgp.CQ, c cover.Cover, name func(dict.ID) string) (string, error) {
+	// The searcher's fragment artifacts, so the plan shown carries the row
+	// estimates evaluation orders and filters the arms by.
+	s, err := newSearcher(a, q)
+	if err != nil {
+		return "", err
+	}
 	arms := make([]engine.ArmSource, len(c))
 	for i, f := range c {
-		cq := cover.Query(q, f)
-		ref, err := reformulate.Reformulate(cq, a.sch)
-		if err != nil {
-			return "", err
-		}
-		arms[i] = armSource(cq, ref)
+		info := s.frag(f)
+		arms[i] = armSource(info.cq, info.ref)
+		arms[i].EstRows = info.stats.ResultTuples
 	}
-	head := make([]uint32, len(q.Head))
-	for i, h := range q.Head {
-		head[i] = h.ID
+	if err := s.failure(); err != nil {
+		return "", err
 	}
-	return a.raw.ExplainArms(head, arms, name), nil
+	return a.raw.ExplainArms(headVars(q), arms, name), nil
 }
 
 // armSource streams a fragment's factorized reformulation as an engine

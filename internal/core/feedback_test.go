@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/cover"
 	"repro/internal/engine"
 	"repro/internal/feedback"
 	"repro/internal/naive"
@@ -221,5 +223,58 @@ func TestFeedbackCancellationNoTornState(t *testing.T) {
 		if !(v > 0) || math.IsInf(v, 0) {
 			t.Errorf("blended constant %v not positive and finite after cancellations", v)
 		}
+	}
+}
+
+// A fragment's correction is shared by every query whose cover contains
+// it, so it must only ever learn the fragment's own cardinality. Q09, Q18
+// and Q25 all evaluate (?y rdf:type ?v) as an arm under a key filter,
+// which lets through only what the query's other arm can join: alternating
+// them must leave the correction exactly where evaluating the fragment on
+// its own put it.
+func TestFilteredArmsTeachFeedbackNothing(t *testing.T) {
+	db, err := benchkit.BuildLUBM(benchkit.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fragment := bgp.CQ{
+		Head:  []bgp.Term{bgp.V(0), bgp.V(1)},
+		Atoms: []bgp.Atom{{S: bgp.V(0), P: bgp.C(db.Vocab.Type), O: bgp.V(1)}},
+	}
+	key := fragment.CanonicalKey()
+	storeV := db.Raw.Version()
+	learn := func(alternate bool) float64 {
+		fb := feedback.New(feedback.Config{})
+		a := db.Answerer(engine.Native, core.Options{Feedback: fb})
+		for round := 0; round < 4; round++ {
+			if _, err := a.Answer(fragment, core.GCov); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"Q09", "Q18", "Q25"} {
+				if !alternate {
+					break
+				}
+				q := db.Encoded[db.QueryIndex(name)]
+				ans, err := a.Answer(q, core.GCov)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shared := false
+				for _, f := range ans.Report.Cover {
+					shared = shared || (len(ans.Report.Cover) > 1 && cover.Query(q, f).CanonicalKey() == key)
+				}
+				if !shared {
+					t.Fatalf("%s: cover %v does not evaluate %v as one of several arms", name, ans.Report.Cover, fragment)
+				}
+			}
+		}
+		return fb.Factor(key, storeV)
+	}
+	alone, mixed := learn(false), learn(true)
+	if alone == 1 {
+		t.Fatal("evaluating the fragment on its own taught the loop nothing")
+	}
+	if mixed != alone {
+		t.Errorf("correction of %v: %v after alternating Q09/Q18/Q25 with it, %v from the fragment alone", fragment, mixed, alone)
 	}
 }

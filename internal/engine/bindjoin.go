@@ -49,6 +49,7 @@ type meter struct {
 	ctx                   *evalCtx
 	work, tuples, deduped int64
 	hits, misses, ranges  int64 // shared-scan observability
+	filtered              int64 // bindings the arm's key filter dropped
 }
 
 // scanned accounts n tuples read from the store, one work unit each.
@@ -73,6 +74,7 @@ func (m *meter) flush() error {
 	c.scanHits.Add(m.hits)
 	c.scanMisses.Add(m.misses)
 	c.snapRanges.Add(m.ranges)
+	c.filtered.Add(m.filtered)
 	*m = meter{ctx: c}
 	if w == 0 {
 		return nil
@@ -89,6 +91,7 @@ type bindJoin struct {
 	steps []step
 	head  []headOp
 	vars  []uint32       // variable of each slot, for compile's lookups
+	depth []int          // depth at which each slot is first bound
 	env   []dict.ID      // value of each slot
 	row   []dict.ID      // the output row under construction
 	hints []storage.Hint // per-depth probe memory (see storage.Hint)
@@ -97,6 +100,14 @@ type bindJoin struct {
 	pre   []storage.Triple
 	preOK bool
 
+	// filter, when non-nil, is the key filter the program runs under: fkey
+	// fills key with the binding's value for each key column, which is
+	// complete once depth fdepth has bound its tuple (-1: before any).
+	filter *keyFilter
+	fkey   []headOp
+	fdepth int
+	key    []dict.ID // the key under construction, constants filled in
+
 	// Where bindings go: the arm's dedup set, or — for a factorized
 	// segment — emit, with tuples counting the segment's scan.
 	dedup  *dedupSet
@@ -104,23 +115,25 @@ type bindJoin struct {
 	tuples int64
 }
 
-// slotOf returns the slot of variable v, allotting the next one when the
-// program has not met v yet.
-func (k *bindJoin) slotOf(v uint32) (slot int, fresh bool) {
+// slotOf returns the slot of variable v, allotting the next one — first
+// bound at depth d — when the program has not met v yet.
+func (k *bindJoin) slotOf(v uint32, d int) (slot int, fresh bool) {
 	for i, w := range k.vars {
 		if w == v {
 			return i, false
 		}
 	}
-	k.vars = append(k.vars, v)
+	k.vars, k.depth = append(k.vars, v), append(k.depth, d)
 	return len(k.vars) - 1, true
 }
 
 // compile resolves cq's atoms, taken in the given order, to slot
-// operations, leaving the output columns to project.
-func (k *bindJoin) compile(cq bgp.CQ, order []int) {
-	k.steps, k.head, k.vars = k.steps[:0], k.head[:0], k.vars[:0]
-	for _, ai := range order {
+// operations, leaving the output columns to project. Under a key filter
+// it also resolves the key columns of cq's head and marks the depth that
+// binds the last of them, where walk checks the key.
+func (k *bindJoin) compile(cq bgp.CQ, order []int, f *keyFilter) {
+	k.steps, k.head, k.vars, k.depth = k.steps[:0], k.head[:0], k.vars[:0], k.depth[:0]
+	for d, ai := range order {
 		st := step{use: [3]int{-1, -1, -1}, set: [3]int{-1, -1, -1}, same: [3]int{-1, -1, -1}}
 		var consts [3]dict.ID
 		before := len(k.vars)
@@ -129,7 +142,7 @@ func (k *bindJoin) compile(cq bgp.CQ, order []int) {
 				consts[i] = t.Const()
 				continue
 			}
-			switch slot, fresh := k.slotOf(t.ID); {
+			switch slot, fresh := k.slotOf(t.ID, d); {
 			case fresh:
 				st.set[i] = slot
 			case slot >= before:
@@ -141,16 +154,44 @@ func (k *bindJoin) compile(cq bgp.CQ, order []int) {
 		st.consts = storage.Pattern{S: consts[0], P: consts[1], O: consts[2]}
 		k.steps = append(k.steps, st)
 	}
+	k.filter, k.fkey, k.key, k.fdepth = f, k.fkey[:0], k.key[:0], -1
+	if f == nil {
+		return
+	}
+	for _, c := range f.cols {
+		op := k.operand(cq.Head[c])
+		if op.slot >= 0 {
+			k.fdepth = max(k.fdepth, k.depth[op.slot])
+		}
+		k.fkey, k.key = append(k.fkey, op), append(k.key, op.val)
+	}
+}
+
+// operand resolves head term t to the slot holding it or to its constant.
+func (k *bindJoin) operand(t bgp.Term) headOp {
+	if !t.Var {
+		return headOp{slot: -1, val: t.Const()}
+	}
+	slot, _ := k.slotOf(t.ID, -1)
+	return headOp{slot: slot}
 }
 
 // project appends one output column holding head term t.
-func (k *bindJoin) project(t bgp.Term) {
-	if !t.Var {
-		k.head = append(k.head, headOp{slot: -1, val: t.Const()})
-		return
+func (k *bindJoin) project(t bgp.Term) { k.head = append(k.head, k.operand(t)) }
+
+// admit reports whether the current binding's key is one the arm's filter
+// holds — the one place a key filter is checked.
+func (k *bindJoin) admit() bool {
+	for i, op := range k.fkey {
+		if op.slot >= 0 {
+			k.key[i] = k.env[op.slot]
+		}
 	}
-	slot, _ := k.slotOf(t.ID)
-	k.head = append(k.head, headOp{slot: slot})
+	if k.filter.set.has(k.key) {
+		return true
+	}
+	k.m.filtered++
+	return false
 }
 
 // exec sizes the run-time state for the compiled program, runs it from
@@ -167,7 +208,11 @@ func (k *bindJoin) exec() error {
 	for len(k.hints) < len(k.steps) {
 		k.hints = append(k.hints, storage.Hint{})
 	}
-	err := k.run(0)
+	// A key no scan contributes to (constants only) is checked here, once.
+	var err error
+	if k.fdepth >= 0 || k.filter == nil || k.admit() {
+		err = k.run(0)
+	}
 	if ferr := k.m.flush(); err == nil {
 		err = ferr
 	}
@@ -220,10 +265,12 @@ func (k *bindJoin) run(depth int) error {
 	return k.stream(depth, pat)
 }
 
-// walk joins every triple of one probe's answer with the deeper atoms.
-// The triples are charged ahead, a batch at a time.
+// walk joins every triple of one probe's answer with the deeper atoms,
+// skipping at the depth that completes the filter key a binding whose key
+// the join so far cannot match. The triples are charged ahead, a batch at
+// a time.
 func (k *bindJoin) walk(depth int, ts []storage.Triple) error {
-	st, env := &k.steps[depth], k.env
+	st, env, keyed := &k.steps[depth], k.env, depth == k.fdepth
 	for len(ts) > 0 {
 		n := min(len(ts), meterBatch)
 		k.tuples += int64(n)
@@ -238,6 +285,9 @@ func (k *bindJoin) walk(depth int, ts []storage.Triple) error {
 				} else if s := st.same[i]; s >= 0 && env[s] != v {
 					continue tuples
 				}
+			}
+			if keyed && !k.admit() {
+				continue
 			}
 			if err := k.run(depth + 1); err != nil {
 				return err

@@ -40,30 +40,44 @@ func starStore(n, fanout int) (*storage.Store, bgp.CQ) {
 
 // A steady-state member evaluation — a warmed scratch, every emitted row
 // already in the dedup set — must allocate nothing: no binding map, no
-// closure per member or per depth, no pattern or row buffers.
+// closure per member or per depth, no pattern or row buffers; and none for
+// the key either when the member runs under a key filter (here one that
+// admits every other subject).
 func TestMemberEvaluationAllocatesNothing(t *testing.T) {
 	st, q := starStore(500, 3)
 	e := New(st, stats.Collect(st, schema.Vocab{}), Native)
-	ctx := &evalCtx{snap: st.Snapshot(), shared: true, scans: newScanCache()}
-	defer ctx.snap.Release()
-	sc := newArmScratch(ctx)
-	dedup := newDedupSet(ctx)
-	plan := memberPlan{cq: q, order: e.memberOrder(ctx, sc, q)}
-	if err := sc.evalMember(&plan, dedup); err != nil {
-		t.Fatal(err)
+	half := &keyFilter{cols: []int{0}}
+	for i := 0; i < 500; i += 2 {
+		half.set.add([]dict.ID{dict.ID(100 + i)})
 	}
-	if dedup.size() != 1500 {
-		t.Fatalf("warm-up admitted %d rows, want 1500", dedup.size())
-	}
-	if n := testing.AllocsPerRun(20, func() {
+	for _, tc := range []struct {
+		filter       *keyFilter
+		rows, tuples int64
+	}{{nil, 1500, 2000}, {half, 750, 1250}} {
+		ctx := &evalCtx{snap: st.Snapshot(), shared: true, scans: newScanCache()}
+		sc := newArmScratch(ctx, tc.filter)
+		dedup := newDedupSet(ctx)
+		plan := memberPlan{cq: q, order: e.memberOrder(ctx, sc, q)}
 		if err := sc.evalMember(&plan, dedup); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("a warmed member evaluation allocates %v objects, want 0", n)
-	}
-	if got := ctx.tuplesScanned.Load(); got != 22*2000 {
-		t.Errorf("tuples scanned = %d, want %d", got, 22*2000)
+		if int64(dedup.size()) != tc.rows {
+			t.Fatalf("warm-up admitted %d rows, want %d", dedup.size(), tc.rows)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if err := sc.evalMember(&plan, dedup); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("a warmed member evaluation allocates %v objects, want 0", n)
+		}
+		if got := ctx.tuplesScanned.Load(); got != 22*tc.tuples {
+			t.Errorf("tuples scanned = %d, want %d", got, 22*tc.tuples)
+		}
+		if got, want := ctx.filtered.Load(), 22*(1500-tc.rows)/3; got != want {
+			t.Errorf("bindings dropped by the filter = %d, want %d", got, want)
+		}
+		ctx.snap.Release()
 	}
 }
 

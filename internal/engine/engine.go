@@ -3,7 +3,8 @@
 // experiments (Section 5.1). It evaluates CQs by index bind-joins over the
 // triple store (greedy join ordering, statistics-driven), UCQs by
 // evaluating members under a shared duplicate-elimination set, and JUCQs
-// by materializing the arm results and joining them with a
+// as a pipeline of arms, smallest estimate first, each evaluated under a
+// semi-join filter of what is already joined and joined in with a
 // profile-selected algorithm.
 //
 // Engine *profiles* reproduce the paper's observation that well-established
@@ -184,8 +185,8 @@ type Engine struct {
 	// completion or budget exhaustion; the hot path then pays nothing
 	// for cancellation beyond one nil check per budget charge.
 	ctx context.Context
-	// armObs, when non-nil, is called once per evaluated arm with its
-	// observed result cardinality (see WithArmObserver).
+	// armObs, when non-nil, is called with the observed cardinality of
+	// each arm evaluated without a key filter (see WithArmObserver).
 	armObs func(arm int, rows int64)
 	// noFact disables factorized answer relations (see WithFactorized).
 	noFact bool
@@ -198,8 +199,9 @@ func New(store *storage.Store, st *stats.Stats, prof Profile) *Engine {
 }
 
 // WithParallelism returns a copy of the engine whose evaluations use n
-// workers: member CQs of one arm are sharded over n dedup sets, and
-// independent JUCQ arms are evaluated concurrently. n = 1 is the strictly
+// workers: member CQs of one arm are sharded over n dedup sets (arms
+// themselves run one after another, each filtered by the join of those
+// before it). n = 1 is the strictly
 // sequential evaluation the paper's reproduction benchmarks assume;
 // n <= 0 restores the default, runtime.GOMAXPROCS(0). Results are
 // identical for every n (set semantics with a deterministic merge order).
@@ -258,13 +260,14 @@ func (e *Engine) WithSharedScan(on bool) *Engine {
 	return &e2
 }
 
-// WithArmObserver returns a copy of the engine that calls f once per
-// evaluated UCQ arm with the arm's index and observed result row count.
-// The adaptive cost model uses this to compare estimated against actual
-// arm cardinalities without allocating a trace tree. f may be called
-// concurrently for distinct arm indices (parallel arm evaluation), but
-// never twice for the same index, so writing into a caller-owned slice
-// indexed by arm is race-free. A nil f disables observation.
+// WithArmObserver returns a copy of the engine that calls f with the
+// index and result row count of every UCQ arm it evaluated in full. An
+// arm evaluated under a key filter (see keyFilter) is not reported: what
+// it returned is the share of its result the earlier arms could join
+// with, not the fragment's cardinality. The adaptive cost model uses this
+// to compare estimated against actual arm cardinalities without
+// allocating a trace tree. f is called from the evaluating goroutine, at
+// most once per arm. A nil f disables observation.
 func (e *Engine) WithArmObserver(f func(arm int, rows int64)) *Engine {
 	e2 := *e
 	e2.armObs = f
@@ -354,6 +357,7 @@ type evalCtx struct {
 	scanMisses    atomic.Int64 // scans that had to locate their range
 	mergedMembers atomic.Int64 // members evaluated under a merged scan
 	snapRanges    atomic.Int64 // scans resolved to zero-copy snapshot ranges
+	filtered      atomic.Int64 // bindings dropped by an arm's key filter
 }
 
 // snapshot returns the metrics accumulated so far. Only call after the

@@ -374,7 +374,7 @@ func TestExplainArms(t *testing.T) {
 		}}}),
 	}
 	out := eng.ExplainArms([]uint32{0, 1}, arms, nil)
-	for _, want := range []string{"JUCQ plan", "arm 1", "arm 2", "bind-join order", "arm join order", "estimated cost"} {
+	for _, want := range []string{"JUCQ plan", "arm[0]", "arm[1]", "bind-join order", "unfiltered: first arm", "filter on ?v0 from arm[0]", "arm join order", "estimated cost"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -25,6 +26,11 @@ type ArmSource struct {
 	Leaves int64
 	// Each streams the member CQs; it must stop when f returns false.
 	Each func(f func(bgp.CQ) bool) bool
+	// EstRows is the optimizer's estimate of the arm's result rows, the
+	// one its cover was priced with. It ranks the arms of the pipeline
+	// (see armPipeline) and bounds the key set worth filtering the arm by;
+	// zero or less means there is no estimate.
+	EstRows float64
 }
 
 // SourceFromUCQ wraps a materialized UCQ as an ArmSource.
@@ -145,64 +151,26 @@ func (e *Engine) evalArms(ctx *evalCtx, head []uint32, arms []ArmSource) (*Relat
 		return nil, fmt.Errorf("%w (%s: %d scan leaves)", ErrPlanTooComplex, e.prof.Name, leaves)
 	}
 
-	// Evaluate each arm into a materialized relation; independent arms
-	// run concurrently when the engine has more than one worker.
-	rels, err := e.evalAllArms(ctx, arms)
-	if err != nil {
-		return nil, err
-	}
-	// The largest-result arm is pipelined into the top join (the cost
-	// model's assumption); every other arm is a materialized
-	// intermediate.
-	if len(rels) > 1 {
-		largest := 0
-		for i, r := range rels {
-			if r.Len() > rels[largest].Len() {
-				largest = i
-			}
-		}
-		for i, r := range rels {
-			if i != largest {
-				ctx.rowsMaterialized.Add(int64(r.Len()))
-			}
-		}
-	}
-
-	// Join the arms, smallest first, always picking a connected arm so
-	// no cartesian product is formed (covers guarantee one exists).
-	order := make([]int, len(rels))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return rels[order[a]].Len() < rels[order[b]].Len() })
-
-	cur := rels[order[0]]
-	used := map[int]bool{order[0]: true}
-	for len(used) < len(rels) {
-		next := -1
-		for _, i := range order {
-			if used[i] {
-				continue
-			}
-			if sharesVars(cur.Vars, rels[i].Vars) {
-				next = i
-				break
-			}
-		}
-		if next == -1 { // disconnected: fall back to the smallest remaining
-			for _, i := range order {
-				if !used[i] {
-					next = i
-					break
-				}
-			}
-		}
-		used[next] = true
-		joined, err := joinRelations(ctx, cur, rels[next], e.prof.ArmJoin)
+	// The arm pipeline: arms are evaluated one at a time in armPipeline's
+	// order and joined in at once, and every arm after the first runs
+	// under a filter of the keys the join so far can still match, so what
+	// is deduplicated, held and joined is the semi-join-reduced arm.
+	var cur *Relation
+	for n, st := range armPipeline(arms) {
+		rel, err := e.evalStage(ctx, arms[st.arm], st, n, cur)
 		if err != nil {
 			return nil, err
 		}
-		cur = joined
+		if len(arms) > 1 {
+			ctx.rowsMaterialized.Add(int64(rel.Len()))
+		}
+		if cur == nil {
+			cur = rel
+			continue
+		}
+		if cur, err = joinRelations(ctx, cur, rel, e.prof.ArmJoin); err != nil {
+			return nil, err
+		}
 	}
 
 	// Final projection on the head, with duplicate elimination.
@@ -229,6 +197,146 @@ func (e *Engine) evalArms(ctx *evalCtx, head []uint32, arms []ArmSource) (*Relat
 		}
 	}
 	return out, nil
+}
+
+// armStage is one stage of the arm pipeline: which arm runs, and which of
+// its head columns carry variables an earlier stage already bound — the
+// key it is filtered and joined on, empty for the first arm and for an arm
+// that meets the join so far in a cartesian product.
+type armStage struct {
+	arm int
+	key []int
+}
+
+// armPipeline fixes the order arms are evaluated and joined in: ascending
+// estimated rows (ties and missing estimates keep arm order), always
+// preferring an arm that shares a variable with those before it, so a
+// small arm filters the large ones and no cartesian product forms while a
+// connected arm remains. EvalArms and ExplainArms both run it.
+func armPipeline(arms []ArmSource) []armStage {
+	rank := make([]int, len(arms))
+	for i := range rank {
+		rank[i] = i
+	}
+	sort.SliceStable(rank, func(a, b int) bool { return arms[rank[a]].EstRows < arms[rank[b]].EstRows })
+	stages := make([]armStage, 0, len(arms))
+	var bound []uint32
+	for len(rank) > 0 {
+		pick, key := 0, []int(nil)
+		for r, i := range rank {
+			if key = sharedCols(arms[i].Vars, bound); len(key) > 0 {
+				pick = r
+				break
+			}
+		}
+		i := rank[pick]
+		rank = append(rank[:pick], rank[pick+1:]...)
+		stages = append(stages, armStage{arm: i, key: key})
+		bound = append(bound, arms[i].Vars...)
+	}
+	return stages
+}
+
+// sharedCols returns the positions of vars that also occur in bound.
+func sharedCols(vars, bound []uint32) []int {
+	var cols []int
+	for c, v := range vars {
+		if slices.Contains(bound, v) {
+			cols = append(cols, c)
+		}
+	}
+	return cols
+}
+
+// keyFilter is the semi-join reduction an arm runs under: the distinct
+// projection of the join so far on the variables it shares with the arm.
+// The bind-join kernel drops a tuple whose key is absent the moment the
+// key is bound (bindJoin.admit), before any deeper probe, emission or
+// dedup insert. evalStage builds it, the arm's workers only read it, and
+// it is garbage once the arm is joined in. Not building one is always
+// sound: the arm join applies the same predicate.
+type keyFilter struct {
+	cols []int  // the arm's head columns carrying the key variables
+	set  rowSet // the distinct key tuples
+}
+
+// newKeyFilter projects cur on the stage's key, one work unit per input
+// row, the set held against the materialization budget like any other
+// intermediate. It gives up (nil, nil) once the keys outnumber the rows
+// the arm is estimated to produce: such a filter costs more than it drops.
+func newKeyFilter(ctx *evalCtx, cur *Relation, arm ArmSource, key []int) (*keyFilter, error) {
+	f := &keyFilter{cols: key}
+	pos, from := cur.colIndex(), make([]int, len(key))
+	for i, c := range key {
+		from[i] = pos[arm.Vars[c]]
+	}
+	var arena rowArena
+	var err error
+	cur.Each(func(row []dict.ID) bool {
+		if err = ctx.charge(1); err != nil {
+			return false
+		}
+		k := arena.alloc(len(from))
+		for i, c := range from {
+			k[i] = row[c]
+		}
+		if !f.set.add(k) {
+			arena.release(k)
+			return true
+		}
+		if arm.EstRows > 0 && float64(f.set.len()) > arm.EstRows {
+			f = nil
+			return false
+		}
+		err = ctx.checkRows(f.set.len())
+		return err == nil
+	})
+	if err != nil || f == nil {
+		return nil, err
+	}
+	ctx.rowsMaterialized.Add(int64(f.set.len()))
+	return f, nil
+}
+
+// evalStage runs stage n of the arm pipeline: the arm, under the key
+// filter the join so far (cur, nil for the first stage) allows it. The
+// arm's cardinality is reported to the arm observer only when no filter
+// reduced it.
+func (e *Engine) evalStage(ctx *evalCtx, arm ArmSource, st armStage, n int, cur *Relation) (*Relation, error) {
+	var sp *trace.Span
+	if ctx.span != nil {
+		sp = ctx.span.Child(fmt.Sprintf("arm[%d]", st.arm))
+		sp.SetInt("order", int64(n))
+		sp.SetInt("members", arm.NumCQs)
+		if arm.EstRows > 0 {
+			sp.SetFloat("est_rows", arm.EstRows)
+		}
+		defer sp.End()
+	}
+	if cur != nil && cur.Len() == 0 {
+		// Nothing to join with: the answer is empty whatever the arm holds.
+		sp.SetInt("rows_out", 0)
+		return &Relation{Vars: arm.Vars}, nil
+	}
+	var f *keyFilter
+	if len(st.key) > 0 {
+		var err error
+		if f, err = newKeyFilter(ctx, cur, arm, st.key); err != nil {
+			return nil, err
+		}
+	}
+	dropped := ctx.filtered.Load()
+	rel, err := e.evalArm(ctx, sp, arm, f)
+	if err != nil {
+		return nil, err
+	}
+	if f != nil {
+		sp.SetInt("keys", int64(f.set.len()))
+		sp.SetInt("filtered", ctx.filtered.Load()-dropped)
+	} else if e.armObs != nil {
+		e.armObs(st.arm, int64(rel.Len()))
+	}
+	return rel, nil
 }
 
 // projectDistinct projects cur on cols with duplicate elimination — the
@@ -295,32 +403,28 @@ func sharesVars(a, b []uint32) bool {
 // its size affects sharing opportunity, never results or metrics.
 const mergeWindow = 256
 
-// evalArm evaluates one UCQ arm. With one worker, member CQs are
-// gathered into windows, planned together (shared and merged scans) and
-// bind-joined in stream order into a shared duplicate-elimination set;
-// with more workers, the members are sharded over a worker pool (see
-// evalArmSharded) with a deterministic merge.
-func (e *Engine) evalArm(ctx *evalCtx, sp *trace.Span, arm ArmSource) (*Relation, error) {
-	if sp != nil {
-		sp.SetInt("members", arm.NumCQs)
-		defer sp.End()
-	}
+// evalArm evaluates one UCQ arm under key filter f (nil for none). With
+// one worker, member CQs are gathered into windows, planned together
+// (shared and merged scans) and bind-joined in stream order into a shared
+// duplicate-elimination set; with more workers, the members are sharded
+// over a worker pool (see evalArmSharded) with a deterministic merge.
+func (e *Engine) evalArm(ctx *evalCtx, sp *trace.Span, arm ArmSource, f *keyFilter) (*Relation, error) {
 	// The factorized path intercepts before the parallelism dispatch:
 	// whether an arm factorizes depends on its member plans alone, never
 	// on the worker count, so serial and parallel evaluations stay
 	// byte-identical. An arm that does not decompose reports handled ==
 	// false and falls through unchanged.
 	if ctx.fact {
-		rel, handled, err := e.evalArmFactorized(ctx, sp, arm)
+		rel, handled, err := e.evalArmFactorized(ctx, sp, arm, f)
 		if handled || err != nil {
 			return rel, err
 		}
 	}
 	if ctx.par > 1 {
-		return e.evalArmSharded(ctx, sp, arm)
+		return e.evalArmSharded(ctx, sp, arm, f)
 	}
 	dedup := newDedupSet(ctx)
-	sc := newArmScratch(ctx)
+	sc := newArmScratch(ctx, f)
 	defer sc.release()
 	var failure error
 	window := make([]bgp.CQ, 0, mergeWindow)
@@ -385,6 +489,8 @@ type armScratch struct {
 	dist   map[distKey]float64
 	plans  []memberPlan
 	bj     bindJoin
+	// filter is the key filter the arm runs under, nil for none.
+	filter *keyFilter
 
 	// planMergedScans scratch, reused window after window.
 	mergeBy map[mergeKey]int
@@ -438,10 +544,10 @@ var armScratchPool = sync.Pool{New: func() any {
 }}
 
 // newArmScratch takes a scratch from the pool for one worker of ctx's
-// evaluation.
-func newArmScratch(ctx *evalCtx) *armScratch {
+// evaluation of an arm filtered by f (nil for none).
+func newArmScratch(ctx *evalCtx, f *keyFilter) *armScratch {
 	sc := armScratchPool.Get().(*armScratch)
-	sc.bj.m.ctx = ctx
+	sc.bj.m.ctx, sc.filter = ctx, f
 	return sc
 }
 
@@ -456,6 +562,7 @@ func (sc *armScratch) release() {
 	clear(sc.dist)
 	clear(sc.bj.hints)
 	sc.bj.m, sc.bj.dedup, sc.bj.emit, sc.bj.pre = meter{}, nil, nil, nil
+	sc.bj.filter, sc.filter = nil, nil
 	clear(sc.plans[:cap(sc.plans)])
 	sc.plans = sc.plans[:0]
 	clear(sc.ranges[:cap(sc.ranges)])
@@ -664,7 +771,7 @@ func maskPos(p storage.Pattern, pos int) storage.Pattern {
 // pre-located merged range when one exists.
 func (sc *armScratch) evalMember(p *memberPlan, dedup *dedupSet) error {
 	k := &sc.bj
-	k.compile(p.cq, p.order)
+	k.compile(p.cq, p.order, sc.filter)
 	for _, t := range p.cq.Head {
 		k.project(t)
 	}

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strings"
 
 	"repro/internal/bgp"
@@ -10,10 +10,13 @@ import (
 )
 
 // ExplainArms renders a human-readable description of the physical plan
-// EvalArms would run for the given head and arms: per-arm member counts,
-// scan leaves and estimated cardinalities, the sample bind-join order of
-// each arm's first member, the arm-join order and algorithm, and the
-// final projection — the engine's answer to an RDBMS EXPLAIN. name, if
+// EvalArms would run for the given head and arms, arms listed in the order
+// the pipeline evaluates and joins them (armPipeline, the function
+// evalArms runs): per-arm member counts, scan leaves and the optimizer's
+// row estimate, the sample bind-join order of each arm's first member,
+// the key filter the arm runs under or why it has none, the arm-join
+// algorithm, and the final projection — the engine's answer to an RDBMS
+// EXPLAIN. name, if
 // non-nil, renders dictionary constants (callers holding the dictionary
 // pass a decoder; the engine itself only knows IDs).
 func (e *Engine) ExplainArms(head []uint32, arms []ArmSource, name func(dict.ID) string) string {
@@ -46,67 +49,32 @@ func (e *Engine) explainArms(head []uint32, arms []ArmSource, renderAtom func(bg
 		return b.String()
 	}
 
-	type armInfo struct {
-		idx  int
-		card float64
-	}
-	infos := make([]armInfo, len(arms))
-	for i, arm := range arms {
-		var card float64
+	stages := armPipeline(arms)
+	joinSeq := make([]string, len(stages))
+	for n, st := range stages {
+		arm := arms[st.arm]
+		joinSeq[n] = fmt.Sprintf("arm[%d]", st.arm)
+		est := "no row estimate"
+		if arm.EstRows > 0 {
+			est = fmt.Sprintf("est. %.0f rows", arm.EstRows)
+		}
+		fmt.Fprintf(&b, "  arm[%d]: vars %s, %d member CQs, %d scan leaves, %s\n",
+			st.arm, varList(arm.Vars), arm.NumCQs, arm.Leaves, est)
 		var sample bgp.CQ
-		first := true
+		var order []int
 		arm.Each(func(cq bgp.CQ) bool {
-			if first {
-				sample = cq
-				first = false
-			}
-			_, c := e.estimateMember(cq)
-			card += c
-			return true
-		})
-		infos[i] = armInfo{idx: i, card: card}
-
-		fmt.Fprintf(&b, "  arm %d: vars %s, %d member CQs, %d scan leaves, est. %.0f rows\n",
-			i+1, varList(arm.Vars), arm.NumCQs, arm.Leaves, card)
-		if !first {
-			order := e.joinOrder(sample)
+			sample, order = cq, e.joinOrder(cq)
 			parts := make([]string, len(order))
 			for j, idx := range order {
-				parts[j] = renderAtom(sample.Atoms[idx])
+				parts[j] = renderAtom(cq.Atoms[idx])
 			}
 			fmt.Fprintf(&b, "    sample member bind-join order: %s\n", strings.Join(parts, "  ->  "))
-		}
+			return false
+		})
+		fmt.Fprintf(&b, "    %s\n", e.explainFilter(arms, stages[:n], st, sample, order))
 	}
-
 	if len(arms) > 1 {
-		// Mirror EvalArms's smallest-first, connected-next ordering,
-		// using estimated instead of actual cardinalities.
-		order := make([]int, len(infos))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, c int) bool { return infos[order[a]].card < infos[order[c]].card })
-		used := map[int]bool{order[0]: true}
-		joinSeq := []string{fmt.Sprintf("arm %d", order[0]+1)}
-		curVars := arms[order[0]].Vars
-		for len(used) < len(arms) {
-			next := -1
-			for _, i := range order {
-				if !used[i] {
-					if sharesVars(curVars, arms[i].Vars) {
-						next = i
-						break
-					}
-					if next == -1 {
-						next = i
-					}
-				}
-			}
-			used[next] = true
-			curVars = append(curVars, arms[next].Vars...)
-			joinSeq = append(joinSeq, fmt.Sprintf("arm %d", next+1))
-		}
-		fmt.Fprintf(&b, "  arm join order (estimated): %s\n", strings.Join(joinSeq, " ⨝ "))
+		fmt.Fprintf(&b, "  arm join order: %s\n", strings.Join(joinSeq, " ⨝ "))
 		if e.prof.ArmJoin == NestedLoopJoin {
 			fmt.Fprintf(&b, "  note: nested-loop arm joins; cost is quadratic in arm sizes\n")
 		}
@@ -114,6 +82,50 @@ func (e *Engine) explainArms(head []uint32, arms []ArmSource, renderAtom func(bg
 	fmt.Fprintf(&b, "  project on %s, eliminate duplicates\n", varList(head))
 	fmt.Fprintf(&b, "  estimated cost: %.4g\n", e.EstimateArms(arms))
 	return b.String()
+}
+
+// explainFilter says what key filter stage st runs under, given the stages
+// before it and the arm's first member with its join order: evalStage's
+// decision, with the key count bounded by a seeding arm's estimate where
+// evaluation has the real one.
+func (e *Engine) explainFilter(arms []ArmSource, before []armStage, st armStage, sample bgp.CQ, order []int) string {
+	arm := arms[st.arm]
+	switch {
+	case len(before) == 0:
+		return "unfiltered: first arm"
+	case len(st.key) == 0:
+		return "unfiltered: shares no variable with the join so far (cartesian product)"
+	}
+	if segs := segmentize(sample, order); segs != nil && !e.noFact {
+		if cols, _, ok := headPlan(sample, segs); ok && keySegment(&keyFilter{cols: st.key}, cols) < 0 {
+			return "unfiltered: the key spans two independent segments of a factorized arm"
+		}
+	}
+	key := make([]uint32, len(st.key))
+	for i, c := range st.key {
+		key[i] = arm.Vars[c]
+	}
+	// Every earlier arm holding a key variable seeds the filter; one that
+	// holds them all bounds the number of distinct keys by its own rows.
+	var from []string
+	bound := math.Inf(1)
+	for _, b := range before {
+		switch n := len(sharedCols(key, arms[b.arm].Vars)); {
+		case n == len(key) && arms[b.arm].EstRows > 0:
+			bound = min(bound, arms[b.arm].EstRows)
+			fallthrough
+		case n > 0:
+			from = append(from, fmt.Sprintf("arm[%d]", b.arm))
+		}
+	}
+	desc := fmt.Sprintf("%s from %s", strings.Trim(varList(key), "()"), strings.Join(from, ", "))
+	switch {
+	case math.IsInf(bound, 1):
+		return "filter on " + desc
+	case arm.EstRows > 0 && bound > arm.EstRows:
+		return fmt.Sprintf("unfiltered: key %s may hold %.0f keys, more than the arm's estimated rows", desc, bound)
+	}
+	return fmt.Sprintf("filter on %s (≤ %.0f keys)", desc, bound)
 }
 
 func varList(vars []uint32) string {

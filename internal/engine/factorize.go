@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/bgp"
 	"repro/internal/dict"
@@ -50,6 +51,8 @@ type factPlan struct {
 	cols     [][]int
 	template []dict.ID
 	head     []bgp.Term
+	// fseg is the segment that runs the arm's key filter (keySegment).
+	fseg int
 }
 
 // factAccComp accumulates one segment's factor across an arm's members:
@@ -81,14 +84,14 @@ type factAcc struct {
 // result — factorized, degenerate-flat, or flat after a mid-stream
 // fallback — is byte-equivalent to flat evaluation with identical
 // metrics and budget behaviour.
-func (e *Engine) evalArmFactorized(ctx *evalCtx, sp *trace.Span, arm ArmSource) (*Relation, bool, error) {
+func (e *Engine) evalArmFactorized(ctx *evalCtx, sp *trace.Span, arm ArmSource, f *keyFilter) (*Relation, bool, error) {
 	var first bgp.CQ
 	got := false
 	arm.Each(func(cq bgp.CQ) bool { first, got = cq, true; return false })
 	if !got {
 		return nil, false, nil
 	}
-	sc := newArmScratch(ctx)
+	sc := newArmScratch(ctx, f)
 	defer sc.release()
 	order := e.memberOrder(ctx, sc, first)
 	segs := segmentize(first, order)
@@ -100,8 +103,11 @@ func (e *Engine) evalArmFactorized(ctx *evalCtx, sp *trace.Span, arm ArmSource) 
 		return nil, false, nil
 	}
 	acc := &factAcc{
-		plan:  factPlan{segs: segs, cols: cols, template: template, head: first.Head},
+		plan:  factPlan{segs: segs, cols: cols, template: template, head: first.Head, fseg: keySegment(f, cols)},
 		comps: make([]factAccComp, len(segs)),
+	}
+	if acc.plan.fseg < 0 {
+		sc.filter = nil
 	}
 	acc.plan.atoms = make([][]bgp.Atom, len(segs))
 	for i, s := range segs {
@@ -266,6 +272,27 @@ func headPlan(cq bgp.CQ, segs [][]int) (cols [][]int, template []dict.ID, ok boo
 	return cols, template, true
 }
 
+// keySegment returns the one segment whose head columns (cols, from
+// headPlan) hold every variable column of f's key — segment 0 when the key
+// is all constants or f is nil — or -1 when the key spans two segments: the
+// filter is then dropped for the arm, because checking it would mean
+// expanding the product the factorized form exists to avoid.
+func keySegment(f *keyFilter, cols [][]int) int {
+	seg := -1
+	for s, owned := range cols {
+		for _, c := range owned {
+			if f == nil || !slices.Contains(f.cols, c) {
+				continue
+			}
+			if seg >= 0 && seg != s {
+				return -1
+			}
+			seg = s
+		}
+	}
+	return max(seg, 0)
+}
+
 // factMatch reports whether cq fits the accumulator's pattern: the same
 // segment count with identical inner segments (atom-for-atom, in the
 // same evaluation order), an identical head, and the same head-position
@@ -374,7 +401,7 @@ func (e *Engine) evalFactMember(ctx *evalCtx, sc *armScratch, acc *factAcc, cq b
 				comp.set.add(acc.arena.copy(row))
 			}
 		}
-		t, err := sc.evalSegment(cq, segs[i], cols, emit)
+		t, err := sc.evalSegment(cq, segs[i], cols, emit, i == plan.fseg)
 		if err != nil {
 			return err
 		}
@@ -426,10 +453,14 @@ func (e *Engine) evalFactMember(ctx *evalCtx, sc *armScratch, acc *factAcc, cq b
 // accounting, same shared-scan memo), calling emit with each binding
 // projected on the segment's head columns. It returns the tuples scanned;
 // emit observes the binding count. The projected row aliases a scratch
-// buffer valid only during the call.
-func (sc *armScratch) evalSegment(cq bgp.CQ, atoms []int, cols []int, emit func([]dict.ID)) (int64, error) {
-	k := &sc.bj
-	k.compile(cq, atoms)
+// buffer valid only during the call. The arm's key filter applies when
+// keyed says this is the segment that binds the key.
+func (sc *armScratch) evalSegment(cq bgp.CQ, atoms []int, cols []int, emit func([]dict.ID), keyed bool) (int64, error) {
+	k, f := &sc.bj, sc.filter
+	if !keyed {
+		f = nil
+	}
+	k.compile(cq, atoms, f)
 	for _, c := range cols {
 		k.project(cq.Head[c])
 	}

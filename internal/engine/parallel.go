@@ -10,13 +10,12 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the engine's parallelism layer. Two independent axes of
-// the JUCQ shape are exploited:
-//
-//   - arms of one JUCQ are independent subqueries, evaluated concurrently
-//     (evalAllArms);
-//   - member CQs of one UCQ arm are independent scans under set
-//     semantics, sharded over a worker pool (evalArmSharded).
+// This file is the engine's parallelism layer: member CQs of one UCQ arm
+// are independent scans under set semantics, sharded over a worker pool
+// (evalArmSharded), and the final projection splits its input the same
+// way. Arms are not run concurrently — each waits for the key filter the
+// join of the arms before it yields (see evalArms), and arm-level
+// concurrency measured 1.02x when it existed.
 //
 // Parallel evaluation returns byte-identical relations to sequential
 // evaluation: each shard deduplicates locally in member order, and the
@@ -37,60 +36,6 @@ const memberBatch = 32
 // stays sequential — goroutine handoff costs more than the projection.
 const parallelRowThreshold = 4096
 
-// evalAllArms materializes every arm. Arms run concurrently when the
-// context has more than one worker; the first failure in arm order is
-// reported, which is the failure sequential evaluation surfaces (arms
-// before it succeeded, so sequential evaluation would have reached it).
-func (e *Engine) evalAllArms(ctx *evalCtx, arms []ArmSource) ([]*Relation, error) {
-	// armSpan names the arm's span eagerly: Child and Sprintf run only on
-	// a live trace, so the disabled path stays allocation-free.
-	armSpan := func(i int) *trace.Span {
-		if ctx.span == nil {
-			return nil
-		}
-		return ctx.span.Child(fmt.Sprintf("arm[%d]", i))
-	}
-	rels := make([]*Relation, len(arms))
-	if ctx.par <= 1 || len(arms) < 2 {
-		for i, a := range arms {
-			rel, err := e.evalArm(ctx, armSpan(i), a)
-			if err != nil {
-				return nil, err
-			}
-			rels[i] = rel
-			if e.armObs != nil {
-				e.armObs(i, int64(rel.Len()))
-			}
-		}
-		return rels, nil
-	}
-	// Create the arm spans before dispatching so their order under the
-	// parent is the arm order, independent of goroutine scheduling.
-	spans := make([]*trace.Span, len(arms))
-	for i := range arms {
-		spans[i] = armSpan(i)
-	}
-	errs := make([]error, len(arms))
-	var wg sync.WaitGroup
-	for i := range arms {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rels[i], errs[i] = e.evalArm(ctx, spans[i], arms[i])
-			if e.armObs != nil && errs[i] == nil {
-				e.armObs(i, int64(rels[i].Len()))
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rels, nil
-}
-
 // shardResult is one shard's share of an arm evaluation: the shard set's
 // locally fresh rows in dispatch order, and where each batch's rows end.
 type shardResult struct {
@@ -107,7 +52,7 @@ type shardResult struct {
 // then walks the batches in global order through one final set, whose
 // rows the relation adopts. See the file comment for why the result (and
 // the success-path metrics) are exactly sequential.
-func (e *Engine) evalArmSharded(ctx *evalCtx, sp *trace.Span, arm ArmSource) (*Relation, error) {
+func (e *Engine) evalArmSharded(ctx *evalCtx, sp *trace.Span, arm ArmSource, f *keyFilter) (*Relation, error) {
 	shards := ctx.par
 	type batch struct {
 		idx int
@@ -129,7 +74,7 @@ func (e *Engine) evalArmSharded(ctx *evalCtx, sp *trace.Span, arm ArmSource) (*R
 		go func(in chan batch, res *shardResult, shardSp *trace.Span) {
 			defer wg.Done()
 			dedup := newDedupSet(ctx)
-			sc := newArmScratch(ctx)
+			sc := newArmScratch(ctx, f)
 			defer sc.release()
 			var members int64
 			for b := range in {

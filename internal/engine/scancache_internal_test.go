@@ -170,8 +170,8 @@ func TestMemberOrderAgreesWithJoinOrder(t *testing.T) {
 	e := New(raw, stats.Collect(raw, schema.Vocab{}), Native)
 	shared := &evalCtx{snap: raw.Snapshot(), shared: true}
 	base := &evalCtx{snap: raw.Snapshot()}
-	sc := newArmScratch(shared)
-	baseSc := newArmScratch(base)
+	sc := newArmScratch(shared, nil)
+	baseSc := newArmScratch(base, nil)
 
 	term := func() bgp.Term {
 		if rng.Intn(2) == 0 {

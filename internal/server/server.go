@@ -108,6 +108,7 @@ type Server struct {
 
 	served   atomic.Int64
 	rejected atomic.Int64
+	aborted  atomic.Int64 // answers whose body a client did not take in time
 
 	mux *http.ServeMux
 }
@@ -315,16 +316,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	elapsed := float64(time.Since(start)) / float64(time.Millisecond)
-	if err := writeAnswer(w, res, req.Strategy, req.Profile, elapsed, s.maxRespBytes); err == errResponseTooLarge {
+	// A client that stops reading must not hold the admission slot (and
+	// the answer's rows) past the request's own deadline: body writes fail
+	// from then on.
+	deadline, _ := ctx.Deadline()
+	//lint:ignore droppederr a writer that cannot take a deadline (a test recorder) has no client to stall, and a broken connection fails the writes below anyway
+	_ = http.NewResponseController(w).SetWriteDeadline(deadline)
+	switch err := writeAnswer(w, res, req.Strategy, req.Profile, elapsed, s.maxRespBytes); err {
+	case nil:
+		s.served.Add(1)
+	case errResponseTooLarge:
 		writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
 			Error:   "response_too_large",
 			Message: fmt.Sprintf("encoded response exceeds the %d-byte limit", s.maxRespBytes),
 		})
-		return
+	default:
+		// A failed write after the 200 was committed: the client went away
+		// or stalled past the deadline, and there is no one left to tell.
+		s.aborted.Add(1)
 	}
-	// Any other error is a failed write after the 200 was committed: the
-	// client went away mid-body and there is no one left to tell.
-	s.served.Add(1)
 }
 
 // Request bodies are read through http.MaxBytesReader under these
@@ -432,7 +442,8 @@ func (b *bodyWriter) release() {
 // current chunk. Nothing is allocated per row and no copy of the body is
 // built; see bodyWriter for what limit changes. It returns
 // errResponseTooLarge with nothing written, or the error of a failed
-// write once the client is gone.
+// write once the client is gone or the write deadline has passed — the
+// cursor is not expanded any further after either.
 func writeAnswer(w http.ResponseWriter, res *repro.Result, strategy, profile string, elapsedMS float64, limit int64) error {
 	b := &bodyWriter{w: w, limit: limit, buf: getChunk()}
 	defer b.release()
@@ -550,11 +561,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // StatzResponse is the body of GET /statz.
 type StatzResponse struct {
-	Triples  int        `json:"triples"`
-	Inflight int        `json:"inflight"`
-	Served   int64      `json:"served"`
-	Rejected int64      `json:"rejected"`
-	Cache    CacheStatz `json:"cache"`
+	Triples  int   `json:"triples"`
+	Inflight int   `json:"inflight"`
+	Served   int64 `json:"served"`
+	Rejected int64 `json:"rejected"`
+	// Aborted counts answers cut short because the client went away or
+	// did not read the body before the request's deadline.
+	Aborted int64      `json:"aborted"`
+	Cache   CacheStatz `json:"cache"`
 	// Feedback reports each profile's adaptive-cost loop, keyed by
 	// profile name; absent when the server runs with NoFeedback.
 	Feedback map[string]FeedbackStatz `json:"feedback,omitempty"`
@@ -591,6 +605,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Inflight: len(s.sem),
 		Served:   s.served.Load(),
 		Rejected: s.rejected.Load(),
+		Aborted:  s.aborted.Load(),
 		Cache: CacheStatz{
 			Entries:       s.cache.Len(),
 			Hits:          st.Hits,

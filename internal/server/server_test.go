@@ -949,3 +949,53 @@ func TestClientDisconnectMidStream(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// A client that reads the start of a streamed answer and then stalls —
+// connection open, nothing read — must not pin its admission slot: body
+// writes fail at the request's own deadline, the handler returns, the
+// slot comes back and /statz counts the abort.
+func TestStalledClientReleasesItsSlot(t *testing.T) {
+	st := crossStore(t, 500) // 250,000 rows, ~19 MB: more than the socket buffers hold
+	_, ts := newTestServer(t, server.Config{Store: st, MaxInflight: 1})
+	reqBody := `{"timeout_ms":1500,"query":` + jsonString(qCross) + `}`
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := fmt.Fprintf(conn, "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", len(reqBody), reqBody); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("streaming query: status %d", resp.StatusCode)
+	}
+	if _, err := io.ReadFull(resp.Body, make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	// From here the client reads nothing and keeps the connection open.
+
+	for {
+		code, body := postJSON(t, ts.URL+"/query", server.QueryRequest{Query: `PREFIX ex: <http://example.org/>
+			SELECT ?x WHERE { ?x a ex:Left }`})
+		if code == http.StatusOK {
+			break
+		}
+		if code != http.StatusTooManyRequests || time.Since(start) > 10*time.Second {
+			t.Fatalf("query beside the stalled client: %d %.200s", code, body)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Errorf("the stalled client held its slot for %v, request deadline 1.5s", waited)
+	}
+	statz := getStatz(t, ts.URL)
+	if statz.Inflight != 0 || statz.Aborted != 1 || statz.Served != 1 {
+		t.Errorf("inflight %d aborted %d served %d after the stall, want 0, 1, 1", statz.Inflight, statz.Aborted, statz.Served)
+	}
+}

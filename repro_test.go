@@ -338,7 +338,7 @@ func TestExplainFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"JUCQ plan", "arm 1", "estimated cost"} {
+	for _, want := range []string{"JUCQ plan", "arm[1]", "filter on ?v0 from arm[1]", "estimated cost"} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
 		}

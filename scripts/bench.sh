@@ -23,8 +23,8 @@
 # answers and at least one cross-product query compressing 2x), and the
 # response-encode layer from `BenchmarkEncodeResponse` in internal/server,
 # and the index-probe and bind-join layers from `BenchmarkProbe`,
-# `BenchmarkProbeWithDelta` (internal/storage) and `BenchmarkBindJoinMember`
-# (internal/engine).
+# `BenchmarkProbeWithDelta` (internal/storage), `BenchmarkBindJoinMember`
+# and `BenchmarkArmPipeline` (internal/engine).
 # `make bench-json` and CI run exactly this script.
 set -eu
 
@@ -111,8 +111,8 @@ go test -run '^$' -bench '^BenchmarkEncodeResponse$' -benchmem ./internal/server
 # themselves, whatever REPRO_BENCH_SCALE says.
 echo "==> probe: recording the index-probe layer"
 go test -run '^$' -bench '^(BenchmarkProbe|BenchmarkProbeWithDelta)$' -benchmem ./internal/storage | tee -a "$raw"
-echo "==> bindjoin: recording the bind-join kernel"
-go test -run '^$' -bench '^BenchmarkBindJoinMember$' -benchmem ./internal/engine | tee -a "$raw"
+echo "==> bindjoin: recording the bind-join kernel and the arm pipeline"
+go test -run '^$' -bench '^(BenchmarkBindJoinMember|BenchmarkArmPipeline)$' -benchmem ./internal/engine | tee -a "$raw"
 
 echo "==> benchall -sharedscan (strict shared-vs-baseline equality sweep)"
 go run ./cmd/benchall -scale "$REPRO_BENCH_SCALE" -sharedscan
