@@ -277,29 +277,6 @@ func BenchmarkStrategyEvaluation(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelJUCQ measures evaluating the SCQ cover (a multi-arm
-// JUCQ with a non-trivial union per arm) serially versus on all cores —
-// the headline number of the parallel evaluation layer. Answers are
-// byte-identical across worker counts, so the comparison is pure wall
-// clock.
-func BenchmarkParallelJUCQ(b *testing.B) {
-	db := lubmDB(b)
-	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
-		a := db.Answerer(engine.Native, core.Options{Parallelism: par})
-		for _, name := range []string{"Q01", "Q09"} {
-			qi := db.QueryIndex(name)
-			b.Run(fmt.Sprintf("%s/p%d", name, par), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					out := db.Run(a, qi, core.SCQ)
-					if out.Failed() {
-						b.Fatal(out.Err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkParallelCoverSearch measures the cover searches' optimization
 // stage serially versus on all cores — the concurrent pricing pool over
 // the shared fragment and cost memos.

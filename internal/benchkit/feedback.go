@@ -163,6 +163,13 @@ func canonicalRows(ans *core.Answer) []string {
 	return out
 }
 
+// sameAnswer reports whether two answers hold the same rows, in any order —
+// what holds across engine configurations, which may order rows and count
+// scanned tuples differently.
+func sameAnswer(a, b *core.Answer) bool {
+	return a.Rel.Len() == b.Rel.Len() && equalRows(canonicalRows(a), canonicalRows(b))
+}
+
 func equalRows(a, b []string) bool {
 	if len(a) != len(b) {
 		return false

@@ -94,21 +94,24 @@ type Options struct {
 	// fragments after each move — an ablation knob for measuring how
 	// much that step of Algorithm 1 contributes.
 	NoRedundancyElimination bool
-	// Parallelism is the worker count for both engine evaluation and the
-	// cover-search pricing pools. 0 means runtime.GOMAXPROCS(0); 1 runs
-	// everything serially. Results are identical regardless of the value.
+	// Parallelism is the worker count for the cover-search pricing pools
+	// and the engine's final projection (once it holds 4,096 rows); arms
+	// and their member families are always evaluated serially. 0 means
+	// runtime.GOMAXPROCS(0); 1 runs everything serially. Results are
+	// identical regardless of the value.
 	Parallelism int
 	// NoFactorized disables the engines' factorized answer
 	// representation (union-of-products relations with lazy expansion) —
 	// an ablation knob for measuring what factorization saves. Expanded
-	// answers and metrics are identical either way; only the stored
-	// footprint of large cross-product results changes.
+	// answers are identical either way; the stored footprint of large
+	// cross-product results changes, and so may the tuples scanned.
 	NoFactorized bool
 	// NoSharedScan disables the engines' shared-scan layer (the
-	// per-evaluation pattern-scan memo, merged member scans and
-	// cross-member planning memos), reproducing scan-per-member
-	// evaluation — an ablation knob for measuring what the layer
-	// contributes. Answers and metrics are identical either way.
+	// per-evaluation pattern-scan memo, merged member scans, member
+	// families and cross-member planning memos), reproducing
+	// scan-per-member evaluation — an ablation knob for measuring what the
+	// layer contributes. Answers are identical either way; the tuples
+	// scanned and the work charged are not.
 	NoSharedScan bool
 	// Trace, when non-nil, is the span query answering records its stage
 	// tree under: ChooseCover adds an "optimize" child carrying search

@@ -42,7 +42,9 @@ func starStore(n, fanout int) (*storage.Store, bgp.CQ) {
 // already in the dedup set — must allocate nothing: no binding map, no
 // closure per member or per depth, no pattern or row buffers; and none for
 // the key either when the member runs under a key filter (here one that
-// admits every other subject).
+// admits every other subject). The same holds for a warmed family: four
+// members sharing their (?x type C) scan, differing in their head and in
+// the predicate of their depth-1 atom, dispatched from one wide probe.
 func TestMemberEvaluationAllocatesNothing(t *testing.T) {
 	st, q := starStore(500, 3)
 	e := New(st, stats.Collect(st, schema.Vocab{}), Native)
@@ -50,33 +52,50 @@ func TestMemberEvaluationAllocatesNothing(t *testing.T) {
 	for i := 0; i < 500; i += 2 {
 		half.set.add([]dict.ID{dict.ID(100 + i)})
 	}
+	swapped := bgp.CQ{Head: []bgp.Term{q.Head[1], q.Head[0]}, Atoms: q.Atoms}
+	anyProp := bgp.CQ{Head: q.Head, Atoms: []bgp.Atom{q.Atoms[0], {S: bgp.V(0), P: bgp.V(2), O: bgp.V(1)}}}
+	constHead := bgp.CQ{Head: []bgp.Term{bgp.V(0), bgp.C(7)}, Atoms: q.Atoms}
+	family := []bgp.CQ{q, swapped, anyProp, constHead}
 	for _, tc := range []struct {
+		name         string
+		members      []bgp.CQ
 		filter       *keyFilter
 		rows, tuples int64
-	}{{nil, 1500, 2000}, {half, 750, 1250}} {
+		dropped      int64
+	}{
+		{"member", []bgp.CQ{q}, nil, 1500, 2000, 0},
+		{"filtered member", []bgp.CQ{q}, half, 750, 1250, 250},
+		// 1,500 (x, y) rows, 1,500 (y, x) rows, 500 (x, 7) rows and, from
+		// the member of any property, 500 (x, class) rows; each subject's
+		// (x, ?, ?) probe returns its four triples.
+		{"family", family, nil, 4000, 2500, 0},
+	} {
 		ctx := &evalCtx{snap: st.Snapshot(), shared: true, scans: newScanCache()}
 		sc := newArmScratch(ctx, tc.filter)
 		dedup := newDedupSet(ctx)
-		plan := memberPlan{cq: q, order: e.memberOrder(ctx, sc, q)}
-		if err := sc.evalMember(&plan, dedup); err != nil {
+		if err := e.evalMemberRun(ctx, sc, tc.members, dedup); err != nil {
 			t.Fatal(err)
 		}
-		if int64(dedup.size()) != tc.rows {
-			t.Fatalf("warm-up admitted %d rows, want %d", dedup.size(), tc.rows)
+		if int64(dedup.set.len()) != tc.rows {
+			t.Fatalf("%s: warm-up admitted %d rows, want %d", tc.name, dedup.set.len(), tc.rows)
 		}
 		if n := testing.AllocsPerRun(20, func() {
-			if err := sc.evalMember(&plan, dedup); err != nil {
+			if err := e.evalMemberRun(ctx, sc, tc.members, dedup); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("a warmed member evaluation allocates %v objects, want 0", n)
+			t.Errorf("%s: a warmed evaluation allocates %v objects, want 0", tc.name, n)
 		}
 		if got := ctx.tuplesScanned.Load(); got != 22*tc.tuples {
-			t.Errorf("tuples scanned = %d, want %d", got, 22*tc.tuples)
+			t.Errorf("%s: tuples scanned = %d, want %d", tc.name, got, 22*tc.tuples)
 		}
-		if got, want := ctx.filtered.Load(), 22*(1500-tc.rows)/3; got != want {
-			t.Errorf("bindings dropped by the filter = %d, want %d", got, want)
+		if got, want := ctx.filtered.Load(), 22*tc.dropped; got != want {
+			t.Errorf("%s: bindings dropped by the filter = %d, want %d", tc.name, got, want)
 		}
+		if got, want := ctx.families.Load(), int64(22); got != want {
+			t.Errorf("%s: %d families evaluated, want one per run (%d)", tc.name, got, want)
+		}
+		sc.release()
 		ctx.snap.Release()
 	}
 }
@@ -112,17 +131,22 @@ func TestMeterKeepsPollGranularity(t *testing.T) {
 
 // An exhausted work budget and a canceled context must stop the kernel
 // where they stopped the closure bind-join: with the same typed error,
-// within 4,096 work units per worker of the trip point, whether it falls
-// inside a wide depth-0 range (single-atom members over 30,000 triples)
-// or among the inner probes of a join, with the pinned snapshot released
-// and no worker goroutine left behind — sequentially and sharded.
+// within 4,096 work units of the trip point, whether it falls inside a
+// wide depth-0 range (one-atom members over 30,000 triples) or among the
+// inner probes of a join, with the pinned snapshot released and no
+// goroutine left behind. The members form one family — half of them
+// project (x, y), half (y, x) — so the trip falls inside its dispatch
+// loop; the projection's worker count changes nothing.
 func TestBudgetAndCancellationStopTheKernel(t *testing.T) {
 	st, join := starStore(10_000, 3)
 	sts := stats.Collect(st, schema.Vocab{})
 	wide := bgp.CQ{Head: join.Head, Atoms: join.Atoms[1:]} // one 30,000-triple range
-	union := func(q bgp.CQ) bgp.UCQ {                      // enough members to reach every shard
+	union := func(q bgp.CQ) bgp.UCQ {
 		u := bgp.UCQ{Vars: []uint32{0, 1}}
-		for i := 0; i < 3*memberBatch; i++ {
+		for i := 0; i < 96; i++ {
+			if i%2 == 1 {
+				q.Head = []bgp.Term{q.Head[1], q.Head[0]}
+			}
 			u.CQs = append(u.CQs, q)
 		}
 		return u
@@ -152,13 +176,13 @@ func TestBudgetAndCancellationStopTheKernel(t *testing.T) {
 			if !errors.Is(err, ErrWorkBudget) || rel != nil {
 				t.Fatalf("%s: err = %v, rel = %v; want %v and no relation", name, err, rel, ErrWorkBudget)
 			}
-			if over := m.Work - budget; over <= 0 || over > int64(par)<<cancelCheckShift {
+			if over := m.Work - budget; over <= 0 || over > 1<<cancelCheckShift {
 				t.Errorf("%s: stopped at %d work units, %d past the budget", name, m.Work, over)
 			}
 			check(name+", budget", snap)
 
 			full, fm, err := New(st, sts, Native).WithParallelism(par).EvalUCQ(union(q))
-			if err != nil || full.Len() != 30_000 {
+			if err != nil || full.Len() != 60_000 {
 				t.Fatalf("%s: unconstrained run: %d rows, %v", name, full.Len(), err)
 			}
 			cctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/testkit"
+	"repro/internal/trace"
 )
 
 // awkwardQueries are the CQ shapes the compiled program has a case for
@@ -42,7 +43,7 @@ func awkwardQueries(e *testkit.Example, rng *rand.Rand) []bgp.CQ {
 
 // The compiled bind-join must answer exactly as the naive backtracking
 // evaluator does — on the awkward shapes above and on random CQs, over
-// the flat and the frozen representation, sequentially and sharded, with
+// the flat and the frozen representation, at either parallelism, with
 // the store compacted and with a pending delta and tombstones.
 func TestCompiledProgramMatchesNaive(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
@@ -92,15 +93,19 @@ func TestCompiledProgramMatchesNaive(t *testing.T) {
 
 // BenchmarkBindJoinMember measures the bind-join kernel on its own: the
 // members of Q01's reformulation (one UCQ arm: a class scan bound-joined
-// with a property probe per member), one worker, no planning cache in the
-// way. ns/tuple is wall time over tuples scanned.
+// with a property probe per member family), one worker, no planning cache
+// in the way. ns/tuple is wall time over tuples scanned; probes/op counts
+// the depth-1 probes, one per family and binding — the kernel's currency
+// once families share them.
 func BenchmarkBindJoinMember(b *testing.B) {
 	db, u := q01Arm(b)
 	eng := engine.New(db.Raw, db.RawStats, engine.Native).WithParallelism(1)
-	_, m, err := eng.EvalUCQ(u)
+	root := trace.New("bindjoin")
+	_, m, err := eng.WithSpan(root).EvalUCQ(u)
 	if err != nil {
 		b.Fatal(err)
 	}
+	probes, _ := root.Find("arm[0]").IntAttr("family_probes")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -110,6 +115,7 @@ func BenchmarkBindJoinMember(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.TuplesScanned), "ns/tuple")
 	b.ReportMetric(float64(m.TuplesScanned), "tuples/op")
+	b.ReportMetric(float64(probes), "probes/op")
 }
 
 // q01Arm builds LUBM at the small scale and reformulates Q01 into its

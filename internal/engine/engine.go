@@ -34,7 +34,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"repro/internal/bgp"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -176,9 +175,9 @@ type Engine struct {
 	// tracing: the evaluation hot path then pays one nil check per
 	// instrumentation point and allocates nothing for tracing.
 	span *trace.Span
-	// noShared disables the shared-scan layer (pattern-scan memo and
-	// merged member scans); see WithSharedScan. Snapshot pinning stays
-	// on either way.
+	// noShared disables the shared-scan layer (pattern-scan memo, merged
+	// member scans, member families); see WithSharedScan. Snapshot
+	// pinning stays on either way.
 	noShared bool
 	// ctx, when non-nil, can interrupt evaluations mid-flight (see
 	// WithContext). nil — the default — means evaluations run to
@@ -198,13 +197,13 @@ func New(store *storage.Store, st *stats.Stats, prof Profile) *Engine {
 	return &Engine{store: store, st: st, prof: prof}
 }
 
-// WithParallelism returns a copy of the engine whose evaluations use n
-// workers: member CQs of one arm are sharded over n dedup sets (arms
-// themselves run one after another, each filtered by the join of those
-// before it). n = 1 is the strictly
-// sequential evaluation the paper's reproduction benchmarks assume;
-// n <= 0 restores the default, runtime.GOMAXPROCS(0). Results are
-// identical for every n (set semantics with a deterministic merge order).
+// WithParallelism returns a copy of the engine whose final projection
+// deduplicates on n workers once its input reaches 4,096 rows. Arms and
+// the member families of an arm are always evaluated serially: sharding
+// members measured 0.99x warm and 1.03x cold over the LUBM queries and
+// split the families that share probes. n = 1 is the strictly sequential
+// evaluation the paper's reproduction benchmarks assume; n <= 0 restores
+// the default, runtime.GOMAXPROCS(0). Results are identical for every n.
 func (e *Engine) WithParallelism(n int) *Engine {
 	e2 := *e
 	if n < 0 {
@@ -215,8 +214,8 @@ func (e *Engine) WithParallelism(n int) *Engine {
 }
 
 // WithSpan returns a copy of the engine whose evaluations record their
-// operator tree (per-arm, per-shard, join and projection spans with row
-// and dedup counters) as children of sp, and accumulate engine.* totals
+// operator tree (per-arm, join and projection spans with row, dedup and
+// member-family counters) as children of sp, and accumulate engine.* totals
 // into sp's counter registry. A nil sp returns an engine with tracing
 // disabled — the zero-overhead default.
 func (e *Engine) WithSpan(sp *trace.Span) *Engine {
@@ -229,13 +228,11 @@ func (e *Engine) WithSpan(sp *trace.Span) *Engine {
 // with ErrCanceled once ctx is done. Cancellation shares the budget seam:
 // the shared atomic work counter doubles as the poll clock, and the
 // context's done channel is polled only when a charge crosses a
-// cancelCheckWork boundary — about once per 4096 work units, from
-// whichever worker lands the crossing charge (workers hold back at most
-// half that before charging; see meter). Workers of a parallel evaluation
-// all charge the one counter, so a cancellation surfaces on every shard
-// within one poll interval and the evaluation unwinds through the
-// ordinary error path: pools drain, the snapshot is released, and the
-// typed error reports the context's cause. A ctx that can never be
+// cancelCheckWork boundary — about once per 4096 work units (the
+// bind-join holds back at most half that before charging; see meter) —
+// and the evaluation unwinds through the ordinary error path: workers
+// drain, the snapshot is released, and the typed error reports the
+// context's cause. A ctx that can never be
 // canceled (context.Background) leaves the poll disabled entirely.
 func (e *Engine) WithContext(ctx context.Context) *Engine {
 	e2 := *e
@@ -247,11 +244,12 @@ func (e *Engine) WithContext(ctx context.Context) *Engine {
 // layer enabled (the default) or disabled. The layer comprises the
 // per-evaluation memo of outermost pattern scans, the merged evaluation
 // of member CQs differing in one constant, and the cross-member planning
-// memos (join orders and cardinality probes shared across an arm);
-// disabling it reproduces scan-per-member evaluation — the baseline the
-// ablation benchmarks compare against. Results and Metrics are identical
-// either way — the layer shares scan-locating and planning work, never
-// the accounting. Snapshot pinning is not affected: every evaluation
+// memos (join orders and cardinality probes shared across an arm), and
+// member families (see evalFamily); disabling it reproduces
+// scan-per-member evaluation — the baseline the ablation benchmarks
+// compare against. Answers are identical either way; TuplesScanned and
+// Work count the scans and probes each side performs, and rows may come
+// out in another order. Snapshot pinning is not affected: every evaluation
 // reads through an immutable snapshot regardless, which is what makes
 // nested bind-join scans safe under concurrent store mutation.
 func (e *Engine) WithSharedScan(on bool) *Engine {
@@ -279,11 +277,11 @@ func (e *Engine) WithArmObserver(f func(arm int, rows int64)) *Engine {
 // whose member plans decompose into variable-disjoint components — and
 // any cartesian arm join — produces a factorized Relation (a
 // cross-product of per-component row groups) instead of expanding the
-// product. Results are identical either way: Len, Cursor, Each and
-// Materialize report and enumerate the logical rows in the flat
-// first-occurrence order, and every budget and metric is charged on the
-// logical expanded cardinality, so disabling the representation changes
-// memory footprint only.
+// product. Answers are identical either way: Len, Cursor, Each and
+// Materialize report and enumerate the logical rows, and every budget and
+// metric is charged on the logical expanded cardinality — as
+// member-at-a-time flat evaluation would charge it, where the flat path
+// shares probes across member families.
 func (e *Engine) WithFactorized(on bool) *Engine {
 	e2 := *e
 	e2.noFact = !on
@@ -314,11 +312,10 @@ func (e *Engine) Stats() *stats.Stats { return e.st }
 func (e *Engine) Store() *storage.Store { return e.store }
 
 // evalCtx tracks budgets and metrics for one evaluation. Counters are
-// atomics so that arm workers and member shards charge one shared budget:
-// the typed budget errors fire when the *total* spent by all workers
-// exceeds the profile limit, independent of goroutine interleaving. With
-// a single worker the accumulated values are exactly the sequential ones.
-// The bind-join charges them through its worker's meter, in batches.
+// atomics so that the projection workers charge one shared budget: the
+// typed budget errors fire when the *total* spent exceeds the profile
+// limit, independent of goroutine interleaving. The bind-join charges
+// them through its meter, in batches.
 type evalCtx struct {
 	prof Profile
 	par  int // resolved worker count; <= 1 evaluates sequentially
@@ -358,6 +355,8 @@ type evalCtx struct {
 	mergedMembers atomic.Int64 // members evaluated under a merged scan
 	snapRanges    atomic.Int64 // scans resolved to zero-copy snapshot ranges
 	filtered      atomic.Int64 // bindings dropped by an arm's key filter
+	families      atomic.Int64 // member families evaluated
+	familyProbes  atomic.Int64 // depth-1 probes, one per family and binding
 }
 
 // snapshot returns the metrics accumulated so far. Only call after the
@@ -461,15 +460,4 @@ func (c *evalCtx) checkRows(n int) error {
 		return fmt.Errorf("%w (%s: %d rows)", ErrMemoryBudget, c.prof.Name, n)
 	}
 	return nil
-}
-
-// planLeaves returns the scan-leaf count of a JUCQ plan.
-func planLeaves(j bgp.JUCQ) int64 {
-	var n int64
-	for _, arm := range j.Arms {
-		for _, cq := range arm.CQs {
-			n += int64(len(cq.Atoms))
-		}
-	}
-	return n
 }

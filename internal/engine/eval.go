@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -396,58 +397,38 @@ func sharesVars(a, b []uint32) bool {
 	return false
 }
 
-// mergeWindow is how many member CQs the sequential arm loop gathers
-// before planning them together: merged-scan groups form within one
-// window. The window only scopes scan *planning* — members are still
-// evaluated strictly in stream order with their own join orders — so
-// its size affects sharing opportunity, never results or metrics.
-const mergeWindow = 256
+// memberWindow is how many member CQs the arm loop gathers before
+// planning them together: merged scans and member families form within
+// one window. Every arm of the benchmark's join and mixed workloads fits
+// in one; a larger streamed arm is evaluated window by window.
+const memberWindow = 4096
 
-// evalArm evaluates one UCQ arm under key filter f (nil for none). With
-// one worker, member CQs are gathered into windows, planned together
-// (shared and merged scans) and bind-joined in stream order into a shared
-// duplicate-elimination set; with more workers, the members are sharded
-// over a worker pool (see evalArmSharded) with a deterministic merge.
+// evalArm evaluates one UCQ arm under key filter f (nil for none): member
+// CQs are gathered into windows, planned together (merged scans, member
+// families) and bind-joined into one duplicate-elimination set.
 func (e *Engine) evalArm(ctx *evalCtx, sp *trace.Span, arm ArmSource, f *keyFilter) (*Relation, error) {
-	// The factorized path intercepts before the parallelism dispatch:
-	// whether an arm factorizes depends on its member plans alone, never
-	// on the worker count, so serial and parallel evaluations stay
-	// byte-identical. An arm that does not decompose reports handled ==
-	// false and falls through unchanged.
+	// An arm that does not decompose into variable-disjoint segments
+	// reports handled == false and falls through unchanged.
 	if ctx.fact {
 		rel, handled, err := e.evalArmFactorized(ctx, sp, arm, f)
 		if handled || err != nil {
 			return rel, err
 		}
 	}
-	if ctx.par > 1 {
-		return e.evalArmSharded(ctx, sp, arm, f)
-	}
 	dedup := newDedupSet(ctx)
 	sc := newArmScratch(ctx, f)
 	defer sc.release()
-	var failure error
-	window := make([]bgp.CQ, 0, mergeWindow)
-	flush := func() bool {
-		if len(window) == 0 {
-			return true
-		}
-		_, failure = e.evalMemberRun(ctx, sc, window, dedup)
-		window = window[:0]
-		return failure == nil
-	}
+	fams, probes := ctx.families.Load(), ctx.familyProbes.Load()
+	var err error
 	arm.Each(func(cq bgp.CQ) bool {
-		window = append(window, cq)
-		if len(window) == mergeWindow {
-			return flush()
-		}
-		return true
+		err = e.addMember(sc, cq, dedup)
+		return err == nil
 	})
-	if failure == nil {
-		flush()
+	if err == nil {
+		err = e.flushMembers(sc, dedup)
 	}
-	if failure != nil {
-		return nil, failure
+	if err != nil {
+		return nil, err
 	}
 	// The set's rows, in first-occurrence order, are the arm's relation.
 	out := &Relation{Vars: arm.Vars, Rows: dedup.set.rows}
@@ -455,8 +436,30 @@ func (e *Engine) evalArm(ctx *evalCtx, sp *trace.Span, arm ArmSource, f *keyFilt
 		sp.SetInt("rows_out", int64(out.Len()))
 		sp.SetInt("dedup_hits", dedup.hits)
 		sp.SetInt("arena_chunks", int64(dedup.arena.chunks))
+		sp.SetInt("families", ctx.families.Load()-fams)
+		sp.SetInt("family_probes", ctx.familyProbes.Load()-probes)
 	}
 	return out, nil
+}
+
+// addMember gathers cq into the scratch's window, evaluating the window
+// into dedup once it is full.
+func (e *Engine) addMember(sc *armScratch, cq bgp.CQ, dedup *dedupSet) error {
+	if sc.window = append(sc.window, cq); len(sc.window) < memberWindow {
+		return nil
+	}
+	return e.flushMembers(sc, dedup)
+}
+
+// flushMembers evaluates the members gathered so far into dedup.
+func (e *Engine) flushMembers(sc *armScratch, dedup *dedupSet) error {
+	if len(sc.window) == 0 {
+		return nil
+	}
+	err := e.evalMemberRun(sc.bj.m.ctx, sc, sc.window, dedup)
+	clear(sc.window)
+	sc.window = sc.window[:0]
+	return err
 }
 
 // memberPlan is one member CQ prepared for evaluation: its join order,
@@ -470,27 +473,195 @@ type memberPlan struct {
 	preOK bool
 }
 
+// family is the members of a window that share their depth-0 atom — and
+// so its scan — the slots completing their depth-1 probe, the index that
+// probe reads, and whether the key filter is complete at depth 0 (then
+// with one key): a list linked through armScratch.next, with the largest
+// environment and join depth of its members.
+type family struct {
+	first, last, n int
+	slots, depths  int
+	perm           [3]int // sort order of the depth-1 probes' index
+}
+
+// famKey is what the members of one family have in common: besides their
+// depth-0 atom, the sort order perm of the index their depth-1 probes read
+// and every depth-1 constant sorted before the last slot-bound position
+// (all of them when no slot completes the probe), so the family's probe
+// can bind a prefix of that order — it reads the index, and the blocks,
+// its members would have read.
+type famKey struct {
+	step0    step
+	use1     [3]int32
+	perm     [3]int
+	c1       storage.Pattern
+	deep, f0 bool
+}
+
+func (p *program) familyKey(snap *storage.Snapshot) famKey {
+	key := famKey{step0: p.steps[0], use1: [3]int32{-1, -1, -1}, deep: len(p.steps) > 1, f0: p.fdepth == 0}
+	if !key.deep {
+		return key
+	}
+	st := &p.steps[1]
+	pat := st.consts
+	for i, s := range st.use {
+		if s >= 0 {
+			pat = withPos(pat, i, ^dict.None) // any value: only the bound shape counts
+		}
+	}
+	perm, n := snap.Path(pat)
+	key.use1, key.perm = st.use, perm
+	pinned := n
+	for i := range n {
+		if st.use[key.perm[i]] >= 0 {
+			pinned = i
+		}
+	}
+	for _, pos := range key.perm[:pinned] {
+		key.c1 = withPos(key.c1, pos, patPos(st.consts, pos))
+	}
+	return key
+}
+
+// groupFamilies compiles the window's members and partitions them into
+// families, in the order of their first member. Without the shared-scan
+// layer every member is a family of its own. A member whose depth-0 key
+// differs from its family's starts a new family: splitting one is always
+// sound.
+func (sc *armScratch) groupFamilies(shared bool) {
+	clear(sc.famBy)
+	progs, fams, next := sc.progs[:0], sc.fams[:0], sc.next[:0]
+	for i := range sc.plans {
+		if i < cap(progs) {
+			progs = progs[:i+1]
+		} else {
+			progs = append(progs, program{})
+		}
+		pl, p := &sc.plans[i], &progs[i]
+		sc.bj.compile(p, pl.cq, pl.order, pl.cq.Head, sc.filter)
+		next = append(next, -1)
+		keyed := shared && len(p.steps) > 0
+		var key famKey
+		fi, ok := 0, false
+		if keyed {
+			key = p.familyKey(sc.bj.m.ctx.snap)
+			fi, ok = sc.famBy[key]
+			ok = ok && (!key.f0 || slices.Equal(progs[fams[fi].first].fkey, p.fkey))
+		}
+		if ok {
+			next[fams[fi].last], fams[fi].last = i, i
+		} else {
+			fi, fams = len(fams), append(fams, family{first: i, last: i, perm: key.perm})
+			if keyed {
+				sc.famBy[key] = fi
+			}
+		}
+		f := &fams[fi]
+		f.n, f.slots, f.depths = f.n+1, max(f.slots, p.slots), max(f.depths, len(p.steps))
+	}
+	sc.progs, sc.fams, sc.next = progs, fams, next
+}
+
+// evalFamily evaluates one family into dedup. A member alone runs its own
+// program. A larger family runs the program of a live member — one whose
+// key, when it is all constants, the filter holds — for depth 0, the atom
+// they share, and at depth 1 issues one probe per binding: the slots its
+// members share and, along the sort order of their index, the constants
+// they all agree on up to the first they differ in; the rest is unbound.
+// Each triple it returns is dispatched to the members whose constants it
+// matches (bindJoin.dispatch), so rows come out binding-major.
+func (sc *armScratch) evalFamily(f *family, dedup *dedupSet) error {
+	k, fan := &sc.bj, &sc.fan
+	k.filter, k.dedup, k.emit, k.fam = sc.filter, dedup, nil, nil
+	k.prog, k.pre, k.preOK = &sc.progs[f.first], sc.plans[f.first].pre, sc.plans[f.first].preOK
+	k.m.families++
+	if f.n == 1 {
+		return k.exec(f.slots, f.depths)
+	}
+	ents := sc.ents[:0]
+	for m := f.first; m >= 0; m = sc.next[m] {
+		p := &sc.progs[m]
+		if k.prog = p; k.filter == nil || p.fdepth >= 0 || k.admit() {
+			ents = append(ents, famEntry{prog: p})
+		}
+	}
+	sc.ents = ents
+	if len(ents) == 0 {
+		return nil
+	}
+	if k.prog = ents[0].prog; len(ents) == 1 {
+		return k.exec(f.slots, f.depths)
+	}
+	// The probe binds the family's slots and, along the index's sort order,
+	// each constant all members share up to the first they do not; the
+	// members' other constants are their dispatch keys.
+	var probe [3]dict.ID
+	for _, pos := range f.perm {
+		c := k.prog.consts1()[pos]
+		for _, e := range ents {
+			if e.prog.consts1()[pos] != c {
+				c = dict.None
+			}
+		}
+		if c == dict.None && (len(k.prog.steps) == 1 || k.prog.steps[1].use[pos] < 0) {
+			break
+		}
+		probe[pos] = c
+	}
+	fan.masks = 0
+	for j := range ents {
+		cs, mask := ents[j].prog.consts1(), uint64(0)
+		for i, c := range cs {
+			if probe[i] == dict.None && c != dict.None {
+				mask |= 1 << i
+			}
+		}
+		ents[j].ord = dispatchKey(mask, cs)
+		fan.masks |= 1 << mask
+	}
+	slices.SortStableFunc(ents, func(a, b famEntry) int {
+		return cmp.Or(cmp.Compare(a.ord[0], b.ord[0]), cmp.Compare(a.ord[1], b.ord[1]))
+	})
+	fan.probe = storage.Pattern{S: probe[0], P: probe[1], O: probe[2]}
+	fan.ents, k.fam = ents, fan
+	return k.exec(f.slots, f.depths)
+}
+
 // distKey keys the per-arm DistinctForVar memo.
 type distKey struct {
 	a bgp.Atom
 	v uint32
 }
 
-// armScratch is the per-worker evaluation state of one arm: the planning
-// memos (join orders per member key, per-atom cardinalities and
-// per-variable distinct counts shared across the arm's near-identical
-// members), the merge-planning buffers, and the compiled bind-join
-// program with its environment, probe hints and meter. One scratch is
-// owned by one goroutine — the sequential arm loop or a single shard
-// worker — so none of it needs locking.
+// armScratch is the evaluation state of one arm: the planning memos
+// (join orders per member key, per-atom cardinalities and per-variable
+// distinct counts shared across the arm's near-identical members), the
+// member window with its plans, compiled programs and families, the
+// merge-planning buffers, and the bind-join state with its environment,
+// probe hints and meter. One scratch is owned by one goroutine, so none of
+// it needs locking.
 type armScratch struct {
 	orders map[string][]int
 	cards  map[bgp.Atom]float64
 	dist   map[distKey]float64
+	window []bgp.CQ
 	plans  []memberPlan
 	bj     bindJoin
 	// filter is the key filter the arm runs under, nil for none.
 	filter *keyFilter
+
+	// The window's compiled programs and families (groupFamilies), the
+	// fanout of the family being evaluated (evalFamily), and the program
+	// and head of a factorized segment (evalSegment).
+	progs   []program
+	fams    []family
+	next    []int
+	famBy   map[famKey]int
+	fan     fanout
+	ents    []famEntry
+	seg     program
+	segHead []bgp.Term
 
 	// planMergedScans scratch, reused window after window.
 	mergeBy map[mergeKey]int
@@ -540,14 +711,19 @@ var armScratchPool = sync.Pool{New: func() any {
 		cards:   make(map[bgp.Atom]float64),
 		dist:    make(map[distKey]float64),
 		mergeBy: make(map[mergeKey]int),
+		famBy:   make(map[famKey]int),
 	}
 }}
 
-// newArmScratch takes a scratch from the pool for one worker of ctx's
-// evaluation of an arm filtered by f (nil for none).
+// newArmScratch takes a scratch from the pool for ctx's evaluation of an
+// arm filtered by f (nil for none).
 func newArmScratch(ctx *evalCtx, f *keyFilter) *armScratch {
 	sc := armScratchPool.Get().(*armScratch)
 	sc.bj.m.ctx, sc.filter = ctx, f
+	sc.bj.key = sc.bj.key[:0]
+	for f != nil && len(sc.bj.key) < len(f.cols) {
+		sc.bj.key = append(sc.bj.key, dict.None)
+	}
 	return sc
 }
 
@@ -562,7 +738,7 @@ func (sc *armScratch) release() {
 	clear(sc.dist)
 	clear(sc.bj.hints)
 	sc.bj.m, sc.bj.dedup, sc.bj.emit, sc.bj.pre = meter{}, nil, nil, nil
-	sc.bj.filter, sc.filter = nil, nil
+	sc.bj.filter, sc.filter, sc.bj.prog, sc.bj.fam = nil, nil, nil, nil
 	clear(sc.plans[:cap(sc.plans)])
 	sc.plans = sc.plans[:0]
 	clear(sc.ranges[:cap(sc.ranges)])
@@ -572,13 +748,12 @@ func (sc *armScratch) release() {
 	armScratchPool.Put(sc)
 }
 
-// evalMemberRun plans and evaluates a window of member CQs in order,
-// returning how many members were started (for shard accounting) and
-// the first failure. Planning may merge the depth-0 scans of members
-// differing in one constant; evaluation order, per-member join orders
-// and all per-tuple accounting are exactly those of member-at-a-time
-// evaluation.
-func (e *Engine) evalMemberRun(ctx *evalCtx, sc *armScratch, cqs []bgp.CQ, dedup *dedupSet) (int, error) {
+// evalMemberRun plans and evaluates a window of member CQs: each gets its
+// join order and compiled program, the depth-0 scans of members differing
+// in one constant are located in one merged pass, and the members are
+// evaluated family by family (see evalFamily), in the order of each
+// family's first member.
+func (e *Engine) evalMemberRun(ctx *evalCtx, sc *armScratch, cqs []bgp.CQ, dedup *dedupSet) error {
 	plans := sc.plans[:0]
 	for _, cq := range cqs {
 		p := memberPlan{cq: cq, order: e.memberOrder(ctx, sc, cq)}
@@ -591,13 +766,14 @@ func (e *Engine) evalMemberRun(ctx *evalCtx, sc *armScratch, cqs []bgp.CQ, dedup
 	if ctx.shared && len(plans) > 1 {
 		e.planMergedScans(ctx, sc, plans)
 	}
-	for i := range plans {
-		ctx.unionArms.Add(1)
-		if err := sc.evalMember(&plans[i], dedup); err != nil {
-			return i + 1, err
+	sc.groupFamilies(ctx.shared)
+	for i := range sc.fams {
+		ctx.unionArms.Add(int64(sc.fams[i].n))
+		if err := sc.evalFamily(&sc.fams[i], dedup); err != nil {
+			return err
 		}
 	}
-	return len(plans), nil
+	return sc.bj.m.flush()
 }
 
 // mergeKey identifies one family of depth-0 patterns that differ only
@@ -645,8 +821,8 @@ func (s *memberSorter) Swap(a, b int) { s.members[a], s.members[b] = s.members[b
 // group's subranges in a single pass over the covering index range
 // (MultiRange) — the shared-scan answer to reformulations whose members
 // differ in one class or property constant. Each member keeps its own
-// subrange, join order and evaluation slot, so only the range-locating
-// work is shared. Groups are formed greedily, largest first, with
+// subrange and join order (members with equal patterns share a subrange,
+// and a family — see groupFamilies). Groups are formed greedily, largest first, with
 // first-encounter order breaking ties, which keeps the merged_members
 // counter deterministic. All bookkeeping lives in the arm scratch, so a
 // steady-state window allocates nothing.
@@ -662,7 +838,7 @@ func (e *Engine) planMergedScans(ctx *evalCtx, sc *armScratch, plans []memberPla
 			if patPos(pat, pos) == dict.None {
 				continue
 			}
-			k := mergeKey{masked: maskPos(pat, pos), vpos: pos}
+			k := mergeKey{masked: withPos(pat, pos, dict.None), vpos: pos}
 			gi, ok := sc.mergeBy[k]
 			if !ok {
 				gi = len(groups)
@@ -751,32 +927,17 @@ func patPos(p storage.Pattern, pos int) dict.ID {
 	}
 }
 
-// maskPos returns p with position pos unbound.
-func maskPos(p storage.Pattern, pos int) storage.Pattern {
+// withPos returns p with position pos set to id.
+func withPos(p storage.Pattern, pos int, id dict.ID) storage.Pattern {
 	switch pos {
 	case 0:
-		p.S = dict.None
+		p.S = id
 	case 1:
-		p.P = dict.None
+		p.P = id
 	default:
-		p.O = dict.None
+		p.O = id
 	}
 	return p
-}
-
-// evalMember evaluates one planned member CQ: its compiled program (see
-// bindjoin.go) bind-joins the atoms in the chosen order and admits the
-// projected head rows to the arm's dedup set, whose arena holds the one
-// copy made of each fresh row. The depth-0 scan replays the plan's
-// pre-located merged range when one exists.
-func (sc *armScratch) evalMember(p *memberPlan, dedup *dedupSet) error {
-	k := &sc.bj
-	k.compile(p.cq, p.order, sc.filter)
-	for _, t := range p.cq.Head {
-		k.project(t)
-	}
-	k.pre, k.preOK, k.dedup, k.emit = p.pre, p.preOK, dedup, nil
-	return k.exec()
 }
 
 // memberOrder returns the evaluation join order for one member CQ,

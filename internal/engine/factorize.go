@@ -14,14 +14,14 @@ import (
 // arm's answer is a cross-product of per-segment sub-relations and is
 // kept in that form (see FRelation) instead of being expanded.
 //
-// The contract is strict flat equivalence: Materialize/Cursor enumerate
-// exactly the rows flat evaluation would have produced, in its
-// first-occurrence order, and Metrics and budget errors are those of
-// flat evaluation. The order part rests on the product structure — flat
-// bind-join enumeration of disjoint segments is an odometer over the
-// per-segment binding sequences, so first-occurrence dedup of the
-// product equals the product of per-segment first-occurrence dedups,
-// enumerated first-segment-major. For multi-member unions this holds
+// The contract is equivalence with member-at-a-time flat evaluation (the
+// flat path without member families): Materialize/Cursor enumerate
+// exactly the rows it would have produced, in its first-occurrence order,
+// and Metrics and budget errors are its. The order part rests on the
+// product structure — flat bind-join enumeration of disjoint segments is
+// an odometer over the per-segment binding sequences, so first-occurrence
+// dedup of the product equals the product of per-segment first-occurrence
+// dedups, enumerated first-segment-major. For multi-member unions this holds
 // when members differ only in the outermost segment (with identical
 // heads): their products share the inner factors, so the union is
 // (union of segment-0 sub-rows) × (inner factors), still in flat
@@ -30,7 +30,7 @@ import (
 // pre-seeded flat dedup set and continues on the ordinary flat path.
 //
 // The metrics part is accounted by replay: each segment is scanned once
-// for real (charging what evalMember charges), and the scans
+// for real (charging what the flat bind-join charges), and the scans
 // flat evaluation would repeat per outer binding are charged in bulk —
 // segment i costs (Π_{j<i} B_j) × T_i tuples flat, of which one T_i was
 // paid for real on the segment's first evaluation. Emissions (Π B_i per
@@ -82,8 +82,8 @@ type factAcc struct {
 // evaluate it on the ordinary path (the member stream was only peeked,
 // and ArmSource.Each restarts from the beginning). Once handled, the
 // result — factorized, degenerate-flat, or flat after a mid-stream
-// fallback — is byte-equivalent to flat evaluation with identical
-// metrics and budget behaviour.
+// fallback — holds the flat path's answer, with the metrics and budget
+// behaviour of member-at-a-time flat evaluation.
 func (e *Engine) evalArmFactorized(ctx *evalCtx, sp *trace.Span, arm ArmSource, f *keyFilter) (*Relation, bool, error) {
 	var first bgp.CQ
 	got := false
@@ -118,24 +118,12 @@ func (e *Engine) evalArmFactorized(ctx *evalCtx, sp *trace.Span, arm ArmSource, 
 
 	var failure error
 	var dedup *dedupSet // non-nil once a mismatching member forced the flat fallback
-	window := make([]bgp.CQ, 0, mergeWindow)
-	flush := func() bool {
-		if len(window) == 0 {
-			return true
-		}
-		_, failure = e.evalMemberRun(ctx, sc, window, dedup)
-		window = window[:0]
-		return failure == nil
-	}
 	memberIdx := 0
 	arm.Each(func(cq bgp.CQ) bool {
 		memberIdx++
 		if dedup != nil {
-			window = append(window, cq)
-			if len(window) == mergeWindow {
-				return flush()
-			}
-			return true
+			failure = e.addMember(sc, cq, dedup)
+			return failure == nil
 		}
 		msegs := segs
 		if memberIdx > 1 {
@@ -145,11 +133,11 @@ func (e *Engine) evalArmFactorized(ctx *evalCtx, sp *trace.Span, arm ArmSource, 
 				// Fallback: expand the accumulator — every row of it was
 				// already admitted and charged under the factorized
 				// accounting — into a pre-seeded flat set, and continue
-				// exactly as the sequential flat path would.
+				// on the flat path.
 				dedup = newDedupSet(ctx)
 				acc.expandInto(dedup)
-				window = append(window, cq)
-				return true
+				failure = e.addMember(sc, cq, dedup)
+				return failure == nil
 			}
 		}
 		ctx.unionArms.Add(1)
@@ -160,7 +148,7 @@ func (e *Engine) evalArmFactorized(ctx *evalCtx, sp *trace.Span, arm ArmSource, 
 		return true
 	})
 	if failure == nil && dedup != nil {
-		flush()
+		failure = e.flushMembers(sc, dedup)
 	}
 	if failure != nil {
 		return nil, true, failure
@@ -357,7 +345,7 @@ func intsEqual(a, b []int) bool {
 // exactly what flat evaluation of the member charges:
 //
 //   - segment scans: each segment is bind-joined once for real (one
-//     work unit and one tuplesScanned a tuple, like evalMember); the
+//     work unit and one tuplesScanned a tuple, like a flat member); the
 //     repeats flat performs — segment i runs once per binding of the
 //     segments before it — are charged in bulk as replay. Segments are
 //     reached lazily in nesting order, so a segment whose outer product
@@ -449,7 +437,7 @@ func (e *Engine) evalFactMember(ctx *evalCtx, sc *armScratch, acc *factAcc, cq b
 }
 
 // evalSegment bind-joins one segment's atoms in order over the pinned
-// snapshot with the same compiled program as evalMember (same
+// snapshot with the same compiled program as a flat member (same
 // accounting, same shared-scan memo), calling emit with each binding
 // projected on the segment's head columns. It returns the tuples scanned;
 // emit observes the binding count. The projected row aliases a scratch
@@ -460,12 +448,14 @@ func (sc *armScratch) evalSegment(cq bgp.CQ, atoms []int, cols []int, emit func(
 	if !keyed {
 		f = nil
 	}
-	k.compile(cq, atoms, f)
+	sc.segHead = sc.segHead[:0]
 	for _, c := range cols {
-		k.project(cq.Head[c])
+		sc.segHead = append(sc.segHead, cq.Head[c])
 	}
+	k.compile(&sc.seg, cq, atoms, sc.segHead, f)
+	k.prog, k.fam, k.filter = &sc.seg, nil, f
 	k.preOK, k.dedup, k.emit, k.tuples = false, nil, emit, 0
-	err := k.exec()
+	err := k.exec(sc.seg.slots, len(sc.seg.steps))
 	return k.tuples, err
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/engine"
+	"repro/internal/naive"
 	"repro/internal/reformulate"
 	"repro/internal/stats"
 	"repro/internal/testkit"
@@ -27,6 +28,16 @@ func relEqual(a, b *engine.Relation) bool {
 		}
 	}
 	return true
+}
+
+// sameAnswers reports whether two relations hold the same rows over the
+// same columns, in any order: what evaluation promises across engine
+// configurations (rows come out in a deterministic order for one plan and
+// snapshot, member families binding-major, but no order is promised
+// across configurations, and TuplesScanned and Work follow the probes
+// each configuration shares).
+func sameAnswers(a, b *engine.Relation) bool {
+	return reflect.DeepEqual(a.Vars, b.Vars) && a.Len() == b.Len() && naive.Equal(toRows(a), toRows(b))
 }
 
 // scqArms builds the per-atom (SCQ) reformulated arms of q — a multi-arm
@@ -50,9 +61,9 @@ func scqArms(t *testing.T, e *testkit.Example, q bgp.CQ) ([]uint32, []engine.Arm
 	return head, arms
 }
 
-// Parallel evaluation must return byte-identical relations and identical
-// metrics to sequential evaluation, on every profile, for single-arm UCQs
-// and multi-arm JUCQs alike.
+// Parallel evaluation must return the answers of sequential evaluation,
+// evaluating the same members, on every profile, for single-arm UCQs and
+// multi-arm JUCQs alike.
 func TestParallelMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		e := testkit.Random(seed, 50)
@@ -84,10 +95,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: parallel UCQ: %v", seed, prof.Name, err)
 			}
-			if !relEqual(gotRel, wantRel) {
+			if !sameAnswers(gotRel, wantRel) {
 				t.Errorf("seed %d %s: parallel UCQ relation differs from sequential", seed, prof.Name)
 			}
-			if gotM != wantM {
+			if gotM.UnionArms != wantM.UnionArms {
 				t.Errorf("seed %d %s: parallel UCQ metrics = %+v, sequential = %+v", seed, prof.Name, gotM, wantM)
 			}
 
@@ -99,10 +110,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: parallel JUCQ: %v", seed, prof.Name, err)
 			}
-			if !relEqual(gotRel, wantRel) {
+			if !sameAnswers(gotRel, wantRel) {
 				t.Errorf("seed %d %s: parallel JUCQ relation differs from sequential", seed, prof.Name)
 			}
-			if gotM != wantM {
+			if gotM.UnionArms != wantM.UnionArms {
 				t.Errorf("seed %d %s: parallel JUCQ metrics = %+v, sequential = %+v", seed, prof.Name, gotM, wantM)
 			}
 		}

@@ -18,8 +18,8 @@ import (
 // pipeline's own operators as they stop the kernel: while the key set is
 // being built (one work unit per row of the join so far) and among the
 // probes of an arm evaluated under it — typed error, within 4,096 work
-// units per worker of the trip point, snapshot released, no goroutine
-// left, sequentially and sharded.
+// units of the trip point, snapshot released, no goroutine left, whatever
+// the projection's worker count.
 func TestBudgetAndCancellationStopThePipeline(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var snap *storage.Snapshot
@@ -83,7 +83,7 @@ func TestBudgetAndCancellationStopThePipeline(t *testing.T) {
 		big, join := starStore(10_000, 3)
 		keys := bgp.CQ{Head: []bgp.Term{bgp.V(0)}, Atoms: join.Atoms[:1]}
 		union := bgp.UCQ{Vars: []uint32{0, 1}}
-		for i := 0; i < 3*memberBatch; i++ {
+		for i := 0; i < 96; i++ {
 			union.CQs = append(union.CQs, join)
 		}
 		filtered := func() []ArmSource {

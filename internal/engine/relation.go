@@ -93,9 +93,8 @@ func (r *Relation) Each(f func(row []dict.ID) bool) {
 
 // Materialize expands the relation into flat rows, at most once: the
 // expansion is cached in Rows and returned. For an already-flat relation
-// it returns Rows unchanged. Expansion order is the canonical flat
-// order, so materializing a factorized relation yields byte-identical
-// rows to flat evaluation. Not safe for concurrent use.
+// it returns Rows unchanged. Expansion order is the canonical order of
+// member-at-a-time flat evaluation. Not safe for concurrent use.
 func (r *Relation) Materialize() [][]dict.ID {
 	if r.Rows != nil || r.fact == nil {
 		return r.Rows
@@ -311,16 +310,6 @@ func (s *rowSet) has(row []dict.ID) bool {
 // len returns the number of distinct rows.
 func (s *rowSet) len() int { return len(s.rows) }
 
-// grow sizes an empty set for n rows, so that filling it neither rehashes
-// nor regrows the row slice.
-func (s *rowSet) grow(n int) {
-	slots := rowSetMinSlots
-	for n*8 > slots*7 {
-		slots <<= 1
-	}
-	s.tbl, s.rows = make([]uint32, slots), make([][]dict.ID, 0, n)
-}
-
 // reserve grows the table before an insertion would push the load
 // factor past 7/8, so a later insertAt never invalidates a found slot.
 func (s *rowSet) reserve() {
@@ -364,8 +353,8 @@ func (s *rowSet) find(row []dict.ID) (uint64, bool) {
 
 // dedupSet is a streaming duplicate-elimination set with budget checks,
 // an open-addressing rowSet over arena-backed rows. A set is used by one
-// goroutine at a time; concurrent shards each hold their own set and
-// merge deterministically (see evalArmSharded).
+// goroutine at a time; the parallel projection's workers each hold their
+// own and merge in chunk order (see projectDistinctParallel).
 type dedupSet struct {
 	set rowSet
 	ctx *evalCtx
@@ -381,9 +370,6 @@ type dedupSet struct {
 func newDedupSet(ctx *evalCtx) *dedupSet {
 	return &dedupSet{ctx: ctx}
 }
-
-// size returns the number of distinct rows admitted so far.
-func (d *dedupSet) size() int { return d.set.len() }
 
 // add admits row — the bind-join's emission — charging one work unit to
 // the worker's meter and enforcing the materialization budget on the set
@@ -422,12 +408,12 @@ func (d *dedupSet) addOwned(row []dict.ID) (bool, error) {
 }
 
 // addMerged is addOwned without the work charge: the row was already
-// charged by the shard-local set that admitted it, so the deterministic
-// merge only restores global set semantics (counting the cross-shard
+// charged by the worker-local set that admitted it, so the ordered merge
+// only restores global set semantics (counting the cross-worker
 // duplicates it drops) and enforces the materialization budget on the
-// true union size — which shard-local sets, each smaller than the
+// true union size — which worker-local sets, each smaller than the
 // union, cannot see. This keeps the accumulated Work and RowsDeduped
-// totals of a parallel evaluation identical to the sequential ones.
+// totals of a parallel projection identical to the sequential ones.
 func (d *dedupSet) addMerged(row []dict.ID) (bool, error) {
 	if !d.set.add(row) {
 		d.hits++

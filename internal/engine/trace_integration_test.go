@@ -73,44 +73,43 @@ func TestEvalRecordsSpanTree(t *testing.T) {
 	}
 }
 
-// Parallel evaluation must record per-shard spans under the arm span
-// and still return the sequential answer.
-func TestParallelEvalRecordsShardSpans(t *testing.T) {
+// An arm's span must report how its members were evaluated: 100 copies of
+// a one-atom full scan are one family — one walk of the store, no depth-1
+// probe, every member counted — answering as one member alone does, at
+// any parallelism, with no per-worker spans.
+func TestArmSpanRecordsFamilies(t *testing.T) {
 	e := testkit.Random(4, 70)
 	raw := e.RawStore()
 	st := stats.Collect(raw, e.Vocab)
 
-	eng := engine.New(raw, st, engine.Native).WithParallelism(4)
-	root := trace.New("evaluate")
-	_, _, err := eng.WithSpan(root).EvalArms([]uint32{0, 2}, []engine.ArmSource{fullScanArm(100)})
-	root.End()
+	one, _, err := engine.New(raw, st, engine.Native).WithParallelism(1).EvalArms([]uint32{0, 2}, []engine.ArmSource{fullScanArm(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	arm := root.Find("arm[0]")
-	if arm == nil {
-		t.Fatal("no arm[0] span recorded")
-	}
-	if arm.Find("shard[0]") == nil {
-		t.Error("no shard[0] span under the arm")
-	}
-	merge := arm.Find("merge")
-	if merge == nil {
-		t.Fatal("no merge span under the arm")
-	}
-	if v, ok := merge.IntAttr("batches"); !ok || v <= 0 {
-		t.Errorf("merge batches = %d, %v; want > 0", v, ok)
-	}
-	// The shard members must add up to the arm's member count.
-	var members int64
-	for _, c := range arm.Children() {
-		if strings.HasPrefix(c.Name(), "shard[") {
-			v, _ := c.IntAttr("members")
-			members += v
+	for _, par := range []int{1, 4} {
+		root := trace.New("evaluate")
+		rel, m, err := engine.New(raw, st, engine.Native).WithParallelism(par).WithSpan(root).EvalArms([]uint32{0, 2}, []engine.ArmSource{fullScanArm(100)})
+		root.End()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if members != 100 {
-		t.Errorf("shard members sum = %d, want 100", members)
+		if !sameAnswers(rel, one) || m.UnionArms != 100 || m.TuplesScanned != int64(raw.Len()) {
+			t.Errorf("par=%d: %d rows over %d members scanning %d tuples; want the %d rows of one member, 100 members, one scan of %d", par, rel.Len(), m.UnionArms, m.TuplesScanned, one.Len(), raw.Len())
+		}
+		arm := root.Find("arm[0]")
+		if arm == nil {
+			t.Fatal("no arm[0] span recorded")
+		}
+		fams, _ := arm.IntAttr("families")
+		probes, ok := arm.IntAttr("family_probes")
+		if fams != 1 || probes != 0 || !ok {
+			t.Errorf("par=%d: families = %d, family_probes = %d (%v); want 1 and 0", par, fams, probes, ok)
+		}
+		for _, c := range arm.Children() {
+			if strings.HasPrefix(c.Name(), "shard[") || c.Name() == "merge" {
+				t.Errorf("par=%d: member-sharding span %s under the arm", par, c.Name())
+			}
+		}
 	}
 }
 

@@ -191,9 +191,11 @@ func TestWriteAnswerAllocsIndependentOfRows(t *testing.T) {
 	medium, _ := encode(mustQuery(t, productStore(t, 60, 90), qProduct))
 	bigRes := mustQuery(t, productStore(t, 200, 150), qProduct)
 	big, w := encode(bigRes)
-	// The one of slack is the race detector's: it makes sync.Pool drop a
-	// share of its Puts, so a run now and then allocates its chunk anew.
-	if big > medium+1 || medium > big+1 {
+	// Under the race detector sync.Pool drops a share of its Puts at random,
+	// so the count per run wanders (13–16 at either size, 11 without it)
+	// and the comparison only holds without it; the bytes check below runs
+	// either way.
+	if !raceEnabled && (big > medium+1 || medium > big+1) {
 		t.Errorf("allocs/op = %v for 5,400 rows, %v for %d: must not depend on the row count", medium, big, bigRes.NumRows())
 	}
 	if w.bytes < 2<<20 || w.writes < w.bytes/chunkSize || w.maxWrite > chunkSize {

@@ -358,6 +358,15 @@ func (sn *Snapshot) RangeFrom(p Pattern, h *Hint) (ts []Triple, ok bool) {
 	return sn.sorted(p, h)
 }
 
+// Path returns the sort order of the index a probe of p's shape reads —
+// perm[i] is the position (0=S, 1=P, 2=O) it sorts on i-th — and how many
+// of those leading positions p binds. A pattern binding a prefix of perm
+// reads the same index, so probes sharing that prefix share its blocks.
+func (sn *Snapshot) Path(p Pattern) (perm [3]int, prefix int) {
+	pa := choosePath(sn.orders, maskOf(p))
+	return pa.perm, pa.prefix
+}
+
 // Count returns the number of triples matching the pattern, exactly as
 // Store.Count would, without taking any lock. Covered patterns count by
 // one seek — on a frozen index through the fence-key directory, decoding

@@ -169,19 +169,21 @@ type Options struct {
 	MaxCovers int
 	// SearchBudget bounds optimization wall-clock time (0 = none).
 	SearchBudget time.Duration
-	// Parallelism is the worker count for evaluation and cover pricing;
-	// 0 uses all CPUs, 1 runs serially. Results are identical either way.
+	// Parallelism is the worker count for cover pricing and the final
+	// deduplicating projection of large answers; query evaluation itself
+	// is serial. 0 uses all CPUs, 1 runs serially. Results are identical
+	// either way.
 	Parallelism int
 	// NoSharedScan disables the engine's shared-scan layer (pattern-scan
-	// memo, merged member scans, cross-member planning memos) — an
-	// ablation knob; answers and metrics are identical either way, only
-	// evaluation time changes.
+	// memo, merged member scans, member families, cross-member planning
+	// memos) — an ablation knob; answers are identical either way, only
+	// evaluation time and the tuples scanned change.
 	NoSharedScan bool
 	// NoFactorized disables the factorized answer representation
 	// (union-of-products relations expanded lazily at the client
-	// boundary) — an ablation knob; expanded answers and metrics are
-	// identical either way, only the stored footprint of cross-product
-	// results changes.
+	// boundary) — an ablation knob; expanded answers are identical either
+	// way, only the stored footprint of cross-product results (and the
+	// tuples scanned) changes.
 	NoFactorized bool
 	// Trace, when non-nil, records every query's lifecycle (parse,
 	// optimize, reformulate, evaluate, with per-operator counters) as

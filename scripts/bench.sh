@@ -9,7 +9,7 @@
 # tracing adds no allocations to the JUCQ hot path (tracealloc), and
 # always includes the plan-cache cold/warm pair with its hit rate
 # (cachedanswer) and the shared-scan on/off pair with its scan-cache hit
-# rate (sharedscan), after running the strict shared-vs-baseline
+# rate (sharedscan), after running the shared-vs-baseline answer
 # equality sweep, and the bulk-load scale sweep from `benchall
 # -loadjson` (flat vs compressed load throughput and bytes/triple
 # across REPRO_LOAD_SCALES), and the HTTP serve throughput sweep from

@@ -22,7 +22,8 @@ go test ./...
 # The race pass is also where the seek and bind-join property tests
 # (storage: TestSeekHintedEqualsColdEqualsLinear,
 # TestReadsAgreeWithModelUnderDeltaAndTombstones; engine:
-# TestCompiledProgramMatchesNaive at Parallelism 4) run under the detector.
+# TestCompiledProgramMatchesNaive, TestFamiliesMatchNaive) run under the
+# detector.
 echo "==> go test -race ./..."
 go test -race ./...
 
