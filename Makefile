@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-fix-fixtures bench bench-json bench-scale bench-serve bench-feedback bench-factorized profile-join serve-smoke check
+.PHONY: build test race vet lint lint-fix-fixtures bench bench-json bench-scale bench-serve bench-feedback bench-factorized profile-join profile-cold serve-smoke check
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,16 @@ profile-join:
 		-bench 'BenchmarkStrategyEvaluation/($(PROFILE_QUERIES))/(gcov|saturation)' \
 		-benchtime 30x -cpuprofile $(PROFILE_DIR)/join.prof -o $(PROFILE_DIR)/repro.test .
 	$(GO) tool pprof -top -nodecount 30 $(PROFILE_DIR)/repro.test $(PROFILE_DIR)/join.prof
+
+# profile-cold takes the CPU profile of cold planning (the cover search
+# lib_cold runs on every operation) on the queries whose reformulations
+# split into the most instantiation blocks, and prints its top entries.
+profile-cold:
+	mkdir -p $(PROFILE_DIR)
+	REPRO_BENCH_SCALE=small $(GO) test -run '^$$' \
+		-bench 'BenchmarkCoverSearch/(Q02|Q09|Q24|Q28)/(ecov|gcov)' \
+		-benchtime 20x -cpuprofile $(PROFILE_DIR)/cold.prof -o $(PROFILE_DIR)/repro.test .
+	$(GO) tool pprof -top -nodecount 30 $(PROFILE_DIR)/repro.test $(PROFILE_DIR)/cold.prof
 
 # serve-smoke exercises rdfserver + loadgen end to end on an ephemeral port.
 serve-smoke:

@@ -17,6 +17,7 @@ import (
 // stored footprint than flat) — otherwise the experiment is dead and
 // the sweep's compression column is vacuous.
 func TestFactorizedSweepLUBM(t *testing.T) {
+	skipUnderRace(t)
 	db := tinyLUBM(t)
 	outs, err := db.FactorizedSweep(io.Discard, 1)
 	if err != nil {
@@ -44,6 +45,7 @@ func TestFactorizedSweepLUBM(t *testing.T) {
 // (sequential and parallel) and off, must produce byte-identical
 // expanded rows and strictly equal engine metrics — or fail identically.
 func TestFactorizedWorkloadDifferential(t *testing.T) {
+	skipUnderRace(t)
 	for _, db := range []*Database{tinyLUBM(t), tinyDBLP(t)} {
 		fact := db.Answerer(engine.Native, core.Options{Parallelism: 1})
 		factPar := db.Answerer(engine.Native, core.Options{})

@@ -7,6 +7,7 @@ import (
 )
 
 func TestMeasureFeedback(t *testing.T) {
+	skipUnderRace(t)
 	rep, err := MeasureFeedback(ScaleTiny, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 var mediumSlice = Scale{Name: "medium-slice", LUBMUnivs: 2, LUBMConfig: lubm.Default(), DBLPPubs: 500}
 
 func TestMeasureLoadTiny(t *testing.T) {
+	skipUnderRace(t)
 	rep, err := MeasureLoad(ScaleTiny, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -37,6 +38,7 @@ func TestMeasureLoadTiny(t *testing.T) {
 }
 
 func TestLoadSweepOutput(t *testing.T) {
+	skipUnderRace(t)
 	sweep, err := MeasureLoadScales([]string{"tiny"}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -67,6 +69,7 @@ func TestLoadSweepOutput(t *testing.T) {
 // answer a query over it. This is the cheapest end-to-end proof that
 // the block-columnar path holds up beyond the tiny test profile.
 func TestMediumSliceLoadSmoke(t *testing.T) {
+	skipUnderRace(t)
 	db, err := BuildLUBM(mediumSlice)
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 // byte-identical relations on a re-answer. Any divergence surfaces as
 // an error here.
 func TestSharedScanSweepLUBM(t *testing.T) {
+	skipUnderRace(t)
 	db := tinyLUBM(t)
 	for _, strat := range []core.Strategy{core.UCQ, core.GCov} {
 		if err := db.SharedScanSweep(io.Discard, nil, strat, 1); err != nil {
@@ -23,6 +24,7 @@ func TestSharedScanSweepLUBM(t *testing.T) {
 }
 
 func TestSharedScanSweepDBLP(t *testing.T) {
+	skipUnderRace(t)
 	db := tinyDBLP(t)
 	for _, strat := range []core.Strategy{core.UCQ, core.GCov} {
 		if err := db.SharedScanSweep(io.Discard, nil, strat, 1); err != nil {

@@ -87,6 +87,19 @@ func (a Atom) SharesVar(b Atom) bool {
 	return false
 }
 
+// Packed returns the atom as three words, each a term's ID with its
+// variable flag in bit 32: a map key that hashes as plain memory.
+func (a Atom) Packed() [3]uint64 {
+	var w [3]uint64
+	for i, t := range a.Positions() {
+		w[i] = uint64(t.ID)
+		if t.Var {
+			w[i] |= 1 << 32
+		}
+	}
+	return w
+}
+
 // Subst returns the atom with every occurrence of variable v replaced by
 // term repl.
 func (a Atom) Subst(v uint32, repl Term) Atom {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,14 +15,16 @@ import (
 	"repro/internal/engine"
 	"repro/internal/feedback"
 	"repro/internal/reformulate"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
 // searcher carries the per-query state of a cover search: the sharing
-// graph, memoized fragment reformulations and statistics, and memoized
-// cover costs. Fragment information is shared across all covers the
-// search prices, which is what keeps ECov affordable on spaces of
-// thousands of covers. The memos are safe for concurrent use so that
+// graph, memoized fragment reformulations and statistics, memoized slot
+// aggregates, and memoized cover costs. Fragment information is shared
+// across all covers the search prices, and slot aggregates across all
+// blocks of all fragments, which is what keeps ECov affordable on spaces
+// of thousands of covers. The memos are safe for concurrent use so that
 // cover pricing can run on a bounded worker pool (par > 1): ECov prices
 // enumerated covers as they stream out of the enumeration, GCov prices
 // the develop moves of one round concurrently, and both reduce their
@@ -67,6 +71,7 @@ type searcher struct {
 	mu    sync.Mutex
 	frags map[cover.Fragment]*fragEntry
 	costs map[string]float64
+	slots map[slotKey]stats.Slot
 	// err records the first fragment-reformulation failure. checkQuery
 	// rules those out up front, so this is a belt-and-braces channel: frag
 	// cannot return an error itself without contorting the search loops,
@@ -109,6 +114,7 @@ func newSearcher(a *Answerer, q bgp.CQ) (*searcher, error) {
 		scanF:  1,
 		frags:  make(map[cover.Fragment]*fragEntry),
 		costs:  make(map[string]float64),
+		slots:  make(map[slotKey]stats.Slot),
 		start:  time.Now(),
 		budget: a.opts.SearchBudget,
 	}
@@ -278,85 +284,88 @@ func (s *searcher) computeFrag(f cover.Fragment) *fragInfo {
 // paper's formulas assume the sequential-scan cost shape of its host
 // RDBMSs and let calibration absorb the constants; this estimate plays
 // the same role for the index-native engine of this reproduction.
+//
+// Both read only slot aggregates, memoized once per distinct slot (see
+// slot). A slot holding the previous block's alternatives slice keeps its
+// aggregate without a memo lookup.
 func (s *searcher) armStats(ref *reformulate.Reformulation) cost.ArmStats {
-	st := s.a.raw.Stats()
 	out := cost.ArmStats{Arms: ref.NumCQs()}
+	var (
+		slots  = make([]stats.Slot, len(ref.Query.Atoms))
+		held   = make([][]bgp.Atom, len(slots)) // the alternatives slots[i] aggregates
+		order  = make([]int, len(slots))
+		boundV []uint32  // variables bound so far
+		boundD []float64 // their smallest distinct count so far
+	)
 	for _, b := range ref.Blocks {
 		arms := 1.0
-		for _, alts := range b.Slots {
-			arms *= float64(len(alts))
-		}
-
-		type slotInfo struct {
-			alts     []bgp.Atom
-			sum      float64            // Σ_alt |alt|
-			distinct map[uint32]float64 // per shared variable
-		}
-		slots := make([]slotInfo, len(b.Slots))
-		var buf []uint32
 		for i, alts := range b.Slots {
-			si := slotInfo{alts: alts, distinct: make(map[uint32]float64)}
-			for _, alt := range alts {
-				c := st.AtomCard(alt)
-				si.sum += c
-				buf = alt.Vars(buf[:0])
-				for j, v := range buf {
-					// Atoms carry at most three variables; a linear dup
-					// scan beats a per-alternative map allocation.
-					if !dupVarBefore(buf, j) {
-						si.distinct[v] += st.DistinctForVar(alt, v)
-					}
-				}
+			arms *= float64(len(alts))
+			if len(held[i]) != len(alts) || &held[i][0] != &alts[0] {
+				slots[i], held[i] = s.slot(alts, ref.FreshVar(i)), alts
 			}
-			slots[i] = si
-		}
-		order := make([]int, len(slots))
-		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(a, c int) bool { return slots[order[a]].sum < slots[order[c]].sum })
+		slices.SortStableFunc(order, func(a, c int) int { return cmp.Compare(slots[a].Card, slots[c].Card) })
 
 		// First-atom scans, per member.
 		first := slots[order[0]]
-		if n := float64(len(first.alts)); n > 0 {
-			out.ScanTuples += first.sum * (arms / n)
+		if n := float64(len(b.Slots[order[0]])); n > 0 {
+			out.ScanTuples += first.Card * (arms / n)
 		}
 
 		// Probe work over the slot unions.
-		bound := make(map[uint32]float64) // var -> smallest distinct so far
-		bindings := first.sum
-		for v, d := range first.distinct {
-			bound[v] = d
-		}
+		boundV = append(boundV[:0], first.Vars...)
+		boundD = append(boundD[:0], first.Distinct...)
+		bindings := first.Card
 		for _, idx := range order[1:] {
 			sl := slots[idx]
-			eff := sl.sum
-			for v, d := range sl.distinct {
-				if prev, ok := bound[v]; ok {
-					if m := maxFloat(prev, d); m > 1 {
+			eff := sl.Card
+			for i, v := range sl.Vars {
+				d := sl.Distinct[i]
+				if j := slices.Index(boundV, v); j >= 0 {
+					if m := maxFloat(boundD[j], d); m > 1 {
 						eff /= m
 					}
-					bound[v] = minFloat(prev, d)
+					boundD[j] = minFloat(boundD[j], d)
 				} else {
-					bound[v] = d
+					boundV = append(boundV, v)
+					boundD = append(boundD, d)
 				}
 			}
 			out.ScanTuples += bindings * maxFloat(eff, 1)
 			bindings *= maxFloat(eff, 0.001)
 		}
-		out.ResultTuples += st.JoinOfUnionsCard(b.Slots)
+		out.ResultTuples += stats.JoinCard(slots)
 	}
 	return out
 }
 
-// dupVarBefore reports whether vars[i] already occurs in vars[:i].
-func dupVarBefore(vars []uint32, i int) bool {
-	for j := 0; j < i; j++ {
-		if vars[j] == vars[i] {
-			return true
-		}
+// slotKey identifies a reformulation slot within one search: its
+// instantiated atom (the first alternative), its alternative count, and
+// the fresh variable its domain and range alternatives introduce.
+type slotKey struct {
+	atom        [3]uint64
+	alts, fresh uint32
+}
+
+// slot returns the memoized aggregate of the slot whose alternatives are
+// alts. Every fragment of the search shares the memo; an entry is computed
+// outside the lock, and two workers racing on one slot store the same
+// deterministic value.
+func (s *searcher) slot(alts []bgp.Atom, fresh uint32) stats.Slot {
+	k := slotKey{alts[0].Packed(), uint32(len(alts)), fresh}
+	s.mu.Lock()
+	sl, ok := s.slots[k]
+	s.mu.Unlock()
+	if ok {
+		return sl
 	}
-	return false
+	sl = s.a.raw.Stats().SlotOf(alts)
+	s.mu.Lock()
+	s.slots[k] = sl
+	s.mu.Unlock()
+	return sl
 }
 
 func maxFloat(a, b float64) float64 {

@@ -348,6 +348,12 @@ func (e *Engine) evalStage(ctx *evalCtx, arm ArmSource, st armStage, n int, cur 
 // one worker the input is split into contiguous chunks deduplicated
 // locally and re-deduplicated in chunk order, which keeps the output rows
 // in exactly the sequential first-occurrence order.
+//
+// A flat input is duplicate-free: arm relations come out of a dedup set,
+// and a join that keeps every column of duplicate-free inputs is
+// duplicate-free too. So a head that keeps every column exactly once
+// needs no set: the identity reuses the rows, a permutation copies them.
+// Either is charged in bulk, the work unit per row the loop would charge.
 func projectDistinct(ctx *evalCtx, cur *Relation, cols []int, head []uint32) (*Relation, error) {
 	sp := ctx.span.Child("project")
 	if sp != nil {
@@ -356,6 +362,25 @@ func projectDistinct(ctx *evalCtx, cur *Relation, cols []int, head []uint32) (*R
 	}
 	if cur.fact != nil && cur.Rows == nil {
 		return projectDistinctFactorized(ctx, sp, cur, cols, head)
+	}
+	if perm, identity := permutation(cols, cur.Arity()); cur.fact == nil && perm {
+		if err := ctx.charge(int64(len(cur.Rows))); err != nil {
+			return nil, err
+		}
+		out := &Relation{Vars: head, Rows: cur.Rows}
+		if !identity {
+			out.Rows = make([][]dict.ID, len(cur.Rows))
+			var arena rowArena
+			for r, row := range cur.Rows {
+				proj := arena.alloc(len(cols))
+				for i, c := range cols {
+					proj[i] = row[c]
+				}
+				out.Rows[r] = proj
+			}
+		}
+		sp.SetInt("rows_out", int64(out.Len()))
+		return out, nil
 	}
 	if ctx.par > 1 && len(cur.Rows) >= parallelRowThreshold {
 		return projectDistinctParallel(ctx, sp, cur, cols, head)
@@ -384,6 +409,24 @@ func projectDistinct(ctx *evalCtx, cur *Relation, cols []int, head []uint32) (*R
 		sp.SetInt("arena_chunks", int64(arena.chunks))
 	}
 	return out, nil
+}
+
+// permutation reports whether cols lists each of the columns 0..arity-1
+// exactly once, and whether it lists them in order.
+func permutation(cols []int, arity int) (perm, identity bool) {
+	if len(cols) != arity {
+		return false, false
+	}
+	var seen uint64
+	identity = true
+	for i, c := range cols {
+		if c >= 64 || seen&(1<<c) != 0 {
+			return false, false
+		}
+		seen |= 1 << c
+		identity = identity && c == i
+	}
+	return true, identity
 }
 
 func sharesVars(a, b []uint32) bool {

@@ -59,7 +59,9 @@ var ErrTooLarge = errors.New("reformulate: union of conjunctive queries exceeds 
 
 // Block is one variable instantiation of the query: the substituted head
 // and, per original atom, the list of expansion alternatives. Every member
-// CQ of the block picks one alternative per slot.
+// CQ of the block picks one alternative per slot. Blocks whose slot holds
+// the same instantiated atom share one alternatives slice, so Slots and
+// the lists it holds are read-only.
 type Block struct {
 	Head  []bgp.Term
 	Slots [][]bgp.Atom
@@ -86,7 +88,13 @@ type Reformulation struct {
 	Vars []uint32
 	// Blocks holds one entry per variable instantiation.
 	Blocks []Block
+
+	freshBase uint32 // FreshVar(0)
 }
+
+// FreshVar returns the existential variable the domain and range rules
+// introduce in slot i of every block.
+func (r *Reformulation) FreshVar(i int) uint32 { return r.freshBase + uint32(i) }
 
 // Reformulate computes the reformulation of q with respect to the closed
 // schema. Every head term of q must be a variable (cover queries and
@@ -101,12 +109,34 @@ func Reformulate(q bgp.CQ, sch *schema.Closed) (*Reformulation, error) {
 		r.Vars = append(r.Vars, h.ID)
 	}
 	maxVar, _ := q.MaxVar()
-	freshBase := maxVar + 1
+	r.freshBase = maxVar + 1
 
+	// Each distinct (instantiated atom, fresh variable) pair is expanded
+	// once and shared by every block holding it. An atom no instantiation
+	// touched reuses the original atom's expansion without a map lookup.
+	orig := make([][]bgp.Atom, len(q.Atoms))
+	for i, a := range q.Atoms {
+		orig[i] = expandAtom(a, sch, r.FreshVar(i))
+	}
+	type expansion struct {
+		atom  [3]uint64
+		fresh uint64
+	}
+	shared := make(map[expansion][]bgp.Atom)
 	for _, inst := range instantiate(q, sch) {
 		blk := Block{Head: inst.Head, Slots: make([][]bgp.Atom, len(inst.Atoms))}
 		for i, a := range inst.Atoms {
-			blk.Slots[i] = expandAtom(a, sch, freshBase+uint32(i))
+			if a == q.Atoms[i] {
+				blk.Slots[i] = orig[i]
+				continue
+			}
+			k := expansion{a.Packed(), uint64(r.FreshVar(i))}
+			alts, ok := shared[k]
+			if !ok {
+				alts = expandAtom(a, sch, r.FreshVar(i))
+				shared[k] = alts
+			}
+			blk.Slots[i] = alts
 		}
 		r.Blocks = append(r.Blocks, blk)
 	}

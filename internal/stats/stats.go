@@ -12,6 +12,7 @@
 package stats
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/bgp"
@@ -189,25 +190,40 @@ func (st *Stats) AtomCardOn(src CountSource, a bgp.Atom) float64 {
 	// 1/distinct fraction of the unconstrained matches. Every extra
 	// occurrence of one variable adds an equality, whichever pair of
 	// positions repeats (S=O, S=P, P=O — or all three at once).
-	occ := make(map[uint32]int, 3)
-	for _, t := range a.Positions() {
-		if t.Var {
-			occ[t.ID]++
+	pos := a.Positions()
+	for i, t := range pos {
+		if !t.Var || repeatsEarlier(pos, i) {
+			continue
 		}
-	}
-	for v, n := range occ {
+		n := 1
+		for _, u := range pos[i+1:] {
+			if u == t {
+				n++
+			}
+		}
 		if n < 2 {
 			continue
 		}
-		d := st.distinctForOn(src, a, v)
+		d := st.distinctForOn(src, a, t.ID)
 		if d <= 1 {
 			continue
 		}
-		for i := 1; i < n; i++ {
+		for ; n > 1; n-- {
 			card /= d
 		}
 	}
 	return card
+}
+
+// repeatsEarlier reports whether variable position pos[i] already
+// occurs in pos[:i].
+func repeatsEarlier(pos [3]bgp.Term, i int) bool {
+	for _, u := range pos[:i] {
+		if u == pos[i] {
+			return true
+		}
+	}
+	return false
 }
 
 // DistinctForVar estimates the number of distinct values variable v takes
@@ -287,11 +303,11 @@ func clampDistinct(d, card float64) float64 {
 // equijoin on a variable v between a new atom and the partial result
 // divides the cross-product by the larger distinct-count of v.
 func (st *Stats) CQCard(q bgp.CQ) float64 {
-	slots := make([][]bgp.Atom, len(q.Atoms))
-	for i, a := range q.Atoms {
-		slots[i] = []bgp.Atom{a}
+	slots := make([]Slot, len(q.Atoms))
+	for i := range q.Atoms {
+		slots[i] = st.SlotOf(q.Atoms[i : i+1])
 	}
-	return st.JoinOfUnionsCard(slots)
+	return JoinCard(slots)
 }
 
 // JoinOfUnionsCard estimates the result cardinality of a join of unions of
@@ -302,37 +318,74 @@ func (st *Stats) CQCard(q bgp.CQ) float64 {
 // reformulation without materializing its (possibly hundreds of thousands
 // of) member CQs: Σ_CQ |CQ| ≈ |join of the slot unions|.
 func (st *Stats) JoinOfUnionsCard(slots [][]bgp.Atom) float64 {
+	aggs := make([]Slot, len(slots))
+	for i, alts := range slots {
+		aggs[i] = st.SlotOf(alts)
+	}
+	return JoinCard(aggs)
+}
+
+// Slot is the aggregate statistics of one join-of-unions slot, the union
+// of an atom's expansion alternatives. A cover search shares one Slot
+// between every block and fragment holding that slot: it is read-only.
+type Slot struct {
+	// Card is Σ_alt |alt|, the size of the union.
+	Card float64
+	// Vars lists the slot's variables in first-occurrence order.
+	Vars []uint32
+	// Distinct[i] sums the distinct values Vars[i] takes over the
+	// alternatives it occurs in, unclamped.
+	Distinct []float64
+}
+
+// SlotOf aggregates the statistics of the slot whose alternatives are alts.
+func (st *Stats) SlotOf(alts []bgp.Atom) Slot {
+	var s Slot
+	for _, a := range alts {
+		s.Card += st.AtomCard(a)
+		pos := a.Positions()
+		for i, t := range pos {
+			if !t.Var || repeatsEarlier(pos, i) {
+				continue
+			}
+			d := st.distinctFor(a, t.ID)
+			if j := slices.Index(s.Vars, t.ID); j >= 0 {
+				s.Distinct[j] += d
+			} else {
+				s.Vars = append(s.Vars, t.ID)
+				s.Distinct = append(s.Distinct, d)
+			}
+		}
+	}
+	return s
+}
+
+// JoinCard estimates the result cardinality of the join of the slots on
+// the variables they share, under value-set containment: each slot after
+// the first that binds an already-bound variable divides the product of
+// the slot cardinalities by the larger of the two distinct counts. This
+// is the one join-of-unions formula; CQCard and JoinOfUnionsCard wrap it.
+func JoinCard(slots []Slot) float64 {
 	if len(slots) == 0 {
 		return 0
 	}
-	seen := make(map[uint32]float64) // var -> smallest distinct seen so far
+	// Smallest distinct count so far per variable: a handful, so no map.
+	seenV := make([]uint32, 0, 16)
+	seenD := make([]float64, 0, 16)
 	card := 1.0
-	var buf []uint32
-	for _, alts := range slots {
-		var slotCard float64
-		distinct := make(map[uint32]float64)
-		for _, a := range alts {
-			slotCard += st.AtomCard(a)
-			buf = a.Vars(buf[:0])
-			handled := make(map[uint32]bool, len(buf))
-			for _, v := range buf {
-				if handled[v] {
-					continue
-				}
-				handled[v] = true
-				distinct[v] += st.distinctFor(a, v)
-			}
-		}
-		card *= slotCard
-		for v, d := range distinct {
-			d = clampDistinct(d, slotCard)
-			if prev, ok := seen[v]; ok {
+	for _, s := range slots {
+		card *= s.Card
+		for i, v := range s.Vars {
+			d := clampDistinct(s.Distinct[i], s.Card)
+			if j := slices.Index(seenV, v); j >= 0 {
+				prev := seenD[j]
 				if m := maxf(prev, d); m > 1 {
 					card /= m
 				}
-				seen[v] = minf(prev, d)
+				seenD[j] = minf(prev, d)
 			} else {
-				seen[v] = d
+				seenV = append(seenV, v)
+				seenD = append(seenD, d)
 			}
 		}
 		if card <= 0 {

@@ -158,6 +158,35 @@ func TestDistinctForVar(t *testing.T) {
 	}
 }
 
+// AtomCardOn and DistinctForVarOn sit on the engine's per-member join
+// ordering path: once the pattern counts are memoized they allocate
+// nothing, repeated variables included.
+func TestAtomCardOnAllocatesNothing(t *testing.T) {
+	e := testkit.Paper()
+	st, s := collect(e)
+	snap := st.Snapshot()
+	defer snap.Release()
+	writtenBy := e.ID("writtenBy")
+	atoms := []bgp.Atom{
+		{S: bgp.V(0), P: bgp.C(writtenBy), O: bgp.V(1)},
+		{S: bgp.V(0), P: bgp.C(writtenBy), O: bgp.V(0)},
+		{S: bgp.V(0), P: bgp.V(0), O: bgp.V(0)},
+		{S: bgp.V(0), P: bgp.V(1), O: bgp.V(0)},
+	}
+	for _, src := range []stats.CountSource{st, snap} {
+		probe := func() {
+			for _, a := range atoms {
+				s.AtomCardOn(src, a)
+				s.DistinctForVarOn(src, a, 0)
+			}
+		}
+		probe()
+		if n := testing.AllocsPerRun(100, probe); n != 0 {
+			t.Errorf("%T: %v allocations per probe round, want 0", src, n)
+		}
+	}
+}
+
 func TestEachProperty(t *testing.T) {
 	e := testkit.Paper()
 	_, s := collect(e)
