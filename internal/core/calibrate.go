@@ -27,12 +27,6 @@ import (
 // wall-clock measurements. The NestedLoopArmJoin flag follows the
 // engine's profile.
 func Calibrate(eng *engine.Engine) cost.Params {
-	// The cost model prices sequential work, so calibration measures the
-	// engine running serially regardless of the engine's parallelism knob.
-	// WithParallelism returns a pinned *copy*: the caller's engine keeps
-	// its configured parallelism (and span), and only the local handle
-	// used for the calibration measurements below is sequential.
-	eng = eng.WithParallelism(1)
 	p := cost.DefaultParams
 	p.NestedLoopArmJoin = eng.Profile().ArmJoin == engine.NestedLoopJoin
 	// The measurements below run against whatever representation the

@@ -94,11 +94,9 @@ type Options struct {
 	// fragments after each move — an ablation knob for measuring how
 	// much that step of Algorithm 1 contributes.
 	NoRedundancyElimination bool
-	// Parallelism is the worker count for the cover-search pricing pools
-	// and the engine's final projection (once it holds 4,096 rows); arms
-	// and their member families are always evaluated serially. 0 means
-	// runtime.GOMAXPROCS(0); 1 runs everything serially. Results are
-	// identical regardless of the value.
+	// Parallelism is the worker count for the cover-search pricing pools;
+	// evaluation is always serial. 0 means runtime.GOMAXPROCS(0); 1 prices
+	// serially. Results are identical regardless of the value.
 	Parallelism int
 	// NoFactorized disables the engines' factorized answer
 	// representation (union-of-products relations with lazy expansion) —
@@ -186,10 +184,10 @@ func NewAnswerer(sch *schema.Closed, raw, sat *engine.Engine, opts Options) *Ans
 	}
 	a := &Answerer{sch: sch, raw: raw, sat: sat, opts: opts}
 	if raw != nil {
-		a.raw = raw.WithParallelism(opts.Parallelism).WithSharedScan(!opts.NoSharedScan).WithFactorized(!opts.NoFactorized)
+		a.raw = raw.WithSharedScan(!opts.NoSharedScan).WithFactorized(!opts.NoFactorized)
 	}
 	if sat != nil {
-		a.sat = sat.WithParallelism(opts.Parallelism).WithSharedScan(!opts.NoSharedScan).WithFactorized(!opts.NoFactorized)
+		a.sat = sat.WithSharedScan(!opts.NoSharedScan).WithFactorized(!opts.NoFactorized)
 	}
 	return a
 }

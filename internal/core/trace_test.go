@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/naive"
-	"repro/internal/stats"
 	"repro/internal/testkit"
 	"repro/internal/trace"
 )
@@ -146,20 +145,5 @@ func TestECovAbortLeaksNoGoroutines(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// Calibrate pins parallelism 1 on a private copy: the caller's engine
-// must keep its configured worker count.
-func TestCalibrateLeavesCallerParallelismIntact(t *testing.T) {
-	e := testkit.Random(1, 60)
-	raw := e.RawStore()
-	eng := engine.New(raw, stats.Collect(raw, e.Vocab), engine.PostgresLike).WithParallelism(6)
-	if got := eng.Parallelism(); got != 6 {
-		t.Fatalf("precondition: parallelism = %d, want 6", got)
-	}
-	_ = core.Calibrate(eng)
-	if got := eng.Parallelism(); got != 6 {
-		t.Errorf("Calibrate changed the caller's parallelism: %d, want 6", got)
 	}
 }

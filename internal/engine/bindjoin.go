@@ -49,7 +49,7 @@ type program struct {
 	slots  int // environment size
 }
 
-// meterBatch bounds the work a worker holds back from the shared
+// meterBatch bounds the work the kernel holds back from the shared
 // counters: pending units are flushed once they reach it, and a range is
 // charged ahead in slices of at most this many tuples, so never more than
 // 2·meterBatch < 4,096 units are unflushed and cancellation and the work
@@ -247,7 +247,7 @@ func (k *bindJoin) admit() bool {
 			k.key[i] = k.env[op.slot]
 		}
 	}
-	if k.filter.set.has(k.key) {
+	if k.filter.has(k.key) {
 		return true
 	}
 	k.m.filtered++

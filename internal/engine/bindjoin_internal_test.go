@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -42,15 +41,17 @@ func starStore(n, fanout int) (*storage.Store, bgp.CQ) {
 // already in the dedup set — must allocate nothing: no binding map, no
 // closure per member or per depth, no pattern or row buffers; and none for
 // the key either when the member runs under a key filter (here one that
-// admits every other subject). The same holds for a warmed family: four
+// admits every other subject, as a set and as a bitmap). The same holds for a warmed family: four
 // members sharing their (?x type C) scan, differing in their head and in
 // the predicate of their depth-1 atom, dispatched from one wide probe.
 func TestMemberEvaluationAllocatesNothing(t *testing.T) {
 	st, q := starStore(500, 3)
 	e := New(st, stats.Collect(st, schema.Vocab{}), Native)
-	half := &keyFilter{cols: []int{0}}
+	halfSet := &keyFilter{cols: []int{0}}
+	halfBits := &keyFilter{cols: []int{0}, bits: make([]uint64, 500/64+1), lo: 100}
 	for i := 0; i < 500; i += 2 {
-		half.set.add([]dict.ID{dict.ID(100 + i)})
+		halfSet.set.add([]dict.ID{dict.ID(100 + i)})
+		halfBits.bits[i>>6] |= 1 << (i & 63)
 	}
 	swapped := bgp.CQ{Head: []bgp.Term{q.Head[1], q.Head[0]}, Atoms: q.Atoms}
 	anyProp := bgp.CQ{Head: q.Head, Atoms: []bgp.Atom{q.Atoms[0], {S: bgp.V(0), P: bgp.V(2), O: bgp.V(1)}}}
@@ -64,7 +65,8 @@ func TestMemberEvaluationAllocatesNothing(t *testing.T) {
 		dropped      int64
 	}{
 		{"member", []bgp.CQ{q}, nil, 1500, 2000, 0},
-		{"filtered member", []bgp.CQ{q}, half, 750, 1250, 250},
+		{"member filtered by a set", []bgp.CQ{q}, halfSet, 750, 1250, 250},
+		{"member filtered by a bitmap", []bgp.CQ{q}, halfBits, 750, 1250, 250},
 		// 1,500 (x, y) rows, 1,500 (y, x) rows, 500 (x, 7) rows and, from
 		// the member of any property, 500 (x, class) rows; each subject's
 		// (x, ?, ?) probe returns its four triples.
@@ -136,7 +138,7 @@ func TestMeterKeepsPollGranularity(t *testing.T) {
 // inner probes of a join, with the pinned snapshot released and no
 // goroutine left behind. The members form one family — half of them
 // project (x, y), half (y, x) — so the trip falls inside its dispatch
-// loop; the projection's worker count changes nothing.
+// loop.
 func TestBudgetAndCancellationStopTheKernel(t *testing.T) {
 	st, join := starStore(10_000, 3)
 	sts := stats.Collect(st, schema.Vocab{})
@@ -167,34 +169,31 @@ func TestBudgetAndCancellationStopTheKernel(t *testing.T) {
 	var snap *storage.Snapshot
 	evalSnapshotHook = func(sn *storage.Snapshot) { snap = sn }
 	defer func() { evalSnapshotHook = nil }()
-	for _, par := range []int{1, 3} {
-		for name, q := range map[string]bgp.CQ{"wide depth-0 range": wide, "inner probes": join} {
-			name = fmt.Sprintf("par=%d, %s", par, name)
-			const budget = 31_000
-			prof := Profile{Name: "tight", WorkBudget: budget, ArmJoin: HashJoin}
-			rel, m, err := New(st, sts, prof).WithParallelism(par).EvalUCQ(union(q))
-			if !errors.Is(err, ErrWorkBudget) || rel != nil {
-				t.Fatalf("%s: err = %v, rel = %v; want %v and no relation", name, err, rel, ErrWorkBudget)
-			}
-			if over := m.Work - budget; over <= 0 || over > 1<<cancelCheckShift {
-				t.Errorf("%s: stopped at %d work units, %d past the budget", name, m.Work, over)
-			}
-			check(name+", budget", snap)
-
-			full, fm, err := New(st, sts, Native).WithParallelism(par).EvalUCQ(union(q))
-			if err != nil || full.Len() != 60_000 {
-				t.Fatalf("%s: unconstrained run: %d rows, %v", name, full.Len(), err)
-			}
-			cctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-			rel, m, err = New(st, sts, Native).WithParallelism(par).WithContext(cctx).EvalUCQ(union(q))
-			cancel()
-			if !errors.Is(err, ErrCanceled) || rel != nil {
-				t.Fatalf("%s: err = %v, rel = %v; want %v and no relation", name, err, rel, ErrCanceled)
-			}
-			if m.Work >= fm.Work {
-				t.Errorf("%s: canceled run charged %d units, the full run %d", name, m.Work, fm.Work)
-			}
-			check(name+", cancellation", snap)
+	for name, q := range map[string]bgp.CQ{"wide depth-0 range": wide, "inner probes": join} {
+		const budget = 31_000
+		prof := Profile{Name: "tight", WorkBudget: budget, ArmJoin: HashJoin}
+		rel, m, err := New(st, sts, prof).EvalUCQ(union(q))
+		if !errors.Is(err, ErrWorkBudget) || rel != nil {
+			t.Fatalf("%s: err = %v, rel = %v; want %v and no relation", name, err, rel, ErrWorkBudget)
 		}
+		if over := m.Work - budget; over <= 0 || over > 1<<cancelCheckShift {
+			t.Errorf("%s: stopped at %d work units, %d past the budget", name, m.Work, over)
+		}
+		check(name+", budget", snap)
+
+		full, fm, err := New(st, sts, Native).EvalUCQ(union(q))
+		if err != nil || full.Len() != 60_000 {
+			t.Fatalf("%s: unconstrained run: %d rows, %v", name, full.Len(), err)
+		}
+		cctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		rel, m, err = New(st, sts, Native).WithContext(cctx).EvalUCQ(union(q))
+		cancel()
+		if !errors.Is(err, ErrCanceled) || rel != nil {
+			t.Fatalf("%s: err = %v, rel = %v; want %v and no relation", name, err, rel, ErrCanceled)
+		}
+		if m.Work >= fm.Work {
+			t.Errorf("%s: canceled run charged %d units, the full run %d", name, m.Work, fm.Work)
+		}
+		check(name+", cancellation", snap)
 	}
 }

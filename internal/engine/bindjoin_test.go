@@ -75,15 +75,13 @@ func TestCompiledProgramMatchesNaive(t *testing.T) {
 						u.Vars = append(u.Vars, uint32(1000+i))
 					}
 					want := naive.EvalUCQ(st, u)
-					for _, par := range []int{1, 4} {
-						name := fmt.Sprintf("seed %d frozen=%v pending=%v par=%d query %d %v", seed, frozen, pending, par, qi, q)
-						rel, _, err := engine.New(st, sts, engine.Native).WithParallelism(par).EvalUCQ(u)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if got := toRows(rel); !naive.Equal(got, want) {
-							t.Fatalf("%s: engine %v, naive %v", name, got, want)
-						}
+					name := fmt.Sprintf("seed %d frozen=%v pending=%v query %d %v", seed, frozen, pending, qi, q)
+					rel, _, err := engine.New(st, sts, engine.Native).EvalUCQ(u)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if got := toRows(rel); !naive.Equal(got, want) {
+						t.Fatalf("%s: engine %v, naive %v", name, got, want)
 					}
 				}
 			}
@@ -99,7 +97,7 @@ func TestCompiledProgramMatchesNaive(t *testing.T) {
 // once families share them.
 func BenchmarkBindJoinMember(b *testing.B) {
 	db, u := q01Arm(b)
-	eng := engine.New(db.Raw, db.RawStats, engine.Native).WithParallelism(1)
+	eng := engine.New(db.Raw, db.RawStats, engine.Native)
 	root := trace.New("bindjoin")
 	_, m, err := eng.WithSpan(root).EvalUCQ(u)
 	if err != nil {

@@ -36,66 +36,62 @@ func wideArm(n int) ArmSource {
 
 // A context canceled before admission must fail with the typed
 // ErrCanceled without scanning anything, and still release the pinned
-// snapshot, at every worker count.
+// snapshot.
 func TestPreCanceledContextFailsBeforeWork(t *testing.T) {
 	e := testkit.Random(21, 60)
 	raw := e.RawStore()
 	st := stats.Collect(raw, e.Vocab)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 8} {
-		var snap *storage.Snapshot
-		evalSnapshotHook = func(sn *storage.Snapshot) { snap = sn }
-		eng := New(raw, st, Native).WithParallelism(workers).WithContext(ctx)
-		rel, m, err := eng.EvalArms([]uint32{0, 2}, []ArmSource{wideArm(100)})
-		evalSnapshotHook = nil
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("workers=%d: err = %v, want %v", workers, err, ErrCanceled)
-		}
-		if rel != nil {
-			t.Errorf("workers=%d: relation = %d rows, want nil on cancellation", workers, rel.Len())
-		}
-		if m.TuplesScanned != 0 {
-			t.Errorf("workers=%d: scanned %d tuples before admission check", workers, m.TuplesScanned)
-		}
-		if snap == nil || !snap.Released() {
-			t.Errorf("workers=%d: snapshot not released on the pre-canceled path", workers)
-		}
+	var snap *storage.Snapshot
+	evalSnapshotHook = func(sn *storage.Snapshot) { snap = sn }
+	eng := New(raw, st, Native).WithContext(ctx)
+	rel, m, err := eng.EvalArms([]uint32{0, 2}, []ArmSource{wideArm(100)})
+	evalSnapshotHook = nil
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want %v", err, ErrCanceled)
+	}
+	if rel != nil {
+		t.Errorf("relation = %d rows, want nil on cancellation", rel.Len())
+	}
+	if m.TuplesScanned != 0 {
+		t.Errorf("scanned %d tuples before admission check", m.TuplesScanned)
+	}
+	if snap == nil || !snap.Released() {
+		t.Error("snapshot not released on the pre-canceled path")
 	}
 }
 
 // A deadline expiring mid-evaluation must stop the evaluation early
 // (strictly less work than the uncancelled run), surface ErrCanceled, and
-// release the snapshot — sequentially and across a sharded worker pool.
+// release the snapshot.
 func TestDeadlineStopsEvaluationEarly(t *testing.T) {
 	e := testkit.Random(22, 80)
 	raw := e.RawStore()
 	st := stats.Collect(raw, e.Vocab)
 	const members = 200_000
-	for _, workers := range []int{1, 8} {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
-		var snap *storage.Snapshot
-		evalSnapshotHook = func(sn *storage.Snapshot) { snap = sn }
-		eng := New(raw, st, Native).WithParallelism(workers).WithContext(ctx)
-		rel, m, err := eng.EvalArms([]uint32{0, 2}, []ArmSource{wideArm(members)})
-		evalSnapshotHook = nil
-		cancel()
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("workers=%d: err = %v, want %v", workers, err, ErrCanceled)
-		}
-		if rel != nil {
-			t.Errorf("workers=%d: relation = %d rows, want nil on cancellation", workers, rel.Len())
-		}
-		// Each member scans the whole 80+-triple store; finishing all
-		// members would charge far more than this. Stopping early is the
-		// point of the seam.
-		fullWork := int64(members) * int64(raw.Len())
-		if m.Work >= fullWork {
-			t.Errorf("workers=%d: work = %d, evaluation did not stop early (full ≈ %d)", workers, m.Work, fullWork)
-		}
-		if snap == nil || !snap.Released() {
-			t.Errorf("workers=%d: snapshot not released on the cancellation path", workers)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	var snap *storage.Snapshot
+	evalSnapshotHook = func(sn *storage.Snapshot) { snap = sn }
+	eng := New(raw, st, Native).WithContext(ctx)
+	rel, m, err := eng.EvalArms([]uint32{0, 2}, []ArmSource{wideArm(members)})
+	evalSnapshotHook = nil
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want %v", err, ErrCanceled)
+	}
+	if rel != nil {
+		t.Errorf("relation = %d rows, want nil on cancellation", rel.Len())
+	}
+	// Each member scans the whole 80+-triple store; finishing all
+	// members would charge far more than this. Stopping early is the
+	// point of the seam.
+	fullWork := int64(members) * int64(raw.Len())
+	if m.Work >= fullWork {
+		t.Errorf("work = %d, evaluation did not stop early (full ≈ %d)", m.Work, fullWork)
+	}
+	if snap == nil || !snap.Released() {
+		t.Error("snapshot not released on the cancellation path")
 	}
 }
 
@@ -107,11 +103,11 @@ func TestBackgroundContextIsFree(t *testing.T) {
 	raw := e.RawStore()
 	st := stats.Collect(raw, e.Vocab)
 	arm := wideArm(50)
-	plain, pm, err := New(raw, st, Native).WithParallelism(1).EvalArms([]uint32{0, 2}, []ArmSource{arm})
+	plain, pm, err := New(raw, st, Native).EvalArms([]uint32{0, 2}, []ArmSource{arm})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, bm, err := New(raw, st, Native).WithParallelism(1).WithContext(context.Background()).
+	bg, bm, err := New(raw, st, Native).WithContext(context.Background()).
 		EvalArms([]uint32{0, 2}, []ArmSource{arm})
 	if err != nil {
 		t.Fatal(err)

@@ -47,49 +47,47 @@ func TestNestedScansSurviveConcurrentMutator(t *testing.T) {
 		},
 	}
 
-	for _, par := range []int{1, 4} {
-		eng := engine.New(raw, st, engine.Native).WithParallelism(par)
+	eng := engine.New(raw, st, engine.Native)
 
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			synthetic := storage.Triple{S: 9999, P: worksFor, O: 8888}
-			real := storage.Triple{S: 100, P: typeID, O: profID}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				raw.Add(synthetic)
-				raw.Remove(synthetic)
-				raw.Remove(real)
-				raw.Add(real)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		synthetic := storage.Triple{S: 9999, P: worksFor, O: 8888}
+		real := storage.Triple{S: 100, P: typeID, O: profID}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}()
-
-		done := make(chan error, 1)
-		go func() {
-			for i := 0; i < 100; i++ {
-				if _, _, err := eng.EvalCQ(q); err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
-		}()
-
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("par=%d: evaluation under mutation failed: %v", par, err)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatalf("par=%d: deadlock: bind-join scans starved by a concurrent writer", par)
+			raw.Add(synthetic)
+			raw.Remove(synthetic)
+			raw.Remove(real)
+			raw.Add(real)
 		}
-		close(stop)
-		wg.Wait()
+	}()
+
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 100; i++ {
+			if _, _, err := eng.EvalCQ(q); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("evaluation under mutation failed: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatalf("deadlock: bind-join scans starved by a concurrent writer")
 	}
+	close(stop)
+	wg.Wait()
 }

@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/stats"
@@ -167,9 +166,6 @@ type Engine struct {
 	store *storage.Store
 	st    *stats.Stats
 	prof  Profile
-	// par is the configured worker count for one evaluation; 0 means
-	// runtime.GOMAXPROCS(0), 1 means strictly sequential evaluation.
-	par int
 	// span, when non-nil, is the trace span evaluations record their
 	// operator tree under (see WithSpan). nil — the default — disables
 	// tracing: the evaluation hot path then pays one nil check per
@@ -197,22 +193,6 @@ func New(store *storage.Store, st *stats.Stats, prof Profile) *Engine {
 	return &Engine{store: store, st: st, prof: prof}
 }
 
-// WithParallelism returns a copy of the engine whose final projection
-// deduplicates on n workers once its input reaches 4,096 rows. Arms and
-// the member families of an arm are always evaluated serially: sharding
-// members measured 0.99x warm and 1.03x cold over the LUBM queries and
-// split the families that share probes. n = 1 is the strictly sequential
-// evaluation the paper's reproduction benchmarks assume; n <= 0 restores
-// the default, runtime.GOMAXPROCS(0). Results are identical for every n.
-func (e *Engine) WithParallelism(n int) *Engine {
-	e2 := *e
-	if n < 0 {
-		n = 0
-	}
-	e2.par = n
-	return &e2
-}
-
 // WithSpan returns a copy of the engine whose evaluations record their
 // operator tree (per-arm, join and projection spans with row, dedup and
 // member-family counters) as children of sp, and accumulate engine.* totals
@@ -226,14 +206,14 @@ func (e *Engine) WithSpan(sp *trace.Span) *Engine {
 
 // WithContext returns a copy of the engine whose evaluations stop early
 // with ErrCanceled once ctx is done. Cancellation shares the budget seam:
-// the shared atomic work counter doubles as the poll clock, and the
+// the work counter doubles as the poll clock, and the
 // context's done channel is polled only when a charge crosses a
 // cancelCheckWork boundary — about once per 4096 work units (the
 // bind-join holds back at most half that before charging; see meter) —
-// and the evaluation unwinds through the ordinary error path: workers
-// drain, the snapshot is released, and the typed error reports the
-// context's cause. A ctx that can never be
-// canceled (context.Background) leaves the poll disabled entirely.
+// and the evaluation unwinds through the ordinary error path: the
+// snapshot is released, and the typed error reports the context's cause.
+// A ctx that can never be canceled (context.Background) leaves the poll
+// disabled entirely.
 func (e *Engine) WithContext(ctx context.Context) *Engine {
 	e2 := *e
 	e2.ctx = ctx
@@ -294,14 +274,6 @@ func (e *Engine) SharedScan() bool { return !e.noShared }
 // Factorized reports whether factorized answer relations are enabled.
 func (e *Engine) Factorized() bool { return !e.noFact }
 
-// Parallelism returns the resolved worker count of one evaluation.
-func (e *Engine) Parallelism() int {
-	if e.par > 0 {
-		return e.par
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Profile returns the engine's profile.
 func (e *Engine) Profile() Profile { return e.prof }
 
@@ -311,14 +283,11 @@ func (e *Engine) Stats() *stats.Stats { return e.st }
 // Store returns the underlying triple store.
 func (e *Engine) Store() *storage.Store { return e.store }
 
-// evalCtx tracks budgets and metrics for one evaluation. Counters are
-// atomics so that the projection workers charge one shared budget: the
-// typed budget errors fire when the *total* spent exceeds the profile
-// limit, independent of goroutine interleaving. The bind-join charges
-// them through its meter, in batches.
+// evalCtx tracks budgets and metrics for one evaluation, which runs on
+// one goroutine. The bind-join charges them through its meter, in
+// batches.
 type evalCtx struct {
 	prof Profile
-	par  int // resolved worker count; <= 1 evaluates sequentially
 	// span is the evaluation's trace span (nil = tracing off). Operator
 	// code creates children of it; per-row work never touches it.
 	span *trace.Span
@@ -359,8 +328,7 @@ type evalCtx struct {
 	familyProbes  atomic.Int64 // depth-1 probes, one per family and binding
 }
 
-// snapshot returns the metrics accumulated so far. Only call after the
-// workers of the evaluation have finished (or for a sequential context).
+// snapshot returns the metrics accumulated so far.
 func (c *evalCtx) snapshot() Metrics {
 	return Metrics{
 		TuplesScanned:    c.tuplesScanned.Load(),
@@ -374,8 +342,8 @@ func (c *evalCtx) snapshot() Metrics {
 
 // finishSpan records the evaluation's accumulated metrics and budget
 // consumption on the trace span and bumps the trace-wide engine.*
-// counters. Called once per evaluation, after every worker has finished;
-// a nil span makes it a no-op.
+// counters. Called once per evaluation, after it has finished; a nil
+// span makes it a no-op.
 func (c *evalCtx) finishSpan(sp *trace.Span, err error) {
 	if sp == nil {
 		return

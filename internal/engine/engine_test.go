@@ -3,7 +3,9 @@ package engine_test
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bgp"
@@ -415,4 +417,281 @@ func mustReformulate(q bgp.CQ, sch *schema.Closed) *reformulate.Reformulation {
 		panic(err)
 	}
 	return r
+}
+
+// relEqual reports whether two relations are byte-identical: same column
+// order and same rows in the same order.
+func relEqual(a, b *engine.Relation) bool {
+	ar, br := a.Materialize(), b.Materialize()
+	if !reflect.DeepEqual(a.Vars, b.Vars) || len(ar) != len(br) {
+		return false
+	}
+	for i := range ar {
+		if !reflect.DeepEqual(ar[i], br[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameAnswers reports whether two relations hold the same rows over the
+// same columns, in any order: what evaluation promises across engine
+// configurations (rows come out in a deterministic order for one plan and
+// snapshot, member families binding-major, but no order is promised
+// across configurations, and TuplesScanned and Work follow the probes
+// each configuration shares).
+func sameAnswers(a, b *engine.Relation) bool {
+	return reflect.DeepEqual(a.Vars, b.Vars) && a.Len() == b.Len() && naive.Equal(toRows(a), toRows(b))
+}
+
+// scqArms builds the per-atom (SCQ) reformulated arms of q — a multi-arm
+// JUCQ workload with non-trivial unions per arm.
+func scqArms(t *testing.T, e *testkit.Example, q bgp.CQ) ([]uint32, []engine.ArmSource) {
+	t.Helper()
+	head := headVars(q)
+	var arms []engine.ArmSource
+	for i := range q.Atoms {
+		sub := coverQuery(q, []int{i}, head)
+		ref, err := reformulate.Reformulate(sub, e.Closed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := ref.UCQ(100000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arms = append(arms, engine.SourceFromUCQ(u))
+	}
+	return head, arms
+}
+
+// Evaluations running in parallel on one shared engine must each return
+// exactly what one evaluation returns alone — the same rows in the same
+// order and the same metrics — on every profile, for single-arm UCQs and
+// multi-arm JUCQs alike: evaluation is serial and every evaluation keeps
+// its own state.
+func TestParallelMatchesSequential(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		e := testkit.Random(seed, 50)
+		raw := e.RawStore()
+		st := stats.Collect(raw, e.Vocab)
+		rng := rand.New(rand.NewSource(seed + 77))
+		q := testkit.RandomQuery(e, rng)
+		if len(q.Atoms) < 2 || !connectedQuery(q) {
+			continue
+		}
+		ref, err := reformulate.Reformulate(q, e.Closed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := ref.UCQ(100000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, arms := scqArms(t, e, q)
+		for _, prof := range append(engine.Profiles(), engine.Native) {
+			eng := engine.New(raw, st, prof)
+			eval := map[string]func() (*engine.Relation, engine.Metrics, error){
+				"UCQ":  func() (*engine.Relation, engine.Metrics, error) { return eng.EvalUCQ(u) },
+				"JUCQ": func() (*engine.Relation, engine.Metrics, error) { return eng.EvalArms(head, arms) },
+			}
+			for kind, f := range eval {
+				want, wantM, err := f()
+				if err != nil {
+					t.Fatalf("seed %d %s: lone %s: %v", seed, prof.Name, kind, err)
+				}
+				var wg sync.WaitGroup
+				for g := 0; g < 4; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						got, gotM, err := f()
+						if err != nil || !relEqual(got, want) || gotM != wantM {
+							t.Errorf("seed %d %s: parallel %s: err %v, metrics %+v; alone %+v", seed, prof.Name, kind, err, gotM, wantM)
+						}
+					}()
+				}
+				wg.Wait()
+			}
+		}
+	}
+}
+
+// The typed budget errors must fire for evaluations running in parallel
+// on one engine exactly as for one running alone.
+func TestParallelBudgetErrorsMatchSequential(t *testing.T) {
+	e := testkit.Paper()
+	raw := e.RawStore()
+	st := stats.Collect(raw, e.Vocab)
+	scan := bgp.CQ{
+		Head:  []bgp.Term{bgp.V(0), bgp.V(2)},
+		Atoms: []bgp.Atom{{S: bgp.V(0), P: bgp.V(1), O: bgp.V(2)}},
+	}
+	star := bgp.CQ{
+		Head: []bgp.Term{bgp.V(0)},
+		Atoms: []bgp.Atom{
+			{S: bgp.V(0), P: bgp.V(1), O: bgp.V(2)},
+			{S: bgp.V(0), P: bgp.V(3), O: bgp.V(4)},
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		prof engine.Profile
+		q    bgp.CQ
+		want error
+	}{
+		{"work", engine.Profile{Name: "w", WorkBudget: 2, ArmJoin: engine.HashJoin}, scan, engine.ErrWorkBudget},
+		{"memory", engine.Profile{Name: "m", MaxMaterializedRows: 1, ArmJoin: engine.HashJoin}, scan, engine.ErrMemoryBudget},
+		{"plan", engine.Profile{Name: "p", MaxPlanLeaves: 1, ArmJoin: engine.HashJoin}, star, engine.ErrPlanTooComplex},
+	} {
+		eng := engine.New(raw, st, tc.prof)
+		if _, _, err := eng.EvalCQ(tc.q); !errors.Is(err, tc.want) {
+			t.Fatalf("%s alone: err = %v, want %v", tc.name, err, tc.want)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, _, err := eng.EvalCQ(tc.q); !errors.Is(err, tc.want) {
+					t.Errorf("%s in parallel: err = %v, want %v", tc.name, err, tc.want)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// Concurrent evaluations on one shared engine must be race-free and agree
+// with a lone evaluation's answer (run with -race; the schedule is the
+// test).
+func TestParallelEvalRace(t *testing.T) {
+	e := testkit.Random(3, 60)
+	raw := e.RawStore()
+	st := stats.Collect(raw, e.Vocab)
+	rng := rand.New(rand.NewSource(99))
+	var q bgp.CQ
+	for {
+		q = testkit.RandomQuery(e, rng)
+		if len(q.Atoms) >= 2 && connectedQuery(q) {
+			break
+		}
+	}
+	head, arms := scqArms(t, e, q)
+	want, _, err := engine.New(raw, st, engine.Native).EvalArms(head, arms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(raw, st, engine.Native)
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				got, _, err := eng.EvalArms(head, arms)
+				if err != nil {
+					t.Errorf("concurrent eval: %v", err)
+					return
+				}
+				if !relEqual(got, want) {
+					t.Error("concurrent eval diverged from a lone one")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// fullScanArm streams n copies of a full-scan member CQ — a synthetic
+// arm whose evaluation cost is easy to push over any budget.
+func fullScanArm(n int) engine.ArmSource {
+	member := bgp.CQ{
+		Head:  []bgp.Term{bgp.V(0), bgp.V(2)},
+		Atoms: []bgp.Atom{{S: bgp.V(0), P: bgp.V(1), O: bgp.V(2)}},
+	}
+	return engine.ArmSource{
+		Vars:   []uint32{0, 2},
+		NumCQs: int64(n),
+		Leaves: int64(n),
+		Each: func(f func(bgp.CQ) bool) bool {
+			for i := 0; i < n; i++ {
+				if !f(member) {
+					return false
+				}
+			}
+			return true
+		},
+	}
+}
+
+// A failing member CQ must surface exactly one typed error — never a
+// hang, never a nil error with a nil relation — for single-arm and
+// multi-arm evaluations alike, also while other evaluations fail in
+// parallel on the same engine: every evaluation charges its own budget.
+// The failure is injected through tight budgets, the only way a member
+// evaluation can fail (budget errors are the engine's typed failures).
+func TestParallelMemberFailureSurfacesTypedError(t *testing.T) {
+	e := testkit.Random(5, 80)
+	raw := e.RawStore()
+	st := stats.Collect(raw, e.Vocab)
+	cases := []struct {
+		name string
+		prof engine.Profile
+		want error
+	}{
+		{"work-budget", engine.Profile{Name: "w", WorkBudget: 500, ArmJoin: engine.HashJoin}, engine.ErrWorkBudget},
+		{"memory-budget", engine.Profile{Name: "m", MaxMaterializedRows: 3, ArmJoin: engine.HashJoin}, engine.ErrMemoryBudget},
+	}
+	for _, tc := range cases {
+		eng := engine.New(raw, st, tc.prof)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rel, _, err := eng.EvalArms([]uint32{0, 2}, []engine.ArmSource{fullScanArm(200)})
+				if !errors.Is(err, tc.want) || rel != nil {
+					t.Errorf("%s: single-arm err = %v, relation %v; want %v and nil", tc.name, err, rel, tc.want)
+				}
+				rel, _, err = eng.EvalArms([]uint32{0}, []engine.ArmSource{fullScanArm(100), fullScanArm(100)})
+				if !errors.Is(err, tc.want) || rel != nil {
+					t.Errorf("%s: multi-arm err = %v, relation %v; want %v and nil", tc.name, err, rel, tc.want)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// However many evaluations fail in parallel on one engine, each must fail
+// with the typed error, and at the work count, of the evaluation failing
+// alone: the budget is per evaluation.
+func TestParallelFailureIsWorkerCountIndependent(t *testing.T) {
+	e := testkit.Random(9, 60)
+	raw := e.RawStore()
+	st := stats.Collect(raw, e.Vocab)
+	eng := engine.New(raw, st, engine.Profile{Name: "tight", WorkBudget: 1000, ArmJoin: engine.HashJoin})
+	eval := func() (*engine.Relation, engine.Metrics, error) {
+		return eng.EvalArms([]uint32{0, 2}, []engine.ArmSource{fullScanArm(300)})
+	}
+	rel, alone, err := eval()
+	if !errors.Is(err, engine.ErrWorkBudget) || rel != nil {
+		t.Fatalf("alone: rel=%v err=%v, want nil rel and %v", rel, err, engine.ErrWorkBudget)
+	}
+	for _, n := range []int{2, 4, 8, 16} {
+		var wg sync.WaitGroup
+		for g := 0; g < n; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rel, m, err := eval()
+				if !errors.Is(err, engine.ErrWorkBudget) || rel != nil || m != alone {
+					t.Errorf("%d in parallel: rel=%v err=%v metrics %+v; want nil rel, %v, metrics %+v", n, rel, err, m, engine.ErrWorkBudget, alone)
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }

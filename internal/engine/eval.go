@@ -93,10 +93,9 @@ func (e *Engine) EvalArms(head []uint32, arms []ArmSource) (*Relation, Metrics, 
 	// it, lock-free. This is what makes the recursive bind-join safe —
 	// the old path nested store read locks inside scan callbacks, which
 	// deadlocks as soon as a writer queues between the acquisitions —
-	// and it gives all workers one consistent view under mutation.
+	// and it gives the evaluation one consistent view under mutation.
 	ctx := &evalCtx{
 		prof:   e.prof,
-		par:    e.Parallelism(),
 		span:   e.span,
 		snap:   e.store.Snapshot(),
 		shared: !e.noShared,
@@ -111,8 +110,7 @@ func (e *Engine) EvalArms(head []uint32, arms []ArmSource) (*Relation, Metrics, 
 	// Release runs after the deferred scanCache release below (LIFO), so
 	// every cached range subslice borrowed from the snapshot's decoded
 	// blocks is dropped before the snapshot returns them to the pool. By
-	// then all evaluation workers have joined (evalArms returns only
-	// after its wait groups), so no read is in flight.
+	// then evalArms has returned, so no read is in flight.
 	defer ctx.snap.Release()
 	if ctx.shared {
 		ctx.scans = newScanCache()
@@ -146,7 +144,6 @@ func (e *Engine) evalArms(ctx *evalCtx, head []uint32, arms []ArmSource) (*Relat
 		sp.SetStr("profile", e.prof.Name)
 		sp.SetInt("arms", int64(len(arms)))
 		sp.SetInt("plan_leaves", leaves)
-		sp.SetInt("workers", int64(ctx.par))
 	}
 	if e.prof.MaxPlanLeaves > 0 && leaves > e.prof.MaxPlanLeaves {
 		return nil, fmt.Errorf("%w (%s: %d scan leaves)", ErrPlanTooComplex, e.prof.Name, leaves)
@@ -253,16 +250,45 @@ func sharedCols(vars, bound []uint32) []int {
 // projection of the join so far on the variables it shares with the arm.
 // The bind-join kernel drops a tuple whose key is absent the moment the
 // key is bound (bindJoin.admit), before any deeper probe, emission or
-// dedup insert. evalStage builds it, the arm's workers only read it, and
+// dedup insert. evalStage builds it, the arm's kernel only reads it, and
 // it is garbage once the arm is joined in. Not building one is always
 // sound: the arm join applies the same predicate.
+//
+// A one-column key is a bitmap over the span of its IDs (dictionary IDs
+// are dense), so admitting a binding is a subtract, a shift and a mask; a
+// wider key, or one whose span would need more than bitmapWordsPerRow
+// words per row of the relation it is built from, is a rowSet.
 type keyFilter struct {
-	cols []int  // the arm's head columns carrying the key variables
-	set  rowSet // the distinct key tuples
+	cols []int    // the arm's head columns carrying the key variables
+	set  rowSet   // the distinct key tuples, when bits is nil
+	bits []uint64 // one-column keys: bit id-lo is set for each key id
+	lo   dict.ID
+	n    int // the distinct keys
+}
+
+// bitmapWordsPerRow bounds a one-column key's bitmap by the relation it is
+// built from: no more words than four per row, the size of a row of two
+// IDs with its slice header — so the bitmap never outweighs its input.
+const bitmapWordsPerRow = 4
+
+// has reports whether key is one of the filter's keys.
+func (f *keyFilter) has(key []dict.ID) bool {
+	if f.bits == nil {
+		return f.set.has(key)
+	}
+	w, m := f.bit(key[0])
+	return w < uint64(len(f.bits)) && f.bits[w]&m != 0
+}
+
+// bit returns the word and the mask of id's bit in the bitmap. An id
+// below lo wraps to a word far past the bitmap.
+func (f *keyFilter) bit(id dict.ID) (word, mask uint64) {
+	i := uint64(id) - uint64(f.lo)
+	return i >> 6, 1 << (i & 63)
 }
 
 // newKeyFilter projects cur on the stage's key, one work unit per input
-// row, the set held against the materialization budget like any other
+// row, the keys held against the materialization budget like any other
 // intermediate. It gives up (nil, nil) once the keys outnumber the rows
 // the arm is estimated to produce: such a filter costs more than it drops.
 func newKeyFilter(ctx *evalCtx, cur *Relation, arm ArmSource, key []int) (*keyFilter, error) {
@@ -271,32 +297,60 @@ func newKeyFilter(ctx *evalCtx, cur *Relation, arm ArmSource, key []int) (*keyFi
 	for i, c := range key {
 		from[i] = pos[arm.Vars[c]]
 	}
+	if len(from) == 1 {
+		f.bitmap(cur, from[0])
+	}
 	var arena rowArena
 	var err error
 	cur.Each(func(row []dict.ID) bool {
 		if err = ctx.charge(1); err != nil {
 			return false
 		}
-		k := arena.alloc(len(from))
-		for i, c := range from {
-			k[i] = row[c]
+		if f.bits != nil {
+			w, m := f.bit(row[from[0]])
+			if f.bits[w]&m != 0 {
+				return true
+			}
+			f.bits[w] |= m
+		} else {
+			k := arena.alloc(len(from))
+			for i, c := range from {
+				k[i] = row[c]
+			}
+			if !f.set.add(k) {
+				arena.release(k)
+				return true
+			}
 		}
-		if !f.set.add(k) {
-			arena.release(k)
-			return true
-		}
-		if arm.EstRows > 0 && float64(f.set.len()) > arm.EstRows {
+		if f.n++; arm.EstRows > 0 && float64(f.n) > arm.EstRows {
 			f = nil
 			return false
 		}
-		err = ctx.checkRows(f.set.len())
+		err = ctx.checkRows(f.n)
 		return err == nil
 	})
 	if err != nil || f == nil {
 		return nil, err
 	}
-	ctx.rowsMaterialized.Add(int64(f.set.len()))
+	ctx.rowsMaterialized.Add(int64(f.n))
 	return f, nil
+}
+
+// bitmap sizes f's bitmap to the span of cur's column c, unless the span
+// needs more than bitmapWordsPerRow words per row of cur; f then stays a
+// rowSet.
+func (f *keyFilter) bitmap(cur *Relation, c int) {
+	lo, hi := ^dict.None, dict.None
+	cur.Each(func(row []dict.ID) bool {
+		lo, hi = min(lo, row[c]), max(hi, row[c])
+		return true
+	})
+	if lo > hi {
+		return
+	}
+	if words := int64(hi-lo)>>6 + 1; words <= bitmapWordsPerRow*int64(cur.Len()) {
+		f.bits, f.lo = make([]uint64, words), lo
+	}
 }
 
 // evalStage runs stage n of the arm pipeline: the arm, under the key
@@ -332,7 +386,7 @@ func (e *Engine) evalStage(ctx *evalCtx, arm ArmSource, st armStage, n int, cur 
 		return nil, err
 	}
 	if f != nil {
-		sp.SetInt("keys", int64(f.set.len()))
+		sp.SetInt("keys", int64(f.n))
 		sp.SetInt("filtered", ctx.filtered.Load()-dropped)
 	} else if e.armObs != nil {
 		e.armObs(st.arm, int64(rel.Len()))
@@ -344,10 +398,9 @@ func (e *Engine) evalStage(ctx *evalCtx, arm ArmSource, st armStage, n int, cur 
 // final operator of every plan. The output relation is charged against
 // the materialization budget like any other intermediate (the dedup set
 // grows in lockstep with out.Rows, and checkRows guards the appends), so
-// ErrMemoryBudget cannot be bypassed at the last operator. With more than
-// one worker the input is split into contiguous chunks deduplicated
-// locally and re-deduplicated in chunk order, which keeps the output rows
-// in exactly the sequential first-occurrence order.
+// ErrMemoryBudget cannot be bypassed at the last operator. The set is
+// sized once, to the input, so it never rehashes or regrows, and its rows,
+// in first-occurrence order, are the output relation.
 //
 // A flat input is duplicate-free: arm relations come out of a dedup set,
 // and a join that keeps every column of duplicate-free inputs is
@@ -382,12 +435,9 @@ func projectDistinct(ctx *evalCtx, cur *Relation, cols []int, head []uint32) (*R
 		sp.SetInt("rows_out", int64(out.Len()))
 		return out, nil
 	}
-	if ctx.par > 1 && len(cur.Rows) >= parallelRowThreshold {
-		return projectDistinctParallel(ctx, sp, cur, cols, head)
-	}
-	out := &Relation{Vars: head}
 	dedup := newDedupSet(ctx)
-	var arena rowArena
+	dedup.set.presize(len(cur.Rows))
+	arena := rowArena{buf: make([]dict.ID, 0, len(cur.Rows)*len(cols))}
 	for _, row := range cur.Rows {
 		proj := arena.alloc(len(cols))
 		for i, c := range cols {
@@ -397,16 +447,14 @@ func projectDistinct(ctx *evalCtx, cur *Relation, cols []int, head []uint32) (*R
 		if err != nil {
 			return nil, err
 		}
-		if fresh {
-			out.Rows = append(out.Rows, proj)
-		} else {
+		if !fresh {
 			arena.release(proj)
 		}
 	}
+	out := &Relation{Vars: head, Rows: dedup.set.rows}
 	if sp != nil {
 		sp.SetInt("rows_out", int64(out.Len()))
 		sp.SetInt("dedup_hits", dedup.hits)
-		sp.SetInt("arena_chunks", int64(arena.chunks))
 	}
 	return out, nil
 }

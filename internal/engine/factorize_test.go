@@ -28,32 +28,29 @@ func errClass(err error) error {
 	return err
 }
 
-// checkDifferential evaluates q under both representations and every
-// parallelism and asserts the factorized results expand to the flat
+// checkDifferential evaluates q under both representations and asserts the factorized results expand to the flat
 // answers, evaluating the same members (or fail with the same sentinel).
 // The flat path shares probes across member families and the factorized
 // one replays member-at-a-time charges, so Work and TuplesScanned may
 // differ.
 func checkDifferential(t *testing.T, eng *engine.Engine, q bgp.CQ, label string) {
 	t.Helper()
-	flatRel, flatMet, flatErr := eng.WithFactorized(false).WithParallelism(1).EvalCQ(q)
-	for _, par := range []int{1, 4} {
-		factRel, factMet, factErr := eng.WithFactorized(true).WithParallelism(par).EvalCQ(q)
-		if (flatErr == nil) != (factErr == nil) {
-			t.Fatalf("%s par=%d: flat err=%v fact err=%v", label, par, flatErr, factErr)
+	flatRel, flatMet, flatErr := eng.WithFactorized(false).EvalCQ(q)
+	factRel, factMet, factErr := eng.WithFactorized(true).EvalCQ(q)
+	if (flatErr == nil) != (factErr == nil) {
+		t.Fatalf("%s: flat err=%v fact err=%v", label, flatErr, factErr)
+	}
+	if flatErr != nil {
+		if errClass(flatErr) != errClass(factErr) {
+			t.Fatalf("%s: error class differs: flat %v fact %v", label, flatErr, factErr)
 		}
-		if flatErr != nil {
-			if errClass(flatErr) != errClass(factErr) {
-				t.Fatalf("%s par=%d: error class differs: flat %v fact %v", label, par, flatErr, factErr)
-			}
-			continue
-		}
-		if factMet.UnionArms != flatMet.UnionArms {
-			t.Errorf("%s par=%d: members differ:\n fact %+v\n flat %+v", label, par, factMet, flatMet)
-		}
-		if !sameAnswers(factRel, flatRel) {
-			t.Fatalf("%s par=%d: expanded rows differ from flat evaluation", label, par)
-		}
+		return
+	}
+	if factMet.UnionArms != flatMet.UnionArms {
+		t.Errorf("%s: members differ:\n fact %+v\n flat %+v", label, factMet, flatMet)
+	}
+	if !sameAnswers(factRel, flatRel) {
+		t.Fatalf("%s: expanded rows differ from flat evaluation", label)
 	}
 }
 
@@ -78,7 +75,7 @@ func disconnectedQuery(e *testkit.Example, rng *rand.Rand, k int) bgp.CQ {
 }
 
 // Factorized evaluation must answer as flat evaluation does on random
-// connected and disconnected CQ shapes, serial and parallel.
+// connected and disconnected CQ shapes.
 func TestFactorizedDifferentialCQ(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		e := testkit.Random(seed, 80)
@@ -147,21 +144,19 @@ func TestFactorizedDifferentialUCQ(t *testing.T) {
 			})
 		}
 
-		flatRel, flatMet, flatErr := eng.WithFactorized(false).WithParallelism(1).EvalUCQ(u)
-		for _, par := range []int{1, 4} {
-			factRel, factMet, factErr := eng.WithFactorized(true).WithParallelism(par).EvalUCQ(u)
-			if (flatErr == nil) != (factErr == nil) || (flatErr != nil && errClass(flatErr) != errClass(factErr)) {
-				t.Fatalf("seed %d par=%d: flat err=%v fact err=%v", seed, par, flatErr, factErr)
-			}
-			if flatErr != nil {
-				continue
-			}
-			if factMet.UnionArms != flatMet.UnionArms {
-				t.Errorf("seed %d par=%d: members differ:\n fact %+v\n flat %+v", seed, par, factMet, flatMet)
-			}
-			if !sameAnswers(factRel, flatRel) {
-				t.Fatalf("seed %d par=%d: UCQ rows differ", seed, par)
-			}
+		flatRel, flatMet, flatErr := eng.WithFactorized(false).EvalUCQ(u)
+		factRel, factMet, factErr := eng.WithFactorized(true).EvalUCQ(u)
+		if (flatErr == nil) != (factErr == nil) || (flatErr != nil && errClass(flatErr) != errClass(factErr)) {
+			t.Fatalf("seed %d: flat err=%v fact err=%v", seed, flatErr, factErr)
+		}
+		if flatErr != nil {
+			continue
+		}
+		if factMet.UnionArms != flatMet.UnionArms {
+			t.Errorf("seed %d: members differ:\n fact %+v\n flat %+v", seed, factMet, flatMet)
+		}
+		if !sameAnswers(factRel, flatRel) {
+			t.Fatalf("seed %d: UCQ rows differ", seed)
 		}
 	}
 }
@@ -188,8 +183,8 @@ func TestFactorizedDifferentialCartesianArms(t *testing.T) {
 				}}},
 			},
 		}
-		flatRel, flatMet, flatErr := eng.WithFactorized(false).WithParallelism(1).EvalJUCQ(j)
-		factRel, factMet, factErr := eng.WithFactorized(true).WithParallelism(1).EvalJUCQ(j)
+		flatRel, flatMet, flatErr := eng.WithFactorized(false).EvalJUCQ(j)
+		factRel, factMet, factErr := eng.WithFactorized(true).EvalJUCQ(j)
 		if (flatErr == nil) != (factErr == nil) {
 			t.Fatalf("seed %d: flat err=%v fact err=%v", seed, flatErr, factErr)
 		}
@@ -219,8 +214,8 @@ func TestFactorizedBudgetErrors(t *testing.T) {
 		{Name: "tinymem", MaxMaterializedRows: 5, ArmJoin: engine.HashJoin},
 	} {
 		eng := engine.New(raw, st, prof)
-		_, _, flatErr := eng.WithFactorized(false).WithParallelism(1).EvalCQ(q)
-		_, _, factErr := eng.WithFactorized(true).WithParallelism(1).EvalCQ(q)
+		_, _, flatErr := eng.WithFactorized(false).EvalCQ(q)
+		_, _, factErr := eng.WithFactorized(true).EvalCQ(q)
 		if errClass(flatErr) != errClass(factErr) {
 			t.Errorf("%s: flat err %v, fact err %v", prof.Name, flatErr, factErr)
 		}
@@ -235,7 +230,7 @@ func TestFactorizedBudgetErrors(t *testing.T) {
 func TestFactorizedParallelStress(t *testing.T) {
 	e := testkit.Random(5, 100)
 	raw := e.RawStore()
-	eng := engine.New(raw, stats.Collect(raw, e.Vocab), engine.Native).WithParallelism(4)
+	eng := engine.New(raw, stats.Collect(raw, e.Vocab), engine.Native)
 	rng := rand.New(rand.NewSource(9))
 	q := disconnectedQuery(e, rng, 3)
 	want, _, err := eng.EvalCQ(q)

@@ -106,7 +106,7 @@ func TestFamiliesMatchNaive(t *testing.T) {
 			if pending {
 				pend(st)
 			}
-			eng := engine.New(st, stats.Collect(st, schema.Vocab{}), engine.Native).WithParallelism(1)
+			eng := engine.New(st, stats.Collect(st, schema.Vocab{}), engine.Native)
 			for _, tc := range cases {
 				name := fmt.Sprintf("frozen=%v pending=%v %s", frozen, pending, tc.name)
 				u := bgp.UCQ{Vars: []uint32{1000, 1001}, CQs: tc.members}
@@ -155,7 +155,7 @@ func TestFamilyKeyFilterDepths(t *testing.T) {
 		if frozen {
 			st = rebuildCompressed(st)
 		}
-		eng := engine.New(st, stats.Collect(st, schema.Vocab{}), engine.Native).WithParallelism(1)
+		eng := engine.New(st, stats.Collect(st, schema.Vocab{}), engine.Native)
 		arms := sources(j.Arms)
 		arms[0].EstRows, arms[1].EstRows = 1, 1e6
 		rel, spans, _ := armSpans(t, eng, j.Head, arms)

@@ -27,8 +27,7 @@ func rebuildCompressed(src *storage.Store) *storage.Store {
 
 // The compressed frozen representation must be invisible to the engine:
 // byte-identical relations to evaluation over the flat representation,
-// for UCQs and multi-arm JUCQs, sequentially and in parallel, with and
-// without the shared-scan layer.
+// for UCQs and multi-arm JUCQs, with and without the shared-scan layer.
 func TestCompressedStoreMatchesFlat(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		e := testkit.Random(seed, 50)
@@ -55,33 +54,31 @@ func TestCompressedStoreMatchesFlat(t *testing.T) {
 		}
 		head, arms := scqArms(t, e, q)
 		for _, sharedScan := range []bool{true, false} {
-			for _, par := range []int{1, 8} {
-				flatEng := engine.New(raw, flatStats, engine.Native).WithParallelism(par).WithSharedScan(sharedScan)
-				compEng := engine.New(comp, compStats, engine.Native).WithParallelism(par).WithSharedScan(sharedScan)
+			flatEng := engine.New(raw, flatStats, engine.Native).WithSharedScan(sharedScan)
+			compEng := engine.New(comp, compStats, engine.Native).WithSharedScan(sharedScan)
 
-				wantRel, _, err := flatEng.EvalUCQ(u)
-				if err != nil {
-					t.Fatalf("seed %d shared=%v par=%d: flat UCQ: %v", seed, sharedScan, par, err)
-				}
-				gotRel, _, err := compEng.EvalUCQ(u)
-				if err != nil {
-					t.Fatalf("seed %d shared=%v par=%d: compressed UCQ: %v", seed, sharedScan, par, err)
-				}
-				if !relEqual(gotRel, wantRel) {
-					t.Errorf("seed %d shared=%v par=%d: compressed UCQ relation differs from flat", seed, sharedScan, par)
-				}
+			wantRel, _, err := flatEng.EvalUCQ(u)
+			if err != nil {
+				t.Fatalf("seed %d shared=%v: flat UCQ: %v", seed, sharedScan, err)
+			}
+			gotRel, _, err := compEng.EvalUCQ(u)
+			if err != nil {
+				t.Fatalf("seed %d shared=%v: compressed UCQ: %v", seed, sharedScan, err)
+			}
+			if !relEqual(gotRel, wantRel) {
+				t.Errorf("seed %d shared=%v: compressed UCQ relation differs from flat", seed, sharedScan)
+			}
 
-				wantRel, _, err = flatEng.EvalArms(head, arms)
-				if err != nil {
-					t.Fatalf("seed %d shared=%v par=%d: flat JUCQ: %v", seed, sharedScan, par, err)
-				}
-				gotRel, _, err = compEng.EvalArms(head, arms)
-				if err != nil {
-					t.Fatalf("seed %d shared=%v par=%d: compressed JUCQ: %v", seed, sharedScan, par, err)
-				}
-				if !relEqual(gotRel, wantRel) {
-					t.Errorf("seed %d shared=%v par=%d: compressed JUCQ relation differs from flat", seed, sharedScan, par)
-				}
+			wantRel, _, err = flatEng.EvalArms(head, arms)
+			if err != nil {
+				t.Fatalf("seed %d shared=%v: flat JUCQ: %v", seed, sharedScan, err)
+			}
+			gotRel, _, err = compEng.EvalArms(head, arms)
+			if err != nil {
+				t.Fatalf("seed %d shared=%v: compressed JUCQ: %v", seed, sharedScan, err)
+			}
+			if !relEqual(gotRel, wantRel) {
+				t.Errorf("seed %d shared=%v: compressed JUCQ relation differs from flat", seed, sharedScan)
 			}
 		}
 	}

@@ -61,9 +61,8 @@ func (r *Relation) StoredBytes() int64 {
 }
 
 // colIndex returns the column position of each variable, built once on
-// first use and memoized. Relations are constructed and indexed during
-// the single-goroutine join/projection phase of an evaluation (parallel
-// workers never call colIndex), so the unsynchronized lazy build is safe.
+// first use and memoized. Relations are constructed and indexed by the
+// one goroutine evaluating them, so the unsynchronized lazy build is safe.
 func (r *Relation) colIndex() map[uint32]int {
 	if r.pos == nil {
 		r.pos = make(map[uint32]int, len(r.Vars))
@@ -310,6 +309,16 @@ func (s *rowSet) has(row []dict.ID) bool {
 // len returns the number of distinct rows.
 func (s *rowSet) len() int { return len(s.rows) }
 
+// presize sizes an empty set for n rows, so that n insertions neither
+// rehash nor regrow it.
+func (s *rowSet) presize(n int) {
+	slots := rowSetMinSlots
+	for slots*7 < n*8 {
+		slots *= 2
+	}
+	s.tbl, s.rows = make([]uint32, slots), make([][]dict.ID, 0, n)
+}
+
 // reserve grows the table before an insertion would push the load
 // factor past 7/8, so a later insertAt never invalidates a found slot.
 func (s *rowSet) reserve() {
@@ -352,9 +361,7 @@ func (s *rowSet) find(row []dict.ID) (uint64, bool) {
 }
 
 // dedupSet is a streaming duplicate-elimination set with budget checks,
-// an open-addressing rowSet over arena-backed rows. A set is used by one
-// goroutine at a time; the parallel projection's workers each hold their
-// own and merge in chunk order (see projectDistinctParallel).
+// an open-addressing rowSet over arena-backed rows, used by one goroutine.
 type dedupSet struct {
 	set rowSet
 	ctx *evalCtx
@@ -372,7 +379,7 @@ func newDedupSet(ctx *evalCtx) *dedupSet {
 }
 
 // add admits row — the bind-join's emission — charging one work unit to
-// the worker's meter and enforcing the materialization budget on the set
+// the kernel's meter and enforcing the materialization budget on the set
 // size. A fresh row is copied into the set's arena (set.rows then holds
 // it, in first-occurrence order, for the relation to adopt); a duplicate
 // is counted and not retained.
@@ -399,22 +406,6 @@ func (d *dedupSet) addOwned(row []dict.ID) (bool, error) {
 	if err := d.ctx.charge(1); err != nil {
 		return false, err
 	}
-	if !d.set.add(row) {
-		d.hits++
-		d.ctx.rowsDeduped.Add(1)
-		return false, nil
-	}
-	return true, d.ctx.checkRows(d.set.len())
-}
-
-// addMerged is addOwned without the work charge: the row was already
-// charged by the worker-local set that admitted it, so the ordered merge
-// only restores global set semantics (counting the cross-worker
-// duplicates it drops) and enforces the materialization budget on the
-// true union size — which worker-local sets, each smaller than the
-// union, cannot see. This keeps the accumulated Work and RowsDeduped
-// totals of a parallel projection identical to the sequential ones.
-func (d *dedupSet) addMerged(row []dict.ID) (bool, error) {
 	if !d.set.add(row) {
 		d.hits++
 		d.ctx.rowsDeduped.Add(1)

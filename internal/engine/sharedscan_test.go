@@ -18,8 +18,7 @@ import (
 // The shared-scan layer (pattern-scan memo, merged member scans and member
 // families over a pinned snapshot) must be invisible in the answers: the
 // baseline scan-per-member path's rows, over the same members, on every
-// profile, sequentially and in parallel, for UCQs and multi-arm JUCQs
-// alike.
+// profile, for UCQs and multi-arm JUCQs alike.
 func TestSharedScanMatchesBaseline(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		e := testkit.Random(seed, 50)
@@ -40,39 +39,37 @@ func TestSharedScanMatchesBaseline(t *testing.T) {
 		}
 		head, arms := scqArms(t, e, q)
 		for _, prof := range append(engine.Profiles(), engine.Native) {
-			for _, par := range []int{1, 8} {
-				shared := engine.New(raw, st, prof).WithParallelism(par)
-				base := engine.New(raw, st, prof).WithParallelism(par).WithSharedScan(false)
+			shared := engine.New(raw, st, prof)
+			base := engine.New(raw, st, prof).WithSharedScan(false)
 
-				wantRel, wantM, err := base.EvalUCQ(u)
-				if err != nil {
-					t.Fatalf("seed %d %s par=%d: baseline UCQ: %v", seed, prof.Name, par, err)
-				}
-				gotRel, gotM, err := shared.EvalUCQ(u)
-				if err != nil {
-					t.Fatalf("seed %d %s par=%d: shared UCQ: %v", seed, prof.Name, par, err)
-				}
-				if !sameAnswers(gotRel, wantRel) {
-					t.Errorf("seed %d %s par=%d: shared UCQ relation differs from baseline", seed, prof.Name, par)
-				}
-				if gotM.UnionArms != wantM.UnionArms {
-					t.Errorf("seed %d %s par=%d: shared UCQ metrics = %+v, baseline = %+v", seed, prof.Name, par, gotM, wantM)
-				}
+			wantRel, wantM, err := base.EvalUCQ(u)
+			if err != nil {
+				t.Fatalf("seed %d %s: baseline UCQ: %v", seed, prof.Name, err)
+			}
+			gotRel, gotM, err := shared.EvalUCQ(u)
+			if err != nil {
+				t.Fatalf("seed %d %s: shared UCQ: %v", seed, prof.Name, err)
+			}
+			if !sameAnswers(gotRel, wantRel) {
+				t.Errorf("seed %d %s: shared UCQ relation differs from baseline", seed, prof.Name)
+			}
+			if gotM.UnionArms != wantM.UnionArms {
+				t.Errorf("seed %d %s: shared UCQ metrics = %+v, baseline = %+v", seed, prof.Name, gotM, wantM)
+			}
 
-				wantRel, wantM, err = base.EvalArms(head, arms)
-				if err != nil {
-					t.Fatalf("seed %d %s par=%d: baseline JUCQ: %v", seed, prof.Name, par, err)
-				}
-				gotRel, gotM, err = shared.EvalArms(head, arms)
-				if err != nil {
-					t.Fatalf("seed %d %s par=%d: shared JUCQ: %v", seed, prof.Name, par, err)
-				}
-				if !sameAnswers(gotRel, wantRel) {
-					t.Errorf("seed %d %s par=%d: shared JUCQ relation differs from baseline", seed, prof.Name, par)
-				}
-				if gotM.UnionArms != wantM.UnionArms {
-					t.Errorf("seed %d %s par=%d: shared JUCQ metrics = %+v, baseline = %+v", seed, prof.Name, par, gotM, wantM)
-				}
+			wantRel, wantM, err = base.EvalArms(head, arms)
+			if err != nil {
+				t.Fatalf("seed %d %s: baseline JUCQ: %v", seed, prof.Name, err)
+			}
+			gotRel, gotM, err = shared.EvalArms(head, arms)
+			if err != nil {
+				t.Fatalf("seed %d %s: shared JUCQ: %v", seed, prof.Name, err)
+			}
+			if !sameAnswers(gotRel, wantRel) {
+				t.Errorf("seed %d %s: shared JUCQ relation differs from baseline", seed, prof.Name)
+			}
+			if gotM.UnionArms != wantM.UnionArms {
+				t.Errorf("seed %d %s: shared JUCQ metrics = %+v, baseline = %+v", seed, prof.Name, gotM, wantM)
 			}
 		}
 	}
@@ -112,7 +109,7 @@ func TestSharedScanCountersObservable(t *testing.T) {
 	}
 
 	sp := trace.New("sharedscan")
-	eng := engine.New(raw, st, engine.Native).WithParallelism(1).WithSpan(sp)
+	eng := engine.New(raw, st, engine.Native).WithSpan(sp)
 	rel, _, err := eng.EvalUCQ(u)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +144,7 @@ func TestSharedScanCountersObservable(t *testing.T) {
 		}}}))
 	}
 	sp = trace.New("memo")
-	rel, _, err = engine.New(raw, st, engine.Native).WithParallelism(1).WithSpan(sp).EvalArms([]uint32{1}, arms)
+	rel, _, err = engine.New(raw, st, engine.Native).WithSpan(sp).EvalArms([]uint32{1}, arms)
 	if err != nil {
 		t.Fatal(err)
 	}

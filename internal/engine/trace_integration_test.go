@@ -24,7 +24,7 @@ func TestEvalRecordsSpanTree(t *testing.T) {
 		Atoms: []bgp.Atom{{S: bgp.V(0), P: bgp.C(e.Vocab.Type), O: bgp.V(1)}},
 	}
 
-	plain := engine.New(raw, st, engine.Native).WithParallelism(1)
+	plain := engine.New(raw, st, engine.Native)
 	want, wantM, err := plain.EvalCQ(q)
 	if err != nil {
 		t.Fatal(err)
@@ -75,40 +75,38 @@ func TestEvalRecordsSpanTree(t *testing.T) {
 
 // An arm's span must report how its members were evaluated: 100 copies of
 // a one-atom full scan are one family — one walk of the store, no depth-1
-// probe, every member counted — answering as one member alone does, at
-// any parallelism, with no per-worker spans.
+// probe, every member counted — answering as one member alone does, with
+// no per-worker spans.
 func TestArmSpanRecordsFamilies(t *testing.T) {
 	e := testkit.Random(4, 70)
 	raw := e.RawStore()
 	st := stats.Collect(raw, e.Vocab)
 
-	one, _, err := engine.New(raw, st, engine.Native).WithParallelism(1).EvalArms([]uint32{0, 2}, []engine.ArmSource{fullScanArm(1)})
+	one, _, err := engine.New(raw, st, engine.Native).EvalArms([]uint32{0, 2}, []engine.ArmSource{fullScanArm(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 4} {
-		root := trace.New("evaluate")
-		rel, m, err := engine.New(raw, st, engine.Native).WithParallelism(par).WithSpan(root).EvalArms([]uint32{0, 2}, []engine.ArmSource{fullScanArm(100)})
-		root.End()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameAnswers(rel, one) || m.UnionArms != 100 || m.TuplesScanned != int64(raw.Len()) {
-			t.Errorf("par=%d: %d rows over %d members scanning %d tuples; want the %d rows of one member, 100 members, one scan of %d", par, rel.Len(), m.UnionArms, m.TuplesScanned, one.Len(), raw.Len())
-		}
-		arm := root.Find("arm[0]")
-		if arm == nil {
-			t.Fatal("no arm[0] span recorded")
-		}
-		fams, _ := arm.IntAttr("families")
-		probes, ok := arm.IntAttr("family_probes")
-		if fams != 1 || probes != 0 || !ok {
-			t.Errorf("par=%d: families = %d, family_probes = %d (%v); want 1 and 0", par, fams, probes, ok)
-		}
-		for _, c := range arm.Children() {
-			if strings.HasPrefix(c.Name(), "shard[") || c.Name() == "merge" {
-				t.Errorf("par=%d: member-sharding span %s under the arm", par, c.Name())
-			}
+	root := trace.New("evaluate")
+	rel, m, err := engine.New(raw, st, engine.Native).WithSpan(root).EvalArms([]uint32{0, 2}, []engine.ArmSource{fullScanArm(100)})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameAnswers(rel, one) || m.UnionArms != 100 || m.TuplesScanned != int64(raw.Len()) {
+		t.Errorf("%d rows over %d members scanning %d tuples; want the %d rows of one member, 100 members, one scan of %d", rel.Len(), m.UnionArms, m.TuplesScanned, one.Len(), raw.Len())
+	}
+	arm := root.Find("arm[0]")
+	if arm == nil {
+		t.Fatal("no arm[0] span recorded")
+	}
+	fams, _ := arm.IntAttr("families")
+	probes, ok := arm.IntAttr("family_probes")
+	if fams != 1 || probes != 0 || !ok {
+		t.Errorf("families = %d, family_probes = %d (%v); want 1 and 0", fams, probes, ok)
+	}
+	for _, c := range arm.Children() {
+		if strings.HasPrefix(c.Name(), "shard[") || c.Name() == "merge" {
+			t.Errorf("member-sharding span %s under the arm", c.Name())
 		}
 	}
 }

@@ -169,10 +169,9 @@ type Options struct {
 	MaxCovers int
 	// SearchBudget bounds optimization wall-clock time (0 = none).
 	SearchBudget time.Duration
-	// Parallelism is the worker count for cover pricing and the final
-	// deduplicating projection of large answers; query evaluation itself
-	// is serial. 0 uses all CPUs, 1 runs serially. Results are identical
-	// either way.
+	// Parallelism is the worker count for cover pricing; query evaluation
+	// itself is serial. 0 uses all CPUs, 1 prices serially. Results are
+	// identical either way.
 	Parallelism int
 	// NoSharedScan disables the engine's shared-scan layer (pattern-scan
 	// memo, merged member scans, member families, cross-member planning
@@ -562,16 +561,27 @@ func (r *Result) Rows() [][]rdf.Term {
 
 // Each streams the decoded answers in their canonical order, expanding a
 // factorized result one row at a time; f returning false stops the
-// iteration. Each row slice is freshly allocated and may be retained.
+// iteration. Each row slice is distinct from every other and may be
+// retained; rows are carved from slabs of eachSlabTerms terms, so a
+// retained row keeps its slab alive.
 func (r *Result) Each(f func(row []rdf.Term) bool) {
+	var slab []rdf.Term
 	r.EachIDs(func(ids []dict.ID, terms dict.View) bool {
-		out := make([]rdf.Term, len(ids))
+		if len(slab) < len(ids) {
+			slab = make([]rdf.Term, max(eachSlabTerms, len(ids)))
+		}
+		out := slab[:len(ids):len(ids)]
+		slab = slab[len(ids):]
 		for i, id := range ids {
 			out[i] = terms.Term(id)
 		}
 		return f(out)
 	})
 }
+
+// eachSlabTerms is the size of the slabs Each carves rows from: one
+// allocation per ~1,000 cells rather than one per row.
+const eachSlabTerms = 1024
 
 // EachIDs is the streaming primitive under Each: the answers in their
 // canonical order as dictionary IDs, expanded one row at a time, with one

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -171,6 +172,56 @@ func TestStoreLifecycle(t *testing.T) {
 	err = st.Add(rdf.NewTriple(rdf.NewIRI("http://x/Pub"), rdf.SubClassOf, rdf.NewIRI("http://x/Thing")))
 	if err == nil {
 		t.Error("schema change after freeze accepted")
+	}
+}
+
+// The rows Each hands out may be retained: each is its own slice, so
+// writing to one, or appending to it, leaves every other unchanged. They
+// are carved from shared slabs, a few allocations per 1,000 rows rather
+// than one per row.
+func TestResultEachRowsAreDistinct(t *testing.T) {
+	const n = 3000
+	st := repro.NewStore()
+	p := rdf.NewIRI("http://x/p")
+	for i := 0; i < n; i++ {
+		st.MustAdd(rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("http://x/s%d", i)), p, rdf.NewIRI(fmt.Sprintf("http://x/o%d", i))))
+	}
+	st.Freeze()
+	res, err := st.NewAnswerer(repro.Native, repro.Options{}).Query(`SELECT ?x ?y WHERE { ?x <http://x/p> ?y }`, repro.GCov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]rdf.Term
+	res.Each(func(row []rdf.Term) bool {
+		rows = append(rows, row)
+		return true
+	})
+	if len(rows) != n {
+		t.Fatalf("Each streamed %d rows, want %d", len(rows), n)
+	}
+	want := make([][]string, n)
+	for i, row := range rows {
+		want[i] = []string{row[0].Canonical(), row[1].Canonical()}
+	}
+	junk := rdf.NewIRI("http://x/overwritten")
+	for i := 0; i < n; i += 7 {
+		rows[i][0], rows[i][1] = junk, junk
+		_ = append(rows[i], junk)
+	}
+	for i, row := range rows {
+		if i%7 == 0 {
+			continue
+		}
+		if len(row) != 2 || row[0].Canonical() != want[i][0] || row[1].Canonical() != want[i][1] {
+			t.Fatalf("row %d = %v after writing to other rows, want %v", i, row, want[i])
+		}
+	}
+
+	allocs := testing.AllocsPerRun(10, func() {
+		res.Each(func([]rdf.Term) bool { return true })
+	})
+	if perK := allocs / (n / 1000); perK > 4 {
+		t.Errorf("Each allocates %.1f objects per 1,000 two-column rows, want at most 4", perK)
 	}
 }
 
