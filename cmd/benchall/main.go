@@ -387,7 +387,7 @@ func main() {
 	}
 
 	if all || *sharedScan {
-		section("Shared scans: snapshot + scan memo + merged members, on vs off (UCQ)", func() error {
+		section("Shared scans: merged members + member families, on vs off (UCQ)", func() error {
 			return lubmDB.SharedScanSweep(out, []string{"Q01", "Q05", "Q09", "Q13"}, core.UCQ, 3)
 		})
 	}

@@ -38,7 +38,7 @@ func main() {
 	traceFlag := flag.Bool("trace", false, "print the query-lifecycle span tree and counters after the answers")
 	traceJSON := flag.Bool("tracejson", false, "with -trace, emit only the span tree as JSON on stdout (suppresses the answer table)")
 	parallelism := flag.Int("parallel", 0, "worker count for cover pricing; evaluation is always serial (0 = all CPUs, 1 = sequential)")
-	noSharedScan := flag.Bool("nosharedscan", false, "disable the shared-scan layer (pattern-scan memo + merged member scans + member families + cross-member planning memos)")
+	noSharedScan := flag.Bool("nosharedscan", false, "disable the shared-scan layer (merged member scans + member families + cross-member planning memos)")
 	noFactorized := flag.Bool("nofactorized", false, "disable the factorized answer representation (always hold expanded answer rows)")
 	cacheCap := flag.Int("cache", 0, "plan-cache capacity in entries (0 = cache off)")
 	repeat := flag.Int("repeat", 1, "answer the query N times (with -cache, runs after the first hit the cache)")

@@ -11,14 +11,14 @@ import (
 	"repro/internal/trace"
 )
 
-// SharedScanSweep measures the shared-scan layer (snapshot-pinned scans
-// with the pattern-scan memo, merged member scans and member families) on
-// this database: for each named query it answers with the layer on and
-// off, sequential and parallel, asserting that every configuration
-// returns the same rows over the same members — the layer shares scans
-// and probes, so the tuples it scans and the row order may differ — and
-// reports the evaluation times alongside the scan-cache and merge
-// counters of a traced run. Empty queryNames sweeps the whole workload.
+// SharedScanSweep measures the shared-scan layer (merged member scans,
+// member families and cross-member planning memos over a pinned
+// snapshot) on this database: for each named query it answers with the
+// layer on and off, sequential and parallel, asserting that every
+// configuration returns the same rows over the same members — the layer
+// shares scans and probes, so the tuples it scans and the row order may
+// differ — and reports the evaluation times alongside the merge and
+// depth-0 range counters of a traced run. Empty queryNames sweeps the whole workload.
 func (db *Database) SharedScanSweep(w io.Writer, queryNames []string, strat core.Strategy, warm int) error {
 	if warm < 1 {
 		warm = 3
@@ -37,7 +37,7 @@ func (db *Database) SharedScanSweep(w io.Writer, queryNames []string, strat core
 
 	fmt.Fprintf(w, "%s: shared-scan sweep (strategy %s, %d warm runs)\n\n", db.Name, strat, warm)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "Query\tRows\tShared\tBaseline\tSpeedup\tCache hit-rate\tMerged members\n")
+	fmt.Fprintf(tw, "Query\tRows\tShared\tBaseline\tSpeedup\tMerged members\tDepth-0 ranges\n")
 	for _, name := range queryNames {
 		qi := db.QueryIndex(name)
 		if qi < 0 {
@@ -84,35 +84,30 @@ func (db *Database) SharedScanSweep(w io.Writer, queryNames []string, strat core
 			return fmt.Errorf("benchkit: %s: shared and baseline rows differ", name)
 		}
 
-		hits, misses, merged, err := db.sharedScanCounters(qi, strat)
+		merged, ranges, err := db.sharedScanCounters(qi, strat)
 		if err != nil {
 			return err
 		}
-		rate := 0.0
-		if hits+misses > 0 {
-			rate = float64(hits) / float64(hits+misses)
-		}
 		speedup := float64(off.Evaluate) / float64(maxDuration(on.Evaluate, time.Nanosecond))
-		fmt.Fprintf(tw, "%s\t%d\t%v\t%v\t%.2fx\t%.0f%%\t%d\n",
+		fmt.Fprintf(tw, "%s\t%d\t%v\t%v\t%.2fx\t%d\t%d\n",
 			name, on.Rows,
 			on.Evaluate.Round(time.Microsecond), off.Evaluate.Round(time.Microsecond),
-			speedup, 100*rate, merged)
+			speedup, merged, ranges)
 	}
 	return tw.Flush()
 }
 
 // sharedScanCounters answers the query once under a trace and returns
-// the evaluation's scancache.hits, scancache.misses and merged_members
-// registry counters.
-func (db *Database) sharedScanCounters(qi int, strat core.Strategy) (hits, misses, merged int64, err error) {
+// the evaluation's merged_members and snapshot_ranges registry counters.
+func (db *Database) sharedScanCounters(qi int, strat core.Strategy) (merged, ranges int64, err error) {
 	sp := trace.New("sharedscan")
 	a := db.Answerer(engine.Native, core.Options{Parallelism: 1, Trace: sp})
 	if _, err = a.Answer(db.Encoded[qi], strat); err != nil {
-		return 0, 0, 0, fmt.Errorf("benchkit: traced run: %w", err)
+		return 0, 0, fmt.Errorf("benchkit: traced run: %w", err)
 	}
 	sp.End()
 	snap := sp.Registry().Snapshot()
-	return snap["scancache.hits"], snap["scancache.misses"], snap["merged_members"], nil
+	return snap["merged_members"], snap["snapshot_ranges"], nil
 }
 
 func maxDuration(a, b time.Duration) time.Duration {

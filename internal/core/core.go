@@ -104,11 +104,10 @@ type Options struct {
 	// answers are identical either way; the stored footprint of large
 	// cross-product results changes, and so may the tuples scanned.
 	NoFactorized bool
-	// NoSharedScan disables the engines' shared-scan layer (the
-	// per-evaluation pattern-scan memo, merged member scans, member
-	// families and cross-member planning memos), reproducing
-	// scan-per-member evaluation — an ablation knob for measuring what the
-	// layer contributes. Answers are identical either way; the tuples
+	// NoSharedScan disables the engines' shared-scan layer (merged
+	// member scans, member families and cross-member planning memos),
+	// reproducing scan-per-member evaluation — an ablation knob for
+	// measuring what the layer contributes. Answers are identical either way; the tuples
 	// scanned and the work charged are not.
 	NoSharedScan bool
 	// Trace, when non-nil, is the span query answering records its stage

@@ -65,7 +65,7 @@ const meterBatch = 1024
 type meter struct {
 	ctx                   *evalCtx
 	work, tuples, deduped int64
-	hits, misses, ranges  int64 // shared-scan observability
+	ranges                int64 // depth-0 scans the snapshot handed out as ranges
 	filtered              int64 // bindings the arm's key filter dropped
 	families, probes      int64 // families evaluated, depth-1 probes issued
 }
@@ -89,8 +89,6 @@ func (m *meter) flush() error {
 	c, w := m.ctx, m.work
 	c.tuplesScanned.Add(m.tuples)
 	c.rowsDeduped.Add(m.deduped)
-	c.scanHits.Add(m.hits)
-	c.scanMisses.Add(m.misses)
 	c.snapRanges.Add(m.ranges)
 	c.filtered.Add(m.filtered)
 	c.families.Add(m.families)
@@ -312,16 +310,18 @@ func (k *bindJoin) run(depth int) error {
 	}
 	var ts []storage.Triple
 	var ok bool
-	switch c := k.m.ctx; {
+	switch snap := k.m.ctx.snap; {
 	case depth > 0:
 		if depth == 1 {
 			k.m.probes++
 		}
-		ts, ok = c.snap.RangeFrom(pat, &k.hints[depth])
+		ts, ok = snap.RangeFrom(pat, &k.hints[depth])
 	case k.preOK:
-		ts, ok = k.pre, c.snap.Settled(pat)
+		ts, ok = k.pre, snap.Settled(pat)
 	default:
-		ts, ok = c.scanPattern(&k.m, pat, &k.hints[0])
+		if ts, ok = snap.RangeFrom(pat, &k.hints[0]); ok {
+			k.m.ranges++
+		}
 	}
 	if ok {
 		return k.walk(depth, ts)

@@ -72,7 +72,7 @@ func TestMemberEvaluationAllocatesNothing(t *testing.T) {
 		// (x, ?, ?) probe returns its four triples.
 		{"family", family, nil, 4000, 2500, 0},
 	} {
-		ctx := &evalCtx{snap: st.Snapshot(), shared: true, scans: newScanCache()}
+		ctx := &evalCtx{snap: st.Snapshot(), shared: true}
 		sc := newArmScratch(ctx, tc.filter)
 		dedup := newDedupSet(ctx)
 		if err := e.evalMemberRun(ctx, sc, tc.members, dedup); err != nil {

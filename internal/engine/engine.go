@@ -171,9 +171,9 @@ type Engine struct {
 	// tracing: the evaluation hot path then pays one nil check per
 	// instrumentation point and allocates nothing for tracing.
 	span *trace.Span
-	// noShared disables the shared-scan layer (pattern-scan memo, merged
-	// member scans, member families); see WithSharedScan. Snapshot
-	// pinning stays on either way.
+	// noShared disables the shared-scan layer (merged member scans,
+	// member families, cross-member planning memos); see WithSharedScan.
+	// Snapshot pinning stays on either way.
 	noShared bool
 	// ctx, when non-nil, can interrupt evaluations mid-flight (see
 	// WithContext). nil — the default — means evaluations run to
@@ -222,12 +222,11 @@ func (e *Engine) WithContext(ctx context.Context) *Engine {
 
 // WithSharedScan returns a copy of the engine with the shared-scan
 // layer enabled (the default) or disabled. The layer comprises the
-// per-evaluation memo of outermost pattern scans, the merged evaluation
-// of member CQs differing in one constant, and the cross-member planning
-// memos (join orders and cardinality probes shared across an arm), and
-// member families (see evalFamily); disabling it reproduces
-// scan-per-member evaluation — the baseline the ablation benchmarks
-// compare against. Answers are identical either way; TuplesScanned and
+// merged evaluation of member CQs differing in one constant, the
+// cross-member planning memos (join orders and cardinality probes shared
+// across an arm), and member families (see evalFamily); disabling it
+// reproduces scan-per-member evaluation — the baseline the ablation
+// benchmarks compare against. Answers are identical either way; TuplesScanned and
 // Work count the scans and probes each side performs, and rows may come
 // out in another order. Snapshot pinning is not affected: every evaluation
 // reads through an immutable snapshot regardless, which is what makes
@@ -297,9 +296,8 @@ type evalCtx struct {
 	// concurrent store mutations cannot deadlock or skew the evaluation
 	// mid-flight.
 	snap *storage.Snapshot
-	// scans is the shared memo of depth-0 scans (nil when shared is false).
-	scans *scanCache
-	// shared enables the scan memo and merged member scans.
+	// shared enables merged member scans, member families and the
+	// cross-member planning memos.
 	shared bool
 	// fact enables factorized answer relations (see WithFactorized).
 	fact bool
@@ -319,10 +317,8 @@ type evalCtx struct {
 
 	// Shared-scan observability (trace-only; deliberately not part of
 	// Metrics, so the shared and baseline paths stay Metrics-identical).
-	scanHits      atomic.Int64 // scans served from the pattern memo
-	scanMisses    atomic.Int64 // scans that had to locate their range
 	mergedMembers atomic.Int64 // members evaluated under a merged scan
-	snapRanges    atomic.Int64 // scans resolved to zero-copy snapshot ranges
+	snapRanges    atomic.Int64 // depth-0 scans resolved to zero-copy snapshot ranges
 	filtered      atomic.Int64 // bindings dropped by an arm's key filter
 	families      atomic.Int64 // member families evaluated
 	familyProbes  atomic.Int64 // depth-1 probes, one per family and binding
@@ -355,8 +351,6 @@ func (c *evalCtx) finishSpan(sp *trace.Span, err error) {
 	sp.SetInt("dedup_hits", m.RowsDeduped)
 	sp.SetInt("union_arms", m.UnionArms)
 	sp.SetInt("work", m.Work)
-	sp.SetInt("scan_cache_hits", c.scanHits.Load())
-	sp.SetInt("scan_cache_misses", c.scanMisses.Load())
 	sp.SetInt("merged_members", c.mergedMembers.Load())
 	sp.SetInt("snapshot_ranges", c.snapRanges.Load())
 	if c.snap != nil {
@@ -376,8 +370,6 @@ func (c *evalCtx) finishSpan(sp *trace.Span, err error) {
 	reg.Counter("engine.dedup_hits").Add(m.RowsDeduped)
 	reg.Counter("engine.union_arms").Add(m.UnionArms)
 	reg.Counter("engine.work").Add(m.Work)
-	reg.Counter("scancache.hits").Add(c.scanHits.Load())
-	reg.Counter("scancache.misses").Add(c.scanMisses.Load())
 	reg.Counter("merged_members").Add(c.mergedMembers.Load())
 	reg.Counter("snapshot_ranges").Add(c.snapRanges.Load())
 	if err != nil {

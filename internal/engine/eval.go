@@ -107,15 +107,9 @@ func (e *Engine) EvalArms(head []uint32, arms []ArmSource) (*Relation, Metrics, 
 	if evalSnapshotHook != nil {
 		evalSnapshotHook(ctx.snap)
 	}
-	// Release runs after the deferred scanCache release below (LIFO), so
-	// every cached range subslice borrowed from the snapshot's decoded
-	// blocks is dropped before the snapshot returns them to the pool. By
-	// then evalArms has returned, so no read is in flight.
+	// By the time Release runs evalArms has returned, so no read of a
+	// range borrowed from the snapshot's decoded blocks is in flight.
 	defer ctx.snap.Release()
-	if ctx.shared {
-		ctx.scans = newScanCache()
-		defer ctx.scans.release()
-	}
 	rel, err := e.evalArms(ctx, head, arms)
 	ctx.finishSpan(e.span, err)
 	return rel, ctx.snapshot(), err

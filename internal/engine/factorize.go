@@ -438,7 +438,7 @@ func (e *Engine) evalFactMember(ctx *evalCtx, sc *armScratch, acc *factAcc, cq b
 
 // evalSegment bind-joins one segment's atoms in order over the pinned
 // snapshot with the same compiled program as a flat member (same
-// accounting, same shared-scan memo), calling emit with each binding
+// accounting), calling emit with each binding
 // projected on the segment's head columns. It returns the tuples scanned;
 // emit observes the binding count. The projected row aliases a scratch
 // buffer valid only during the call. The arm's key filter applies when

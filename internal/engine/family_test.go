@@ -13,6 +13,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/testkit"
+	"repro/internal/trace"
 )
 
 // The vocabulary of familyStore.
@@ -103,10 +104,10 @@ func TestFamiliesMatchNaive(t *testing.T) {
 			if frozen {
 				st = rebuildCompressed(st)
 			}
+			eng := engine.New(st, stats.Collect(st, schema.Vocab{}), engine.Native) // before pend: Collect's pass compacts
 			if pending {
 				pend(st)
 			}
-			eng := engine.New(st, stats.Collect(st, schema.Vocab{}), engine.Native)
 			for _, tc := range cases {
 				name := fmt.Sprintf("frozen=%v pending=%v %s", frozen, pending, tc.name)
 				u := bgp.UCQ{Vars: []uint32{1000, 1001}, CQs: tc.members}
@@ -200,6 +201,53 @@ func TestRandomUCQFamiliesMatchSaturation(t *testing.T) {
 				}
 				if got, want := toRows(rel), naive.EvalCQ(sat, q); !naive.Equal(got, want) {
 					t.Fatalf("seed %d frozen=%v query %d %v: engine %v, naive over the saturated store %v", seed, frozen, qi, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// An arm's depth-0 scan goes to the snapshot on every evaluation. Where
+// the pattern has a pending addition and a tombstone inside it, the
+// snapshot cannot hand the scan out as a range and it streams, merging
+// the delta; repeating the scan in later arms must not change that. One
+// single-member arm, and three arms opening with that same atom, answer
+// as the naive evaluator does, on both representations, with and without
+// the shared-scan layer.
+func TestDepthZeroScanWithDeltaMatchesNaive(t *testing.T) {
+	x, y := bgp.V(0), bgp.V(1)
+	c := bgp.C
+	open := bgp.Atom{S: x, P: c(fType), O: c(cEven)} // pend adds (103, type, cEven), removes (106, type, cEven)
+	arm := func(second bgp.Atom) bgp.UCQ {
+		return bgp.UCQ{Vars: []uint32{0, 1}, CQs: []bgp.CQ{{Head: []bgp.Term{x, y}, Atoms: []bgp.Atom{open, second}}}}
+	}
+	one := bgp.JUCQ{Head: []uint32{0, 1}, Arms: []bgp.UCQ{arm(bgp.Atom{S: x, P: c(fKnows), O: y})}}
+	three := bgp.JUCQ{Head: []uint32{0, 1}, Arms: []bgp.UCQ{
+		arm(bgp.Atom{S: x, P: c(fKnows), O: y}),
+		arm(bgp.Atom{S: x, P: c(fKnows), O: y}),
+		arm(bgp.Atom{S: y, P: c(fKnows), O: x}),
+	}}
+	for _, frozen := range []bool{false, true} {
+		st := familyStore()
+		if frozen {
+			st = rebuildCompressed(st)
+		}
+		sts := stats.Collect(st, schema.Vocab{}) // before pend: Collect's pass compacts
+		pend(st)
+		for _, shared := range []bool{true, false} {
+			eng := engine.New(st, sts, engine.Native).WithSharedScan(shared)
+			for name, j := range map[string]bgp.JUCQ{"one arm": one, "three arms": three} {
+				root := trace.New("test")
+				rel, _, err := eng.WithSpan(root).EvalArms(j.Head, sources(j.Arms))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := naive.EvalJUCQ(st, j)
+				if got := toRows(rel); !naive.Equal(got, want) || len(want) == 0 {
+					t.Fatalf("frozen=%v shared=%v %s: engine %v, naive %v", frozen, shared, name, got, want)
+				}
+				if got := root.Registry().Snapshot()["snapshot_ranges"]; got != 0 {
+					t.Errorf("frozen=%v shared=%v %s: %d depth-0 scans came back as ranges; the delta must make them stream", frozen, shared, name, got)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -184,5 +185,59 @@ func TestKeyFilterBitmapMatchesRowSet(t *testing.T) {
 			probes = append(probes, lo-64+dict.ID(rng.Intn(span+128)))
 		}
 		agree(fmt.Sprintf("round %d (%d keys over %d IDs, bitmap %v)", round, len(ids), span, f.bits != nil), f, reference(rows), probes)
+	}
+}
+
+// memberOrder is joinOrder plus caching (per-arm order cache keyed by
+// the member's renaming-invariant shape, cardinality memos shared across
+// members, probes through the snapshot). The chosen orders must agree —
+// the shared-vs-baseline equality tests cannot catch a divergence here,
+// because both configurations evaluate through memberOrder.
+func TestMemberOrderAgreesWithJoinOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	b := storage.NewBuilder()
+	for i := 0; i < 500; i++ {
+		b.Add(storage.Triple{
+			S: dict.ID(rng.Intn(60) + 1),
+			P: dict.ID(rng.Intn(10) + 1),
+			O: dict.ID(rng.Intn(60) + 1),
+		})
+	}
+	raw := b.Build()
+	e := New(raw, stats.Collect(raw, schema.Vocab{}), Native)
+	shared := &evalCtx{snap: raw.Snapshot(), shared: true}
+	base := &evalCtx{snap: raw.Snapshot()}
+	sc := newArmScratch(shared, nil)
+	baseSc := newArmScratch(base, nil)
+
+	term := func() bgp.Term {
+		if rng.Intn(2) == 0 {
+			return bgp.V(uint32(rng.Intn(4) + 1))
+		}
+		return bgp.C(dict.ID(rng.Intn(60) + 1))
+	}
+	for qi := 0; qi < 200; qi++ {
+		n := rng.Intn(4) + 1
+		cq := bgp.CQ{Head: []bgp.Term{bgp.V(1)}}
+		for i := 0; i < n; i++ {
+			cq.Atoms = append(cq.Atoms, bgp.Atom{
+				S: term(),
+				P: bgp.C(dict.ID(rng.Intn(10) + 1)),
+				O: term(),
+			})
+		}
+		want := e.joinOrder(cq)
+		got := e.memberOrder(shared, sc, cq)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d (%v): memberOrder %v, joinOrder %v", qi, cq.Atoms, got, want)
+		}
+		// The cached second call must return the same order.
+		if again := e.memberOrder(shared, sc, cq); !reflect.DeepEqual(again, want) {
+			t.Fatalf("query %d: cached memberOrder %v, want %v", qi, again, want)
+		}
+		// The uncached baseline branch must agree too.
+		if b := e.memberOrder(base, baseSc, cq); !reflect.DeepEqual(b, want) {
+			t.Fatalf("query %d: baseline memberOrder %v, want %v", qi, b, want)
+		}
 	}
 }

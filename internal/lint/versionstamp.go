@@ -3,7 +3,7 @@ package lint
 // versionstamp machine-checks the cache-coherence discipline PR 4
 // established after fixing stale-result bugs by hand: every artifact
 // that outlives a single query evaluation (plan-cache entries,
-// statistics memos, scan-cache rows) is stamped with the store mutation
+// statistics memos) is stamped with the store mutation
 // version it was computed against, and every hit validates the stamp.
 // The reformulation engine's exactness guarantee (the paper's Sec. 3
 // certain-answer semantics) silently breaks if any of these caches

@@ -338,8 +338,8 @@ func (sn *Snapshot) scanDelta(p Pattern, f func(Triple) bool) {
 // On a flat index the subslice is zero-copy into the shared index. On a
 // frozen index it is a view of a lazily-decoded block (or a materialized
 // multi-block span) cached on the generation's cursor — equally stable
-// for the snapshot's lifetime, so callers (the engine's bind-joins and
-// scanCache) treat both identically; a range wider than the
+// for the snapshot's lifetime, so callers (the engine's bind-joins)
+// treat both identically; a range wider than the
 // materialization cap is declined (ok=false) and streams through Scan
 // instead. On a frozen store with the default index set, every pattern
 // shape narrower than the cap takes the ok path.

@@ -18,8 +18,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -196,7 +197,15 @@ func hasOrder(orders []Order, o Order) bool {
 }
 
 func sortByOrder(ts []Triple, perm [3]int) {
-	sort.Slice(ts, func(i, j int) bool { return less(perm, ts[i], ts[j]) })
+	slices.SortFunc(ts, func(a, b Triple) int {
+		ka, kb := key(a), key(b)
+		for _, pos := range perm {
+			if c := cmp.Compare(ka[pos], kb[pos]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
 }
 
 func dedupSorted(ts []Triple) []Triple {

@@ -173,10 +173,10 @@ type Options struct {
 	// itself is serial. 0 uses all CPUs, 1 prices serially. Results are
 	// identical either way.
 	Parallelism int
-	// NoSharedScan disables the engine's shared-scan layer (pattern-scan
-	// memo, merged member scans, member families, cross-member planning
-	// memos) — an ablation knob; answers are identical either way, only
-	// evaluation time and the tuples scanned change.
+	// NoSharedScan disables the engine's shared-scan layer (merged
+	// member scans, member families, cross-member planning memos) — an
+	// ablation knob; answers are identical either way, only evaluation
+	// time and the tuples scanned change.
 	NoSharedScan bool
 	// NoFactorized disables the factorized answer representation
 	// (union-of-products relations expanded lazily at the client
@@ -447,6 +447,26 @@ func (s *Store) NumTriples() int {
 		return len(s.pending)
 	}
 	return s.raw.Len()
+}
+
+// IndexFootprint is the resident cost of a store's index representation.
+type IndexFootprint = storage.Footprint
+
+// Footprint is what a store keeps resident for its explicit triples: the
+// raw store's indexes and the dictionary they are encoded over.
+type Footprint struct {
+	Index     IndexFootprint // empty before Freeze
+	DictBytes int            // as dict.Dict.Bytes counts them
+}
+
+// Footprint reports the raw store's index footprint and the dictionary's
+// bytes.
+func (s *Store) Footprint() Footprint {
+	fp := Footprint{DictBytes: s.dict.Bytes()}
+	if s.frozen {
+		fp.Index = s.raw.Footprint()
+	}
+	return fp
 }
 
 // NumImplicit returns the number of implicit triples the saturation

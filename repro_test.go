@@ -175,6 +175,29 @@ func TestStoreLifecycle(t *testing.T) {
 	}
 }
 
+// Footprint reports the dictionary beside the indexes, before and after
+// Freeze; the dictionary grows with the terms, not with Freeze.
+func TestStoreFootprint(t *testing.T) {
+	st := repro.NewStore()
+	empty := st.Footprint().DictBytes
+	p := rdf.NewIRI("http://x/p")
+	for i := 0; i < 100; i++ {
+		st.MustAdd(rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("http://x/s%d", i)), p, rdf.NewLiteral("o")))
+	}
+	before := st.Footprint()
+	if before.DictBytes <= empty || before.Index.Triples != 0 {
+		t.Fatalf("before Freeze: %+v (empty dictionary %d B), want a larger dictionary and no index", before, empty)
+	}
+	st.Freeze()
+	after := st.Footprint()
+	if after.DictBytes != before.DictBytes {
+		t.Errorf("Freeze moved the dictionary's bytes %d -> %d", before.DictBytes, after.DictBytes)
+	}
+	if after.Index.Triples != st.NumTriples() || after.Index.IndexBytes() == 0 {
+		t.Errorf("after Freeze: index %+v for %d triples", after.Index, st.NumTriples())
+	}
+}
+
 // The rows Each hands out may be retained: each is its own slice, so
 // writing to one, or appending to it, leaves every other unchanged. They
 // are carved from shared slabs, a few allocations per 1,000 rows rather

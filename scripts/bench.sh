@@ -81,8 +81,8 @@ if ! grep -q 'BenchmarkCachedAnswer/warm' "$raw"; then
     go test -run '^$' -bench '^BenchmarkCachedAnswer$' -benchmem . | tee -a "$raw"
 fi
 
-# sharedscan: the shared-vs-baseline UCQ pair (with the scan-cache
-# hit-rate metric) and the store/snapshot/range scan triple must be in
+# sharedscan: the shared-vs-baseline UCQ pair (with its merged-members
+# metric) and the store/snapshot/range scan triple must be in
 # every committed report. Re-run them on their own if a custom pattern
 # excluded them from the main sweep.
 if ! grep -q 'BenchmarkSharedScanUCQ' "$raw"; then
