@@ -187,15 +187,6 @@ func BenchmarkAblation_JoinOrdering(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_GCovRedundancy(b *testing.B) {
-	db := lubmDB(b)
-	for i := 0; i < b.N; i++ {
-		if err := db.AblationGCovRedundancy(io.Discard, "Q01", "Q09", "Q23"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAblation_ArmJoin(b *testing.B) {
 	db := lubmDB(b)
 	for i := 0; i < b.N; i++ {
@@ -435,49 +426,6 @@ func BenchmarkSharedScanUCQ(b *testing.B) {
 				}
 				if shared {
 					b.ReportMetric(merged, "merged-members")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFactorizedAnswers measures answering the cross-product
-// queries of the factorized-answer experiment with factorization on
-// and off. Each variant reports the stored footprint per logical
-// answer (bytes/answer) and the logical answer rate (answers/sec) —
-// scripts/bench.sh embeds both into the committed BENCH_*.json files
-// alongside the equality-gated sweep from `benchall -factjson`.
-func BenchmarkFactorizedAnswers(b *testing.B) {
-	db := lubmDB(b)
-	variants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"factorized", core.Options{Parallelism: 1}},
-		{"flat", core.Options{Parallelism: 1, NoFactorized: true}},
-	}
-	for _, spec := range benchkit.FactorizedSpecs() {
-		q, err := db.EncodeSpec(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, v := range variants {
-			a := db.Answerer(engine.Native, v.opts)
-			b.Run(spec.Name+"/"+v.name, func(b *testing.B) {
-				b.ReportAllocs()
-				rows := 0
-				var stored int64
-				for i := 0; i < b.N; i++ {
-					ans, err := a.Answer(q, core.UCQ)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rows = ans.Rel.Len()
-					stored = ans.Rel.StoredBytes()
-				}
-				if rows > 0 && b.Elapsed() > 0 {
-					b.ReportMetric(float64(stored)/float64(rows), "bytes/answer")
-					b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "answers/sec")
 				}
 			})
 		}

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -128,48 +127,6 @@ func runFeedbackSweep(sc benchkit.Scale, epochs int, jsonPath string) error {
 	return nil
 }
 
-// runFactorizedSweep runs the factorized-answer sweep on LUBM and
-// enforces its acceptance gate: the expanded answers and engine metrics
-// must be strictly identical to the flat baseline (FactorizedSweep
-// fails otherwise), and at least one cross-product query must store its
-// answers at least 2x smaller than flat.
-func runFactorizedSweep(sc benchkit.Scale, jsonPath string) error {
-	db, err := benchkit.BuildLUBM(sc)
-	if err != nil {
-		return err
-	}
-	outs, err := db.FactorizedSweep(os.Stderr, 3)
-	if err != nil {
-		return err
-	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(struct {
-			Queries []benchkit.FactorizedOutcome `json:"queries"`
-		}{outs}, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if jsonPath == "-" {
-			if _, err := os.Stdout.Write(data); err != nil {
-				return err
-			}
-		} else if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-			return err
-		}
-	}
-	best := 0.0
-	for _, o := range outs {
-		if o.CompressionRatio > best {
-			best = o.CompressionRatio
-		}
-	}
-	if best < 2 {
-		return fmt.Errorf("no cross-product query compressed at least 2x (best %.2fx)", best)
-	}
-	return nil
-}
-
 // writeStageSweep answers a representative LUBM query set with every
 // reformulation strategy under tracing and writes the per-stage
 // breakdown as JSON — the stage data scripts/bench.sh embeds into the
@@ -212,8 +169,6 @@ func main() {
 	loadJSON := flag.String("loadjson", "", "run the bulk-load scale sweep and write its JSON to this file ('-' = stdout), then exit")
 	loadScales := flag.String("loadscales", "tiny,small,medium", "comma-separated scales for -loadjson")
 	loadPar := flag.Int("loadpar", 0, "loader parallelism for -loadjson (0 = GOMAXPROCS)")
-	factSweep := flag.Bool("factorized", false, "run only the factorized-answer sweep (fails unless answers are byte-identical to flat and one query compresses 2x)")
-	factJSON := flag.String("factjson", "", "run the factorized-answer sweep and write its JSON to this file ('-' = stdout), then exit")
 	fbSweep := flag.Bool("feedback", false, "run only the feedback warm-up sweep (fails if the estimation error does not shrink 2x)")
 	fbJSON := flag.String("feedbackjson", "", "run the feedback warm-up sweep and write its JSON to this file ('-' = stdout), then exit")
 	fbEpochs := flag.Int("feedbackepochs", 4, "workload passes for the feedback sweep")
@@ -221,14 +176,6 @@ func main() {
 
 	sc := benchkit.ScaleByName(*scale)
 	out := os.Stdout
-
-	if *factSweep || *factJSON != "" {
-		if err := runFactorizedSweep(sc, *factJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *fbSweep || *fbJSON != "" {
 		if err := runFeedbackSweep(sc, *fbEpochs, *fbJSON); err != nil {
@@ -362,9 +309,6 @@ func main() {
 		})
 		section("Ablation A2: greedy join ordering inside member CQs", func() error {
 			return lubmDB.AblationJoinOrdering(out, "Q01", "Q09", "Q19")
-		})
-		section("Ablation A3: GCov redundant-fragment elimination", func() error {
-			return lubmDB.AblationGCovRedundancy(out, "Q01", "Q09", "Q23", "Q28")
 		})
 		section("Ablation A4: arm-join algorithm on SCQ plans", func() error {
 			return lubmDB.AblationArmJoin(out, "Q05", "Q13", "Q25")

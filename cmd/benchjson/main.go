@@ -49,10 +49,6 @@ type report struct {
 	// Feedback embeds the adaptive-cost warm-up sweep produced by
 	// `benchall -feedbackjson` (see -feedback), verbatim.
 	Feedback json.RawMessage `json:"feedback,omitempty"`
-	// Factorized embeds the factorized-answer sweep produced by
-	// `benchall -factjson` (see -factorized), verbatim: bytes/answer
-	// under the factorized and flat representations per query.
-	Factorized json.RawMessage `json:"factorized,omitempty"`
 }
 
 func main() {
@@ -62,7 +58,6 @@ func main() {
 	load := flag.String("load", "", "bulk-load sweep JSON file (from benchall -loadjson) to embed")
 	serve := flag.String("serve", "", "serve throughput JSON file (from benchall -servejson) to embed")
 	fbPath := flag.String("feedback", "", "feedback warm-up sweep JSON file (from benchall -feedbackjson) to embed")
-	factPath := flag.String("factorized", "", "factorized-answer sweep JSON file (from benchall -factjson) to embed")
 	flag.Parse()
 
 	src := os.Stdin
@@ -141,17 +136,6 @@ func main() {
 			fatal(fmt.Errorf("%s: not valid JSON", *fbPath))
 		}
 		rep.Feedback = json.RawMessage(raw)
-	}
-
-	if *factPath != "" {
-		raw, err := os.ReadFile(*factPath)
-		if err != nil {
-			fatal(err)
-		}
-		if !json.Valid(raw) {
-			fatal(fmt.Errorf("%s: not valid JSON", *factPath))
-		}
-		rep.Factorized = json.RawMessage(raw)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")

@@ -39,7 +39,6 @@ func main() {
 	traceJSON := flag.Bool("tracejson", false, "with -trace, emit only the span tree as JSON on stdout (suppresses the answer table)")
 	parallelism := flag.Int("parallel", 0, "worker count for cover pricing; evaluation is always serial (0 = all CPUs, 1 = sequential)")
 	noSharedScan := flag.Bool("nosharedscan", false, "disable the shared-scan layer (merged member scans + member families + cross-member planning memos)")
-	noFactorized := flag.Bool("nofactorized", false, "disable the factorized answer representation (always hold expanded answer rows)")
 	cacheCap := flag.Int("cache", 0, "plan-cache capacity in entries (0 = cache off)")
 	repeat := flag.Int("repeat", 1, "answer the query N times (with -cache, runs after the first hit the cache)")
 	feedbackFlag := flag.Bool("feedback", false, "feed observed cardinalities and timings back into the cost model (pairs well with -repeat and -trace)")
@@ -117,7 +116,6 @@ func main() {
 		Calibrate:    *calibrate,
 		Parallelism:  *parallelism,
 		NoSharedScan: *noSharedScan,
-		NoFactorized: *noFactorized,
 		Trace:        tr,
 		PlanCache:    pc,
 		Feedback:     fb,
@@ -186,8 +184,8 @@ func main() {
 	}
 	// With -tracejson, stdout carries only the span-tree JSON so it can
 	// be piped into tooling; the row count still reports on stderr.
-	// Answers stream through the result cursor: a truncated print of a
-	// huge (possibly factorized) answer set never expands past -maxrows.
+	// Answers stream through Result.Each: a truncated print of a huge
+	// answer set decodes no row past -maxrows.
 	if !(*traceFlag && *traceJSON) {
 		fmt.Printf("%s\n", strings.Join(res.Vars, "\t"))
 		i := 0

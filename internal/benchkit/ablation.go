@@ -93,30 +93,6 @@ func (db *Database) AblationJoinOrdering(w io.Writer, queryNames ...string) erro
 	return tw.Flush()
 }
 
-// AblationGCovRedundancy compares GCov with and without the
-// redundant-fragment elimination step of Algorithm 1 (A3): covers
-// explored, chosen-cover cost and evaluation time.
-func (db *Database) AblationGCovRedundancy(w io.Writer, queryNames ...string) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "query\twith elim: covers/cost/ms\twithout: covers/cost/ms\n")
-	withElim := db.Answerer(engine.Native, core.Options{})
-	withoutElim := db.Answerer(engine.Native, core.Options{NoRedundancyElimination: true})
-	for _, n := range queryNames {
-		qi := db.QueryIndex(n)
-		fmt.Fprintf(tw, "%s", n)
-		for _, a := range []*core.Answerer{withElim, withoutElim} {
-			out := db.Run(a, qi, core.GCov)
-			if out.Failed() {
-				fmt.Fprintf(tw, "\t%s", failureLabel(out.Err))
-				continue
-			}
-			fmt.Fprintf(tw, "\t%d/%.3g/%.1f", out.Report.CoversExplored, out.Report.EstimatedCost, ms(out.Evaluate))
-		}
-		fmt.Fprintln(tw)
-	}
-	return tw.Flush()
-}
-
 // AblationArmJoin evaluates the SCQ reformulation of the given queries
 // under each arm-join algorithm (A4) — the isolated mechanism behind the
 // MySQL-like profile's SCQ collapse.

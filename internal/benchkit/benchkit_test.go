@@ -211,7 +211,6 @@ func TestAblationReports(t *testing.T) {
 	cases := []func(*bytes.Buffer) error{
 		func(b *bytes.Buffer) error { return db.AblationIndexSet(b, "Q01") },
 		func(b *bytes.Buffer) error { return db.AblationJoinOrdering(b, "Q01") },
-		func(b *bytes.Buffer) error { return db.AblationGCovRedundancy(b, "Q01") },
 		func(b *bytes.Buffer) error { return db.AblationArmJoin(b, "Q05") },
 		func(b *bytes.Buffer) error { return db.AblationFactorizedReformulation(b, "Q01") },
 	}

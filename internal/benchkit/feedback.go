@@ -152,7 +152,7 @@ func canonicalRows(ans *core.Answer) []string {
 		return nil
 	}
 	seen := make(map[string]struct{}, ans.Rel.Len())
-	for _, row := range ans.Rel.Materialize() {
+	for _, row := range ans.Rel.Rows {
 		seen[fmt.Sprint(row)] = struct{}{}
 	}
 	out := make([]string, 0, len(seen))

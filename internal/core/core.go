@@ -90,20 +90,10 @@ type Options struct {
 	// MaxUCQMembers bounds per-fragment reformulation materialization in
 	// the EngineInternal cost source; 0 means DefaultMaxUCQMembers.
 	MaxUCQMembers int
-	// NoRedundancyElimination disables GCov's removal of redundant
-	// fragments after each move — an ablation knob for measuring how
-	// much that step of Algorithm 1 contributes.
-	NoRedundancyElimination bool
 	// Parallelism is the worker count for the cover-search pricing pools;
 	// evaluation is always serial. 0 means runtime.GOMAXPROCS(0); 1 prices
 	// serially. Results are identical regardless of the value.
 	Parallelism int
-	// NoFactorized disables the engines' factorized answer
-	// representation (union-of-products relations with lazy expansion) —
-	// an ablation knob for measuring what factorization saves. Expanded
-	// answers are identical either way; the stored footprint of large
-	// cross-product results changes, and so may the tuples scanned.
-	NoFactorized bool
 	// NoSharedScan disables the engines' shared-scan layer (merged
 	// member scans, member families and cross-member planning memos),
 	// reproducing scan-per-member evaluation — an ablation knob for
@@ -183,10 +173,10 @@ func NewAnswerer(sch *schema.Closed, raw, sat *engine.Engine, opts Options) *Ans
 	}
 	a := &Answerer{sch: sch, raw: raw, sat: sat, opts: opts}
 	if raw != nil {
-		a.raw = raw.WithSharedScan(!opts.NoSharedScan).WithFactorized(!opts.NoFactorized)
+		a.raw = raw.WithSharedScan(!opts.NoSharedScan)
 	}
 	if sat != nil {
-		a.sat = sat.WithSharedScan(!opts.NoSharedScan).WithFactorized(!opts.NoFactorized)
+		a.sat = sat.WithSharedScan(!opts.NoSharedScan)
 	}
 	return a
 }

@@ -674,10 +674,6 @@ func (s *searcher) apply(c cover.Cover, fi int, t int) cover.Cover {
 		}
 	}
 
-	if s.a.opts.NoRedundancyElimination {
-		return cover.NewCover(kept...)
-	}
-
 	// Redundancy elimination, costliest fragments first.
 	all := cover.Cover(kept).Union()
 	sort.Slice(kept, func(i, j int) bool {

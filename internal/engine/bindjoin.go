@@ -6,8 +6,7 @@ import (
 	"repro/internal/storage"
 )
 
-// This file is the engine's one bind-join loop. A member CQ (or one
-// variable-disjoint segment of it, on the factorized path) is compiled
+// This file is the engine's one bind-join loop. A member CQ is compiled
 // against its join order into a small program — per atom position: a
 // constant, a slot bound at an earlier depth, a slot first bound here, or
 // a repeat of a slot bound earlier in the same atom — and run over the
@@ -38,7 +37,7 @@ type headOp struct {
 	val  dict.ID
 }
 
-// program is one member's (or segment's) compiled bind-join.
+// program is one member's compiled bind-join.
 type program struct {
 	steps []step
 	head  []headOp
@@ -124,11 +123,8 @@ type bindJoin struct {
 	// filter, when non-nil, is the key filter the program runs under.
 	filter *keyFilter
 
-	// Where bindings go: the arm's dedup set, or — for a factorized
-	// segment — emit, with tuples counting the segment's scan.
-	dedup  *dedupSet
-	emit   func([]dict.ID)
-	tuples int64
+	// dedup is the arm's duplicate-elimination set the bindings go to.
+	dedup *dedupSet
 }
 
 // fanout is a member family's depth 1: the probe its members share and
@@ -182,7 +178,7 @@ func (k *bindJoin) slotOf(v uint32, d int) (slot int, fresh bool) {
 // operations, and the head terms to output columns. Under a key filter f
 // it also resolves the key columns of cq's head and marks the depth that
 // binds the last of them, where walk checks the key.
-func (k *bindJoin) compile(p *program, cq bgp.CQ, order []int, head []bgp.Term, f *keyFilter) {
+func (k *bindJoin) compile(p *program, cq bgp.CQ, order []int, f *keyFilter) {
 	p.steps, p.head, p.fkey, p.fdepth = p.steps[:0], p.head[:0], p.fkey[:0], -1
 	k.vars, k.depth = k.vars[:0], k.depth[:0]
 	for d, ai := range order {
@@ -207,7 +203,7 @@ func (k *bindJoin) compile(p *program, cq bgp.CQ, order []int, head []bgp.Term, 
 		p.steps = append(p.steps, st)
 	}
 	p.slots = len(k.vars)
-	for _, t := range head {
+	for _, t := range cq.Head {
 		p.head = append(p.head, k.operand(t))
 	}
 	if f == nil {
@@ -336,10 +332,6 @@ func (k *bindJoin) out() error {
 			k.row[i] = k.env[h.slot]
 		}
 	}
-	if k.emit != nil {
-		k.emit(k.row)
-		return nil
-	}
 	return k.dedup.add(&k.m, k.row)
 }
 
@@ -364,7 +356,6 @@ func (k *bindJoin) walk(depth int, ts []storage.Triple) error {
 	st, keyed, fan := &k.prog.steps[depth], depth == k.prog.fdepth, depth == 1 && k.fam != nil
 	for len(ts) > 0 {
 		n := min(len(ts), meterBatch)
-		k.tuples += int64(n)
 		if err := k.m.scanned(n); err != nil {
 			return err
 		}

@@ -183,8 +183,6 @@ type Engine struct {
 	// armObs, when non-nil, is called with the observed cardinality of
 	// each arm evaluated without a key filter (see WithArmObserver).
 	armObs func(arm int, rows int64)
-	// noFact disables factorized answer relations (see WithFactorized).
-	noFact bool
 }
 
 // New returns an engine over the store with the given statistics and
@@ -251,27 +249,8 @@ func (e *Engine) WithArmObserver(f func(arm int, rows int64)) *Engine {
 	return &e2
 }
 
-// WithFactorized returns a copy of the engine with factorized answer
-// relations enabled (the default) or disabled. When enabled, an arm
-// whose member plans decompose into variable-disjoint components — and
-// any cartesian arm join — produces a factorized Relation (a
-// cross-product of per-component row groups) instead of expanding the
-// product. Answers are identical either way: Len, Cursor, Each and
-// Materialize report and enumerate the logical rows, and every budget and
-// metric is charged on the logical expanded cardinality — as
-// member-at-a-time flat evaluation would charge it, where the flat path
-// shares probes across member families.
-func (e *Engine) WithFactorized(on bool) *Engine {
-	e2 := *e
-	e2.noFact = !on
-	return &e2
-}
-
 // SharedScan reports whether the shared-scan layer is enabled.
 func (e *Engine) SharedScan() bool { return !e.noShared }
-
-// Factorized reports whether factorized answer relations are enabled.
-func (e *Engine) Factorized() bool { return !e.noFact }
 
 // Profile returns the engine's profile.
 func (e *Engine) Profile() Profile { return e.prof }
@@ -299,8 +278,6 @@ type evalCtx struct {
 	// shared enables merged member scans, member families and the
 	// cross-member planning memos.
 	shared bool
-	// fact enables factorized answer relations (see WithFactorized).
-	fact bool
 	// done is the cancellation signal of the evaluation's context, nil
 	// when the engine has no cancelable context: charge then skips the
 	// poll entirely, keeping the uncancellable path zero-cost. cctx is

@@ -23,9 +23,8 @@ func newEngine(e *testkit.Example, prof engine.Profile) *engine.Engine {
 }
 
 func toRows(r *engine.Relation) naive.Rows {
-	rows := r.Materialize()
-	out := make(naive.Rows, 0, len(rows))
-	for _, row := range rows {
+	out := make(naive.Rows, 0, len(r.Rows))
+	for _, row := range r.Rows {
 		out = append(out, naive.Row(row))
 	}
 	// The naive rows are sorted; sort ours the same way via round trip.
@@ -422,7 +421,7 @@ func mustReformulate(q bgp.CQ, sch *schema.Closed) *reformulate.Reformulation {
 // relEqual reports whether two relations are byte-identical: same column
 // order and same rows in the same order.
 func relEqual(a, b *engine.Relation) bool {
-	ar, br := a.Materialize(), b.Materialize()
+	ar, br := a.Rows, b.Rows
 	if !reflect.DeepEqual(a.Vars, b.Vars) || len(ar) != len(br) {
 		return false
 	}
@@ -564,7 +563,8 @@ func TestParallelBudgetErrorsMatchSequential(t *testing.T) {
 
 // Concurrent evaluations on one shared engine must be race-free and agree
 // with a lone evaluation's answer (run with -race; the schedule is the
-// test).
+// test) — on the SCQ arms of a connected query, and on those of a
+// three-atom cross product, whose arms meet in cartesian arm joins.
 func TestParallelEvalRace(t *testing.T) {
 	e := testkit.Random(3, 60)
 	raw := e.RawStore()
@@ -577,31 +577,36 @@ func TestParallelEvalRace(t *testing.T) {
 			break
 		}
 	}
-	head, arms := scqArms(t, e, q)
-	want, _, err := engine.New(raw, st, engine.Native).EvalArms(head, arms)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng := engine.New(raw, st, engine.Native)
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				got, _, err := eng.EvalArms(head, arms)
-				if err != nil {
-					t.Errorf("concurrent eval: %v", err)
-					return
+	for _, q := range []bgp.CQ{q, disconnectedQuery(e, rng, 3)} {
+		head, arms := scqArms(t, e, q)
+		want, _, err := engine.New(raw, st, engine.Native).EvalArms(head, arms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 {
+			t.Fatalf("%v: empty answer — bad fixture", q)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 6; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					got, _, err := eng.EvalArms(head, arms)
+					if err != nil {
+						t.Errorf("concurrent eval: %v", err)
+						return
+					}
+					if !relEqual(got, want) {
+						t.Errorf("%v: concurrent eval diverged from a lone one", q)
+						return
+					}
 				}
-				if !relEqual(got, want) {
-					t.Error("concurrent eval diverged from a lone one")
-					return
-				}
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // fullScanArm streams n copies of a full-scan member CQ — a synthetic

@@ -16,7 +16,8 @@ import (
 
 // ArmSource supplies the member CQs of one UCQ arm without requiring the
 // union to be materialized first — reformulations with hundreds of
-// thousands of members are streamed straight out of their factorized form.
+// thousands of members are streamed straight out of the reformulation's
+// blocks, each a cross product of per-atom alternatives.
 type ArmSource struct {
 	// Vars names the arm's head columns.
 	Vars []uint32
@@ -99,7 +100,6 @@ func (e *Engine) EvalArms(head []uint32, arms []ArmSource) (*Relation, Metrics, 
 		span:   e.span,
 		snap:   e.store.Snapshot(),
 		shared: !e.noShared,
-		fact:   !e.noFact,
 	}
 	if e.ctx != nil {
 		ctx.done, ctx.cctx = e.ctx.Done(), e.ctx
@@ -181,12 +181,6 @@ func (e *Engine) evalArms(ctx *evalCtx, head []uint32, arms []ArmSource) (*Relat
 	}
 	if sp := ctx.span; sp != nil {
 		sp.SetInt("rows_out", int64(out.Len()))
-		if f := out.Factorized(); f != nil {
-			sp.SetInt("factorized", 1)
-			sp.SetInt("components", int64(f.Components()))
-			sp.SetInt("stored_rows", f.StoredRows())
-			sp.SetInt("logical_rows", f.LogicalRows())
-		}
 	}
 	return out, nil
 }
@@ -396,7 +390,7 @@ func (e *Engine) evalStage(ctx *evalCtx, arm ArmSource, st armStage, n int, cur 
 // sized once, to the input, so it never rehashes or regrows, and its rows,
 // in first-occurrence order, are the output relation.
 //
-// A flat input is duplicate-free: arm relations come out of a dedup set,
+// The input is duplicate-free: arm relations come out of a dedup set,
 // and a join that keeps every column of duplicate-free inputs is
 // duplicate-free too. So a head that keeps every column exactly once
 // needs no set: the identity reuses the rows, a permutation copies them.
@@ -407,10 +401,7 @@ func projectDistinct(ctx *evalCtx, cur *Relation, cols []int, head []uint32) (*R
 		sp.SetInt("rows_in", int64(cur.Len()))
 		defer sp.End()
 	}
-	if cur.fact != nil && cur.Rows == nil {
-		return projectDistinctFactorized(ctx, sp, cur, cols, head)
-	}
-	if perm, identity := permutation(cols, cur.Arity()); cur.fact == nil && perm {
+	if perm, identity := permutation(cols, cur.Arity()); perm {
 		if err := ctx.charge(int64(len(cur.Rows))); err != nil {
 			return nil, err
 		}
@@ -471,17 +462,6 @@ func permutation(cols []int, arity int) (perm, identity bool) {
 	return true, identity
 }
 
-func sharesVars(a, b []uint32) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // memberWindow is how many member CQs the arm loop gathers before
 // planning them together: merged scans and member families form within
 // one window. Every arm of the benchmark's join and mixed workloads fits
@@ -492,14 +472,6 @@ const memberWindow = 4096
 // CQs are gathered into windows, planned together (merged scans, member
 // families) and bind-joined into one duplicate-elimination set.
 func (e *Engine) evalArm(ctx *evalCtx, sp *trace.Span, arm ArmSource, f *keyFilter) (*Relation, error) {
-	// An arm that does not decompose into variable-disjoint segments
-	// reports handled == false and falls through unchanged.
-	if ctx.fact {
-		rel, handled, err := e.evalArmFactorized(ctx, sp, arm, f)
-		if handled || err != nil {
-			return rel, err
-		}
-	}
 	dedup := newDedupSet(ctx)
 	sc := newArmScratch(ctx, f)
 	defer sc.release()
@@ -624,7 +596,7 @@ func (sc *armScratch) groupFamilies(shared bool) {
 			progs = append(progs, program{})
 		}
 		pl, p := &sc.plans[i], &progs[i]
-		sc.bj.compile(p, pl.cq, pl.order, pl.cq.Head, sc.filter)
+		sc.bj.compile(p, pl.cq, pl.order, sc.filter)
 		next = append(next, -1)
 		keyed := shared && len(p.steps) > 0
 		var key famKey
@@ -658,7 +630,7 @@ func (sc *armScratch) groupFamilies(shared bool) {
 // matches (bindJoin.dispatch), so rows come out binding-major.
 func (sc *armScratch) evalFamily(f *family, dedup *dedupSet) error {
 	k, fan := &sc.bj, &sc.fan
-	k.filter, k.dedup, k.emit, k.fam = sc.filter, dedup, nil, nil
+	k.filter, k.dedup, k.fam = sc.filter, dedup, nil
 	k.prog, k.pre, k.preOK = &sc.progs[f.first], sc.plans[f.first].pre, sc.plans[f.first].preOK
 	k.m.families++
 	if f.n == 1 {
@@ -736,17 +708,14 @@ type armScratch struct {
 	// filter is the key filter the arm runs under, nil for none.
 	filter *keyFilter
 
-	// The window's compiled programs and families (groupFamilies), the
-	// fanout of the family being evaluated (evalFamily), and the program
-	// and head of a factorized segment (evalSegment).
-	progs   []program
-	fams    []family
-	next    []int
-	famBy   map[famKey]int
-	fan     fanout
-	ents    []famEntry
-	seg     program
-	segHead []bgp.Term
+	// The window's compiled programs and families (groupFamilies) and the
+	// fanout of the family being evaluated (evalFamily).
+	progs []program
+	fams  []family
+	next  []int
+	famBy map[famKey]int
+	fan   fanout
+	ents  []famEntry
 
 	// planMergedScans scratch, reused window after window.
 	mergeBy map[mergeKey]int
@@ -822,7 +791,7 @@ func (sc *armScratch) release() {
 	clear(sc.cards)
 	clear(sc.dist)
 	clear(sc.bj.hints)
-	sc.bj.m, sc.bj.dedup, sc.bj.emit, sc.bj.pre = meter{}, nil, nil, nil
+	sc.bj.m, sc.bj.dedup, sc.bj.pre = meter{}, nil, nil
 	sc.bj.filter, sc.filter, sc.bj.prog, sc.bj.fam = nil, nil, nil, nil
 	clear(sc.plans[:cap(sc.plans)])
 	sc.plans = sc.plans[:0]

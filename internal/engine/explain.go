@@ -60,10 +60,8 @@ func (e *Engine) explainArms(head []uint32, arms []ArmSource, renderAtom func(bg
 		}
 		fmt.Fprintf(&b, "  arm[%d]: vars %s, %d member CQs, %d scan leaves, %s\n",
 			st.arm, varList(arm.Vars), arm.NumCQs, arm.Leaves, est)
-		var sample bgp.CQ
-		var order []int
 		arm.Each(func(cq bgp.CQ) bool {
-			sample, order = cq, e.joinOrder(cq)
+			order := e.joinOrder(cq)
 			parts := make([]string, len(order))
 			for j, idx := range order {
 				parts[j] = renderAtom(cq.Atoms[idx])
@@ -71,7 +69,7 @@ func (e *Engine) explainArms(head []uint32, arms []ArmSource, renderAtom func(bg
 			fmt.Fprintf(&b, "    sample member bind-join order: %s\n", strings.Join(parts, "  ->  "))
 			return false
 		})
-		fmt.Fprintf(&b, "    %s\n", e.explainFilter(arms, stages[:n], st, sample, order))
+		fmt.Fprintf(&b, "    %s\n", e.explainFilter(arms, stages[:n], st))
 	}
 	if len(arms) > 1 {
 		fmt.Fprintf(&b, "  arm join order: %s\n", strings.Join(joinSeq, " ⨝ "))
@@ -85,21 +83,15 @@ func (e *Engine) explainArms(head []uint32, arms []ArmSource, renderAtom func(bg
 }
 
 // explainFilter says what key filter stage st runs under, given the stages
-// before it and the arm's first member with its join order: evalStage's
-// decision, with the key count bounded by a seeding arm's estimate where
-// evaluation has the real one.
-func (e *Engine) explainFilter(arms []ArmSource, before []armStage, st armStage, sample bgp.CQ, order []int) string {
+// before it: evalStage's decision, with the key count bounded by a seeding
+// arm's estimate where evaluation has the real one.
+func (e *Engine) explainFilter(arms []ArmSource, before []armStage, st armStage) string {
 	arm := arms[st.arm]
 	switch {
 	case len(before) == 0:
 		return "unfiltered: first arm"
 	case len(st.key) == 0:
 		return "unfiltered: shares no variable with the join so far (cartesian product)"
-	}
-	if segs := segmentize(sample, order); segs != nil && !e.noFact {
-		if cols, _, ok := headPlan(sample, segs); ok && keySegment(&keyFilter{cols: st.key}, cols) < 0 {
-			return "unfiltered: the key spans two independent segments of a factorized arm"
-		}
 	}
 	key := make([]uint32, len(st.key))
 	for i, c := range st.key {

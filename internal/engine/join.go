@@ -11,11 +11,8 @@ import (
 // variables using the requested algorithm. When the relations share no
 // variable the result is the cartesian product (covers are built so this
 // does not happen for cover-based reformulations, but the operator is
-// total); cartesian products are where factorization pays, so that case
-// is routed to cartesianJoin, which composes factorized inputs without
-// expanding them. Connected joins expand factorized inputs first — their
-// expansion was already charged when the factorized relation was built.
-// The output schema is left's columns followed by right-only columns.
+// total), built by cartesianJoin. The output schema is left's columns
+// followed by right-only columns.
 func joinRelations(ctx *evalCtx, left, right *Relation, algo JoinAlgorithm) (*Relation, error) {
 	sp := ctx.span.Child("join")
 	if sp != nil {
@@ -43,8 +40,6 @@ func joinRelations(ctx *evalCtx, left, right *Relation, algo JoinAlgorithm) (*Re
 	if len(lcols) == 0 {
 		return cartesianJoin(ctx, sp, left, right, outVars, rightOnly)
 	}
-	left.Materialize()
-	right.Materialize()
 	out := &Relation{Vars: outVars}
 	var arena rowArena
 	emit := func(lr, rr []dict.ID) error {
@@ -83,123 +78,52 @@ func joinRelations(ctx *evalCtx, left, right *Relation, algo JoinAlgorithm) (*Re
 	return out, nil
 }
 
-// cartesianJoin is the no-shared-variable case of joinRelations. The
-// row order and accounting are canonical across join algorithms — a
-// left-major nested loop charging one comparison and one emission per
-// output pair — so that the factorized path can mirror the flat path
-// exactly. With factorization on, the product is not expanded at all:
-// the inputs' components are concatenated (a flat input becomes one
-// component) and the pairing charges are applied in bulk against the
-// same budgets the flat loop would hit, truncated at the
-// materialization limit the flat loop would have stopped at.
+// cartesianJoin is the no-shared-variable case of joinRelations: every
+// left row paired with every right row, left-major, in one pass. The
+// product's size is known before a row is built, so both budgets are
+// checked first — the materialization budget charged as a pair-at-a-time
+// loop would have charged it up to the row that overran it — and only a
+// product that fits is allocated: out.Rows and one backing array for all
+// its cells, presized. Each pair costs 2 work units (comparison and
+// emission), charged a left row at a time so cancellation still polls.
 func cartesianJoin(ctx *evalCtx, sp *trace.Span, left, right *Relation, outVars []uint32, rightOnly []int) (*Relation, error) {
 	if sp != nil {
 		sp.SetStr("algo", "cartesian")
 	}
-	if !ctx.fact {
-		left.Materialize()
-		right.Materialize()
-		out := &Relation{Vars: outVars}
-		var arena rowArena
-		for _, lr := range left.Rows {
-			for _, rr := range right.Rows {
-				if err := ctx.charge(1); err != nil {
-					return nil, err
-				}
-				row := arena.alloc(len(outVars))
-				n := copy(row, lr)
-				for _, i := range rightOnly {
-					row[n] = rr[i]
-					n++
-				}
-				out.Rows = append(out.Rows, row)
-				ctx.rowsJoined.Add(1)
-				if err := ctx.charge(1); err != nil {
-					return nil, err
-				}
-				if err := ctx.checkRows(len(out.Rows)); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if sp != nil {
-			sp.SetInt("rows_out", int64(out.Len()))
-			sp.SetInt("arena_chunks", int64(arena.chunks))
-		}
-		return out, nil
-	}
-
-	logical := satMul(int64(left.Len()), int64(right.Len()))
-	if logical == 0 {
-		return &Relation{Vars: outVars}, nil
-	}
-	// Bulk-apply the flat loop's charges: 2 work per pair (comparison +
-	// emission) and one joined row each. If the product overruns the
-	// materialization budget, the flat loop would have stopped at row
-	// mb+1 having charged exactly that many pairs.
-	mb := int64(ctx.prof.MaxMaterializedRows)
-	if mb > 0 && logical > mb {
+	n := satMul(int64(left.Len()), int64(right.Len()))
+	if mb := int64(ctx.prof.MaxMaterializedRows); mb > 0 && n > mb {
 		ctx.rowsJoined.Add(mb + 1)
 		if err := ctx.charge(2 * (mb + 1)); err != nil {
 			return nil, err
 		}
 		return nil, ctx.checkRows(int(mb + 1))
 	}
-	ctx.rowsJoined.Add(logical)
-	if err := ctx.charge(2 * logical); err != nil {
-		return nil, err
+	if wb := ctx.prof.WorkBudget; wb > 0 && n > (wb-ctx.work.Load())/2 {
+		return nil, ctx.charge(2 * min(n, wb))
 	}
-	template := make([]dict.ID, len(outVars))
-	comps := appendComponents(nil, template, left, 0)
-	comps = appendComponents(comps, template, right, left.Arity())
-	out := &Relation{Vars: outVars, fact: &FRelation{
-		template: template,
-		comps:    comps,
-		logical:  logical,
-	}}
-	if len(comps) < 2 {
-		// Degenerate product (a zero-arity side): nothing to factorize.
-		out.Materialize()
-		out.fact = nil
+	width, pairs := len(outVars), int64(right.Len())
+	out := &Relation{Vars: outVars, Rows: make([][]dict.ID, 0, n)}
+	cells := make([]dict.ID, int(n)*width)
+	for _, lr := range left.Rows {
+		ctx.rowsJoined.Add(pairs)
+		if err := ctx.charge(2 * pairs); err != nil {
+			return nil, err
+		}
+		for _, rr := range right.Rows {
+			row := cells[:width:width]
+			cells = cells[width:]
+			k := copy(row, lr)
+			for _, i := range rightOnly {
+				row[k] = rr[i]
+				k++
+			}
+			out.Rows = append(out.Rows, row)
+		}
 	}
 	if sp != nil {
 		sp.SetInt("rows_out", int64(out.Len()))
-		if f := out.fact; f != nil {
-			sp.SetInt("factorized", 1)
-			sp.SetInt("components", int64(f.Components()))
-			sp.SetInt("stored_rows", f.StoredRows())
-			sp.SetInt("logical_rows", f.LogicalRows())
-		}
 	}
 	return out, nil
-}
-
-// appendComponents appends r's column groups shifted to start at offset:
-// a factorized input contributes its components (and its constant
-// template positions), a flat input becomes a single component sharing
-// the flat rows. Zero-arity inputs contribute nothing (their single
-// empty row is multiplicity only, already folded into the product
-// cardinality).
-func appendComponents(comps []component, template []dict.ID, r *Relation, offset int) []component {
-	if f := r.fact; f != nil && r.Rows == nil {
-		for _, c := range f.comps {
-			cols := make([]int, len(c.cols))
-			for i, col := range c.cols {
-				cols[i] = col + offset
-			}
-			comps = append(comps, component{cols: cols, rows: c.rows})
-		}
-		copy(template[offset:], f.template)
-		return comps
-	}
-	if r.Arity() == 0 {
-		return comps
-	}
-	cols := make([]int, r.Arity())
-	for i := range cols {
-		cols[i] = offset + i
-	}
-	return append(comps, component{cols: cols, rows: r.Rows})
 }
 
 // hashJoin builds a hash table on the smaller input and probes with the

@@ -1,11 +1,17 @@
 package engine
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
+	"repro/internal/bgp"
 	"repro/internal/dict"
+	"repro/internal/naive"
+	"repro/internal/stats"
+	"repro/internal/testkit"
 )
 
 // joinCase builds two relations sharing variable 1 (and optionally 2).
@@ -93,12 +99,112 @@ func TestJoinSchemaAndValues(t *testing.T) {
 	}
 }
 
+// A product is built left-major, each pair charged 2 work units and
+// counted as one joined row.
 func TestJoinNoSharedVarsIsCartesian(t *testing.T) {
 	l := relOf([]uint32{0}, []dict.ID{1}, []dict.ID{2})
-	r := relOf([]uint32{1}, []dict.ID{7}, []dict.ID{8})
-	out := runJoin(t, HashJoin, l, r)
-	if len(out.Rows) != 4 {
-		t.Errorf("cartesian product has %d rows, want 4", len(out.Rows))
+	r := relOf([]uint32{1, 2}, []dict.ID{7, 70}, []dict.ID{8, 80})
+	ctx := &evalCtx{prof: Profile{Name: "test"}}
+	out, err := joinRelations(ctx, l, r, HashJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]dict.ID{{1, 7, 70}, {1, 8, 80}, {2, 7, 70}, {2, 8, 80}}
+	if !rowsEqual(out.Rows, want) {
+		t.Errorf("cartesian product = %v, want %v", out.Rows, want)
+	}
+	if m := ctx.snapshot(); m.Work != 8 || m.RowsJoined != 4 {
+		t.Errorf("%d work units, %d rows joined; want 8 and 4", m.Work, m.RowsJoined)
+	}
+}
+
+// Arms that share no variable meet in a cartesian arm join: two and three
+// such arms must answer what the naive JUCQ evaluator answers, every
+// output row one joined pair.
+func TestCartesianArmsMatchNaive(t *testing.T) {
+	products := 0
+	for seed := int64(0); seed < 10; seed++ {
+		e := testkit.Random(seed, 80)
+		raw := e.RawStore()
+		eng := New(raw, stats.Collect(raw, e.Vocab), Native)
+		cs, ps := e.Closed.Classes(), e.Closed.Properties()
+		arms := []bgp.UCQ{
+			{Vars: []uint32{0}, CQs: []bgp.CQ{{
+				Head:  []bgp.Term{bgp.V(0)},
+				Atoms: []bgp.Atom{{S: bgp.V(0), P: bgp.C(e.Vocab.Type), O: bgp.C(cs[0])}},
+			}}},
+			{Vars: []uint32{1}, CQs: []bgp.CQ{{
+				Head:  []bgp.Term{bgp.V(1)},
+				Atoms: []bgp.Atom{{S: bgp.V(1), P: bgp.C(ps[0]), O: bgp.V(2)}},
+			}}},
+			{Vars: []uint32{3, 4}, CQs: []bgp.CQ{{
+				Head:  []bgp.Term{bgp.V(3), bgp.V(4)},
+				Atoms: []bgp.Atom{{S: bgp.V(3), P: bgp.C(ps[len(ps)-1]), O: bgp.V(4)}},
+			}}},
+		}
+		for _, j := range []bgp.JUCQ{
+			{Head: []uint32{0, 1}, Arms: arms[:2]},
+			{Head: []uint32{4, 0, 1, 3}, Arms: arms},
+		} {
+			rel, m, err := eng.EvalJUCQ(j)
+			if err != nil {
+				t.Fatalf("seed %d, %d arms: %v", seed, len(j.Arms), err)
+			}
+			var got naive.Rows
+			for _, r := range sortedRows(rel) {
+				got = append(got, naive.Row(r))
+			}
+			if want := naive.EvalJUCQ(raw, j); !naive.Equal(got, want) {
+				t.Fatalf("seed %d, %d arms: engine %d rows, naive %d", seed, len(j.Arms), len(got), len(want))
+			}
+			if len(j.Arms) == 2 && m.RowsJoined != int64(rel.Len()) {
+				t.Errorf("seed %d: %d rows joined, want one per output row (%d)", seed, m.RowsJoined, rel.Len())
+			}
+			if rel.Len() > 0 {
+				products++
+			}
+		}
+	}
+	if products == 0 {
+		t.Error("every product was empty — bad fixture")
+	}
+}
+
+// A cartesian product's size is known before a row is built, so a product
+// over the work budget fails with ErrWorkBudget and one over the
+// materialization budget with ErrMemoryBudget — charged as a pair-at-a-time
+// loop would have charged it up to the overrunning row — with none of its
+// rows allocated.
+func TestCartesianBudgetErrors(t *testing.T) {
+	const n = 1000 // a million-row product: 8 MB of cells, 24 MB of row headers
+	left, right := &Relation{Vars: []uint32{0}}, &Relation{Vars: []uint32{1}}
+	for i := 0; i < n; i++ {
+		left.Rows = append(left.Rows, []dict.ID{dict.ID(i)})
+		right.Rows = append(right.Rows, []dict.ID{dict.ID(n + i)})
+	}
+	for _, tc := range []struct {
+		prof Profile
+		want error
+	}{
+		{Profile{Name: "tinywork", WorkBudget: 50}, ErrWorkBudget},
+		{Profile{Name: "tinymem", MaxMaterializedRows: 5}, ErrMemoryBudget},
+	} {
+		ctx := &evalCtx{prof: tc.prof}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := joinRelations(ctx, left, right, HashJoin)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.prof.Name, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: %d bytes allocated before failing, want none of the product's rows", tc.prof.Name, grew)
+		}
+		if mb := int64(tc.prof.MaxMaterializedRows); mb > 0 {
+			if m := ctx.snapshot(); m.RowsJoined != mb+1 || m.Work != 2*(mb+1) {
+				t.Errorf("%s: %d rows joined, %d work units; want %d and %d", tc.prof.Name, m.RowsJoined, m.Work, mb+1, 2*(mb+1))
+			}
+		}
 	}
 }
 

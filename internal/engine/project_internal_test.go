@@ -50,7 +50,7 @@ func TestProjectDistinctMatchesNaive(t *testing.T) {
 		{"triples without the repeated subject", &Relation{Vars: []uint32{0, 1, 2, 3}, Rows: repeated}, []int{0, 1, 2},
 			bgp.CQ{Head: []bgp.Term{x, p, y}, Atoms: join.Atoms[:1]}, false},
 	} {
-		in := tc.cur.Materialize()
+		in := tc.cur.Rows
 		if tc.dups && len(in) <= 4096 {
 			t.Fatalf("%s: %d input rows, want more than 4,096", tc.name, len(in))
 		}

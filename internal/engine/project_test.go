@@ -17,7 +17,7 @@ import (
 // every column of the join once, in order or permuted, and keeps it when
 // the head drops or repeats a column. Every such head must still answer
 // exactly the query's answer over the saturated store, with no duplicate
-// rows, for every cover, flat and factorized.
+// rows, for every cover.
 func TestProjectionHeadsMatchNaive(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		e := testkit.Random(seed, 90)
@@ -61,16 +61,14 @@ func TestProjectionHeadsMatchNaive(t *testing.T) {
 						hq.Head = append(hq.Head, bgp.V(v))
 					}
 					want := naive.EvalCQ(sat, hq)
-					for _, fact := range []bool{false, true} {
-						label := fmt.Sprintf("seed %d %v cover %v head %s factorized=%v", seed, q, c, name, fact)
-						rel, _, err := eng.WithFactorized(fact).EvalArms(head, arms)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						got := toRows(rel)
-						if rel.Len() != len(got) || !naive.Equal(got, want) {
-							t.Fatalf("%s: engine %d rows %v, naive over the saturated store %v", label, rel.Len(), got, want)
-						}
+					label := fmt.Sprintf("seed %d %v cover %v head %s", seed, q, c, name)
+					rel, _, err := eng.EvalArms(head, arms)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					got := toRows(rel)
+					if rel.Len() != len(got) || !naive.Equal(got, want) {
+						t.Fatalf("%s: engine %d rows %v, naive over the saturated store %v", label, rel.Len(), got, want)
 					}
 				}
 			}

@@ -8,21 +8,10 @@ import (
 
 // Relation is a materialized set of answer rows. Vars names the columns;
 // rows have set semantics (duplicate elimination happens at build time).
-//
-// A Relation is either flat (Rows holds every row) or factorized: the
-// row set is a cross-product of per-component row groups (see FRelation)
-// and Rows stays nil until Materialize expands it. Factorized relations
-// behave identically to flat ones through Len, Cursor, Each and
-// Materialize; only the storage differs. Code that reads Rows directly
-// must call Materialize first unless it knows the relation is flat.
 type Relation struct {
 	Vars []uint32
 	Rows [][]dict.ID
 
-	// fact, when non-nil, is the union-of-products payload. It stays
-	// attached after Materialize so observability code can still report
-	// the stored size next to the logical one.
-	fact *FRelation
 	// pos memoizes colIndex. Relations are built by one goroutine and
 	// only shared once complete, so the lazy build needs no locking;
 	// see colIndex.
@@ -32,31 +21,12 @@ type Relation struct {
 // Arity returns the number of columns.
 func (r *Relation) Arity() int { return len(r.Vars) }
 
-// Len returns the number of logical rows: for a factorized relation the
-// expanded cardinality, without expanding.
-func (r *Relation) Len() int {
-	if r.Rows == nil && r.fact != nil {
-		return clampInt(r.fact.logical)
-	}
-	return len(r.Rows)
-}
+// Len returns the number of rows.
+func (r *Relation) Len() int { return len(r.Rows) }
 
-// Factorized returns the relation's union-of-products payload, or nil
-// for a flat relation.
-func (r *Relation) Factorized() *FRelation { return r.fact }
-
-// StoredBytes returns the resident size of the row data in bytes: the
-// factorized component rows (plus the row template) for a factorized
-// relation, the flat rows otherwise. Used by the benchmarks to report
-// bytes per answer.
+// StoredBytes returns the resident size of the row data in bytes. Used
+// by the benchmarks to report bytes per answer.
 func (r *Relation) StoredBytes() int64 {
-	if r.fact != nil {
-		n := int64(len(r.fact.template))
-		for _, c := range r.fact.comps {
-			n += int64(len(c.rows)) * int64(len(c.cols))
-		}
-		return n * 4
-	}
 	return int64(len(r.Rows)) * int64(r.Arity()) * 4
 }
 
@@ -73,147 +43,15 @@ func (r *Relation) colIndex() map[uint32]int {
 	return r.pos
 }
 
-// Cursor returns an iterator over the relation's rows in their canonical
-// order (for a factorized relation, the order flat evaluation would have
-// produced). The returned row is only valid until the next Next call and
-// must not be modified.
-func (r *Relation) Cursor() *Cursor { return &Cursor{rel: r} }
-
-// Each calls f for every row in canonical order, stopping early when f
-// returns false. The row passed to f follows the Cursor aliasing rules.
+// Each calls f for every row in order, stopping early when f returns
+// false. The row passed to f aliases relation storage and must not be
+// modified.
 func (r *Relation) Each(f func(row []dict.ID) bool) {
-	c := r.Cursor()
-	for row, ok := c.Next(); ok; row, ok = c.Next() {
+	for _, row := range r.Rows {
 		if !f(row) {
 			return
 		}
 	}
-}
-
-// Materialize expands the relation into flat rows, at most once: the
-// expansion is cached in Rows and returned. For an already-flat relation
-// it returns Rows unchanged. Expansion order is the canonical order of
-// member-at-a-time flat evaluation. Not safe for concurrent use.
-func (r *Relation) Materialize() [][]dict.ID {
-	if r.Rows != nil || r.fact == nil {
-		return r.Rows
-	}
-	rows := make([][]dict.ID, 0, clampInt(r.fact.logical))
-	var arena rowArena
-	c := r.Cursor()
-	for row, ok := c.Next(); ok; row, ok = c.Next() {
-		rows = append(rows, arena.copy(row))
-	}
-	r.Rows = rows
-	return rows
-}
-
-// FRelation is the factorized payload of a Relation: a cross-product of
-// per-component column groups over a constant row template. Component i
-// fills template positions comps[i].cols from its distinct sub-rows; the
-// expanded row set is the product of the component row groups, enumerated
-// with the first component outermost.
-type FRelation struct {
-	// template is the row skeleton (one value per relation column);
-	// positions owned by no component are constants shared by all rows.
-	template []dict.ID
-	comps    []component
-	// logical is the expanded cardinality (saturating product of the
-	// component row counts).
-	logical int64
-}
-
-// component is one independent column group of a factorized relation.
-type component struct {
-	cols []int
-	rows [][]dict.ID
-}
-
-// Components returns the number of column groups.
-func (f *FRelation) Components() int { return len(f.comps) }
-
-// StoredRows returns the summed component row counts — the rows actually
-// resident, next to LogicalRows.
-func (f *FRelation) StoredRows() int64 {
-	var n int64
-	for _, c := range f.comps {
-		n += int64(len(c.rows))
-	}
-	return n
-}
-
-// LogicalRows returns the expanded cardinality.
-func (f *FRelation) LogicalRows() int64 { return f.logical }
-
-// Cursor iterates a Relation without materializing it. For a factorized
-// relation it runs an odometer over the component row groups, reusing
-// one scratch row.
-type Cursor struct {
-	rel     *Relation
-	i       int   // next flat row
-	idx     []int // per-component odometer
-	row     []dict.ID
-	started bool
-	done    bool
-}
-
-// Next returns the next row, or false when the iteration is complete.
-// The returned slice is reused by subsequent calls (factorized) or
-// aliases relation storage (flat); callers must copy to retain it.
-func (c *Cursor) Next() ([]dict.ID, bool) {
-	r := c.rel
-	if r.Rows != nil || r.fact == nil {
-		if c.i >= len(r.Rows) {
-			return nil, false
-		}
-		row := r.Rows[c.i]
-		c.i++
-		return row, true
-	}
-	f := r.fact
-	if c.done || f.logical == 0 {
-		return nil, false
-	}
-	if !c.started {
-		c.started = true
-		c.row = append([]dict.ID(nil), f.template...)
-		c.idx = make([]int, len(f.comps))
-		for k := range f.comps {
-			c.fill(k)
-		}
-		return c.row, true
-	}
-	for k := len(f.comps) - 1; k >= 0; k-- {
-		c.idx[k]++
-		if c.idx[k] < len(f.comps[k].rows) {
-			c.fill(k)
-			return c.row, true
-		}
-		c.idx[k] = 0
-		c.fill(k)
-	}
-	c.done = true
-	return nil, false
-}
-
-// fill copies component k's current sub-row into the scratch row.
-func (c *Cursor) fill(k int) {
-	comp := &c.rel.fact.comps[k]
-	sub := comp.rows[c.idx[k]]
-	for j, col := range comp.cols {
-		c.row[col] = sub[j]
-	}
-}
-
-// clampInt converts a saturating int64 count to int.
-func clampInt(n int64) int {
-	if n > math.MaxInt32 && uint64(math.MaxInt) == uint64(math.MaxInt32) {
-		return math.MaxInt32
-	}
-	if n > int64(math.MaxInt) {
-		return math.MaxInt
-	}
-	return int(n)
 }
 
 // satMul multiplies two non-negative counts, saturating at MaxInt64.
@@ -412,14 +250,6 @@ func (d *dedupSet) addOwned(row []dict.ID) (bool, error) {
 		return false, nil
 	}
 	return true, d.ctx.checkRows(d.set.len())
-}
-
-// seed installs a row that was already charged and admitted under the
-// factorized accounting (see evalArmFactorized's fallback): no work
-// charge, no dedup counting, no budget check. The rows of an expanded
-// product are distinct by construction.
-func (d *dedupSet) seed(row []dict.ID) {
-	d.set.add(row)
 }
 
 // rowArena allocates row copies out of chunked backing arrays, replacing

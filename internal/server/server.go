@@ -73,7 +73,7 @@ type Config struct {
 	// MaxResponseBytes caps the encoded size of a query response body,
 	// and with it the encoded bytes the server holds for one answer: the
 	// body is kept back, in pooled chunks, until it is known to fit, and
-	// a query whose *expanded* answer outgrows the cap is rejected with
+	// a query whose *encoded* answer outgrows the cap is rejected with
 	// 413 response_too_large before any header is written, without
 	// encoding the rest. 0 = unlimited: the body is streamed to the
 	// client a chunk at a time and only one chunk is ever resident.
@@ -436,14 +436,13 @@ func (b *bodyWriter) release() {
 }
 
 // writeAnswer encodes the QueryResponse JSON for res and sends it, in one
-// pass from dictionary IDs to wire bytes: the result's cursor expands a
-// factorized answer one row at a time, each cell is resolved through one
-// lock-free dictionary view and appended, already JSON-quoted, to the
-// current chunk. Nothing is allocated per row and no copy of the body is
-// built; see bodyWriter for what limit changes. It returns
-// errResponseTooLarge with nothing written, or the error of a failed
-// write once the client is gone or the write deadline has passed — the
-// cursor is not expanded any further after either.
+// pass from dictionary IDs to wire bytes: the result's rows are walked
+// one at a time, each cell is resolved through one lock-free dictionary
+// view and appended, already JSON-quoted, to the current chunk. Nothing
+// is allocated per row and no copy of the body is built; see bodyWriter
+// for what limit changes. It returns errResponseTooLarge with nothing
+// written, or the error of a failed write once the client is gone or the
+// write deadline has passed — no further row is walked after either.
 func writeAnswer(w http.ResponseWriter, res *repro.Result, strategy, profile string, elapsedMS float64, limit int64) error {
 	b := &bodyWriter{w: w, limit: limit, buf: getChunk()}
 	defer b.release()

@@ -178,12 +178,6 @@ type Options struct {
 	// ablation knob; answers are identical either way, only evaluation
 	// time and the tuples scanned change.
 	NoSharedScan bool
-	// NoFactorized disables the factorized answer representation
-	// (union-of-products relations expanded lazily at the client
-	// boundary) — an ablation knob; expanded answers are identical either
-	// way, only the stored footprint of cross-product results (and the
-	// tuples scanned) changes.
-	NoFactorized bool
 	// Trace, when non-nil, records every query's lifecycle (parse,
 	// optimize, reformulate, evaluate, with per-operator counters) as
 	// children of the given root span. nil disables tracing at zero cost.
@@ -502,7 +496,6 @@ func (s *Store) NewAnswerer(p Profile, opts Options) *Answerer {
 		SearchBudget: opts.SearchBudget,
 		Parallelism:  opts.Parallelism,
 		NoSharedScan: opts.NoSharedScan,
-		NoFactorized: opts.NoFactorized,
 		Trace:        opts.Trace,
 		PlanCache:    opts.PlanCache,
 		Feedback:     opts.Feedback,
@@ -537,10 +530,9 @@ func (a *Answerer) WithTrace(tr *Trace) *Answerer {
 // Params returns the cost-model constants in use.
 func (a *Answerer) Params() CostParams { return a.params }
 
-// Result is an answer set at the surface level. Answers may be held
-// factorized (as a union of cross-products of column groups); NumRows,
-// Each and Boolean never expand the product, Rows expands it on first
-// call.
+// Result is an answer set at the surface level: the engine's rows of
+// dictionary IDs, decoded on demand. NumRows and Boolean decode nothing,
+// Each decodes a row at a time, and Rows decodes every row on first call.
 type Result struct {
 	// Vars names the columns (the SELECT variables, in order); empty for
 	// ASK queries.
@@ -550,11 +542,10 @@ type Result struct {
 
 	rel  *engine.Relation
 	dict *dict.Dict
-	rows [][]rdf.Term // decoded expansion, built lazily by Rows
+	rows [][]rdf.Term // decoded rows, built lazily by Rows
 }
 
-// NumRows returns the number of answers without expanding a factorized
-// result.
+// NumRows returns the number of answers without decoding them.
 func (r *Result) NumRows() int {
 	if r.rel == nil {
 		return len(r.rows)
@@ -562,11 +553,10 @@ func (r *Result) NumRows() int {
 	return r.rel.Len()
 }
 
-// Rows expands and decodes the full answer set; Rows()[i][j] is the
-// value of Vars[j]. For an ASK query, a true answer is a single empty
-// row. The expansion is cached, so repeated calls are cheap — but on a
-// large cross-product result it materializes every row; prefer Each to
-// stream.
+// Rows decodes the full answer set; Rows()[i][j] is the value of
+// Vars[j]. For an ASK query, a true answer is a single empty row. The
+// decoded rows are cached, so repeated calls are cheap — but on a large
+// result they hold every term of every row; prefer Each to stream.
 func (r *Result) Rows() [][]rdf.Term {
 	if r.rows == nil && r.rel != nil {
 		rows := make([][]rdf.Term, 0, r.rel.Len())
@@ -579,9 +569,8 @@ func (r *Result) Rows() [][]rdf.Term {
 	return r.rows
 }
 
-// Each streams the decoded answers in their canonical order, expanding a
-// factorized result one row at a time; f returning false stops the
-// iteration. Each row slice is distinct from every other and may be
+// Each streams the decoded answers in their canonical order, one row at
+// a time; f returning false stops the iteration. Each row slice is distinct from every other and may be
 // retained; rows are carved from slabs of eachSlabTerms terms, so a
 // retained row keeps its slab alive.
 func (r *Result) Each(f func(row []rdf.Term) bool) {
@@ -604,7 +593,7 @@ func (r *Result) Each(f func(row []rdf.Term) bool) {
 const eachSlabTerms = 1024
 
 // EachIDs is the streaming primitive under Each: the answers in their
-// canonical order as dictionary IDs, expanded one row at a time, with one
+// canonical order as dictionary IDs, one row at a time, with one
 // lock-free view that resolves every ID of the result — so a consumer
 // that only wants bytes (the query service) decodes each cell once and
 // allocates nothing per row. ids is only valid during the call.
@@ -613,17 +602,11 @@ func (r *Result) EachIDs(f func(ids []dict.ID, terms dict.View) bool) {
 		return
 	}
 	terms := r.dict.View()
-	c := r.rel.Cursor()
-	for ids, ok := c.Next(); ok; ids, ok = c.Next() {
-		if !f(ids, terms) {
-			return
-		}
-	}
+	r.rel.Each(func(ids []dict.ID) bool { return f(ids, terms) })
 }
 
-// StoredBytes estimates the bytes held by the answer representation —
-// for a factorized result, the component columns rather than the
-// expanded product. Divide by NumRows for bytes per answer.
+// StoredBytes estimates the bytes held by the answer rows: four per
+// cell. Divide by NumRows for bytes per answer.
 func (r *Result) StoredBytes() int64 {
 	if r.rel == nil {
 		return 0

@@ -18,9 +18,6 @@
 # the adaptive-cost warm-up sweep from `benchall -feedbackjson` (the
 # error trajectory of the feedback loop over repeated workload passes,
 # gated on the estimation error shrinking at least 2x), and the
-# factorized-answer sweep from `benchall -factjson` (bytes/answer under
-# the factorized vs flat answer representations, gated on identical
-# answers and at least one cross-product query compressing 2x), and the
 # response-encode layer from `BenchmarkEncodeResponse` in internal/server,
 # and the index-probe and bind-join layers from `BenchmarkProbe`,
 # `BenchmarkProbeWithDelta` (internal/storage), `BenchmarkBindJoinMember`
@@ -38,8 +35,7 @@ stages="$(mktemp)"
 load="$(mktemp)"
 serve="$(mktemp)"
 fbk="$(mktemp)"
-fact="$(mktemp)"
-trap 'rm -f "$raw" "$stages" "$load" "$serve" "$fbk" "$fact"' EXIT
+trap 'rm -f "$raw" "$stages" "$load" "$serve" "$fbk"' EXIT
 
 REPRO_BENCH_SCALE="${REPRO_BENCH_SCALE:-tiny}"
 export REPRO_BENCH_SCALE
@@ -90,16 +86,8 @@ if ! grep -q 'BenchmarkSharedScanUCQ' "$raw"; then
     go test -run '^$' -bench '^(BenchmarkSharedScanUCQ|BenchmarkSnapshotScan)$' -benchmem . | tee -a "$raw"
 fi
 
-# factorized: the factorized-vs-flat answer pair (with its bytes/answer
-# and answers/sec metrics) must be in every committed report. Re-run it
-# on its own if a custom pattern excluded it from the main sweep.
-if ! grep -q 'BenchmarkFactorizedAnswers' "$raw"; then
-    echo "==> factorized: recording factorized vs flat answer footprint"
-    go test -run '^$' -bench '^BenchmarkFactorizedAnswers$' -benchmem . | tee -a "$raw"
-fi
-
 # encode: the query service's response encoder (ns/row, B/row, allocs/op
-# on a flat and a factorized bulk answer) is its own package's benchmark,
+# on two bulk answers) is its own package's benchmark,
 # outside the root sweep; it is in every committed report.
 echo "==> encode: recording the response-encode layer"
 go test -run '^$' -bench '^BenchmarkEncodeResponse$' -benchmem ./internal/server | tee -a "$raw"
@@ -129,8 +117,5 @@ go run ./cmd/benchall -scale "$REPRO_BENCH_SCALE" -servejson "$serve"
 echo "==> benchall -feedbackjson (adaptive-cost warm-up sweep, gated at 2x)"
 go run ./cmd/benchall -scale "$REPRO_BENCH_SCALE" -feedbackjson "$fbk"
 
-echo "==> benchall -factjson (factorized-answer sweep, equality-gated)"
-go run ./cmd/benchall -scale "$REPRO_BENCH_SCALE" -factjson "$fact"
-
-go run ./cmd/benchjson -in "$raw" -stages "$stages" -load "$load" -serve "$serve" -feedback "$fbk" -factorized "$fact" -out "$out"
+go run ./cmd/benchjson -in "$raw" -stages "$stages" -load "$load" -serve "$serve" -feedback "$fbk" -out "$out"
 echo "==> wrote $out"

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh runs the full verification gauntlet: build, go vet, the
 # repository's own static-analysis suite (cmd/lint), the test suite, the
-# race detector and a short fuzz of the answer encoder. CI runs exactly
+# race detector and short fuzzes of the answer encoder and of evaluation
+# against the naive evaluator. CI runs exactly
 # this script; run it locally before sending changes.
 set -eu
 
@@ -30,13 +31,13 @@ go test -race ./...
 echo "==> go test -fuzz=FuzzAppendJSONCanonical -fuzztime=10s ./internal/rdf"
 go test -run='^$' -fuzz=FuzzAppendJSONCanonical -fuzztime=10s ./internal/rdf
 
+echo "==> go test -fuzz=FuzzDisconnectedMatchesNaive -fuzztime=10s ./internal/engine"
+go test -run='^$' -fuzz=FuzzDisconnectedMatchesNaive -fuzztime=10s ./internal/engine
+
 echo "==> scripts/serve_smoke.sh (query service end-to-end)"
 ./scripts/serve_smoke.sh
 
 echo "==> benchall -feedback (adaptive-cost convergence smoke)"
 go run ./cmd/benchall -scale tiny -feedback
-
-echo "==> benchall -factorized (factorized-answer equality smoke)"
-go run ./cmd/benchall -scale tiny -factorized
 
 echo "All checks passed."
