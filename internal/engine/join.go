@@ -80,12 +80,14 @@ func joinRelations(ctx *evalCtx, left, right *Relation, algo JoinAlgorithm) (*Re
 
 // cartesianJoin is the no-shared-variable case of joinRelations: every
 // left row paired with every right row, left-major, in one pass. The
-// product's size is known before a row is built, so both budgets are
-// checked first — the materialization budget charged as a pair-at-a-time
-// loop would have charged it up to the row that overran it — and only a
-// product that fits is allocated: out.Rows and one backing array for all
-// its cells, presized. Each pair costs 2 work units (comparison and
-// emission), charged a left row at a time so cancellation still polls.
+// product's size is known before a row is built, so the materialization
+// budget is checked first — charged as a pair-at-a-time loop would have
+// charged it up to the row that overran it. Nothing is sized to the whole
+// product up front: with no budget set, only the evaluation's context
+// stops an oversized one. Each left row first charges 2 work units a pair
+// (comparison and emission), which polls cancellation and trips the work
+// budget, and only then gets its cells; out.Rows doubles as it fills,
+// capped at the product's size. Memory thus grows with the rows built.
 func cartesianJoin(ctx *evalCtx, sp *trace.Span, left, right *Relation, outVars []uint32, rightOnly []int) (*Relation, error) {
 	if sp != nil {
 		sp.SetStr("algo", "cartesian")
@@ -98,16 +100,19 @@ func cartesianJoin(ctx *evalCtx, sp *trace.Span, left, right *Relation, outVars 
 		}
 		return nil, ctx.checkRows(int(mb + 1))
 	}
-	if wb := ctx.prof.WorkBudget; wb > 0 && n > (wb-ctx.work.Load())/2 {
-		return nil, ctx.charge(2 * min(n, wb))
-	}
-	width, pairs := len(outVars), int64(right.Len())
-	out := &Relation{Vars: outVars, Rows: make([][]dict.ID, 0, n)}
-	cells := make([]dict.ID, int(n)*width)
+	width, pairs := len(outVars), right.Len()
+	out := &Relation{Vars: outVars}
+	var arena rowArena
 	for _, lr := range left.Rows {
-		ctx.rowsJoined.Add(pairs)
-		if err := ctx.charge(2 * pairs); err != nil {
+		ctx.rowsJoined.Add(int64(pairs))
+		if err := ctx.charge(2 * int64(pairs)); err != nil {
 			return nil, err
+		}
+		cells := arena.alloc(pairs * width)
+		if need := len(out.Rows) + pairs; need > cap(out.Rows) {
+			rows := make([][]dict.ID, len(out.Rows), min(int(n), max(need, 2*cap(out.Rows))))
+			copy(rows, out.Rows)
+			out.Rows = rows
 		}
 		for _, rr := range right.Rows {
 			row := cells[:width:width]
@@ -122,6 +127,7 @@ func cartesianJoin(ctx *evalCtx, sp *trace.Span, left, right *Relation, outVars 
 	}
 	if sp != nil {
 		sp.SetInt("rows_out", int64(out.Len()))
+		sp.SetInt("arena_chunks", int64(arena.chunks))
 	}
 	return out, nil
 }

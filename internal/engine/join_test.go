@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -205,6 +206,32 @@ func TestCartesianBudgetErrors(t *testing.T) {
 				t.Errorf("%s: %d rows joined, %d work units; want %d and %d", tc.prof.Name, m.RowsJoined, m.Work, mb+1, 2*(mb+1))
 			}
 		}
+	}
+}
+
+// With no budget at all, a product is stopped by its context alone: a
+// canceled evaluation must fail with ErrCanceled while holding at most a
+// few left rows' pairs, not presize the whole product (here 4M rows,
+// ~110 MB of row headers and cells) before its first poll.
+func TestCartesianProductCancels(t *testing.T) {
+	const n = 2000
+	left, right := &Relation{Vars: []uint32{0}}, &Relation{Vars: []uint32{1}}
+	for i := 0; i < n; i++ {
+		left.Rows = append(left.Rows, []dict.ID{dict.ID(i)})
+		right.Rows = append(right.Rows, []dict.ID{dict.ID(n + i)})
+	}
+	cctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := &evalCtx{prof: Native, done: cctx.Done(), cctx: cctx}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rel, err := joinRelations(ctx, left, right, HashJoin)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCanceled) || rel != nil {
+		t.Fatalf("err = %v, rel = %v; want %v and no relation", err, rel, ErrCanceled)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("%d bytes allocated before the cancellation surfaced, want under 1 MB", grew)
 	}
 }
 
