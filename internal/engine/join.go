@@ -78,16 +78,22 @@ func joinRelations(ctx *evalCtx, left, right *Relation, algo JoinAlgorithm) (*Re
 	return out, nil
 }
 
+// cartesianPresizeRows is how many row headers (24 B each, 1.5 MB in
+// all) cartesianJoin reserves at once: a product up to that size is
+// sized in one allocation, and a larger one doubles from there.
+const cartesianPresizeRows = 1 << 16
+
 // cartesianJoin is the no-shared-variable case of joinRelations: every
 // left row paired with every right row, left-major, in one pass. The
 // product's size is known before a row is built, so the materialization
 // budget is checked first — charged as a pair-at-a-time loop would have
-// charged it up to the row that overran it. Nothing is sized to the whole
+// charged it up to the row that overran it. Nothing is sized to a large
 // product up front: with no budget set, only the evaluation's context
 // stops an oversized one. Each left row first charges 2 work units a pair
 // (comparison and emission), which polls cancellation and trips the work
-// budget, and only then gets its cells; out.Rows doubles as it fills,
-// capped at the product's size. Memory thus grows with the rows built.
+// budget, and only then gets its cells; out.Rows starts at
+// cartesianPresizeRows and doubles as it fills, capped at the product's
+// size. Memory thus grows with the rows built.
 func cartesianJoin(ctx *evalCtx, sp *trace.Span, left, right *Relation, outVars []uint32, rightOnly []int) (*Relation, error) {
 	if sp != nil {
 		sp.SetStr("algo", "cartesian")
@@ -110,7 +116,7 @@ func cartesianJoin(ctx *evalCtx, sp *trace.Span, left, right *Relation, outVars 
 		}
 		cells := arena.alloc(pairs * width)
 		if need := len(out.Rows) + pairs; need > cap(out.Rows) {
-			rows := make([][]dict.ID, len(out.Rows), min(int(n), max(need, 2*cap(out.Rows))))
+			rows := make([][]dict.ID, len(out.Rows), min(int(n), max(need, 2*cap(out.Rows), cartesianPresizeRows)))
 			copy(rows, out.Rows)
 			out.Rows = rows
 		}

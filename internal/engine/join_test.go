@@ -171,11 +171,12 @@ func TestCartesianArmsMatchNaive(t *testing.T) {
 	}
 }
 
-// A cartesian product's size is known before a row is built, so a product
-// over the work budget fails with ErrWorkBudget and one over the
+// A product over the work budget fails with ErrWorkBudget and one over the
 // materialization budget with ErrMemoryBudget — charged as a pair-at-a-time
-// loop would have charged it up to the overrunning row — with none of its
-// rows allocated.
+// loop would have charged it up to the overrunning row — and with no budget
+// a canceled evaluation fails with ErrCanceled; each before the product is
+// allocated (the canceled one holds at most cartesianPresizeRows headers
+// and a few left rows' pairs).
 func TestCartesianBudgetErrors(t *testing.T) {
 	const n = 1000 // a million-row product: 8 MB of cells, 24 MB of row headers
 	left, right := &Relation{Vars: []uint32{0}}, &Relation{Vars: []uint32{1}}
@@ -183,14 +184,23 @@ func TestCartesianBudgetErrors(t *testing.T) {
 		left.Rows = append(left.Rows, []dict.ID{dict.ID(i)})
 		right.Rows = append(right.Rows, []dict.ID{dict.ID(n + i)})
 	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, tc := range []struct {
 		prof Profile
+		cctx context.Context // nil: no cancelable context
 		want error
 	}{
-		{Profile{Name: "tinywork", WorkBudget: 50}, ErrWorkBudget},
-		{Profile{Name: "tinymem", MaxMaterializedRows: 5}, ErrMemoryBudget},
+		{Profile{Name: "tinywork", WorkBudget: 50}, nil, ErrWorkBudget},
+		{Profile{Name: "tinymem", MaxMaterializedRows: 5}, nil, ErrMemoryBudget},
+		// No budget at all: only the context stops the product, and it
+		// must do so before the product is built, not after sizing it.
+		{Native, canceled, ErrCanceled},
 	} {
 		ctx := &evalCtx{prof: tc.prof}
+		if tc.cctx != nil {
+			ctx.done, ctx.cctx = tc.cctx.Done(), tc.cctx
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := joinRelations(ctx, left, right, HashJoin)
@@ -198,40 +208,14 @@ func TestCartesianBudgetErrors(t *testing.T) {
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.prof.Name, err, tc.want)
 		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Errorf("%s: %d bytes allocated before failing, want none of the product's rows", tc.prof.Name, grew)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("%s: %d bytes allocated before failing, want far less than the product's 32 MB", tc.prof.Name, grew)
 		}
 		if mb := int64(tc.prof.MaxMaterializedRows); mb > 0 {
 			if m := ctx.snapshot(); m.RowsJoined != mb+1 || m.Work != 2*(mb+1) {
 				t.Errorf("%s: %d rows joined, %d work units; want %d and %d", tc.prof.Name, m.RowsJoined, m.Work, mb+1, 2*(mb+1))
 			}
 		}
-	}
-}
-
-// With no budget at all, a product is stopped by its context alone: a
-// canceled evaluation must fail with ErrCanceled while holding at most a
-// few left rows' pairs, not presize the whole product (here 4M rows,
-// ~110 MB of row headers and cells) before its first poll.
-func TestCartesianProductCancels(t *testing.T) {
-	const n = 2000
-	left, right := &Relation{Vars: []uint32{0}}, &Relation{Vars: []uint32{1}}
-	for i := 0; i < n; i++ {
-		left.Rows = append(left.Rows, []dict.ID{dict.ID(i)})
-		right.Rows = append(right.Rows, []dict.ID{dict.ID(n + i)})
-	}
-	cctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ctx := &evalCtx{prof: Native, done: cctx.Done(), cctx: cctx}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	rel, err := joinRelations(ctx, left, right, HashJoin)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrCanceled) || rel != nil {
-		t.Fatalf("err = %v, rel = %v; want %v and no relation", err, rel, ErrCanceled)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Errorf("%d bytes allocated before the cancellation surfaced, want under 1 MB", grew)
 	}
 }
 
