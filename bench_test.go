@@ -178,15 +178,6 @@ func BenchmarkAblation_IndexSet(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_JoinOrdering(b *testing.B) {
-	db := lubmDB(b)
-	for i := 0; i < b.N; i++ {
-		if err := db.AblationJoinOrdering(io.Discard, "Q01", "Q09"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAblation_ArmJoin(b *testing.B) {
 	db := lubmDB(b)
 	for i := 0; i < b.N; i++ {
@@ -383,51 +374,6 @@ func BenchmarkSaturation(b *testing.B) {
 		st, _ := saturate.StoreFrom(db.Raw.Each, db.Closed, storage.DefaultOrders...)
 		if st.Len() < n {
 			b.Fatal("saturation lost triples")
-		}
-	}
-}
-
-// BenchmarkSharedScanUCQ measures UCQ evaluation with the shared-scan
-// layer (merged member scans, member families) on versus off. The shared
-// variant reports the members evaluated under a merged scan, taken from
-// one traced run outside the timed loop, as a metric — scripts/bench.sh
-// embeds it into the committed BENCH_*.json files.
-func BenchmarkSharedScanUCQ(b *testing.B) {
-	db := lubmDB(b)
-	for _, name := range []string{"Q01", "Q09"} {
-		qi := db.QueryIndex(name)
-
-		sp := trace.New("bench")
-		traced := db.Answerer(engine.Native, core.Options{Parallelism: 1, Trace: sp})
-		if out := db.Run(traced, qi, core.UCQ); out.Failed() {
-			b.Fatal(out.Err)
-		}
-		sp.End()
-		snap := sp.Registry().Snapshot()
-		merged := float64(snap["merged_members"])
-
-		variants := []struct {
-			name string
-			opts core.Options
-		}{
-			{"shared", core.Options{Parallelism: 1}},
-			{"baseline", core.Options{Parallelism: 1, NoSharedScan: true}},
-		}
-		for _, v := range variants {
-			a := db.Answerer(engine.Native, v.opts)
-			shared := v.name == "shared"
-			b.Run(name+"/"+v.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					out := db.Run(a, qi, core.UCQ)
-					if out.Failed() {
-						b.Fatal(out.Err)
-					}
-				}
-				if shared {
-					b.ReportMetric(merged, "merged-members")
-				}
-			})
 		}
 	}
 }

@@ -11,7 +11,6 @@
 //	benchall -ablations          # only the ablation benches
 //	benchall -parallel           # only the parallelism sweep
 //	benchall -cache              # only the plan-cache sweep (cold/warm/mutate)
-//	benchall -sharedscan         # only the shared-scan on/off sweep
 //	benchall -feedback           # only the adaptive-cost warm-up sweep (gated)
 //	benchall -feedbackjson -     # the same sweep, JSON on stdout
 //	benchall -loadjson - -loadscales tiny,small,medium
@@ -162,7 +161,6 @@ func main() {
 	ablations := flag.Bool("ablations", false, "run only the ablation benches")
 	parallel := flag.Bool("parallel", false, "run only the parallelism sweep")
 	cacheSweep := flag.Bool("cache", false, "run only the plan-cache sweep (cold vs warm vs mutate-then-requery)")
-	sharedScan := flag.Bool("sharedscan", false, "run only the shared-scan on/off sweep")
 	stageJSON := flag.String("stagejson", "", "run the traced stage sweep and write its JSON to this file ('-' = stdout), then exit")
 	serveJSON := flag.String("servejson", "", "run the HTTP serve throughput sweep and write its JSON to this file ('-' = stdout), then exit")
 	serveDur := flag.Duration("serveduration", 2*time.Second, "per-point duration for -servejson")
@@ -210,7 +208,7 @@ func main() {
 		return
 	}
 
-	all := *table == 0 && *figure == 0 && !*ablations && !*parallel && !*cacheSweep && !*sharedScan
+	all := *table == 0 && *figure == 0 && !*ablations && !*parallel && !*cacheSweep
 	section := func(title string, f func() error) {
 		fmt.Fprintf(out, "\n==== %s ====\n", title)
 		start := time.Now()
@@ -307,9 +305,6 @@ func main() {
 		section("Ablation A1: index layout (3 vs 6 permutations)", func() error {
 			return lubmDB.AblationIndexSet(out, "Q01", "Q09", "Q23")
 		})
-		section("Ablation A2: greedy join ordering inside member CQs", func() error {
-			return lubmDB.AblationJoinOrdering(out, "Q01", "Q09", "Q19")
-		})
 		section("Ablation A4: arm-join algorithm on SCQ plans", func() error {
 			return lubmDB.AblationArmJoin(out, "Q05", "Q13", "Q25")
 		})
@@ -327,12 +322,6 @@ func main() {
 	if all || *cacheSweep {
 		section("Plan cache: cold vs warm (cached) vs mutate-then-requery", func() error {
 			return lubmDB.CacheSweep(out, []string{"Q01", "Q05", "Q09", "Q13"}, 3)
-		})
-	}
-
-	if all || *sharedScan {
-		section("Shared scans: merged members + member families, on vs off (UCQ)", func() error {
-			return lubmDB.SharedScanSweep(out, []string{"Q01", "Q05", "Q09", "Q13"}, core.UCQ, 3)
 		})
 	}
 }

@@ -66,33 +66,6 @@ func timeAnswer(a *core.Answerer, db *Database, qi int, s core.Strategy) float64
 	return ms(ans.Report.EvalTime)
 }
 
-// AblationJoinOrdering compares greedy statistics-driven join ordering
-// inside member CQs against textual atom order (A2).
-func (db *Database) AblationJoinOrdering(w io.Writer, queryNames ...string) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "ordering\t")
-	for _, n := range queryNames {
-		fmt.Fprintf(tw, "%s ms\t", n)
-	}
-	fmt.Fprintln(tw)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"greedy (default)", false}, {"textual order", true}} {
-		prof := engine.Native
-		prof.Name = "native-" + mode.name
-		prof.DisableJoinOrdering = mode.disable
-		a := db.Answerer(prof, core.Options{Params: db.calibrated(engine.Native)})
-		fmt.Fprintf(tw, "%s\t", mode.name)
-		for _, n := range queryNames {
-			qi := db.QueryIndex(n)
-			fmt.Fprintf(tw, "%.1f\t", timeAnswer(a, db, qi, core.GCov))
-		}
-		fmt.Fprintln(tw)
-	}
-	return tw.Flush()
-}
-
 // AblationArmJoin evaluates the SCQ reformulation of the given queries
 // under each arm-join algorithm (A4) — the isolated mechanism behind the
 // MySQL-like profile's SCQ collapse.

@@ -210,7 +210,6 @@ func TestAblationReports(t *testing.T) {
 	db := tinyLUBM(t)
 	cases := []func(*bytes.Buffer) error{
 		func(b *bytes.Buffer) error { return db.AblationIndexSet(b, "Q01") },
-		func(b *bytes.Buffer) error { return db.AblationJoinOrdering(b, "Q01") },
 		func(b *bytes.Buffer) error { return db.AblationArmJoin(b, "Q05") },
 		func(b *bytes.Buffer) error { return db.AblationFactorizedReformulation(b, "Q01") },
 	}

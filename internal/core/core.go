@@ -94,12 +94,6 @@ type Options struct {
 	// evaluation is always serial. 0 means runtime.GOMAXPROCS(0); 1 prices
 	// serially. Results are identical regardless of the value.
 	Parallelism int
-	// NoSharedScan disables the engines' shared-scan layer (merged
-	// member scans, member families and cross-member planning memos),
-	// reproducing scan-per-member evaluation — an ablation knob for
-	// measuring what the layer contributes. Answers are identical either way; the tuples
-	// scanned and the work charged are not.
-	NoSharedScan bool
 	// Trace, when non-nil, is the span query answering records its stage
 	// tree under: ChooseCover adds an "optimize" child carrying search
 	// effort, EvaluateCover adds "reformulate" (with per-fragment
@@ -171,14 +165,7 @@ func NewAnswerer(sch *schema.Closed, raw, sat *engine.Engine, opts Options) *Ans
 	if opts.MaxUCQMembers == 0 {
 		opts.MaxUCQMembers = DefaultMaxUCQMembers
 	}
-	a := &Answerer{sch: sch, raw: raw, sat: sat, opts: opts}
-	if raw != nil {
-		a.raw = raw.WithSharedScan(!opts.NoSharedScan)
-	}
-	if sat != nil {
-		a.sat = sat.WithSharedScan(!opts.NoSharedScan)
-	}
-	return a
+	return &Answerer{sch: sch, raw: raw, sat: sat, opts: opts}
 }
 
 // WithTrace returns a copy of the answerer whose queries record their

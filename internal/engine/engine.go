@@ -100,10 +100,6 @@ type Profile struct {
 	WorkBudget int64
 	// ArmJoin is the algorithm used to join materialized arm relations.
 	ArmJoin JoinAlgorithm
-	// DisableJoinOrdering evaluates member CQs in textual atom order
-	// instead of the greedy statistics-driven order — an ablation knob,
-	// not a realistic engine behaviour.
-	DisableJoinOrdering bool
 }
 
 // The three profiles of the experimental study. The limits are scaled to
@@ -171,10 +167,6 @@ type Engine struct {
 	// tracing: the evaluation hot path then pays one nil check per
 	// instrumentation point and allocates nothing for tracing.
 	span *trace.Span
-	// noShared disables the shared-scan layer (merged member scans,
-	// member families, cross-member planning memos); see WithSharedScan.
-	// Snapshot pinning stays on either way.
-	noShared bool
 	// ctx, when non-nil, can interrupt evaluations mid-flight (see
 	// WithContext). nil — the default — means evaluations run to
 	// completion or budget exhaustion; the hot path then pays nothing
@@ -218,23 +210,6 @@ func (e *Engine) WithContext(ctx context.Context) *Engine {
 	return &e2
 }
 
-// WithSharedScan returns a copy of the engine with the shared-scan
-// layer enabled (the default) or disabled. The layer comprises the
-// merged evaluation of member CQs differing in one constant, the
-// cross-member planning memos (join orders and cardinality probes shared
-// across an arm), and member families (see evalFamily); disabling it
-// reproduces scan-per-member evaluation — the baseline the ablation
-// benchmarks compare against. Answers are identical either way; TuplesScanned and
-// Work count the scans and probes each side performs, and rows may come
-// out in another order. Snapshot pinning is not affected: every evaluation
-// reads through an immutable snapshot regardless, which is what makes
-// nested bind-join scans safe under concurrent store mutation.
-func (e *Engine) WithSharedScan(on bool) *Engine {
-	e2 := *e
-	e2.noShared = !on
-	return &e2
-}
-
 // WithArmObserver returns a copy of the engine that calls f with the
 // index and result row count of every UCQ arm it evaluated in full. An
 // arm evaluated under a key filter (see keyFilter) is not reported: what
@@ -248,9 +223,6 @@ func (e *Engine) WithArmObserver(f func(arm int, rows int64)) *Engine {
 	e2.armObs = f
 	return &e2
 }
-
-// SharedScan reports whether the shared-scan layer is enabled.
-func (e *Engine) SharedScan() bool { return !e.noShared }
 
 // Profile returns the engine's profile.
 func (e *Engine) Profile() Profile { return e.prof }
@@ -275,9 +247,6 @@ type evalCtx struct {
 	// concurrent store mutations cannot deadlock or skew the evaluation
 	// mid-flight.
 	snap *storage.Snapshot
-	// shared enables merged member scans, member families and the
-	// cross-member planning memos.
-	shared bool
 	// done is the cancellation signal of the evaluation's context, nil
 	// when the engine has no cancelable context: charge then skips the
 	// poll entirely, keeping the uncancellable path zero-cost. cctx is
@@ -292,8 +261,9 @@ type evalCtx struct {
 	unionArms        atomic.Int64
 	work             atomic.Int64
 
-	// Shared-scan observability (trace-only; deliberately not part of
-	// Metrics, so the shared and baseline paths stay Metrics-identical).
+	// Trace-only observability: how the scans and probes were organized,
+	// not how much work they did, so they stay out of the Metrics the
+	// cost-model calibration fits.
 	mergedMembers atomic.Int64 // members evaluated under a merged scan
 	snapRanges    atomic.Int64 // depth-0 scans resolved to zero-copy snapshot ranges
 	filtered      atomic.Int64 // bindings dropped by an arm's key filter

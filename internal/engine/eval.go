@@ -96,10 +96,9 @@ func (e *Engine) EvalArms(head []uint32, arms []ArmSource) (*Relation, Metrics, 
 	// deadlocks as soon as a writer queues between the acquisitions —
 	// and it gives the evaluation one consistent view under mutation.
 	ctx := &evalCtx{
-		prof:   e.prof,
-		span:   e.span,
-		snap:   e.store.Snapshot(),
-		shared: !e.noShared,
+		prof: e.prof,
+		span: e.span,
+		snap: e.store.Snapshot(),
 	}
 	if e.ctx != nil {
 		ctx.done, ctx.cctx = e.ctx.Done(), e.ctx
@@ -582,11 +581,10 @@ func (p *program) familyKey(snap *storage.Snapshot) famKey {
 }
 
 // groupFamilies compiles the window's members and partitions them into
-// families, in the order of their first member. Without the shared-scan
-// layer every member is a family of its own. A member whose depth-0 key
-// differs from its family's starts a new family: splitting one is always
-// sound.
-func (sc *armScratch) groupFamilies(shared bool) {
+// families, in the order of their first member. A member with no atoms
+// is a family of its own, and a member whose depth-0 key differs from
+// its family's starts a new family: splitting one is always sound.
+func (sc *armScratch) groupFamilies() {
 	clear(sc.famBy)
 	progs, fams, next := sc.progs[:0], sc.fams[:0], sc.next[:0]
 	for i := range sc.plans {
@@ -598,7 +596,7 @@ func (sc *armScratch) groupFamilies(shared bool) {
 		pl, p := &sc.plans[i], &progs[i]
 		sc.bj.compile(p, pl.cq, pl.order, sc.filter)
 		next = append(next, -1)
-		keyed := shared && len(p.steps) > 0
+		keyed := len(p.steps) > 0
 		var key famKey
 		fi, ok := 0, false
 		if keyed {
@@ -741,7 +739,7 @@ type armScratch struct {
 	probes statProbes
 
 	// greedy is greedyOrder's working state, reused member after member
-	// on the shared path (the baseline and planning paths pay per call).
+	// (the planning path, joinOrder, pays per call).
 	greedy greedyState
 
 	// shapeSeen is a tag table over member shape hashes: an order is
@@ -817,10 +815,10 @@ func (e *Engine) evalMemberRun(ctx *evalCtx, sc *armScratch, cqs []bgp.CQ, dedup
 		plans = append(plans, p)
 	}
 	sc.plans = plans
-	if ctx.shared && len(plans) > 1 {
+	if len(plans) > 1 {
 		e.planMergedScans(ctx, sc, plans)
 	}
-	sc.groupFamilies(ctx.shared)
+	sc.groupFamilies()
 	for i := range sc.fams {
 		ctx.unionArms.Add(int64(sc.fams[i].n))
 		if err := sc.evalFamily(&sc.fams[i], dedup); err != nil {
@@ -999,29 +997,7 @@ func withPos(p storage.Pattern, pos int, id dict.ID) storage.Pattern {
 // identical up to variable renaming share an entry, installed on the
 // shape's second occurrence) and computed with the scratch's shared
 // cardinality memos over the pinned snapshot.
-//
-// With the shared-scan layer off, the cross-member memos are off too:
-// every member is ordered independently with per-call probe memos only,
-// reproducing the pre-refactor scan-per-member planning cost. The
-// chosen order is the same either way (the probes are identical;
-// TestMemberOrderAgreesWithJoinOrder guards it), so results and metrics
-// do not depend on the flag.
 func (e *Engine) memberOrder(ctx *evalCtx, sc *armScratch, cq bgp.CQ) []int {
-	if e.prof.DisableJoinOrdering {
-		return identityOrder(len(cq.Atoms))
-	}
-	if !ctx.shared {
-		// Pre-refactor planning per member: the probe memos are cleared
-		// before each member so no statistics carry over (every member
-		// re-pays its own probes) and greedyOrder builds fresh working
-		// state for the call rather than reusing the scratch's. The
-		// chosen order is identical to the shared path's — only the
-		// planning work is repeated.
-		clear(sc.cards)
-		clear(sc.dist)
-		sc.probes = statProbes{st: e.st, src: ctx.snap, cards: sc.cards, dist: sc.dist}
-		return greedyOrder(cq, &sc.probes, nil)
-	}
 	key := sc.orderKey(cq)
 	if o, ok := sc.orders[string(key)]; ok {
 		return o
@@ -1138,9 +1114,6 @@ func appendTermKey(buf []byte, rn []uint32, t bgp.Term) ([]byte, []uint32) {
 // evaluation path goes through memberOrder, which adds the per-arm
 // memoization and reads statistics through the pinned snapshot.
 func (e *Engine) joinOrder(cq bgp.CQ) []int {
-	if e.prof.DisableJoinOrdering {
-		return identityOrder(len(cq.Atoms))
-	}
 	// Memoize the stats probes for the greedy rounds below: without
 	// this, every round re-prices every remaining atom, turning n atoms
 	// into O(n²) AtomCard calls through the stats mutex.
@@ -1152,19 +1125,11 @@ func (e *Engine) joinOrder(cq bgp.CQ) []int {
 	return greedyOrder(cq, &pr, nil)
 }
 
-func identityOrder(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
 // greedyState is greedyOrder's per-call working state: which atoms were
 // already placed, which variables they bound, and a variable scratch.
-// Reusable across calls (greedyOrder resets it), so the shared path
-// hands in the one kept in its arm scratch; a nil state makes
-// greedyOrder allocate a fresh one for the call.
+// Reusable across calls (greedyOrder resets it), so memberOrder hands
+// in the one kept in its arm scratch; a nil state makes greedyOrder
+// allocate a fresh one for the call.
 type greedyState struct {
 	used  []bool
 	bound map[uint32]bool

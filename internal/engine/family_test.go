@@ -212,8 +212,7 @@ func TestRandomUCQFamiliesMatchSaturation(t *testing.T) {
 // snapshot cannot hand the scan out as a range and it streams, merging
 // the delta; repeating the scan in later arms must not change that. One
 // single-member arm, and three arms opening with that same atom, answer
-// as the naive evaluator does, on both representations, with and without
-// the shared-scan layer.
+// as the naive evaluator does, on both representations.
 func TestDepthZeroScanWithDeltaMatchesNaive(t *testing.T) {
 	x, y := bgp.V(0), bgp.V(1)
 	c := bgp.C
@@ -234,21 +233,19 @@ func TestDepthZeroScanWithDeltaMatchesNaive(t *testing.T) {
 		}
 		sts := stats.Collect(st, schema.Vocab{}) // before pend: Collect's pass compacts
 		pend(st)
-		for _, shared := range []bool{true, false} {
-			eng := engine.New(st, sts, engine.Native).WithSharedScan(shared)
-			for name, j := range map[string]bgp.JUCQ{"one arm": one, "three arms": three} {
-				root := trace.New("test")
-				rel, _, err := eng.WithSpan(root).EvalArms(j.Head, sources(j.Arms))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := naive.EvalJUCQ(st, j)
-				if got := toRows(rel); !naive.Equal(got, want) || len(want) == 0 {
-					t.Fatalf("frozen=%v shared=%v %s: engine %v, naive %v", frozen, shared, name, got, want)
-				}
-				if got := root.Registry().Snapshot()["snapshot_ranges"]; got != 0 {
-					t.Errorf("frozen=%v shared=%v %s: %d depth-0 scans came back as ranges; the delta must make them stream", frozen, shared, name, got)
-				}
+		eng := engine.New(st, sts, engine.Native)
+		for name, j := range map[string]bgp.JUCQ{"one arm": one, "three arms": three} {
+			root := trace.New("test")
+			rel, _, err := eng.WithSpan(root).EvalArms(j.Head, sources(j.Arms))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := naive.EvalJUCQ(st, j)
+			if got := toRows(rel); !naive.Equal(got, want) || len(want) == 0 {
+				t.Fatalf("frozen=%v %s: engine %v, naive %v", frozen, name, got, want)
+			}
+			if got := root.Registry().Snapshot()["snapshot_ranges"]; got != 0 {
+				t.Errorf("frozen=%v %s: %d depth-0 scans came back as ranges; the delta must make them stream", frozen, name, got)
 			}
 		}
 	}

@@ -27,7 +27,7 @@ func rebuildCompressed(src *storage.Store) *storage.Store {
 
 // The compressed frozen representation must be invisible to the engine:
 // byte-identical relations to evaluation over the flat representation,
-// for UCQs and multi-arm JUCQs, with and without the shared-scan layer.
+// for UCQs and multi-arm JUCQs.
 func TestCompressedStoreMatchesFlat(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		e := testkit.Random(seed, 50)
@@ -53,33 +53,31 @@ func TestCompressedStoreMatchesFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		head, arms := scqArms(t, e, q)
-		for _, sharedScan := range []bool{true, false} {
-			flatEng := engine.New(raw, flatStats, engine.Native).WithSharedScan(sharedScan)
-			compEng := engine.New(comp, compStats, engine.Native).WithSharedScan(sharedScan)
+		flatEng := engine.New(raw, flatStats, engine.Native)
+		compEng := engine.New(comp, compStats, engine.Native)
 
-			wantRel, _, err := flatEng.EvalUCQ(u)
-			if err != nil {
-				t.Fatalf("seed %d shared=%v: flat UCQ: %v", seed, sharedScan, err)
-			}
-			gotRel, _, err := compEng.EvalUCQ(u)
-			if err != nil {
-				t.Fatalf("seed %d shared=%v: compressed UCQ: %v", seed, sharedScan, err)
-			}
-			if !relEqual(gotRel, wantRel) {
-				t.Errorf("seed %d shared=%v: compressed UCQ relation differs from flat", seed, sharedScan)
-			}
+		wantRel, _, err := flatEng.EvalUCQ(u)
+		if err != nil {
+			t.Fatalf("seed %d: flat UCQ: %v", seed, err)
+		}
+		gotRel, _, err := compEng.EvalUCQ(u)
+		if err != nil {
+			t.Fatalf("seed %d: compressed UCQ: %v", seed, err)
+		}
+		if !relEqual(gotRel, wantRel) {
+			t.Errorf("seed %d: compressed UCQ relation differs from flat", seed)
+		}
 
-			wantRel, _, err = flatEng.EvalArms(head, arms)
-			if err != nil {
-				t.Fatalf("seed %d shared=%v: flat JUCQ: %v", seed, sharedScan, err)
-			}
-			gotRel, _, err = compEng.EvalArms(head, arms)
-			if err != nil {
-				t.Fatalf("seed %d shared=%v: compressed JUCQ: %v", seed, sharedScan, err)
-			}
-			if !relEqual(gotRel, wantRel) {
-				t.Errorf("seed %d shared=%v: compressed JUCQ relation differs from flat", seed, sharedScan)
-			}
+		wantRel, _, err = flatEng.EvalArms(head, arms)
+		if err != nil {
+			t.Fatalf("seed %d: flat JUCQ: %v", seed, err)
+		}
+		gotRel, _, err = compEng.EvalArms(head, arms)
+		if err != nil {
+			t.Fatalf("seed %d: compressed JUCQ: %v", seed, err)
+		}
+		if !relEqual(gotRel, wantRel) {
+			t.Errorf("seed %d: compressed JUCQ relation differs from flat", seed)
 		}
 	}
 }

@@ -93,8 +93,8 @@ func buildCFG(body *ast.BlockStmt) *CFG {
 // loopFrame tracks the jump targets of one enclosing loop or switch for
 // break/continue resolution.
 type loopFrame struct {
-	label     string
-	breakTo   *Block
+	label      string
+	breakTo    *Block
 	continueTo *Block // nil for switch/select frames (continue skips them)
 }
 

@@ -173,11 +173,6 @@ type Options struct {
 	// itself is serial. 0 uses all CPUs, 1 prices serially. Results are
 	// identical either way.
 	Parallelism int
-	// NoSharedScan disables the engine's shared-scan layer (merged
-	// member scans, member families, cross-member planning memos) — an
-	// ablation knob; answers are identical either way, only evaluation
-	// time and the tuples scanned change.
-	NoSharedScan bool
 	// Trace, when non-nil, records every query's lifecycle (parse,
 	// optimize, reformulate, evaluate, with per-operator counters) as
 	// children of the given root span. nil disables tracing at zero cost.
@@ -495,7 +490,6 @@ func (s *Store) NewAnswerer(p Profile, opts Options) *Answerer {
 		MaxCovers:    opts.MaxCovers,
 		SearchBudget: opts.SearchBudget,
 		Parallelism:  opts.Parallelism,
-		NoSharedScan: opts.NoSharedScan,
 		Trace:        opts.Trace,
 		PlanCache:    opts.PlanCache,
 		Feedback:     opts.Feedback,

@@ -8,9 +8,8 @@
 # breakdown from `benchall -stagejson`, asserts that disabled
 # tracing adds no allocations to the JUCQ hot path (tracealloc), and
 # always includes the plan-cache cold/warm pair with its hit rate
-# (cachedanswer) and the shared-scan on/off pair with its scan-cache hit
-# rate (sharedscan), after running the shared-vs-baseline answer
-# equality sweep, and the bulk-load scale sweep from `benchall
+# (cachedanswer) and the store/snapshot/range scan triple
+# (snapshotscan), and the bulk-load scale sweep from `benchall
 # -loadjson` (flat vs compressed load throughput and bytes/triple
 # across REPRO_LOAD_SCALES), and the HTTP serve throughput sweep from
 # `benchall -servejson` (an in-process rdfserver driven by the load
@@ -77,13 +76,12 @@ if ! grep -q 'BenchmarkCachedAnswer/warm' "$raw"; then
     go test -run '^$' -bench '^BenchmarkCachedAnswer$' -benchmem . | tee -a "$raw"
 fi
 
-# sharedscan: the shared-vs-baseline UCQ pair (with its merged-members
-# metric) and the store/snapshot/range scan triple must be in
-# every committed report. Re-run them on their own if a custom pattern
-# excluded them from the main sweep.
-if ! grep -q 'BenchmarkSharedScanUCQ' "$raw"; then
-    echo "==> sharedscan: recording shared-scan on/off latency"
-    go test -run '^$' -bench '^(BenchmarkSharedScanUCQ|BenchmarkSnapshotScan)$' -benchmem . | tee -a "$raw"
+# snapshotscan: the store/snapshot/range scan triple must be in every
+# committed report. Re-run it on its own if a custom pattern excluded it
+# from the main sweep.
+if ! grep -q 'BenchmarkSnapshotScan' "$raw"; then
+    echo "==> snapshotscan: recording store/snapshot/range scan latency"
+    go test -run '^$' -bench '^BenchmarkSnapshotScan$' -benchmem . | tee -a "$raw"
 fi
 
 # encode: the query service's response encoder (ns/row, B/row, allocs/op
@@ -101,9 +99,6 @@ echo "==> probe: recording the index-probe layer"
 go test -run '^$' -bench '^(BenchmarkProbe|BenchmarkProbeWithDelta)$' -benchmem ./internal/storage | tee -a "$raw"
 echo "==> bindjoin: recording the bind-join kernel and the arm pipeline"
 go test -run '^$' -bench '^(BenchmarkBindJoinMember|BenchmarkArmPipeline)$' -benchmem ./internal/engine | tee -a "$raw"
-
-echo "==> benchall -sharedscan (strict shared-vs-baseline equality sweep)"
-go run ./cmd/benchall -scale "$REPRO_BENCH_SCALE" -sharedscan
 
 echo "==> benchall -stagejson (traced per-stage breakdown)"
 go run ./cmd/benchall -scale "$REPRO_BENCH_SCALE" -stagejson "$stages"

@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh runs the full verification gauntlet: build, go vet, the
+# check.sh runs the full verification gauntlet: build, gofmt, go vet, the
 # repository's own static-analysis suite (cmd/lint), the test suite, the
 # race detector and short fuzzes of the answer encoder and of evaluation
 # against the naive evaluator. CI runs exactly
@@ -10,6 +10,14 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> gofmt -l (every tracked Go file must be gofmt-clean)"
+unformatted="$(gofmt -l $(git ls-files '*.go'))"
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need gofmt -w:"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
