@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-fix-fixtures bench bench-json bench-scale bench-serve bench-feedback profile-join profile-cold serve-smoke check
+.PHONY: build test race vet lint lint-fix-fixtures bench profile-join profile-cold serve-smoke check
 
 build:
 	$(GO) build ./...
@@ -27,26 +27,6 @@ lint-fix-fixtures:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# bench-json runs the suite at the tiny scale and writes BENCH_<date>.json.
-bench-json:
-	./scripts/bench.sh
-
-# bench-scale runs only the bulk-load scale sweep (flat vs compressed
-# load throughput and bytes/triple) and prints the JSON on stdout.
-bench-scale:
-	$(GO) run ./cmd/benchall -loadscales tiny,small,medium -loadjson -
-
-# bench-serve runs only the HTTP serve throughput sweep (an in-process
-# rdfserver driven by the load generator) and prints the JSON on stdout.
-bench-serve:
-	$(GO) run ./cmd/benchall -scale tiny -servejson -
-
-# bench-feedback runs only the adaptive-cost warm-up sweep (estimation
-# error trajectory over repeated workload passes) and prints the JSON
-# on stdout; it fails unless the error shrinks at least 2x.
-bench-feedback:
-	$(GO) run ./cmd/benchall -scale tiny -feedbackjson -
-
 # profile-join takes the CPU profile ROADMAP and EXPERIMENTS.md quote for
 # join queries (Figure 10's gcov and saturation bars at the small scale)
 # and prints its top entries; the profile and the test binary stay under
@@ -70,7 +50,7 @@ profile-cold:
 		-benchtime 20x -cpuprofile $(PROFILE_DIR)/cold.prof -o $(PROFILE_DIR)/repro.test .
 	$(GO) tool pprof -top -nodecount 30 $(PROFILE_DIR)/repro.test $(PROFILE_DIR)/cold.prof
 
-# serve-smoke exercises rdfserver + loadgen end to end on an ephemeral port.
+# serve-smoke exercises rdfserver end to end over curl on an ephemeral port.
 serve-smoke:
 	./scripts/serve_smoke.sh
 

@@ -11,6 +11,7 @@ package repro_test
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -26,16 +27,21 @@ import (
 	"repro/internal/trace"
 )
 
-func benchScale() benchkit.Scale {
+func benchScale(b *testing.B) benchkit.Scale {
+	b.Helper()
 	if s := os.Getenv("REPRO_BENCH_SCALE"); s != "" {
-		return benchkit.ScaleByName(s)
+		sc, ok := benchkit.ScaleByName(s)
+		if !ok {
+			b.Fatalf("REPRO_BENCH_SCALE=%q: want tiny, small or medium", s)
+		}
+		return sc
 	}
 	return benchkit.ScaleTiny
 }
 
 func lubmDB(b *testing.B) *benchkit.Database {
 	b.Helper()
-	db, err := benchkit.BuildLUBM(benchScale())
+	db, err := benchkit.BuildLUBM(benchScale(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,7 +51,7 @@ func lubmDB(b *testing.B) *benchkit.Database {
 
 func dblpDB(b *testing.B) *benchkit.Database {
 	b.Helper()
-	db, err := benchkit.BuildDBLP(benchScale())
+	db, err := benchkit.BuildDBLP(benchScale(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -294,8 +300,8 @@ func BenchmarkParallelCoverSearch(b *testing.B) {
 // BenchmarkTraceOverhead measures the disabled-tracing hot path on a
 // JUCQ evaluation. The `/off` variant never touches the trace API; the
 // `/nil-span` variant answers through WithTrace(nil), so every
-// instrumentation site runs its nil-receiver check. scripts/bench.sh's
-// tracealloc step asserts the two report identical allocs/op — the
+// instrumentation site runs its nil-receiver check.
+// TestDisabledTracingAddsNoAllocs asserts the two allocate alike — the
 // zero-cost-when-disabled claim of DESIGN.md's Observability section.
 func BenchmarkTraceOverhead(b *testing.B) {
 	db := lubmDB(b)
@@ -321,12 +327,44 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 }
 
+// TestDisabledTracingAddsNoAllocs is the gate on BenchmarkTraceOverhead's
+// pair: answering Q09 through SCQ with WithTrace(nil) may allocate at most
+// max(2, 1%) more or fewer objects per answer than never touching the
+// trace API, so a nil span must stay a disabled trace end to end. Both
+// sides run every instrumentation site with a nil span, so a site that
+// formats an argument before its nil check allocates on both; the
+// tracezero analyzer of cmd/lint and trace.TestDisabledTraceAllocFree
+// catch that.
+func TestDisabledTracingAddsNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector skews allocation counts")
+	}
+	db, err := benchkit.BuildLUBM(benchkit.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qi := db.QueryIndex("Q09")
+	off := db.Answerer(engine.Native, core.Options{})
+	allocs := func(a *core.Answerer) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if out := db.Run(a, qi, core.SCQ); out.Failed() {
+				t.Fatal(out.Err)
+			}
+		})
+	}
+	offAllocs, nilAllocs := allocs(off), allocs(off.WithTrace(nil))
+	tol := math.Max(2, 0.01*offAllocs)
+	if d := math.Abs(nilAllocs - offAllocs); d > tol {
+		t.Errorf("disabled tracing changes the allocation profile: off %.0f allocs/op, nil-span %.0f (tolerance %.0f)",
+			offAllocs, nilAllocs, tol)
+	}
+}
+
 // BenchmarkCachedAnswer measures the plan cache on a cover-search-heavy
 // query: `cold` answers through a fresh cache every iteration (one miss,
 // install included), `warm` answers through a primed shared cache so every
 // iteration skips the optimize and reformulate stages. The warm variant
-// reports the cache's hit rate as a metric, which scripts/bench.sh embeds
-// into the committed BENCH_*.json files.
+// reports the cache's hit rate as a metric.
 func BenchmarkCachedAnswer(b *testing.B) {
 	db := lubmDB(b)
 	qi := db.QueryIndex("Q09")
@@ -420,9 +458,7 @@ func BenchmarkSnapshotScan(b *testing.B) {
 // BenchmarkBulkLoad measures building the triple store from the raw
 // LUBM stream: the flat serial baseline against the compressed
 // block-columnar parallel sort-merge loader. The compressed variant
-// reports its resident bytes/triple as a metric — scripts/bench.sh
-// embeds it into the committed BENCH_*.json files alongside the
-// cross-scale sweep from `benchall -loadjson`.
+// reports its resident bytes/triple as a metric.
 func BenchmarkBulkLoad(b *testing.B) {
 	db := lubmDB(b)
 	n := db.Raw.Len()

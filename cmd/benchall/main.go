@@ -10,11 +10,8 @@
 //	benchall -figure 4           # only Figure 4
 //	benchall -ablations          # only the ablation benches
 //	benchall -parallel           # only the parallelism sweep
-//	benchall -cache              # only the plan-cache sweep (cold/warm/mutate)
-//	benchall -feedback           # only the adaptive-cost warm-up sweep (gated)
-//	benchall -feedbackjson -     # the same sweep, JSON on stdout
-//	benchall -loadjson - -loadscales tiny,small,medium
-//	                             # only the bulk-load scale sweep, JSON on stdout
+//
+// An unknown -scale name exits 2.
 package main
 
 import (
@@ -22,137 +19,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/benchkit"
-	"repro/internal/core"
 	"repro/internal/engine"
 )
-
-// writeLoadSweep measures bulk load throughput and resident bytes per
-// triple across the named scales (flat vs compressed block-columnar)
-// and writes the result as JSON — the load data scripts/bench.sh embeds
-// into the committed BENCH_*.json files.
-func writeLoadSweep(names []string, par int, path string) error {
-	sweep, err := benchkit.MeasureLoadScales(names, par)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		if err := sweep.WriteText(os.Stderr); err != nil {
-			return err
-		}
-		return sweep.WriteJSON(os.Stdout)
-	}
-	if err := sweep.WriteText(os.Stderr); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := sweep.WriteJSON(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// writeServeSweep stands up an in-process rdfserver over the LUBM store
-// and drives it with the load generator, writing per-point throughput
-// and latency percentiles as JSON — the serve data scripts/bench.sh
-// embeds into the committed BENCH_*.json files.
-func writeServeSweep(sc benchkit.Scale, dur time.Duration, path string) error {
-	sweep, err := benchkit.MeasureServe(sc, benchkit.ServeOptions{Duration: dur})
-	if err != nil {
-		return err
-	}
-	if err := sweep.WriteText(os.Stderr); err != nil {
-		return err
-	}
-	if path == "-" {
-		return sweep.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := sweep.WriteJSON(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// runFeedbackSweep runs the adaptive-cost warm-up sweep and enforces
-// its acceptance gate: the mean relative cardinality estimation error
-// must shrink at least 2x over the sweep (unless it ends near-exact),
-// and the answers must match a feedback-free baseline exactly.
-func runFeedbackSweep(sc benchkit.Scale, epochs int, jsonPath string) error {
-	rep, err := benchkit.MeasureFeedback(sc, epochs)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteText(os.Stderr); err != nil {
-		return err
-	}
-	if jsonPath != "" {
-		if jsonPath == "-" {
-			if err := rep.WriteJSON(os.Stdout); err != nil {
-				return err
-			}
-		} else {
-			f, err := os.Create(jsonPath)
-			if err != nil {
-				return err
-			}
-			werr := rep.WriteJSON(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return werr
-			}
-		}
-	}
-	if !rep.AnswersIdentical {
-		return fmt.Errorf("feedback changed answers — the loop must stay advisory")
-	}
-	if rep.CardImprovement < 2 && rep.FinalCardErr >= 0.02 {
-		return fmt.Errorf("cardinality error improved only %.2fx (final %.4f), want >= 2x",
-			rep.CardImprovement, rep.FinalCardErr)
-	}
-	return nil
-}
-
-// writeStageSweep answers a representative LUBM query set with every
-// reformulation strategy under tracing and writes the per-stage
-// breakdown as JSON — the stage data scripts/bench.sh embeds into the
-// committed BENCH_*.json files.
-func writeStageSweep(sc benchkit.Scale, path string) error {
-	db, err := benchkit.BuildLUBM(sc)
-	if err != nil {
-		return err
-	}
-	prof := engine.PostgresLike
-	a := db.Answerer(prof, core.Options{})
-	rep := db.StageSweep(a, prof.Name,
-		[]string{"Q01", "Q05", "Q09", "Q13"},
-		[]core.Strategy{core.UCQ, core.SCQ, core.ECov, core.GCov})
-	if path == "-" {
-		return rep.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := rep.WriteJSON(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
 
 func main() {
 	scale := flag.String("scale", "small", "dataset scale: tiny, small or medium")
@@ -160,55 +31,16 @@ func main() {
 	figure := flag.Int("figure", 0, "regenerate only this figure (4-10)")
 	ablations := flag.Bool("ablations", false, "run only the ablation benches")
 	parallel := flag.Bool("parallel", false, "run only the parallelism sweep")
-	cacheSweep := flag.Bool("cache", false, "run only the plan-cache sweep (cold vs warm vs mutate-then-requery)")
-	stageJSON := flag.String("stagejson", "", "run the traced stage sweep and write its JSON to this file ('-' = stdout), then exit")
-	serveJSON := flag.String("servejson", "", "run the HTTP serve throughput sweep and write its JSON to this file ('-' = stdout), then exit")
-	serveDur := flag.Duration("serveduration", 2*time.Second, "per-point duration for -servejson")
-	loadJSON := flag.String("loadjson", "", "run the bulk-load scale sweep and write its JSON to this file ('-' = stdout), then exit")
-	loadScales := flag.String("loadscales", "tiny,small,medium", "comma-separated scales for -loadjson")
-	loadPar := flag.Int("loadpar", 0, "loader parallelism for -loadjson (0 = GOMAXPROCS)")
-	fbSweep := flag.Bool("feedback", false, "run only the feedback warm-up sweep (fails if the estimation error does not shrink 2x)")
-	fbJSON := flag.String("feedbackjson", "", "run the feedback warm-up sweep and write its JSON to this file ('-' = stdout), then exit")
-	fbEpochs := flag.Int("feedbackepochs", 4, "workload passes for the feedback sweep")
 	flag.Parse()
 
-	sc := benchkit.ScaleByName(*scale)
+	sc, ok := benchkit.ScaleByName(*scale)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "benchall: unknown scale %q (want tiny, small or medium)\n", *scale)
+		os.Exit(2)
+	}
 	out := os.Stdout
 
-	if *fbSweep || *fbJSON != "" {
-		if err := runFeedbackSweep(sc, *fbEpochs, *fbJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *loadJSON != "" {
-		names := strings.Split(*loadScales, ",")
-		if err := writeLoadSweep(names, *loadPar, *loadJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveJSON != "" {
-		if err := writeServeSweep(sc, *serveDur, *serveJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *stageJSON != "" {
-		if err := writeStageSweep(sc, *stageJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	all := *table == 0 && *figure == 0 && !*ablations && !*parallel && !*cacheSweep
+	all := *table == 0 && *figure == 0 && !*ablations && !*parallel
 	section := func(title string, f func() error) {
 		fmt.Fprintf(out, "\n==== %s ====\n", title)
 		start := time.Now()
@@ -316,12 +148,6 @@ func main() {
 	if all || *parallel {
 		section(fmt.Sprintf("Parallelism sweep: GCov JUCQ on the native profile (GOMAXPROCS=%d)", runtime.GOMAXPROCS(0)), func() error {
 			return lubmDB.ParallelismSweep(out, []int{1, 2, 4, runtime.GOMAXPROCS(0)}, 3)
-		})
-	}
-
-	if all || *cacheSweep {
-		section("Plan cache: cold vs warm (cached) vs mutate-then-requery", func() error {
-			return lubmDB.CacheSweep(out, []string{"Q01", "Q05", "Q09", "Q13"}, 3)
 		})
 	}
 }

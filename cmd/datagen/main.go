@@ -29,16 +29,28 @@ func main() {
 	workload := flag.String("workload", "lubm", "workload to generate: lubm or dblp")
 	universities := flag.Int("universities", 1, "lubm: number of universities")
 	pubs := flag.Int("publications", 20000, "dblp: number of publication records")
-	seed := flag.Int64("seed", 42, "generator seed")
+	seed := flag.Int64("seed", 42, "generator seed (with -scale, default benchkit's seed for the workload)")
 	tiny := flag.Bool("tiny", false, "lubm: use the scaled-down test profile")
-	scale := flag.String("scale", "", "use a benchkit scale preset (tiny, small or medium) for the sizes; overrides -universities/-publications/-tiny so datasets match BENCH runs")
+	scale := flag.String("scale", "", "use a benchkit scale preset (tiny, small or medium) for the sizes; overrides -universities/-publications/-tiny so datasets match benchkit's datasets")
 	flag.Parse()
 
 	if *scale != "" {
-		sc := benchkit.ScaleByName(*scale)
+		sc, ok := benchkit.ScaleByName(*scale)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "datagen: unknown scale %q (want tiny, small or medium)\n", *scale)
+			os.Exit(2)
+		}
 		*universities = sc.LUBMUnivs
 		*pubs = sc.DBLPPubs
 		*tiny = sc.Name == "tiny"
+		seedSet := false
+		flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
+		if !seedSet {
+			*seed = benchkit.LUBMSeed
+			if *workload == "dblp" {
+				*seed = benchkit.DBLPSeed
+			}
+		}
 	}
 
 	out := bufio.NewWriterSize(os.Stdout, 1<<20)

@@ -70,19 +70,28 @@ var (
 	ScaleMedium = Scale{Name: "medium", LUBMUnivs: 8, LUBMConfig: lubm.Default(), DBLPPubs: 150_000}
 )
 
-// ScaleByName resolves a scale name; unknown names return ScaleSmall.
-func ScaleByName(name string) Scale {
+// ScaleByName resolves a scale name; the empty name is ScaleSmall. It
+// reports false for any other name, so a misspelt scale never silently
+// measures a different size.
+func ScaleByName(name string) (Scale, bool) {
 	switch name {
 	case "tiny":
-		return ScaleTiny
-	case "medium":
-		return ScaleMedium
+		return ScaleTiny, true
 	case "small", "":
-		return ScaleSmall
+		return ScaleSmall, true
+	case "medium":
+		return ScaleMedium, true
 	default:
-		return ScaleSmall
+		return Scale{}, false
 	}
 }
+
+// The generator seeds of BuildLUBM and BuildDBLP; cmd/datagen -scale
+// uses them so its datasets are the ones benchkit measures.
+const (
+	LUBMSeed = 42
+	DBLPSeed = 7
+)
 
 var (
 	cacheMu sync.Mutex
@@ -100,7 +109,7 @@ func BuildLUBM(sc Scale) (*Database, error) {
 			specs = append(specs, Spec{Name: q.Name, Text: q.Text, Comment: q.Comment})
 		}
 		return build("LUBM", lubm.Ontology(), func(emit func(rdf.Triple)) {
-			lubm.Generate(sc.LUBMUnivs, 42, sc.LUBMConfig, emit)
+			lubm.Generate(sc.LUBMUnivs, LUBMSeed, sc.LUBMConfig, emit)
 		}, specs)
 	})
 }
@@ -114,7 +123,7 @@ func BuildDBLP(sc Scale) (*Database, error) {
 			specs = append(specs, Spec{Name: q.Name, Text: q.Text, Comment: q.Comment})
 		}
 		return build("DBLP", dblp.Ontology(), func(emit func(rdf.Triple)) {
-			dblp.Generate(sc.DBLPPubs, 7, emit)
+			dblp.Generate(sc.DBLPPubs, DBLPSeed, emit)
 		}, specs)
 	})
 }
@@ -226,9 +235,6 @@ type Outcome struct {
 	Total    time.Duration
 	Report   core.Report
 	Err      error
-	// Stages is the per-stage breakdown of a traced run; only RunStaged
-	// fills it (plain Run leaves it nil to keep the hot path untraced).
-	Stages []Stage
 }
 
 // Failed reports whether the run failed (the paper's "missing bars").

@@ -225,10 +225,15 @@ func TestAblationReports(t *testing.T) {
 }
 
 func TestScaleByName(t *testing.T) {
-	if ScaleByName("tiny").Name != "tiny" || ScaleByName("medium").Name != "medium" {
-		t.Error("named scales wrong")
+	for _, name := range []string{"tiny", "small", "medium"} {
+		if sc, ok := ScaleByName(name); !ok || sc.Name != name {
+			t.Errorf("ScaleByName(%q) = %q, %v", name, sc.Name, ok)
+		}
 	}
-	if ScaleByName("").Name != "small" || ScaleByName("bogus").Name != "small" {
+	if sc, ok := ScaleByName(""); !ok || sc.Name != "small" {
 		t.Error("default scale wrong")
+	}
+	if _, ok := ScaleByName("bogus"); ok {
+		t.Error("unknown scale name accepted")
 	}
 }

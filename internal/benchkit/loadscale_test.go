@@ -1,9 +1,6 @@
 package benchkit
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -16,52 +13,6 @@ import (
 // config, fewer universities) sized so the CI smoke test below loads a
 // genuinely multi-block dataset in about a second.
 var mediumSlice = Scale{Name: "medium-slice", LUBMUnivs: 2, LUBMConfig: lubm.Default(), DBLPPubs: 500}
-
-func TestMeasureLoadTiny(t *testing.T) {
-	skipUnderRace(t)
-	rep, err := MeasureLoad(ScaleTiny, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Workload != "LUBM" || rep.Scale != "tiny" {
-		t.Errorf("labels wrong: %+v", rep)
-	}
-	if rep.Triples == 0 || rep.TriplesPerSec <= 0 || rep.FlatTriplesPerSec <= 0 {
-		t.Errorf("throughput not filled: %+v", rep)
-	}
-	if rep.CompressedBytes <= 0 || rep.CompressedBlocks <= 0 || rep.BytesPerTriple <= 0 {
-		t.Errorf("footprint not filled: %+v", rep)
-	}
-	if !rep.Verified {
-		t.Error("flat and compressed stores differ")
-	}
-}
-
-func TestLoadSweepOutput(t *testing.T) {
-	skipUnderRace(t)
-	sweep, err := MeasureLoadScales([]string{"tiny"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jsonBuf bytes.Buffer
-	if err := sweep.WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	var back LoadSweep
-	if err := json.Unmarshal(jsonBuf.Bytes(), &back); err != nil {
-		t.Fatalf("sweep JSON does not round-trip: %v", err)
-	}
-	if len(back.Runs) != 1 || back.Runs[0].Scale != "tiny" {
-		t.Errorf("round-tripped sweep wrong: %+v", back)
-	}
-	var textBuf bytes.Buffer
-	if err := sweep.WriteText(&textBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(textBuf.String(), "B/triple") || !strings.Contains(textBuf.String(), "tiny") {
-		t.Errorf("text table missing columns:\n%s", textBuf.String())
-	}
-}
 
 // The CI smoke test: even in -short mode, load a medium-scale LUBM
 // slice (full-size university config) through the compressed parallel
@@ -78,12 +29,15 @@ func TestMediumSliceLoadSmoke(t *testing.T) {
 		t.Fatalf("medium slice too small to be meaningful: %d triples", db.Raw.Len())
 	}
 
-	b := storage.NewBuilder().WithCompression(storage.CompressionOn).WithParallelism(4)
-	db.Raw.Each(func(tr storage.Triple) bool {
-		b.Add(tr)
-		return true
-	})
-	comp := b.Build()
+	rebuild := func(c storage.Compression, par int) *storage.Store {
+		b := storage.NewBuilder().WithCompression(c).WithParallelism(par)
+		db.Raw.Each(func(tr storage.Triple) bool {
+			b.Add(tr)
+			return true
+		})
+		return b.Build()
+	}
+	comp := rebuild(storage.CompressionOn, 4)
 	fp := comp.Footprint()
 	if !fp.Compressed || fp.Blocks == 0 {
 		t.Fatalf("slice did not build compressed: %+v", fp)
@@ -94,6 +48,9 @@ func TestMediumSliceLoadSmoke(t *testing.T) {
 	if !equalStores(db.Raw, comp) {
 		t.Fatal("compressed slice differs from the raw store")
 	}
+	if flat := rebuild(storage.CompressionOff, 1); flat.Footprint().Compressed || !equalStores(flat, comp) {
+		t.Fatal("compressed slice differs from the flat serial build")
+	}
 
 	a := db.Answerer(engine.Native, core.Options{})
 	out := db.Run(a, db.QueryIndex("Q01"), core.GCov)
@@ -103,4 +60,68 @@ func TestMediumSliceLoadSmoke(t *testing.T) {
 	if out.Rows == 0 {
 		t.Error("Q01 over the medium slice returned no rows")
 	}
+}
+
+// equalStores cross-checks two stores built from the same stream: equal
+// length, equal FNV-1a hash over a full streamed pass (order-sensitive,
+// both stream in SPO order), and equal counts for every bound-position
+// combination of sampled triples.
+func equalStores(a, b *storage.Store) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	if storeHash(a) != storeHash(b) {
+		return false
+	}
+	ok := true
+	i := 0
+	a.Each(func(t storage.Triple) bool {
+		i++
+		if i%997 != 0 {
+			return true
+		}
+		for mask := 0; mask < 8; mask++ {
+			p := storage.Pattern{}
+			if mask&1 != 0 {
+				p.S = t.S
+			}
+			if mask&2 != 0 {
+				p.P = t.P
+			}
+			if mask&4 != 0 {
+				p.O = t.O
+			}
+			if a.Count(p) != b.Count(p) {
+				ok = false
+				return false
+			}
+		}
+		return true
+	})
+	return ok
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// storeHash hashes the full triple stream of the store (FNV-1a over the
+// ID words, the same mixing the schema stamp uses).
+func storeHash(s *storage.Store) uint64 {
+	h := uint64(fnvOffset64)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= fnvPrime64
+			v >>= 8
+		}
+	}
+	s.Each(func(t storage.Triple) bool {
+		mix(uint64(t.S))
+		mix(uint64(t.P))
+		mix(uint64(t.O))
+		return true
+	})
+	return h
 }

@@ -278,3 +278,72 @@ func TestFilteredArmsTeachFeedbackNothing(t *testing.T) {
 		t.Errorf("correction of %v: %v after alternating Q09/Q18/Q25 with it, %v from the fragment alone", fragment, mixed, alone)
 	}
 }
+
+// The adaptive-cost warm-up gate: the LUBM workload answered with GCov on
+// the native profile through a plan cache and a feedback loop, four
+// passes over it. The mean relative cardinality error of the last pass
+// must be at most half the first pass's (or below 0.02), the warm passes
+// must re-price cached plans, and every pass must return the answer sets
+// of a feedback-free answerer. Queries the baseline cannot answer are
+// skipped on both sides.
+func TestFeedbackWarmupConverges(t *testing.T) {
+	db, err := benchkit.BuildLUBM(benchkit.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := feedback.New(feedback.Config{})
+	pc := plancache.New(0)
+	a := db.Answerer(engine.Native, core.Options{Feedback: fb, PlanCache: pc})
+	base := db.Answerer(engine.Native, core.Options{})
+
+	want := make(map[int]naive.Rows, len(db.Encoded))
+	for qi, q := range db.Encoded {
+		if ans, err := base.Answer(q, core.GCov); err == nil {
+			want[qi] = relRows(ans.Rel)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the feedback-free answerer answered no query")
+	}
+
+	const epochs = 4
+	var cardErr [epochs]float64
+	var firstReprices int64
+	prev := fb.Snapshot()
+	for epoch := 0; epoch < epochs; epoch++ {
+		for qi, q := range db.Encoded {
+			wantRows, ok := want[qi]
+			if !ok {
+				continue
+			}
+			ans, err := a.Answer(q, core.GCov)
+			if err != nil {
+				t.Fatalf("epoch %d %s: %v", epoch, db.Specs[qi].Name, err)
+			}
+			if !naive.Equal(relRows(ans.Rel), wantRows) {
+				t.Errorf("epoch %d %s: answer set differs from the feedback-free answerer", epoch, db.Specs[qi].Name)
+			}
+		}
+		s := fb.Snapshot()
+		if n := s.CardErrorCount - prev.CardErrorCount; n > 0 {
+			cardErr[epoch] = (s.CardErrorSum - prev.CardErrorSum) / float64(n)
+		}
+		prev = s
+		if epoch == 0 {
+			firstReprices = pc.Snapshot().Reprices
+		}
+	}
+	t.Logf("mean card error per epoch: %v", cardErr)
+
+	first, last := cardErr[0], cardErr[epochs-1]
+	if first == 0 {
+		t.Fatal("the first epoch recorded no cardinality error")
+	}
+	if last > first/2 && last >= 0.02 {
+		t.Errorf("card error improved only %.2fx (%.4f -> %.4f), want >= 2x or a final error below 0.02",
+			first/last, first, last)
+	}
+	if got := pc.Snapshot().Reprices - firstReprices; got == 0 {
+		t.Error("the warm epochs re-priced no cached plans")
+	}
+}

@@ -96,8 +96,9 @@ func TestNilSafety(t *testing.T) {
 }
 
 // The disabled trace must be allocation-free: this is the contract the
-// engine's JUCQ hot path builds on (the bench.sh tracealloc check
-// verifies the same property end to end on a full evaluation).
+// engine's JUCQ hot path builds on (the root package's
+// TestDisabledTracingAddsNoAllocs verifies the same property end to end
+// on a full evaluation).
 func TestDisabledTraceAllocFree(t *testing.T) {
 	var s *Span
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -1,9 +1,10 @@
 #!/bin/sh
 # check.sh runs the full verification gauntlet: build, gofmt, go vet, the
 # repository's own static-analysis suite (cmd/lint), the test suite, the
-# race detector and short fuzzes of the answer encoder and of evaluation
-# against the naive evaluator. CI runs exactly
-# this script; run it locally before sending changes.
+# benchmark module's tests, the race detector, short fuzzes of the answer
+# encoder and of evaluation against the naive evaluator, and the query
+# service smoke. CI runs exactly this script; run it locally before
+# sending changes.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,6 +29,9 @@ go run ./cmd/lint -jsonfile lint-findings.json ./...
 echo "==> go test ./..."
 go test ./...
 
+echo "==> (cd bench && go test ./...) (the benchmark module)"
+(cd bench && go test ./...)
+
 # The race pass is also where the seek and bind-join property tests
 # (storage: TestSeekHintedEqualsColdEqualsLinear,
 # TestReadsAgreeWithModelUnderDeltaAndTombstones; engine:
@@ -44,8 +48,5 @@ go test -run='^$' -fuzz=FuzzDisconnectedMatchesNaive -fuzztime=10s ./internal/en
 
 echo "==> scripts/serve_smoke.sh (query service end-to-end)"
 ./scripts/serve_smoke.sh
-
-echo "==> benchall -feedback (adaptive-cost convergence smoke)"
-go run ./cmd/benchall -scale tiny -feedback
 
 echo "All checks passed."
