@@ -14,6 +14,44 @@ import (
 // genuinely multi-block dataset in about a second.
 var mediumSlice = Scale{Name: "medium-slice", LUBMUnivs: 2, LUBMConfig: lubm.Default(), DBLPPubs: 500}
 
+// TestMeasureLoadTiny loads the tiny LUBM profile through the
+// compressed bulk loader with two workers and through the flat serial
+// loader, and checks that both hold the same triples and that the
+// compressed footprint is filled.
+func TestMeasureLoadTiny(t *testing.T) {
+	skipUnderRace(t)
+	db, err := BuildLUBM(ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Raw.Len() == 0 {
+		t.Fatal("tiny LUBM built no triples")
+	}
+	comp := rebuild(db.Raw, storage.CompressionOn, 2)
+	fp := comp.Footprint()
+	if !fp.Compressed || fp.Blocks <= 0 || fp.BytesPerTriple() <= 0 {
+		t.Errorf("footprint not filled: %+v", fp)
+	}
+	flat := rebuild(db.Raw, storage.CompressionOff, 1)
+	if flat.Footprint().Compressed {
+		t.Error("flat build reports a compressed footprint")
+	}
+	if !equalStores(flat, comp) || !equalStores(db.Raw, comp) {
+		t.Error("flat and compressed stores differ")
+	}
+}
+
+// rebuild streams src into a new store built with the given compression
+// and loader parallelism.
+func rebuild(src *storage.Store, c storage.Compression, par int) *storage.Store {
+	b := storage.NewBuilder().WithCompression(c).WithParallelism(par)
+	src.Each(func(tr storage.Triple) bool {
+		b.Add(tr)
+		return true
+	})
+	return b.Build()
+}
+
 // The CI smoke test: even in -short mode, load a medium-scale LUBM
 // slice (full-size university config) through the compressed parallel
 // bulk loader, cross-check it against the flat representation, and
@@ -29,15 +67,7 @@ func TestMediumSliceLoadSmoke(t *testing.T) {
 		t.Fatalf("medium slice too small to be meaningful: %d triples", db.Raw.Len())
 	}
 
-	rebuild := func(c storage.Compression, par int) *storage.Store {
-		b := storage.NewBuilder().WithCompression(c).WithParallelism(par)
-		db.Raw.Each(func(tr storage.Triple) bool {
-			b.Add(tr)
-			return true
-		})
-		return b.Build()
-	}
-	comp := rebuild(storage.CompressionOn, 4)
+	comp := rebuild(db.Raw, storage.CompressionOn, 4)
 	fp := comp.Footprint()
 	if !fp.Compressed || fp.Blocks == 0 {
 		t.Fatalf("slice did not build compressed: %+v", fp)
@@ -48,7 +78,7 @@ func TestMediumSliceLoadSmoke(t *testing.T) {
 	if !equalStores(db.Raw, comp) {
 		t.Fatal("compressed slice differs from the raw store")
 	}
-	if flat := rebuild(storage.CompressionOff, 1); flat.Footprint().Compressed || !equalStores(flat, comp) {
+	if flat := rebuild(db.Raw, storage.CompressionOff, 1); flat.Footprint().Compressed || !equalStores(flat, comp) {
 		t.Fatal("compressed slice differs from the flat serial build")
 	}
 
