@@ -31,25 +31,33 @@ func goldenParams(prof engine.Profile) cost.Params {
 }
 
 // The covers ECov and GCov choose on the 28 tiny-scale LUBM queries under
-// every profile, with their estimated cost to nine significant digits and
-// the covers explored, are pinned by testdata/covers.golden: a change to
-// how fragments are priced that is meant to be a pure speed-up must leave
-// every line as it is.
+// every profile and both cost sources, with their estimated cost to nine
+// significant digits and the covers explored, are pinned by
+// testdata/covers.golden: a change to how fragments are priced that is
+// meant to be a pure speed-up must leave every line as it is. The
+// EngineInternal rows (Figure 9's source) are marked "engine" and also pin
+// whether the search was exhaustive.
 func TestChosenCoversGolden(t *testing.T) {
 	db, err := benchkit.BuildLUBM(benchkit.ScaleTiny)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	for _, prof := range append(engine.Profiles(), engine.Native) {
-		a := db.Answerer(prof, core.Options{Params: goldenParams(prof)})
-		for _, strat := range []core.Strategy{core.ECov, core.GCov} {
-			for qi, spec := range db.Specs {
-				c, rep, err := a.ChooseCover(db.Encoded[qi], strat)
-				if err != nil {
-					t.Fatalf("%s %s %s: %v", prof.Name, strat, spec.Name, err)
+	for _, src := range []core.CostSource{core.OwnModel, core.EngineInternal} {
+		for _, prof := range append(engine.Profiles(), engine.Native) {
+			a := db.Answerer(prof, core.Options{Params: goldenParams(prof), Source: src})
+			for _, strat := range []core.Strategy{core.ECov, core.GCov} {
+				for qi, spec := range db.Specs {
+					c, rep, err := a.ChooseCover(db.Encoded[qi], strat)
+					if err != nil {
+						t.Fatalf("%s %s %s: %v", prof.Name, strat, spec.Name, err)
+					}
+					if src == core.OwnModel {
+						fmt.Fprintf(&b, "%s %s %s %s %.9g %d\n", prof.Name, strat, spec.Name, c.Key(), rep.EstimatedCost, rep.CoversExplored)
+						continue
+					}
+					fmt.Fprintf(&b, "%s %s %s engine %s %.9g %d exhaustive=%v\n", prof.Name, strat, spec.Name, c.Key(), rep.EstimatedCost, rep.CoversExplored, rep.Exhaustive)
 				}
-				fmt.Fprintf(&b, "%s %s %s %s %.9g %d\n", prof.Name, strat, spec.Name, c.Key(), rep.EstimatedCost, rep.CoversExplored)
 			}
 		}
 	}
