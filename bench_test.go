@@ -9,7 +9,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -270,26 +269,6 @@ func BenchmarkStrategyEvaluation(b *testing.B) {
 					out := db.Run(a, qi, s)
 					if out.Failed() {
 						b.Skipf("%s/%s fails on this profile (expected for large reformulations): %v", name, s, out.Err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkParallelCoverSearch measures the cover searches' optimization
-// stage serially versus on all cores — the concurrent pricing pool over
-// the shared fragment and cost memos.
-func BenchmarkParallelCoverSearch(b *testing.B) {
-	db := lubmDB(b)
-	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
-		a := db.Answerer(engine.Native, core.Options{Parallelism: par})
-		for _, s := range []core.Strategy{core.ECov, core.GCov} {
-			qi := db.QueryIndex("Q28")
-			b.Run(fmt.Sprintf("%s/p%d", s, par), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := a.ChooseCover(db.Encoded[qi], s); err != nil {
-						b.Fatal(err)
 					}
 				}
 			})

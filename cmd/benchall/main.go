@@ -9,7 +9,6 @@
 //	benchall -table 2            # only Table 2
 //	benchall -figure 4           # only Figure 4
 //	benchall -ablations          # only the ablation benches
-//	benchall -parallel           # only the parallelism sweep
 //
 // An unknown -scale name exits 2.
 package main
@@ -18,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/benchkit"
@@ -30,7 +28,6 @@ func main() {
 	table := flag.Int("table", 0, "regenerate only this table (1-4)")
 	figure := flag.Int("figure", 0, "regenerate only this figure (4-10)")
 	ablations := flag.Bool("ablations", false, "run only the ablation benches")
-	parallel := flag.Bool("parallel", false, "run only the parallelism sweep")
 	flag.Parse()
 
 	sc, ok := benchkit.ScaleByName(*scale)
@@ -40,7 +37,7 @@ func main() {
 	}
 	out := os.Stdout
 
-	all := *table == 0 && *figure == 0 && !*ablations && !*parallel
+	all := *table == 0 && *figure == 0 && !*ablations
 	section := func(title string, f func() error) {
 		fmt.Fprintf(out, "\n==== %s ====\n", title)
 		start := time.Now()
@@ -142,12 +139,6 @@ func main() {
 		})
 		section("Ablation A5: factorized vs materialized reformulation", func() error {
 			return lubmDB.AblationFactorizedReformulation(out, "Q01", "Q09", "Q13", "Q24")
-		})
-	}
-
-	if all || *parallel {
-		section(fmt.Sprintf("Parallelism sweep: GCov JUCQ on the native profile (GOMAXPROCS=%d)", runtime.GOMAXPROCS(0)), func() error {
-			return lubmDB.ParallelismSweep(out, []int{1, 2, 4, runtime.GOMAXPROCS(0)}, 3)
 		})
 	}
 }

@@ -37,7 +37,6 @@ func main() {
 	maxRows := flag.Int("maxrows", 20, "answers to print (0 = all)")
 	traceFlag := flag.Bool("trace", false, "print the query-lifecycle span tree and counters after the answers")
 	traceJSON := flag.Bool("tracejson", false, "with -trace, emit only the span tree as JSON on stdout (suppresses the answer table)")
-	parallelism := flag.Int("parallel", 0, "worker count for cover pricing; evaluation is always serial (0 = all CPUs, 1 = sequential)")
 	cacheCap := flag.Int("cache", 0, "plan-cache capacity in entries (0 = cache off)")
 	repeat := flag.Int("repeat", 1, "answer the query N times (with -cache, runs after the first hit the cache)")
 	feedbackFlag := flag.Bool("feedback", false, "feed observed cardinalities and timings back into the cost model (pairs well with -repeat and -trace)")
@@ -112,11 +111,10 @@ func main() {
 		fb = repro.NewFeedbackLoop()
 	}
 	a := st.NewAnswerer(prof, repro.Options{
-		Calibrate:   *calibrate,
-		Parallelism: *parallelism,
-		Trace:       tr,
-		PlanCache:   pc,
-		Feedback:    fb,
+		Calibrate: *calibrate,
+		Trace:     tr,
+		PlanCache: pc,
+		Feedback:  fb,
 	})
 
 	if *explain {

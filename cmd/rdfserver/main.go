@@ -38,7 +38,6 @@ func main() {
 	lubmUnivs := flag.Int("lubm", 0, "instead of -data, self-generate an LUBM dataset with N universities")
 	saturate := flag.Bool("saturate", false, "saturate the store at startup (required for strategy=saturation requests)")
 	cacheCap := flag.Int("cache", 256, "shared plan-cache capacity in entries")
-	parallelism := flag.Int("parallel", 0, "worker count per query for cover pricing; evaluation is always serial (0 = all CPUs, 1 = sequential)")
 	maxInflight := flag.Int("maxinflight", 0, "max concurrently evaluating queries, 429 beyond (0 = 4 x GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("maxtimeout", 0, "cap on the deadline a request may ask for (0 = 4 x -timeout)")
@@ -100,7 +99,6 @@ func main() {
 
 	s, err := server.New(server.Config{
 		Store:            st,
-		Options:          repro.Options{Parallelism: *parallelism},
 		CacheCap:         *cacheCap,
 		MaxInflight:      *maxInflight,
 		DefaultTimeout:   *timeout,

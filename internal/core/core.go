@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/bgp"
@@ -90,10 +89,6 @@ type Options struct {
 	// MaxUCQMembers bounds per-fragment reformulation materialization in
 	// the EngineInternal cost source; 0 means DefaultMaxUCQMembers.
 	MaxUCQMembers int
-	// Parallelism is the worker count for the cover-search pricing pools;
-	// evaluation is always serial. 0 means runtime.GOMAXPROCS(0); 1 prices
-	// serially. Results are identical regardless of the value.
-	Parallelism int
 	// Trace, when non-nil, is the span query answering records its stage
 	// tree under: ChooseCover adds an "optimize" child carrying search
 	// effort, EvaluateCover adds "reformulate" (with per-fragment
@@ -176,14 +171,6 @@ func (a *Answerer) WithTrace(sp *trace.Span) *Answerer {
 	a2 := *a
 	a2.opts.Trace = sp
 	return &a2
-}
-
-// parallelism resolves the worker count the cover searches price with.
-func (a *Answerer) parallelism() int {
-	if a.opts.Parallelism > 0 {
-		return a.opts.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Raw returns the engine over the non-saturated store.

@@ -15,8 +15,8 @@ func (a *Answerer) PricedFragments(q bgp.CQ, f func(ref *reformulate.Reformulati
 	if err != nil {
 		return err
 	}
-	for _, e := range s.frags {
-		f(e.info.ref, e.info.stats)
+	for _, info := range s.frags {
+		f(info.ref, info.stats)
 	}
 	return nil
 }

@@ -183,7 +183,7 @@ func TestFeedbackRepricesCachedPlans(t *testing.T) {
 func TestFeedbackCancellationNoTornState(t *testing.T) {
 	e := testkit.Random(17, 140)
 	fb := feedback.New(feedback.Config{})
-	a := answererFor(e, engine.Native, core.Options{Feedback: fb, Parallelism: 2})
+	a := answererFor(e, engine.Native, core.Options{Feedback: fb})
 	qs := collectQueries(e, 4, 17)
 	if len(qs) == 0 {
 		t.Skip("no coverable queries in fixture")

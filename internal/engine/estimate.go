@@ -13,26 +13,46 @@ import (
 // from the previous level), duplicate elimination per arm, and the
 // arm-join algorithm of the profile (nested-loop arm joins are priced
 // quadratically, which is what makes the internal estimate engine-aware
-// in a way the paper's generic cost model is not).
+// in a way the paper's generic cost model is not). It is EstimateJoin
+// over each arm's EstimateArm.
 func (e *Engine) EstimateArms(arms []ArmSource) float64 {
-	total := 0.0
-	sizes := make([]float64, len(arms))
+	ests := make([]ArmEstimate, len(arms))
 	for i, arm := range arms {
-		armCost, armCard := 0.0, 0.0
-		arm.Each(func(cq bgp.CQ) bool {
-			c, card := e.estimateMember(cq)
-			armCost += c
-			armCard += card
-			return true
-		})
+		ests[i] = e.EstimateArm(arm)
+	}
+	return e.EstimateJoin(ests)
+}
+
+// ArmEstimate is the internal estimate of one arm: the summed bind-join
+// cost and result cardinality of its members.
+type ArmEstimate struct{ Cost, Card float64 }
+
+// EstimateArm estimates one arm. It depends only on the arm, so a caller
+// pricing many joins of the same arms can estimate each arm once.
+func (e *Engine) EstimateArm(arm ArmSource) ArmEstimate {
+	var est ArmEstimate
+	arm.Each(func(cq bgp.CQ) bool {
+		c, card := e.estimateMember(cq)
+		est.Cost += c
+		est.Card += card
+		return true
+	})
+	return est
+}
+
+// EstimateJoin prices the join of estimated arms: duplicate elimination
+// per arm, then the profile's arm joins.
+func (e *Engine) EstimateJoin(arms []ArmEstimate) float64 {
+	total := 0.0
+	for _, arm := range arms {
 		// Duplicate elimination over the arm's result.
-		total += armCost + armCard
-		sizes[i] = armCard
+		total += arm.Cost + arm.Card
 	}
 	// Arm joins: sizes combine pairwise in increasing order.
-	if len(sizes) > 1 {
-		cur := sizes[0]
-		for _, s := range sizes[1:] {
+	if len(arms) > 1 {
+		cur := arms[0].Card
+		for _, arm := range arms[1:] {
+			s := arm.Card
 			switch e.prof.ArmJoin {
 			case NestedLoopJoin:
 				total += cur * s

@@ -328,7 +328,7 @@ func BenchmarkArmPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := db.Answerer(engine.Native, core.Options{Parallelism: 1, PlanCache: plancache.New(16)})
+	a := db.Answerer(engine.Native, core.Options{PlanCache: plancache.New(16)})
 	for _, name := range []string{"Q01", "Q08", "Q09", "Q13", "Q18", "Q23", "Q02", "Q28"} {
 		q := db.Encoded[db.QueryIndex(name)]
 		b.Run(name, func(b *testing.B) {

@@ -169,9 +169,9 @@ type Options struct {
 	MaxCovers int
 	// SearchBudget bounds optimization wall-clock time (0 = none).
 	SearchBudget time.Duration
-	// Parallelism is the worker count for cover pricing; query evaluation
-	// itself is serial. 0 uses all CPUs, 1 prices serially. Results are
-	// identical either way.
+	// Deprecated: Parallelism is read by nothing; query answering,
+	// cover search included, is serial, and concurrency comes from
+	// concurrent queries.
 	Parallelism int
 	// Trace, when non-nil, records every query's lifecycle (parse,
 	// optimize, reformulate, evaluate, with per-operator counters) as
@@ -489,7 +489,6 @@ func (s *Store) NewAnswerer(p Profile, opts Options) *Answerer {
 		Source:       source,
 		MaxCovers:    opts.MaxCovers,
 		SearchBudget: opts.SearchBudget,
-		Parallelism:  opts.Parallelism,
 		Trace:        opts.Trace,
 		PlanCache:    opts.PlanCache,
 		Feedback:     opts.Feedback,
