@@ -7,11 +7,9 @@
 //	rdfcli -data lubm.nt -strategy gcov -query 'SELECT ?x WHERE { ... }'
 //	rdfcli -data lubm.nt -strategy ucq -queryfile q.sparql -profile db2like
 //	rdfcli -data lubm.nt -explain -query '...'   # optimizer output only
-//	rdfcli -data lubm.nt -trace -query '...'     # EXPLAIN ANALYZE-style span tree
+//	rdfcli -data lubm.nt -trace -query '...'     # EXPLAIN ANALYZE-style span tree,
+//	                                             # est_* next to observed counters
 //	rdfcli -data lubm.nt -cache 256 -repeat 5 -query '...'  # plan-cache warm-up
-//	rdfcli -data lubm.nt -feedback -repeat 5 -trace -query '...'
-//	                                             # adaptive cost model: the trace
-//	                                             # shows est_* next to observed counters
 package main
 
 import (
@@ -39,7 +37,6 @@ func main() {
 	traceJSON := flag.Bool("tracejson", false, "with -trace, emit only the span tree as JSON on stdout (suppresses the answer table)")
 	cacheCap := flag.Int("cache", 0, "plan-cache capacity in entries (0 = cache off)")
 	repeat := flag.Int("repeat", 1, "answer the query N times (with -cache, runs after the first hit the cache)")
-	feedbackFlag := flag.Bool("feedback", false, "feed observed cardinalities and timings back into the cost model (pairs well with -repeat and -trace)")
 	flag.Parse()
 
 	if *data == "" {
@@ -106,15 +103,10 @@ func main() {
 	if *cacheCap > 0 {
 		pc = repro.NewPlanCache(*cacheCap)
 	}
-	var fb *repro.FeedbackLoop
-	if *feedbackFlag {
-		fb = repro.NewFeedbackLoop()
-	}
 	a := st.NewAnswerer(prof, repro.Options{
 		Calibrate: *calibrate,
 		Trace:     tr,
 		PlanCache: pc,
-		Feedback:  fb,
 	})
 
 	if *explain {
@@ -169,14 +161,9 @@ func main() {
 		}
 		if pc != nil {
 			cs := pc.Snapshot()
-			fmt.Fprintf(os.Stderr, "plan cache: %d hits / %d lookups (%.0f%% hit rate), %d invalidations, %d re-prices\n",
-				cs.Hits, cs.Lookups(), 100*cs.HitRate(), cs.Invalidations, cs.Reprices)
+			fmt.Fprintf(os.Stderr, "plan cache: %d hits / %d lookups (%.0f%% hit rate), %d invalidations\n",
+				cs.Hits, cs.Lookups(), 100*cs.HitRate(), cs.Invalidations)
 		}
-	}
-	if fb != nil {
-		fs := fb.Snapshot()
-		fmt.Fprintf(os.Stderr, "feedback: %d observations, %d drift events, mean card err %.4f, mean cost err %.4f\n",
-			fs.Observations, fs.DriftEvents, fs.MeanCardError, fs.MeanCostError)
 	}
 	// With -tracejson, stdout carries only the span-tree JSON so it can
 	// be piped into tooling; the row count still reports on stderr.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/benchkit"
 	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -351,5 +352,49 @@ func TestCachePreservesAllStrategies(t *testing.T) {
 	// strategies must not collide on one signature.
 	if st := pc.Snapshot(); st.Hits != 4 || st.Misses != 4 {
 		t.Errorf("cache counters = %+v, want 4 hits / 4 misses", st)
+	}
+}
+
+// Answerers that price covers differently may share one plan cache, and
+// each must still get the cover its own search picks: a MySQL-like
+// answerer must not be served the cover a native one cached for the same
+// query. Every query is answered natively first, then MySQL-like through
+// the shared cache, and compared with a MySQL-like answerer's fresh
+// choice.
+func TestSharedCacheKeepsProfilesApart(t *testing.T) {
+	db, err := benchkit.BuildLUBM(benchkit.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Source: core.EngineInternal, PlanCache: plancache.New(0)}
+	native := db.Answerer(engine.Native, opts)
+	mysql := db.Answerer(engine.MySQLLike, opts)
+	opts.PlanCache = nil
+	fresh := db.Answerer(engine.MySQLLike, opts)
+	differ := 0
+	for qi, q := range db.Encoded {
+		name := db.Specs[qi].Name
+		nat, err := native.Answer(q, core.GCov)
+		if err != nil {
+			continue
+		}
+		want, _, err := fresh.ChooseCover(q, core.GCov)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := mysql.Answer(q, core.GCov)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Report.Cover.Key() != want.Key() {
+			t.Errorf("%s: MySQL-like answerer sharing the cache got cover %v, its own search picks %v",
+				name, got.Report.Cover, want)
+		}
+		if nat.Report.Cover.Key() != want.Key() {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("native and MySQL-like pick the same cover on every query; the test shows nothing")
 	}
 }

@@ -3,7 +3,10 @@ package core_test
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/core"
@@ -80,4 +83,67 @@ func TestAnswerContextCanceledWithPlanCache(t *testing.T) {
 	if !naive.Equal(relRows(got.Rel), relRows(want.Rel)) {
 		t.Errorf("answer after canceled attempt differs from the original")
 	}
+}
+
+// collectQueries gathers up to n coverable random queries from the
+// fixture, deterministically per seed.
+func collectQueries(e *testkit.Example, n int, seed int64) []bgp.CQ {
+	rng := rand.New(rand.NewSource(seed))
+	var out []bgp.CQ
+	for tries := 0; tries < 20*n && len(out) < n; tries++ {
+		q := testkit.RandomQuery(e, rng)
+		if coverableQuery(q) {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// Mid-flight cancellations racing plain answers on one shared answerer
+// and plan cache must tear nothing: every answer that completes is the
+// naive evaluation over the saturated store. Run with -race.
+func TestCancellationStressMatchesNaive(t *testing.T) {
+	e := testkit.Random(17, 140)
+	a := answererFor(e, engine.Native, core.Options{PlanCache: plancache.New(0)})
+	qs := collectQueries(e, 4, 17)
+	if len(qs) == 0 {
+		t.Skip("no coverable queries in fixture")
+	}
+	sat := e.SaturatedStore()
+	want := make([]naive.Rows, len(qs))
+	for i, q := range qs {
+		want[i] = naive.EvalCQ(sat, q)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				qi := (w + i) % len(qs)
+				var ans *core.Answer
+				var err error
+				if w%2 == 0 {
+					// Deadline somewhere between "immediately" and "after
+					// evaluation started", so many cancel mid-flight.
+					ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%3)*50*time.Microsecond)
+					ans, err = a.AnswerContext(ctx, qs[qi], core.GCov)
+					cancel()
+					if err != nil {
+						continue
+					}
+				} else if ans, err = a.Answer(qs[qi], core.GCov); err != nil {
+					t.Errorf("uncancelled answer failed: %v", err)
+					return
+				}
+				if !naive.Equal(relRows(ans.Rel), want[qi]) {
+					t.Errorf("worker %d: %s answered %d rows, naive over the saturated store %d",
+						w, qs[qi], ans.Rel.Len(), len(want[qi]))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

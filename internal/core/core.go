@@ -19,7 +19,6 @@ import (
 	"repro/internal/cover"
 	"repro/internal/dict"
 	"repro/internal/engine"
-	"repro/internal/feedback"
 	"repro/internal/plancache"
 	"repro/internal/reformulate"
 	"repro/internal/schema"
@@ -97,21 +96,15 @@ type Options struct {
 	Trace *trace.Span
 	// PlanCache, when non-nil, caches the answering artifacts (chosen
 	// cover, per-fragment reformulations, fragment statistics) across
-	// queries, keyed by the canonical query signature and validated
-	// against the store version and schema stamp. A cache may be shared
-	// by any number of answerers over the same store and schema; it is
-	// safe for concurrent use. Answers are identical with and without a
-	// cache — hits only skip the optimize and reformulate stages.
+	// queries, keyed by the canonical query signature and the answerer's
+	// pricing (engine profile, cost source, constants and search
+	// bounds), and validated against the store version and schema
+	// stamp. A cache may be shared by any number of answerers over the
+	// same store and schema, whatever their profiles: each finds only
+	// the covers its own search would choose. It is safe for concurrent
+	// use. Answers are identical with and without a cache — hits only
+	// skip the optimize and reformulate stages.
 	PlanCache *plancache.Cache
-	// Feedback, when non-nil, closes the estimate→observe→recalibrate
-	// loop: every successful evaluation's observed cardinalities and
-	// timings are folded into the loop, and cover pricing blends the
-	// loop's learned corrections into Params. A loop may be shared by
-	// any number of answerers over the same store and engine profile.
-	// Feedback is strictly advisory: it perturbs only estimates, and
-	// every cover computes the same answer set (Theorem 3.1), so
-	// answers are identical with and without it.
-	Feedback *feedback.Loop
 }
 
 // DefaultMaxCovers bounds ECov's enumeration when Options.MaxCovers is 0.
@@ -133,6 +126,10 @@ type Answerer struct {
 	raw  *engine.Engine // over the non-saturated store
 	sat  *engine.Engine // over the saturated store; may be nil
 	opts Options
+	// pricing tags this answerer's plan-cache keys with everything that
+	// decides which cover its search picks, so answerers sharing a
+	// cache never serve each other's covers.
+	pricing string
 }
 
 // NewAnswerer builds an answerer. raw evaluates reformulations against the
@@ -160,7 +157,12 @@ func NewAnswerer(sch *schema.Closed, raw, sat *engine.Engine, opts Options) *Ans
 	if opts.MaxUCQMembers == 0 {
 		opts.MaxUCQMembers = DefaultMaxUCQMembers
 	}
-	return &Answerer{sch: sch, raw: raw, sat: sat, opts: opts}
+	a := &Answerer{sch: sch, raw: raw, sat: sat, opts: opts}
+	if raw != nil {
+		a.pricing = fmt.Sprintf("%s/%d/%v/%d/%d/%d", raw.Profile().Name, opts.Source, opts.Params,
+			opts.MaxCovers, opts.GCovMaxCovers, opts.MaxUCQMembers)
+	}
+	return a
 }
 
 // WithTrace returns a copy of the answerer whose queries record their
@@ -192,8 +194,8 @@ type Report struct {
 	TotalCQs int64
 	// EstimatedCost is the cost-model value of the evaluated plan.
 	EstimatedCost float64
-	// EstimatedRows is the model's (feedback-corrected, when a loop is
-	// configured) final-cardinality estimate; 0 for Saturation.
+	// EstimatedRows is the model's final-cardinality estimate; 0 for
+	// Saturation.
 	EstimatedRows float64
 	// CoversExplored counts the covers the search priced (1 for the
 	// fixed UCQ and SCQ covers; 0 for Saturation).
@@ -269,7 +271,7 @@ func (a *Answerer) AnswerContext(ctx context.Context, q bgp.CQ, strategy Strateg
 		if err != nil {
 			return nil, err
 		}
-		return a.evaluateFrags(ctx, headVars(q), frags, rep, a.observationFor(s, rep, frags))
+		return a.evaluateFrags(ctx, headVars(q), frags, rep)
 	}
 	return a.answerWithCache(ctx, q, strategy)
 }
@@ -288,7 +290,7 @@ func (a *Answerer) fragsFromSearch(c cover.Cover, s *searcher, rep Report) ([]fr
 	frags := make([]fragArtifact, len(c))
 	for i, f := range c {
 		info := s.frag(f)
-		frags[i] = fragArtifact{cq: info.cq, ref: info.ref, stats: info.stats, key: info.key, hasStats: true}
+		frags[i] = fragArtifact{cq: info.cq, ref: info.ref, stats: info.stats, hasStats: true}
 		if refSp != nil {
 			fragSp := refSp.Child(fmt.Sprintf("fragment[%d]", i))
 			fragSp.SetInt("atoms", int64(len(info.cq.Atoms)))
@@ -304,27 +306,6 @@ func (a *Answerer) fragsFromSearch(c cover.Cover, s *searcher, rep Report) ([]fr
 		return nil, err
 	}
 	return frags, nil
-}
-
-// observationFor prepares the estimate side of a feedback observation
-// from a completed cover search; evaluateFrags fills in the observed
-// side. nil (no observation) without a feedback loop.
-func (a *Answerer) observationFor(s *searcher, rep Report, frags []fragArtifact) *feedback.Observation {
-	if a.opts.Feedback == nil {
-		return nil
-	}
-	obs := &feedback.Observation{
-		StoreVersion:  s.storeV,
-		QueryKey:      s.finalKey,
-		EstimatedCost: rep.EstimatedCost,
-		EstimatedRows: rep.EstimatedRows,
-		RawRows:       s.final,
-		Arms:          make([]feedback.ArmObservation, len(frags)),
-	}
-	for i, fa := range frags {
-		obs.Arms[i] = feedback.ArmObservation{Key: fa.key, Stats: fa.stats}
-	}
-	return obs
 }
 
 // engineFor attaches ctx to the engine when it is actually cancelable —
@@ -343,31 +324,18 @@ func engineFor(e *engine.Engine, ctx context.Context) *engine.Engine {
 // reformulations so a miss costs no more than an uncached answer.
 func (a *Answerer) answerWithCache(ctx context.Context, q bgp.CQ, strategy Strategy) (*Answer, error) {
 	cache := a.opts.PlanCache
-	fb := a.opts.Feedback
 	reg := a.opts.Trace.Registry()
-	// The validity stamps are read *before* planning: a mutation (or a
-	// feedback drift event) racing the plan computation can only make
-	// the recorded version too old (a spurious invalidation or re-price
-	// later), never let a stale plan pass as current.
+	// The validity stamps are read *before* planning: a mutation racing
+	// the plan computation can only make the recorded version too old (a
+	// spurious invalidation later), never let a stale plan pass as
+	// current.
 	storeV := a.raw.Store().Version()
 	schemaS := a.sch.Stamp()
-	fbV := fb.Version()
-	key := plancache.Signature(string(strategy), q)
+	key := plancache.Signature(a.pricing+"\x00"+string(strategy), q)
 
 	start := time.Now()
 	if e, out := cache.Get(key, storeV, schemaS); out == plancache.Hit {
 		reg.Counter("plancache.hits").Add(1)
-		// A hit must observe the *current* correction-factor version:
-		// estimates priced before a drift event no longer describe what
-		// the optimizer believes, so they are re-priced from the
-		// entry's stored raw stats before being reported or observed
-		// against. The plan itself (cover, reformulations) is reused
-		// unchanged either way — only estimates move, so answers are
-		// unaffected.
-		if fb != nil && e.FeedbackVersion != fbV {
-			e = a.repriceEntry(e, fb, fbV)
-			reg.Counter("plancache.reprices").Add(1)
-		}
 		rep := Report{
 			Strategy:       Strategy(e.Strategy),
 			Cover:          e.Cover,
@@ -382,23 +350,9 @@ func (a *Answerer) answerWithCache(ctx context.Context, q bgp.CQ, strategy Strat
 		}
 		frags := make([]fragArtifact, len(e.Fragments))
 		for i, f := range e.Fragments {
-			frags[i] = fragArtifact{cq: f.CQ, ref: f.Ref, stats: f.Stats, key: f.Key, hasStats: true}
+			frags[i] = fragArtifact{cq: f.CQ, ref: f.Ref, stats: f.Stats, hasStats: true}
 		}
-		var obs *feedback.Observation
-		if fb != nil {
-			obs = &feedback.Observation{
-				StoreVersion:  e.StoreVersion,
-				QueryKey:      e.QueryKey,
-				EstimatedCost: e.EstimatedCost,
-				EstimatedRows: e.EstimatedRows,
-				RawRows:       e.RawRows,
-				Arms:          make([]feedback.ArmObservation, len(frags)),
-			}
-			for i, fa := range frags {
-				obs.Arms[i] = feedback.ArmObservation{Key: fa.key, Stats: fa.stats}
-			}
-		}
-		return a.evaluateFrags(ctx, e.Head, frags, rep, obs)
+		return a.evaluateFrags(ctx, e.Head, frags, rep)
 	} else if out == plancache.Stale {
 		reg.Counter("plancache.invalidations").Add(1)
 	}
@@ -409,21 +363,18 @@ func (a *Answerer) answerWithCache(ctx context.Context, q bgp.CQ, strategy Strat
 		return nil, err
 	}
 	entry := &plancache.Entry{
-		Key:             key,
-		Strategy:        string(strategy),
-		StoreVersion:    storeV,
-		SchemaStamp:     schemaS,
-		FeedbackVersion: fbV,
-		Head:            headVars(q),
-		Cover:           c,
-		QueryKey:        s.finalKey,
-		EstimatedCost:   rep.EstimatedCost,
-		EstimatedRows:   rep.EstimatedRows,
-		RawRows:         s.final,
-		CoversExplored:  rep.CoversExplored,
-		Exhaustive:      rep.Exhaustive,
-		TotalCQs:        rep.TotalCQs,
-		FragmentCQs:     append([]int64(nil), rep.FragmentCQs...),
+		Key:            key,
+		Strategy:       string(strategy),
+		StoreVersion:   storeV,
+		SchemaStamp:    schemaS,
+		Head:           headVars(q),
+		Cover:          c,
+		EstimatedCost:  rep.EstimatedCost,
+		EstimatedRows:  rep.EstimatedRows,
+		CoversExplored: rep.CoversExplored,
+		Exhaustive:     rep.Exhaustive,
+		TotalCQs:       rep.TotalCQs,
+		FragmentCQs:    append([]int64(nil), rep.FragmentCQs...),
 	}
 	// The searcher already reformulated every fragment of the chosen
 	// cover while pricing it; reuse those artifacts for both the entry
@@ -431,49 +382,23 @@ func (a *Answerer) answerWithCache(ctx context.Context, q bgp.CQ, strategy Strat
 	frags := make([]fragArtifact, len(c))
 	for i, f := range c {
 		info := s.frag(f)
-		frags[i] = fragArtifact{cq: info.cq, ref: info.ref, stats: info.stats, key: info.key, hasStats: true}
+		frags[i] = fragArtifact{cq: info.cq, ref: info.ref, stats: info.stats, hasStats: true}
 		entry.Fragments = append(entry.Fragments, plancache.Fragment{
 			CQ:     info.cq,
 			Ref:    info.ref,
 			NumCQs: info.numCQs,
 			Stats:  info.stats,
-			Key:    info.key,
 		})
 	}
 	if err := s.failure(); err != nil {
 		return nil, err
 	}
-	ans, err := a.evaluateFrags(ctx, entry.Head, frags, rep, a.observationFor(s, rep, frags))
+	ans, err := a.evaluateFrags(ctx, entry.Head, frags, rep)
 	if err != nil {
 		return ans, err
 	}
 	cache.Put(entry)
 	return ans, nil
-}
-
-// repriceEntry re-prices a cached plan under the current feedback
-// corrections: cost and cardinality estimates are recomputed from the
-// entry's stored *raw* fragment stats, and the refreshed entry —
-// stamped with the feedback version read before re-pricing, so a drift
-// event racing it triggers another re-price rather than being lost —
-// replaces the old one in the cache.
-func (a *Answerer) repriceEntry(e *plancache.Entry, fb *feedback.Loop, fbV uint64) *plancache.Entry {
-	p := fb.Params(a.opts.Params)
-	scan := fb.ScanFactor()
-	arms := make([]cost.ArmStats, len(e.Fragments))
-	for i, f := range e.Fragments {
-		st := f.Stats
-		st.ResultTuples = fb.Correct(f.Key, e.StoreVersion, st.ResultTuples)
-		st.ScanTuples *= scan
-		arms[i] = st
-	}
-	final := fb.Correct(e.QueryKey, e.StoreVersion, e.RawRows)
-	ne := *e
-	ne.FeedbackVersion = fbV
-	ne.EstimatedCost = p.JUCQ(arms, final)
-	ne.EstimatedRows = final
-	a.opts.PlanCache.Reprice(&ne)
-	return &ne
 }
 
 // ChooseCover runs only the optimization stage: it returns the cover the
@@ -524,7 +449,7 @@ func (a *Answerer) chooseCover(ctx context.Context, q bgp.CQ, strategy Strategy)
 	}
 	rep.Cover = c
 	rep.EstimatedCost = s.coverCost(c)
-	rep.EstimatedRows = s.finalCorr
+	rep.EstimatedRows = s.final
 	for _, f := range c {
 		info := s.frag(f)
 		rep.FragmentCQs = append(rep.FragmentCQs, info.numCQs)
@@ -587,20 +512,18 @@ func (a *Answerer) evaluateCover(ctx context.Context, q bgp.CQ, c cover.Cover, r
 		refSp.SetInt("total_cqs", rep.TotalCQs)
 		refSp.End()
 	}
-	return a.evaluateFrags(ctx, headVars(q), frags, rep, nil)
+	return a.evaluateFrags(ctx, headVars(q), frags, rep)
 }
 
 // fragArtifact pairs a cover fragment's subquery with its reformulation —
 // the unit of work evaluateFrags turns into an engine arm, whatever
 // produced it (a fresh Reformulate call, the searcher's memo, or a plan
 // cache entry). When the artifact came from a search or cache entry it
-// also carries the raw arm estimates and the fragment's canonical key,
-// which the feedback loop pairs with the observed cardinalities.
+// also carries the arm estimates the cover was priced with.
 type fragArtifact struct {
 	cq       bgp.CQ
 	ref      *reformulate.Reformulation
 	stats    cost.ArmStats
-	key      string
 	hasStats bool
 }
 
@@ -616,31 +539,14 @@ func headVars(q bgp.CQ) []uint32 {
 
 // evaluateFrags runs the evaluation stage over prepared fragment
 // artifacts, completing the report. A cached plan (rep.Cached) marks its
-// evaluate span so traces show the skipped stages. obs, when non-nil,
-// is the estimate side of a feedback observation: the observed arm
-// cardinalities, metrics and timing are filled in and the completed
-// observation folded into the loop — but only on success, so a
-// cancelled or failed evaluation never updates the coefficients.
-func (a *Answerer) evaluateFrags(ctx context.Context, head []uint32, frags []fragArtifact, rep Report, obs *feedback.Observation) (*Answer, error) {
+// evaluate span so traces show the skipped stages.
+func (a *Answerer) evaluateFrags(ctx context.Context, head []uint32, frags []fragArtifact, rep Report) (*Answer, error) {
 	arms := make([]engine.ArmSource, len(frags))
 	for i, fa := range frags {
 		arms[i] = armSource(fa.cq, fa.ref)
 		arms[i].EstRows = fa.stats.ResultTuples
 	}
 	eng := engineFor(a.raw, ctx)
-	fb := a.opts.Feedback
-	var armRows []int64
-	if fb != nil && obs != nil {
-		// The engine reports only arms it evaluated in full; an arm it
-		// ran under a key filter keeps the -1 and is left out of the
-		// observation, so its shared correction never learns the share of
-		// the fragment that one query's other arms let through.
-		armRows = make([]int64, len(arms))
-		for i := range armRows {
-			armRows[i] = -1
-		}
-		eng = eng.WithArmObserver(func(i int, n int64) { armRows[i] = n })
-	}
 	var evalSp *trace.Span
 	if a.opts.Trace != nil {
 		evalSp = a.opts.Trace.Child("evaluate")
@@ -652,26 +558,12 @@ func (a *Answerer) evaluateFrags(ctx context.Context, head []uint32, frags []fra
 	}
 	start := time.Now()
 	rel, m, err := eng.EvalArms(head, arms)
+	annotateEstimates(evalSp, frags, rep)
 	evalSp.End()
 	rep.EvalTime = time.Since(start)
 	rep.Metrics = m
 	if err != nil {
 		return &Answer{Report: rep}, err
-	}
-	if fb != nil && obs != nil {
-		obs.ActualRows = int64(rel.Len())
-		obs.Metrics = m
-		obs.EvalNs = rep.EvalTime.Nanoseconds()
-		a.annotateEstimates(evalSp, obs)
-		for i, n := range armRows {
-			if n < 0 {
-				obs.Arms[i].Key = "" // Observe skips keyless arms
-				continue
-			}
-			obs.Arms[i].ActualRows = n
-		}
-		fb.Observe(*obs)
-		a.opts.Trace.Registry().Counter("feedback.observations").Add(1)
 	}
 	return &Answer{Rel: rel, Report: rep}, nil
 }
@@ -679,23 +571,24 @@ func (a *Answerer) evaluateFrags(ctx context.Context, head []uint32, frags []fra
 // annotateEstimates records the optimizer's estimates as float attrs on
 // the evaluate span and its arm children, next to the observed integer
 // counters, so a rendered trace shows estimated vs observed side by
-// side. The per-arm estimates are corrected with the factors in force
-// before this observation folds in — i.e. what pricing used.
-func (a *Answerer) annotateEstimates(evalSp *trace.Span, obs *feedback.Observation) {
+// side. Only a searched or cached plan carries estimates; a nil span
+// makes it a no-op.
+func annotateEstimates(evalSp *trace.Span, frags []fragArtifact, rep Report) {
 	if evalSp == nil {
 		return
 	}
-	evalSp.SetFloat("est_cost", obs.EstimatedCost)
-	evalSp.SetFloat("est_rows", obs.EstimatedRows)
-	fb := a.opts.Feedback
-	scan := fb.ScanFactor()
-	for i, ao := range obs.Arms {
+	if len(frags) == 0 || !frags[0].hasStats {
+		return
+	}
+	evalSp.SetFloat("est_cost", rep.EstimatedCost)
+	evalSp.SetFloat("est_rows", rep.EstimatedRows)
+	for i, fa := range frags {
 		armSp := evalSp.Find(fmt.Sprintf("arm[%d]", i))
 		if armSp == nil {
 			continue
 		}
-		armSp.SetFloat("est_rows", fb.Correct(ao.Key, obs.StoreVersion, ao.Stats.ResultTuples))
-		armSp.SetFloat("est_scan_tuples", ao.Stats.ScanTuples*scan)
+		armSp.SetFloat("est_rows", fa.stats.ResultTuples)
+		armSp.SetFloat("est_scan_tuples", fa.stats.ScanTuples)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/cover"
 	"repro/internal/engine"
-	"repro/internal/feedback"
 	"repro/internal/reformulate"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -30,18 +29,7 @@ type searcher struct {
 	a     *Answerer
 	q     bgp.CQ
 	g     *cover.Graph
-	final float64 // raw estimated |q| — the JUCQ result size for the model
-
-	// Adaptive-pricing snapshot, taken once per query so every cover of
-	// one search is priced under the same corrections (a concurrent
-	// Observe mid-search cannot skew the comparison). All zero/identity
-	// when the answerer has no feedback loop.
-	fb        *feedback.Loop
-	params    cost.Params // effective constants (blended when fb != nil)
-	storeV    uint64      // store version the estimates describe
-	scanF     float64     // global scanned-tuples correction factor
-	finalKey  string      // canonical key of the whole query
-	finalCorr float64     // corrected final-cardinality estimate
+	final float64 // estimated |q| — the JUCQ result size for the model
 
 	start  time.Time
 	budget time.Duration
@@ -75,10 +63,8 @@ type fragInfo struct {
 	cq        bgp.CQ
 	ref       *reformulate.Reformulation
 	numCQs    int64
-	stats     cost.ArmStats // raw statistics-derived estimates
-	corr      cost.ArmStats // feedback-corrected estimates (== stats without a loop)
-	key       string        // canonical key of cq ("" without a loop)
-	aloneCost float64       // corrected cost of the fragment evaluated by itself
+	stats     cost.ArmStats // statistics-derived estimates
+	aloneCost float64       // cost of the fragment evaluated by itself
 	// est is the engine's internal estimate of the fragment's arm, filled
 	// on first use by an EngineInternal search (estimated reports it).
 	est       engine.ArmEstimate
@@ -90,47 +76,17 @@ func newSearcher(a *Answerer, q bgp.CQ) (*searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &searcher{
+	return &searcher{
 		a:      a,
 		q:      q,
 		g:      g,
 		final:  a.raw.Stats().CQCard(q),
-		params: a.opts.Params,
-		scanF:  1,
 		frags:  make(map[cover.Fragment]*fragInfo),
 		costs:  make(map[string]float64),
 		slots:  make(map[slotKey]stats.Slot),
 		start:  time.Now(),
 		budget: a.opts.SearchBudget,
-	}
-	s.finalCorr = s.final
-	if fb := a.opts.Feedback; fb != nil {
-		s.fb = fb
-		s.storeV = a.raw.Store().Version()
-		s.params = fb.Params(a.opts.Params)
-		s.scanF = fb.ScanFactor()
-		// The final-cardinality key lives in its own namespace: a
-		// single-fragment cover's arm key is the same canonical string,
-		// and sharing one correction entry between the arm estimate and
-		// the (post-dedup) final estimate would make the factor chase
-		// two different ratios.
-		s.finalKey = "q\x00" + q.CanonicalKey()
-		s.finalCorr = fb.Correct(s.finalKey, s.storeV, s.final)
-	}
-	return s, nil
-}
-
-// corrected applies the feedback corrections to raw arm statistics: the
-// per-pattern cardinality factor scales the result estimate, the global
-// scan factor scales the scanned-tuples estimate. Identity without a
-// feedback loop.
-func (s *searcher) corrected(st cost.ArmStats, key string) cost.ArmStats {
-	if s.fb == nil {
-		return st
-	}
-	st.ResultTuples = s.fb.Correct(key, s.storeV, st.ResultTuples)
-	st.ScanTuples *= s.scanF
-	return st
+	}, nil
 }
 
 func (s *searcher) expired() bool {
@@ -192,11 +148,7 @@ func (s *searcher) computeFrag(f cover.Fragment) *fragInfo {
 	}
 	info := &fragInfo{cq: cq, ref: ref, numCQs: ref.NumCQs()}
 	info.stats = s.armStats(ref)
-	if s.fb != nil {
-		info.key = cq.CanonicalKey()
-	}
-	info.corr = s.corrected(info.stats, info.key)
-	info.aloneCost = s.params.UCQ(info.corr)
+	info.aloneCost = s.a.opts.Params.UCQ(info.stats)
 	return info
 }
 
@@ -326,9 +278,9 @@ func (s *searcher) coverCost(c cover.Cover) float64 {
 	default:
 		arms := make([]cost.ArmStats, len(c))
 		for i, f := range c {
-			arms[i] = s.frag(f).corr
+			arms[i] = s.frag(f).stats
 		}
-		v = s.params.JUCQ(arms, s.finalCorr)
+		v = s.a.opts.Params.JUCQ(arms, s.final)
 	}
 	s.costs[key] = v
 	return v

@@ -2,15 +2,18 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/naive"
+	"repro/internal/plancache"
 	"repro/internal/testkit"
 	"repro/internal/trace"
 )
@@ -134,5 +137,58 @@ func TestECovAbortLeaksNoGoroutines(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > baseline {
 		t.Fatalf("goroutines leaked: %d running, baseline %d", n, baseline)
+	}
+}
+
+// A traced answer shows the optimizer's estimates beside what happened:
+// est_cost and est_rows next to rows_out and tuples_scanned on the
+// evaluate span, est_rows and est_scan_tuples next to rows_out on every
+// arm — for a searched plan and for the same plan served from the cache.
+func TestTraceShowsEstimatesBesideObserved(t *testing.T) {
+	db, err := benchkit.BuildLUBM(benchkit.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := db.Answerer(engine.Native, core.Options{PlanCache: plancache.New(0)})
+	q := db.Encoded[db.QueryIndex("Q09")]
+	for pass, cached := range []bool{false, true} {
+		root := trace.New("query")
+		ans, err := a.WithTrace(root).Answer(q, core.GCov)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Report.Cached != cached {
+			t.Fatalf("pass %d: Cached = %v, want %v", pass, ans.Report.Cached, cached)
+		}
+		if len(ans.Report.Cover) < 2 {
+			t.Fatalf("Q09's cover %v has one arm; the test wants several", ans.Report.Cover)
+		}
+		ev := root.Find("evaluate")
+		if v, ok := ev.FloatAttr("est_cost"); !ok || v != ans.Report.EstimatedCost {
+			t.Errorf("pass %d: evaluate est_cost = %v, %v; want %v", pass, v, ok, ans.Report.EstimatedCost)
+		}
+		if v, ok := ev.FloatAttr("est_rows"); !ok || v != ans.Report.EstimatedRows {
+			t.Errorf("pass %d: evaluate est_rows = %v, %v; want %v", pass, v, ok, ans.Report.EstimatedRows)
+		}
+		for _, k := range []string{"rows_out", "tuples_scanned"} {
+			if _, ok := ev.IntAttr(k); !ok {
+				t.Errorf("pass %d: evaluate span has no %s", pass, k)
+			}
+		}
+		for i := range ans.Report.Cover {
+			arm := ev.Find(fmt.Sprintf("arm[%d]", i))
+			if arm == nil {
+				t.Fatalf("pass %d: no arm[%d] span", pass, i)
+			}
+			for _, k := range []string{"est_rows", "est_scan_tuples"} {
+				if v, ok := arm.FloatAttr(k); !ok || !(v > 0) {
+					t.Errorf("pass %d: arm[%d] %s = %v, %v; want a positive estimate", pass, i, k, v, ok)
+				}
+			}
+			if _, ok := arm.IntAttr("rows_out"); !ok {
+				t.Errorf("pass %d: arm[%d] has no rows_out", pass, i)
+			}
+		}
 	}
 }

@@ -45,8 +45,8 @@ type Params struct {
 	NestedLoopArmJoin bool
 
 	// Provenance records how the constants were obtained ("default",
-	// "calibrated", "calibrated+decode", "feedback", ...) so reports and
-	// tests can tell a fitted model from the neutral one.
+	// "calibrated", "calibrated+decode", ...) so reports and tests can
+	// tell a fitted model from the neutral one.
 	Provenance string
 
 	// Representation is the storage representation the constants were
@@ -119,7 +119,7 @@ type ArmStats struct {
 // would poison cover cost comparisons (NaN ordering makes min-cost
 // selection arbitrary). And past the spill threshold, log2(n) ≤ 0 for
 // n < 2 — reachable with a tiny or zero SpillThreshold, e.g. during
-// calibration or feedback blending — which would price dedup negatively.
+// calibration — which would price dedup negatively.
 // Both are clamped: non-positive (or NaN) sizes cost 0, and the spill
 // branch charges at least one log factor per tuple.
 func (p Params) Unique(n float64) float64 {

@@ -172,9 +172,6 @@ type Engine struct {
 	// completion or budget exhaustion; the hot path then pays nothing
 	// for cancellation beyond one nil check per budget charge.
 	ctx context.Context
-	// armObs, when non-nil, is called with the observed cardinality of
-	// each arm evaluated without a key filter (see WithArmObserver).
-	armObs func(arm int, rows int64)
 }
 
 // New returns an engine over the store with the given statistics and
@@ -207,20 +204,6 @@ func (e *Engine) WithSpan(sp *trace.Span) *Engine {
 func (e *Engine) WithContext(ctx context.Context) *Engine {
 	e2 := *e
 	e2.ctx = ctx
-	return &e2
-}
-
-// WithArmObserver returns a copy of the engine that calls f with the
-// index and result row count of every UCQ arm it evaluated in full. An
-// arm evaluated under a key filter (see keyFilter) is not reported: what
-// it returned is the share of its result the earlier arms could join
-// with, not the fragment's cardinality. The adaptive cost model uses this
-// to compare estimated against actual arm cardinalities without
-// allocating a trace tree. f is called from the evaluating goroutine, at
-// most once per arm. A nil f disables observation.
-func (e *Engine) WithArmObserver(f func(arm int, rows int64)) *Engine {
-	e2 := *e
-	e2.armObs = f
 	return &e2
 }
 

@@ -341,9 +341,7 @@ func (f *keyFilter) bitmap(cur *Relation, c int) {
 }
 
 // evalStage runs stage n of the arm pipeline: the arm, under the key
-// filter the join so far (cur, nil for the first stage) allows it. The
-// arm's cardinality is reported to the arm observer only when no filter
-// reduced it.
+// filter the join so far (cur, nil for the first stage) allows it.
 func (e *Engine) evalStage(ctx *evalCtx, arm ArmSource, st armStage, n int, cur *Relation) (*Relation, error) {
 	var sp *trace.Span
 	if ctx.span != nil {
@@ -375,8 +373,6 @@ func (e *Engine) evalStage(ctx *evalCtx, arm ArmSource, st armStage, n int, cur 
 	if f != nil {
 		sp.SetInt("keys", int64(f.n))
 		sp.SetInt("filtered", ctx.filtered.Load()-dropped)
-	} else if e.armObs != nil {
-		e.armObs(st.arm, int64(rel.Len()))
 	}
 	return rel, nil
 }

@@ -227,9 +227,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		// branches between body and exit (no condition expression
 		// exists to attach, so both edges are unconditional).
 		b.add(s.X)
-		if s.Key != nil || s.Value != nil {
-			b.add(s) // the per-iteration key/value assignment
-		}
 		head := b.newBlock()
 		body := b.newBlock()
 		exit := b.newBlock()
@@ -240,6 +237,16 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 		b.pushFrame(loopFrame{breakTo: exit, continueTo: head})
 		b.cur = body
+		if s.Key != nil {
+			// The per-iteration key/value assignment opens the body. It
+			// is synthesized from the key and value alone: the range
+			// statement itself would carry the whole body with it.
+			lhs := []ast.Expr{s.Key}
+			if s.Value != nil {
+				lhs = append(lhs, s.Value)
+			}
+			b.add(&ast.AssignStmt{Lhs: lhs, TokPos: s.TokPos, Tok: s.Tok})
+		}
 		b.stmtList(s.Body.List)
 		b.edgeTo(head, Edge{})
 		b.popFrame()

@@ -99,3 +99,48 @@ func SingleShot() {
 		work()
 	}()
 }
+
+// AddAfterGoRange adds to the WaitGroup only after each launch: the
+// first goroutine can call Done before any Add.
+func AddAfterGoRange(jobs []int) {
+	var wg sync.WaitGroup
+	for _, j := range jobs {
+		go func() {
+			defer wg.Done()
+			use(j)
+		}()
+		wg.Add(1)
+	}
+	wg.Wait()
+}
+
+// AddAfterGoRangeIf is the same launch with the late Add under a
+// condition.
+func AddAfterGoRangeIf(jobs []int, ready bool) {
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		go func() {
+			defer wg.Done()
+			use(i + j)
+		}()
+		if ready {
+			wg.Add(1)
+		}
+	}
+	wg.Wait()
+}
+
+// AddBeforeGoRange is the correct order, with the key and value in use.
+func AddBeforeGoRange(jobs []int) {
+	var wg sync.WaitGroup
+	for _, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			use(j)
+		}()
+	}
+	wg.Wait()
+}
+
+func use(int) {}

@@ -10,10 +10,14 @@
 //
 // Entries are keyed by bgp.CQ.CanonicalKey, a rendering of the query that
 // is invariant under variable renaming and body-atom reordering, prefixed
-// by the answering strategy. Two queries with equal signatures are
-// isomorphic, so the cached cover and reformulations — whose choice
-// depends only on the query shape, the schema, and the data statistics —
-// transfer between them wholesale.
+// by a tag naming the answering strategy and how the answerer prices
+// covers. Two queries with equal signatures are isomorphic, so the
+// cached cover and reformulations transfer between them wholesale. The
+// choice of cover depends on the query shape, the schema and the data
+// statistics, but also on the pricing: the engine profile, the cost
+// source, the cost constants and the search bounds. Answerers that price
+// differently must therefore tag their keys differently, or a cache they
+// share hands one of them the other's cover.
 //
 // # Invalidation
 //
@@ -41,11 +45,11 @@ import (
 	"repro/internal/reformulate"
 )
 
-// Signature returns the cache key for answering q under the given
-// strategy tag: the tag plus the canonical (renaming- and order-
-// invariant) form of the query.
-func Signature(strategy string, q bgp.CQ) string {
-	return strategy + "\x00" + q.CanonicalKey()
+// Signature returns the cache key for answering q under the given tag
+// (the strategy and pricing, see above): the tag plus the canonical
+// (renaming- and order-invariant) form of the query.
+func Signature(tag string, q bgp.CQ) string {
+	return tag + "\x00" + q.CanonicalKey()
 }
 
 // Fragment is the cached artifact of one cover fragment: the fragment's
@@ -56,13 +60,8 @@ type Fragment struct {
 	CQ     bgp.CQ
 	Ref    *reformulate.Reformulation
 	NumCQs int64
-	// Stats are the *raw* (uncorrected) arm estimates; feedback
-	// corrections are applied at pricing time, so re-pricing a cached
-	// plan under new correction factors starts from the same base.
+	// Stats are the arm estimates the cover was priced with.
 	Stats cost.ArmStats
-	// Key is the fragment subquery's canonical key — the feedback
-	// loop's correction-factor key ("" when no loop is configured).
-	Key string
 }
 
 // Entry is one cached plan. All fields are read-only after Put.
@@ -75,29 +74,14 @@ type Entry struct {
 	StoreVersion uint64
 	SchemaStamp  uint64
 
-	// FeedbackVersion is the adaptive-cost drift version the estimates
-	// were priced under (0 without a feedback loop). Unlike the pair
-	// above it does not invalidate the plan — the cover and
-	// reformulations stay valid — but a hit under a newer version must
-	// re-price the estimates from the raw stats before replaying them
-	// (Cache.Reprice).
-	FeedbackVersion uint64
-
 	// The plan itself.
 	Head      []uint32 // head variables of the query the plan answers
 	Cover     cover.Cover
 	Fragments []Fragment
 
-	// QueryKey is the whole query's canonical key — the feedback key of
-	// the final-cardinality correction ("" when no loop is configured).
-	QueryKey string
-
 	// Optimizer report fields, replayed on a hit.
-	EstimatedCost float64
-	// EstimatedRows is the (corrected) final-cardinality estimate;
-	// RawRows is the uncorrected one re-pricing starts from.
+	EstimatedCost  float64
 	EstimatedRows  float64
-	RawRows        float64
 	CoversExplored int
 	Exhaustive     bool
 	TotalCQs       int64
@@ -136,7 +120,6 @@ type Stats struct {
 	Invalidations int64 // stale entries dropped by Get
 	Evictions     int64 // entries displaced by capacity
 	Puts          int64
-	Reprices      int64 // entries refreshed by Reprice after feedback drift
 }
 
 // Lookups returns the total number of Get calls the snapshot covers.
@@ -161,7 +144,6 @@ type Cache struct {
 	invalidations atomic.Int64
 	evictions     atomic.Int64
 	puts          atomic.Int64
-	reprices      atomic.Int64
 }
 
 // New returns a cache holding up to capacity entries (DefaultCapacity if
@@ -250,20 +232,6 @@ func (c *Cache) Put(e *Entry) {
 	}
 }
 
-// Reprice replaces the entry under e.Key with e — a copy of a cached
-// plan whose estimates were recomputed under newer feedback correction
-// factors (e carries the feedback version it was re-priced under). It
-// shares Put's insertion path, so a racing eviction or displacement
-// resolves like any other put; only the dedicated counter differs.
-func (c *Cache) Reprice(e *Entry) {
-	if e == nil || e.Key == "" {
-		return
-	}
-	c.Put(e)
-	c.reprices.Add(1)
-	c.puts.Add(-1) // Put counted it; report it as a re-price instead
-}
-
 // Len returns the number of cached entries.
 func (c *Cache) Len() int {
 	n := 0
@@ -284,6 +252,5 @@ func (c *Cache) Snapshot() Stats {
 		Invalidations: c.invalidations.Load(),
 		Evictions:     c.evictions.Load(),
 		Puts:          c.puts.Load(),
-		Reprices:      c.reprices.Load(),
 	}
 }

@@ -3,8 +3,9 @@
 // Each query request is admitted through a bounded in-flight semaphore
 // (excess load is rejected with 429 rather than queued without bound),
 // pins a storage snapshot for the duration of its evaluation, shares one
-// global plan cache across all requests and engine profiles, and runs
-// under a per-request deadline: when the deadline expires or the client
+// global plan cache across all requests and engine profiles (each
+// profile's plans under keys of their own), and runs under a per-request
+// deadline: when the deadline expires or the client
 // disconnects, the evaluation stops early with repro.ErrCanceled, the
 // snapshot is released, and the request is answered with 504.
 //
@@ -12,14 +13,6 @@
 // run concurrently with queries: in-flight evaluations keep answering
 // against the snapshot they pinned, so answers are always those of some
 // consistent store state.
-//
-// Each profile's answerer owns a feedback loop (disable with
-// Config.NoFeedback) that recalibrates cost estimates from observed
-// evaluations; GET /statz reports each loop's drift counters. The plan
-// cache stays shared across profiles, so a plan inserted under one
-// profile's feedback version may be re-priced on a hit from another —
-// re-pricing is cheap and feedback advisory, so this thrash affects
-// only estimate freshness, never answers.
 package server
 
 import (
@@ -48,16 +41,9 @@ type Config struct {
 	// Store is the database to serve. Required; frozen on New.
 	Store *repro.Store
 	// Options are the base evaluation options for every profile's
-	// answerer. The Trace, PlanCache and Feedback fields are ignored —
-	// the server owns all three (per-run spans, one shared cache, one
-	// feedback loop per profile).
+	// answerer. The Trace and PlanCache fields are ignored — the server
+	// owns both (per-run spans, one shared cache).
 	Options repro.Options
-	// NoFeedback disables the adaptive cost model. By default every
-	// profile's answerer feeds observed cardinalities and timings back
-	// into its own feedback loop (per profile, because the loops learn
-	// cost constants that are specific to an engine profile's operators).
-	// Feedback is advisory — answers are identical either way.
-	NoFeedback bool
 	// CacheCap is the shared plan cache's capacity in entries
 	// (0 = the cache's default).
 	CacheCap int
@@ -95,8 +81,7 @@ type Server struct {
 	store           *repro.Store
 	cache           *repro.PlanCache
 	answerers       map[string]*repro.Answerer
-	loops           map[string]*repro.FeedbackLoop // per profile; nil when disabled
-	profileNames    []string                       // sorted, for error messages
+	profileNames    []string // sorted, for error messages
 	sem             chan struct{}
 	defaultProfile  string
 	defaultStrategy string
@@ -164,18 +149,8 @@ func New(cfg Config) (*Server, error) {
 	opts := cfg.Options
 	opts.Trace = nil
 	opts.PlanCache = s.cache
-	if !cfg.NoFeedback {
-		s.loops = make(map[string]*repro.FeedbackLoop, len(profiles))
-	}
 	for name, p := range profiles {
-		popts := opts
-		if s.loops != nil {
-			s.loops[name] = repro.NewFeedbackLoop()
-			popts.Feedback = s.loops[name]
-		} else {
-			popts.Feedback = nil
-		}
-		s.answerers[name] = cfg.Store.NewAnswerer(p, popts)
+		s.answerers[name] = cfg.Store.NewAnswerer(p, opts)
 		s.profileNames = append(s.profileNames, name)
 	}
 	sort.Strings(s.profileNames)
@@ -195,12 +170,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // CacheStats returns a snapshot of the shared plan cache's counters.
 func (s *Server) CacheStats() repro.PlanCacheStats { return s.cache.Snapshot() }
-
-// FeedbackStats returns a snapshot of the named profile's feedback loop,
-// or a zero snapshot when feedback is disabled or the profile unknown.
-func (s *Server) FeedbackStats(profile string) repro.FeedbackStats {
-	return s.loops[profile].Snapshot()
-}
 
 // QueryRequest is the body of POST /query.
 type QueryRequest struct {
@@ -568,8 +537,8 @@ type StatzResponse struct {
 	// did not read the body before the request's deadline.
 	Aborted int64      `json:"aborted"`
 	Cache   CacheStatz `json:"cache"`
-	// Feedback reports each profile's adaptive-cost loop, keyed by
-	// profile name; absent when the server runs with NoFeedback.
+	// Deprecated: Feedback is always empty; the cost model prices from
+	// statistics alone and has no loop to report.
 	Feedback map[string]FeedbackStatz `json:"feedback,omitempty"`
 }
 
@@ -580,19 +549,17 @@ type CacheStatz struct {
 	Misses        int64   `json:"misses"`
 	Invalidations int64   `json:"invalidations"`
 	Evictions     int64   `json:"evictions"`
-	Reprices      int64   `json:"reprices"`
 	HitRate       float64 `json:"hit_rate"`
+	// Deprecated: Reprices is always 0; cached plans are never
+	// re-priced.
+	Reprices int64 `json:"reprices"`
 }
 
-// FeedbackStatz reports one profile's adaptive-cost loop: how many
-// evaluations it has observed, how often the estimates drifted past the
-// re-pricing threshold, and the exponentially-weighted mean relative
-// errors of the (corrected) cardinality and cost estimates.
+// Deprecated: FeedbackStatz is the element type of the always-empty
+// StatzResponse.Feedback.
 type FeedbackStatz struct {
 	Observations  int64   `json:"observations"`
 	DriftEvents   int64   `json:"drift_events"`
-	Corrections   int     `json:"corrections"`
-	Version       uint64  `json:"version"`
 	MeanCardError float64 `json:"mean_card_error"`
 	MeanCostError float64 `json:"mean_cost_error"`
 }
@@ -611,23 +578,8 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 			Misses:        st.Misses,
 			Invalidations: st.Invalidations,
 			Evictions:     st.Evictions,
-			Reprices:      st.Reprices,
 			HitRate:       st.HitRate(),
 		},
-	}
-	if s.loops != nil {
-		resp.Feedback = make(map[string]FeedbackStatz, len(s.loops))
-		for name, l := range s.loops {
-			fs := l.Snapshot()
-			resp.Feedback[name] = FeedbackStatz{
-				Observations:  fs.Observations,
-				DriftEvents:   fs.DriftEvents,
-				Corrections:   fs.Corrections,
-				Version:       fs.Version,
-				MeanCardError: fs.MeanCardError,
-				MeanCostError: fs.MeanCostError,
-			}
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -593,77 +593,6 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	<-closed
 }
 
-// Every profile's feedback loop observes served queries and surfaces its
-// drift counters through /statz; answers are unchanged by the loop, and
-// NoFeedback removes the section entirely.
-func TestFeedbackStatzReportsObservations(t *testing.T) {
-	st := bookStore(t, 30)
-	s, ts := newTestServer(t, server.Config{Store: st})
-	stOff := bookStore(t, 30)
-	_, tsOff := newTestServer(t, server.Config{Store: stOff, NoFeedback: true})
-
-	var want []string
-	for i := 0; i < 5; i++ {
-		rows := queryRows(t, ts.URL, qAuthors, "gcov")
-		offRows := queryRows(t, tsOff.URL, qAuthors, "gcov")
-		if i == 0 {
-			want = rows
-		}
-		for _, got := range [][]string{rows, offRows} {
-			if len(got) != len(want) {
-				t.Fatalf("answer drifted across feedback modes: %d rows, want %d", len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("answer drifted across feedback modes at row %d: %q vs %q", j, got[j], want[j])
-				}
-			}
-		}
-	}
-
-	fs := s.FeedbackStats("native")
-	if fs.Observations == 0 {
-		t.Errorf("native loop observed nothing after %d queries", 5)
-	}
-
-	var statz server.StatzResponse
-	resp, err := http.Get(ts.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&statz); err != nil {
-		t.Fatal(err)
-	}
-	if err := resp.Body.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fb, ok := statz.Feedback["native"]
-	if !ok {
-		t.Fatalf("statz feedback section missing the native profile: %+v", statz.Feedback)
-	}
-	if fb.Observations == 0 {
-		t.Errorf("statz native loop shows zero observations: %+v", fb)
-	}
-
-	resp, err = http.Get(tsOff.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var statzOff server.StatzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&statzOff); err != nil {
-		t.Fatal(err)
-	}
-	if err := resp.Body.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if statzOff.Feedback != nil {
-		t.Errorf("NoFeedback server still reports a feedback section: %+v", statzOff.Feedback)
-	}
-	if s.FeedbackStats("no-such-profile") != (repro.FeedbackStats{}) {
-		t.Error("unknown profile must snapshot to zero")
-	}
-}
-
 // A response-byte cap must reject oversized answers with 413 and the
 // stable response_too_large code, before any partial body reaches the
 // client; a generous cap must stream the exact same answer a capless

@@ -39,7 +39,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dict"
 	"repro/internal/engine"
-	"repro/internal/feedback"
 	"repro/internal/ntriples"
 	"repro/internal/plancache"
 	"repro/internal/rdf"
@@ -182,29 +181,16 @@ type Options struct {
 	// the optimize and reformulate stages. Answers are identical with and
 	// without the cache; store mutations invalidate affected entries.
 	PlanCache *PlanCache
-	// Feedback, when non-nil, closes the estimate→observe→recalibrate
-	// loop: observed cardinalities and timings from every successful
-	// evaluation refine the cost model's correction factors online, and
-	// cached plans whose estimates drifted are re-priced. Feedback only
-	// perturbs estimates, never evaluation — answers are identical with
-	// and without it. Share one loop per store + engine profile.
+	// Deprecated: Feedback is read by nothing; covers are priced from
+	// the cost constants and the data statistics alone.
 	Feedback *FeedbackLoop
 }
 
-// FeedbackLoop is the adaptive cost model's shared state: per-pattern
-// cardinality correction factors and online-fitted cost coefficients,
-// learned by comparing the optimizer's estimates against the engine's
-// observed counters after each evaluation. Attach one via
-// Options.Feedback; Snapshot exposes drift metrics.
-type FeedbackLoop = feedback.Loop
+// Deprecated: FeedbackLoop is the type of the unread Options.Feedback.
+type FeedbackLoop struct{}
 
-// FeedbackStats is a snapshot of a FeedbackLoop's observation, drift
-// and estimation-error statistics; see FeedbackLoop.Snapshot.
-type FeedbackStats = feedback.Stats
-
-// NewFeedbackLoop returns a feedback loop with default tuning. Attach
-// it via Options.Feedback.
-func NewFeedbackLoop() *FeedbackLoop { return feedback.New(feedback.Config{}) }
+// Deprecated: NewFeedbackLoop returns nil.
+func NewFeedbackLoop() *FeedbackLoop { return nil }
 
 // PlanCache is a bounded, concurrent cache of answering artifacts (chosen
 // cover, per-fragment reformulations, fragment statistics) keyed by a
@@ -491,7 +477,6 @@ func (s *Store) NewAnswerer(p Profile, opts Options) *Answerer {
 		SearchBudget: opts.SearchBudget,
 		Trace:        opts.Trace,
 		PlanCache:    opts.PlanCache,
-		Feedback:     opts.Feedback,
 	})
 	return &Answerer{store: s, inner: inner, profile: p, params: params, trace: opts.Trace}
 }
