@@ -435,27 +435,24 @@ func BenchmarkSnapshotScan(b *testing.B) {
 }
 
 // BenchmarkBulkLoad measures building the triple store from the raw
-// LUBM stream: the flat serial baseline against the compressed
-// block-columnar parallel sort-merge loader. The compressed variant
-// reports its resident bytes/triple as a metric.
+// LUBM stream with the block-columnar sort-merge loader, serial and
+// parallel, and reports the resident bytes/triple as a metric.
 func BenchmarkBulkLoad(b *testing.B) {
 	db := lubmDB(b)
 	n := db.Raw.Len()
 	variants := []struct {
-		name     string
-		compress storage.Compression
-		par      int
+		name string
+		par  int
 	}{
-		{"flat-serial", storage.CompressionOff, 1},
-		{"compressed-serial", storage.CompressionOn, 1},
-		{"compressed-parallel", storage.CompressionOn, runtime.GOMAXPROCS(0)},
+		{"serial", 1},
+		{"parallel", runtime.GOMAXPROCS(0)},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var st *storage.Store
 			for i := 0; i < b.N; i++ {
-				bl := storage.NewBuilder().WithCompression(v.compress).WithParallelism(v.par)
+				bl := storage.NewBuilder().WithParallelism(v.par)
 				db.Raw.Each(func(t storage.Triple) bool {
 					bl.Add(t)
 					return true

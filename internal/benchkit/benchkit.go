@@ -208,13 +208,7 @@ var (
 
 // calibrated memoizes per-profile calibration on this database.
 func (db *Database) calibrated(prof engine.Profile) cost.Params {
-	// The store representation is part of the key: a flat and a frozen
-	// build of the same data calibrate to different scan constants.
-	repr := "flat"
-	if db.Raw.Footprint().Compressed {
-		repr = "frozen"
-	}
-	key := db.Name + "/" + prof.Name + "/" + fmt.Sprint(db.Raw.Len()) + "/" + repr
+	key := db.Name + "/" + prof.Name + "/" + fmt.Sprint(db.Raw.Len())
 	calMu.Lock()
 	defer calMu.Unlock()
 	if p, ok := calCache[key]; ok {

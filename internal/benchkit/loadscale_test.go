@@ -14,10 +14,9 @@ import (
 // genuinely multi-block dataset in about a second.
 var mediumSlice = Scale{Name: "medium-slice", LUBMUnivs: 2, LUBMConfig: lubm.Default(), DBLPPubs: 500}
 
-// TestMeasureLoadTiny loads the tiny LUBM profile through the
-// compressed bulk loader with two workers and through the flat serial
-// loader, and checks that both hold the same triples and that the
-// compressed footprint is filled.
+// TestMeasureLoadTiny loads the tiny LUBM profile through the bulk
+// loader with two workers and serially, and checks that both hold the
+// same triples and that the footprint is filled.
 func TestMeasureLoadTiny(t *testing.T) {
 	skipUnderRace(t)
 	db, err := BuildLUBM(ScaleTiny)
@@ -27,24 +26,20 @@ func TestMeasureLoadTiny(t *testing.T) {
 	if db.Raw.Len() == 0 {
 		t.Fatal("tiny LUBM built no triples")
 	}
-	comp := rebuild(db.Raw, storage.CompressionOn, 2)
-	fp := comp.Footprint()
-	if !fp.Compressed || fp.Blocks <= 0 || fp.BytesPerTriple() <= 0 {
+	par := rebuild(db.Raw, 2)
+	fp := par.Footprint()
+	if fp.Blocks <= 0 || fp.BytesPerTriple() <= 0 {
 		t.Errorf("footprint not filled: %+v", fp)
 	}
-	flat := rebuild(db.Raw, storage.CompressionOff, 1)
-	if flat.Footprint().Compressed {
-		t.Error("flat build reports a compressed footprint")
-	}
-	if !equalStores(flat, comp) || !equalStores(db.Raw, comp) {
-		t.Error("flat and compressed stores differ")
+	if serial := rebuild(db.Raw, 1); !equalStores(serial, par) || !equalStores(db.Raw, par) {
+		t.Error("parallel and serial builds differ")
 	}
 }
 
-// rebuild streams src into a new store built with the given compression
-// and loader parallelism.
-func rebuild(src *storage.Store, c storage.Compression, par int) *storage.Store {
-	b := storage.NewBuilder().WithCompression(c).WithParallelism(par)
+// rebuild streams src into a new store built with the given loader
+// parallelism.
+func rebuild(src *storage.Store, par int) *storage.Store {
+	b := storage.NewBuilder().WithParallelism(par)
 	src.Each(func(tr storage.Triple) bool {
 		b.Add(tr)
 		return true
@@ -53,9 +48,9 @@ func rebuild(src *storage.Store, c storage.Compression, par int) *storage.Store 
 }
 
 // The CI smoke test: even in -short mode, load a medium-scale LUBM
-// slice (full-size university config) through the compressed parallel
-// bulk loader, cross-check it against the flat representation, and
-// answer a query over it. This is the cheapest end-to-end proof that
+// slice (full-size university config) through the parallel bulk
+// loader, cross-check it against the serial build, and answer a query
+// over it. This is the cheapest end-to-end proof that
 // the block-columnar path holds up beyond the tiny test profile.
 func TestMediumSliceLoadSmoke(t *testing.T) {
 	skipUnderRace(t)
@@ -67,19 +62,19 @@ func TestMediumSliceLoadSmoke(t *testing.T) {
 		t.Fatalf("medium slice too small to be meaningful: %d triples", db.Raw.Len())
 	}
 
-	comp := rebuild(db.Raw, storage.CompressionOn, 4)
-	fp := comp.Footprint()
-	if !fp.Compressed || fp.Blocks == 0 {
-		t.Fatalf("slice did not build compressed: %+v", fp)
+	par := rebuild(db.Raw, 4)
+	fp := par.Footprint()
+	if fp.Blocks == 0 {
+		t.Fatalf("slice built no blocks: %+v", fp)
 	}
 	if fp.BytesPerTriple() >= 12 {
-		t.Errorf("compressed footprint %.2f B/triple is no better than one flat order", fp.BytesPerTriple())
+		t.Errorf("compressed footprint %.2f B/triple is no better than one []Triple order", fp.BytesPerTriple())
 	}
-	if !equalStores(db.Raw, comp) {
-		t.Fatal("compressed slice differs from the raw store")
+	if !equalStores(db.Raw, par) {
+		t.Fatal("parallel slice build differs from the raw store")
 	}
-	if flat := rebuild(db.Raw, storage.CompressionOff, 1); flat.Footprint().Compressed || !equalStores(flat, comp) {
-		t.Fatal("compressed slice differs from the flat serial build")
+	if serial := rebuild(db.Raw, 1); !equalStores(serial, par) {
+		t.Fatal("parallel slice build differs from the serial build")
 	}
 
 	a := db.Answerer(engine.Native, core.Options{})

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dict"
 	"repro/internal/engine"
 	"repro/internal/stats"
-	"repro/internal/storage"
 )
 
 // Calibrate fits the cost-model constants for one engine by timing
@@ -29,22 +28,12 @@ import (
 func Calibrate(eng *engine.Engine) cost.Params {
 	p := cost.DefaultParams
 	p.NestedLoopArmJoin = eng.Profile().ArmJoin == engine.NestedLoopJoin
-	// The measurements below run against whatever representation the
-	// store currently holds; record which, so ForRepresentation can
-	// adjust the scan constant when the same Params later price the
-	// other representation (e.g. a model calibrated against a flat
-	// store handed to an answerer over a compressed frozen one).
 	p.Provenance = "calibrated"
-	p.Representation = "flat"
-	if eng.Store().Footprint().Compressed {
-		p.Representation = "frozen"
-	}
 
 	props := frequentProperties(eng, 3)
 	if len(props) == 0 {
 		return p
 	}
-	p.DecodeRatio = measureDecodeRatio(eng, props[0])
 
 	// Scan rate: evaluate SELECT ?s ?o WHERE { ?s p ?o } per property.
 	var scanNs, scanTuples float64
@@ -127,83 +116,6 @@ func Calibrate(eng *engine.Engine) cost.Params {
 		p.CDB = 1000
 	}
 	return p
-}
-
-// measureDecodeRatio measures the per-tuple scan-cost ratio between the
-// compressed block-columnar (frozen) representation and the flat one,
-// by sampling triples of the most frequent property into two small
-// stores — one built with compression forced on, one with it off — and
-// timing full scans of both. The ratio lets ForRepresentation transfer
-// a calibration across representations. Returns 0 (unmeasured) on
-// stores too small for a stable measurement.
-func measureDecodeRatio(eng *engine.Engine, prop dict.ID) float64 {
-	const (
-		minStore   = 4096 // below the compression threshold nothing freezes anyway
-		maxSample  = 32768
-		timingReps = 3
-	)
-	src := eng.Store()
-	if src.Len() < minStore {
-		return 0
-	}
-	sample := make([]storage.Triple, 0, maxSample)
-	src.Each(func(t storage.Triple) bool {
-		if t.P == prop {
-			sample = append(sample, t)
-		}
-		return len(sample) < maxSample
-	})
-	if len(sample) < minStore {
-		return 0
-	}
-
-	build := func(c storage.Compression) *storage.Store {
-		b := storage.NewBuilder().WithCompression(c).WithParallelism(1)
-		for _, t := range sample {
-			b.Add(t)
-		}
-		return b.Build()
-	}
-	flat := build(storage.CompressionOff)
-	frozen := build(storage.CompressionOn)
-	if !frozen.Footprint().Compressed || flat.Footprint().Compressed {
-		return 0
-	}
-
-	scan := func(s *storage.Store) time.Duration {
-		var sink dict.ID
-		start := time.Now()
-		s.Each(func(t storage.Triple) bool {
-			sink ^= t.S ^ t.P ^ t.O
-			return true
-		})
-		d := time.Since(start)
-		if sink == ^dict.ID(0) {
-			// Impossible-in-practice check that keeps the scan from
-			// being optimized away.
-			return d + 1
-		}
-		return d
-	}
-	var flatNs, frozenNs int64
-	// Alternate the representations so a transient slowdown hits both.
-	for i := 0; i < timingReps; i++ {
-		flatNs += scan(flat).Nanoseconds()
-		frozenNs += scan(frozen).Nanoseconds()
-	}
-	if flatNs <= 0 || frozenNs <= 0 {
-		return 0
-	}
-	ratio := float64(frozenNs) / float64(flatNs)
-	// Clamp to a plausible band: decoding is never cheaper than the
-	// flat walk by construction, and a huge ratio is measurement noise.
-	if ratio < 1 {
-		ratio = 1
-	}
-	if ratio > 16 {
-		ratio = 16
-	}
-	return ratio
 }
 
 // frequentProperties returns up to k property IDs by decreasing triple

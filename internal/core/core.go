@@ -140,14 +140,6 @@ func NewAnswerer(sch *schema.Closed, raw, sat *engine.Engine, opts Options) *Ans
 	if opts.Params == (cost.Params{}) {
 		opts.Params = cost.DefaultParams
 	}
-	// Adjust the constants for the representation they will price: a
-	// model calibrated against a flat store underprices scans of the
-	// compressed block-columnar representation (and vice versa) by the
-	// measured decode ratio. A no-op when the representation matches or
-	// was never measured.
-	if raw != nil {
-		opts.Params = opts.Params.ForRepresentation(raw.Store().Footprint().Compressed)
-	}
 	if opts.MaxCovers == 0 {
 		opts.MaxCovers = DefaultMaxCovers
 	}
@@ -276,36 +268,44 @@ func (a *Answerer) AnswerContext(ctx context.Context, q bgp.CQ, strategy Strateg
 	return a.answerWithCache(ctx, q, strategy)
 }
 
-// fragsFromSearch extracts the searcher's memoized fragment artifacts
-// for the chosen cover, recording a "reformulate" span whose work
-// happened during optimize (marked memoized) so traces keep their
-// stage shape.
-func (a *Answerer) fragsFromSearch(c cover.Cover, s *searcher, rep Report) ([]fragArtifact, error) {
+// fragsFromSearch returns the searcher's fragment artifacts for cover c
+// (see searchedFrags), recording them under a "reformulate" span so
+// traces keep their stage shape; "memoized" counts the fragments whose
+// reformulation already happened during optimize.
+func (a *Answerer) fragsFromSearch(c cover.Cover, s *searcher, rep Report) ([]plancache.Fragment, error) {
 	var refSp *trace.Span
 	if a.opts.Trace != nil {
 		refSp = a.opts.Trace.Child("reformulate")
 		refSp.SetInt("fragments", int64(len(c)))
-		refSp.SetInt("memoized", 1)
 	}
-	frags := make([]fragArtifact, len(c))
-	for i, f := range c {
-		info := s.frag(f)
-		frags[i] = fragArtifact{cq: info.cq, ref: info.ref, stats: info.stats, hasStats: true}
-		if refSp != nil {
+	hits := s.fragMemoHits
+	frags, err := searchedFrags(c, s)
+	if refSp != nil {
+		refSp.SetInt("memoized", s.fragMemoHits-hits)
+		for i, f := range frags {
 			fragSp := refSp.Child(fmt.Sprintf("fragment[%d]", i))
-			fragSp.SetInt("atoms", int64(len(info.cq.Atoms)))
-			fragSp.SetInt("member_cqs", info.numCQs)
+			fragSp.SetInt("atoms", int64(len(f.CQ.Atoms)))
+			fragSp.SetInt("member_cqs", f.NumCQs)
 			fragSp.End()
 		}
-	}
-	if refSp != nil {
 		refSp.SetInt("total_cqs", rep.TotalCQs)
 		refSp.End()
 	}
-	if err := s.failure(); err != nil {
-		return nil, err
+	return frags, err
+}
+
+// searchedFrags returns the searcher's artifacts for the fragments of c:
+// subquery, reformulation, member count and the arm estimates c is
+// priced with — the unit of work evaluateFrags turns into an engine arm
+// and a plan-cache entry stores. A fragment the search priced comes from
+// its memo; one it never reached is reformulated and priced now.
+func searchedFrags(c cover.Cover, s *searcher) ([]plancache.Fragment, error) {
+	frags := make([]plancache.Fragment, len(c))
+	for i, f := range c {
+		info := s.frag(f)
+		frags[i] = plancache.Fragment{CQ: info.cq, Ref: info.ref, NumCQs: info.numCQs, Stats: info.stats}
 	}
-	return frags, nil
+	return frags, s.failure()
 }
 
 // engineFor attaches ctx to the engine when it is actually cancelable —
@@ -348,11 +348,7 @@ func (a *Answerer) answerWithCache(ctx context.Context, q bgp.CQ, strategy Strat
 			Cached:         true,
 			OptimizeTime:   time.Since(start),
 		}
-		frags := make([]fragArtifact, len(e.Fragments))
-		for i, f := range e.Fragments {
-			frags[i] = fragArtifact{cq: f.CQ, ref: f.Ref, stats: f.Stats, hasStats: true}
-		}
-		return a.evaluateFrags(ctx, e.Head, frags, rep)
+		return a.evaluateFrags(ctx, e.Head, e.Fragments, rep)
 	} else if out == plancache.Stale {
 		reg.Counter("plancache.invalidations").Add(1)
 	}
@@ -379,20 +375,11 @@ func (a *Answerer) answerWithCache(ctx context.Context, q bgp.CQ, strategy Strat
 	// The searcher already reformulated every fragment of the chosen
 	// cover while pricing it; reuse those artifacts for both the entry
 	// and this evaluation instead of reformulating from scratch.
-	frags := make([]fragArtifact, len(c))
-	for i, f := range c {
-		info := s.frag(f)
-		frags[i] = fragArtifact{cq: info.cq, ref: info.ref, stats: info.stats, hasStats: true}
-		entry.Fragments = append(entry.Fragments, plancache.Fragment{
-			CQ:     info.cq,
-			Ref:    info.ref,
-			NumCQs: info.numCQs,
-			Stats:  info.stats,
-		})
-	}
-	if err := s.failure(); err != nil {
+	frags, err := searchedFrags(c, s)
+	if err != nil {
 		return nil, err
 	}
+	entry.Fragments = frags
 	ans, err := a.evaluateFrags(ctx, entry.Head, frags, rep)
 	if err != nil {
 		return ans, err
@@ -478,53 +465,19 @@ func (a *Answerer) chooseCover(ctx context.Context, q bgp.CQ, strategy Strategy)
 
 // EvaluateCover evaluates the cover-based JUCQ reformulation of q induced
 // by cover c (Theorem 3.1) through the raw engine, completing the report.
+// Its arms carry the row estimates a search pricing c computes, so c
+// runs with the arm order and key filters it gets when a strategy
+// chooses it.
 func (a *Answerer) EvaluateCover(q bgp.CQ, c cover.Cover, rep Report) (*Answer, error) {
-	return a.evaluateCover(context.Background(), q, c, rep)
-}
-
-// evaluateCover is EvaluateCover under a caller context.
-func (a *Answerer) evaluateCover(ctx context.Context, q bgp.CQ, c cover.Cover, rep Report) (*Answer, error) {
-	var refSp *trace.Span
-	if a.opts.Trace != nil {
-		refSp = a.opts.Trace.Child("reformulate")
-		refSp.SetInt("fragments", int64(len(c)))
+	s, err := newSearcher(a, q)
+	if err != nil {
+		return &Answer{Report: rep}, err
 	}
-	frags := make([]fragArtifact, len(c))
-	for i, f := range c {
-		cq := cover.Query(q, f)
-		var fragSp *trace.Span
-		if refSp != nil {
-			fragSp = refSp.Child(fmt.Sprintf("fragment[%d]", i))
-			fragSp.SetInt("atoms", int64(len(cq.Atoms)))
-		}
-		ref, err := reformulate.Reformulate(cq, a.sch)
-		if err != nil {
-			refSp.End()
-			return &Answer{Report: rep}, err
-		}
-		frags[i] = fragArtifact{cq: cq, ref: ref}
-		if fragSp != nil {
-			fragSp.SetInt("member_cqs", ref.NumCQs())
-			fragSp.End()
-		}
+	frags, err := a.fragsFromSearch(c, s, rep)
+	if err != nil {
+		return &Answer{Report: rep}, err
 	}
-	if refSp != nil {
-		refSp.SetInt("total_cqs", rep.TotalCQs)
-		refSp.End()
-	}
-	return a.evaluateFrags(ctx, headVars(q), frags, rep)
-}
-
-// fragArtifact pairs a cover fragment's subquery with its reformulation —
-// the unit of work evaluateFrags turns into an engine arm, whatever
-// produced it (a fresh Reformulate call, the searcher's memo, or a plan
-// cache entry). When the artifact came from a search or cache entry it
-// also carries the arm estimates the cover was priced with.
-type fragArtifact struct {
-	cq       bgp.CQ
-	ref      *reformulate.Reformulation
-	stats    cost.ArmStats
-	hasStats bool
+	return a.evaluateFrags(context.Background(), headVars(q), frags, rep)
 }
 
 // headVars returns the head variable IDs of q (checkQuery enforces that
@@ -540,11 +493,11 @@ func headVars(q bgp.CQ) []uint32 {
 // evaluateFrags runs the evaluation stage over prepared fragment
 // artifacts, completing the report. A cached plan (rep.Cached) marks its
 // evaluate span so traces show the skipped stages.
-func (a *Answerer) evaluateFrags(ctx context.Context, head []uint32, frags []fragArtifact, rep Report) (*Answer, error) {
+func (a *Answerer) evaluateFrags(ctx context.Context, head []uint32, frags []plancache.Fragment, rep Report) (*Answer, error) {
 	arms := make([]engine.ArmSource, len(frags))
-	for i, fa := range frags {
-		arms[i] = armSource(fa.cq, fa.ref)
-		arms[i].EstRows = fa.stats.ResultTuples
+	for i, f := range frags {
+		arms[i] = armSource(f.CQ, f.Ref)
+		arms[i].EstRows = f.Stats.ResultTuples
 	}
 	eng := engineFor(a.raw, ctx)
 	var evalSp *trace.Span
@@ -571,24 +524,20 @@ func (a *Answerer) evaluateFrags(ctx context.Context, head []uint32, frags []fra
 // annotateEstimates records the optimizer's estimates as float attrs on
 // the evaluate span and its arm children, next to the observed integer
 // counters, so a rendered trace shows estimated vs observed side by
-// side. Only a searched or cached plan carries estimates; a nil span
-// makes it a no-op.
-func annotateEstimates(evalSp *trace.Span, frags []fragArtifact, rep Report) {
+// side. A nil span makes it a no-op.
+func annotateEstimates(evalSp *trace.Span, frags []plancache.Fragment, rep Report) {
 	if evalSp == nil {
-		return
-	}
-	if len(frags) == 0 || !frags[0].hasStats {
 		return
 	}
 	evalSp.SetFloat("est_cost", rep.EstimatedCost)
 	evalSp.SetFloat("est_rows", rep.EstimatedRows)
-	for i, fa := range frags {
+	for i, f := range frags {
 		armSp := evalSp.Find(fmt.Sprintf("arm[%d]", i))
 		if armSp == nil {
 			continue
 		}
-		armSp.SetFloat("est_rows", fa.stats.ResultTuples)
-		armSp.SetFloat("est_scan_tuples", fa.stats.ScanTuples)
+		armSp.SetFloat("est_rows", f.Stats.ResultTuples)
+		armSp.SetFloat("est_scan_tuples", f.Stats.ScanTuples)
 	}
 }
 

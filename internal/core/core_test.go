@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/benchkit"
 	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/cover"
@@ -140,6 +141,36 @@ func TestEveryCoverEquivalent(t *testing.T) {
 		if checked == 0 {
 			t.Errorf("seed %d: no covers checked", seed)
 		}
+	}
+}
+
+// A cover evaluated on its own runs as it runs when a strategy chooses
+// it: EvaluateCover of GCov's cover for tiny LUBM Q09 (several arms, so
+// arm order and key filters follow the estimates) does the same engine
+// work as Answer with GCov.
+func TestEvaluateCoverRunsAsChosen(t *testing.T) {
+	db, err := benchkit.BuildLUBM(benchkit.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := db.Answerer(engine.Native, core.Options{})
+	q := db.Encoded[db.QueryIndex("Q09")]
+	chosen, err := a.Answer(q, core.GCov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chosen.Report.Cover) < 2 {
+		t.Fatalf("Q09's cover %v has one arm; the test wants several", chosen.Report.Cover)
+	}
+	fixed, err := a.EvaluateCover(q, chosen.Report.Cover, core.Report{Strategy: "fixed", Cover: chosen.Report.Cover})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixed.Report.Metrics != chosen.Report.Metrics {
+		t.Errorf("EvaluateCover metrics %+v, Answer metrics %+v", fixed.Report.Metrics, chosen.Report.Metrics)
+	}
+	if !naive.Equal(relRows(fixed.Rel), relRows(chosen.Rel)) {
+		t.Error("EvaluateCover and Answer disagree on the answers")
 	}
 }
 
@@ -331,6 +362,9 @@ func TestCalibrateProducesPositiveParams(t *testing.T) {
 	p := core.Calibrate(eng)
 	if p.CT <= 0 || p.CJ <= 0 || p.CM <= 0 || p.CL <= 0 || p.CDB <= 0 {
 		t.Errorf("calibration produced non-positive constants: %s", p)
+	}
+	if p.Provenance != "calibrated" {
+		t.Errorf("provenance = %q, want calibrated", p.Provenance)
 	}
 	if p.NestedLoopArmJoin {
 		t.Error("hash-join profile calibrated as nested-loop")

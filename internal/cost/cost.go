@@ -44,21 +44,10 @@ type Params struct {
 	// linear model of the paper badly underestimates SCQ-shaped plans.
 	NestedLoopArmJoin bool
 
-	// Provenance records how the constants were obtained ("default",
-	// "calibrated", "calibrated+decode", ...) so reports and tests can
-	// tell a fitted model from the neutral one.
+	// Provenance records how the constants were obtained ("default" or
+	// "calibrated") so reports and tests can tell a fitted model from the
+	// neutral one.
 	Provenance string
-
-	// Representation is the storage representation the constants were
-	// measured against: "" (unknown), "flat", or "frozen" (the
-	// compressed block-columnar store). ForRepresentation uses it to
-	// decide whether a decode adjustment applies.
-	Representation string
-
-	// DecodeRatio is the measured per-tuple scan-cost ratio
-	// frozen/flat (> 1 when decoding compressed blocks is slower than
-	// walking the flat arrays). 0 means unmeasured.
-	DecodeRatio float64
 }
 
 // DefaultParams is a neutral parameterization (all unit weights) that
@@ -72,33 +61,6 @@ var DefaultParams = Params{
 	CK:             0.2,
 	SpillThreshold: 1 << 20,
 	Provenance:     "default",
-}
-
-// ForRepresentation adjusts the constants for the store representation
-// they will actually price. When the parameters were measured against
-// the other representation and a decode ratio is known, the per-tuple
-// scan constant is scaled by it (frozen scans decode compressed blocks,
-// flat scans walk arrays directly); otherwise p is returned unchanged.
-// The adjustment is a uniform positive scale on one constant, so it
-// never produces NaN or negative costs.
-func (p Params) ForRepresentation(frozen bool) Params {
-	want := "flat"
-	if frozen {
-		want = "frozen"
-	}
-	if p.Representation == "" || p.Representation == want || p.DecodeRatio <= 0 {
-		return p
-	}
-	if frozen {
-		p.CT *= p.DecodeRatio
-	} else {
-		p.CT /= p.DecodeRatio
-	}
-	p.Representation = want
-	if p.Provenance != "" {
-		p.Provenance += "+decode"
-	}
-	return p
 }
 
 // ArmStats summarizes one UCQ arm of a JUCQ for the model.
@@ -198,9 +160,6 @@ func (p Params) String() string {
 		p.CDB, p.CT, p.CJ, p.CM, p.CL, p.CK, p.SpillThreshold, p.NestedLoopArmJoin)
 	if p.Provenance != "" {
 		s += " src=" + p.Provenance
-	}
-	if p.Representation != "" {
-		s += " repr=" + p.Representation
 	}
 	return s
 }

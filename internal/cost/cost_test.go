@@ -138,36 +138,3 @@ func TestJUCQZeroRowArms(t *testing.T) {
 		t.Errorf("zero-row cover (%v) should not exceed a strictly larger one (%v)", got, more)
 	}
 }
-
-func TestForRepresentation(t *testing.T) {
-	p := DefaultParams
-	p.Provenance = "calibrated"
-	p.Representation = "flat"
-	p.DecodeRatio = 2.5
-
-	frozen := p.ForRepresentation(true)
-	if frozen.CT != p.CT*2.5 {
-		t.Errorf("frozen CT = %v, want %v", frozen.CT, p.CT*2.5)
-	}
-	if frozen.Representation != "frozen" || frozen.Provenance != "calibrated+decode" {
-		t.Errorf("frozen adjustment mislabeled: %+v", frozen)
-	}
-	// Round trip restores the original scan constant.
-	back := frozen.ForRepresentation(false)
-	if math.Abs(back.CT-p.CT) > 1e-12 {
-		t.Errorf("round-trip CT = %v, want %v", back.CT, p.CT)
-	}
-	// Matching or unknown representation is a no-op.
-	if q := p.ForRepresentation(false); q != p {
-		t.Errorf("matching representation changed params: %v", q)
-	}
-	var unk Params
-	if q := unk.ForRepresentation(true); q != unk {
-		t.Errorf("unknown representation changed params: %v", q)
-	}
-	noRatio := p
-	noRatio.DecodeRatio = 0
-	if q := noRatio.ForRepresentation(true); q != noRatio {
-		t.Errorf("unmeasured decode ratio changed params: %v", q)
-	}
-}

@@ -43,7 +43,7 @@ func awkwardQueries(e *testkit.Example, rng *rand.Rand) []bgp.CQ {
 
 // The compiled bind-join must answer exactly as the naive backtracking
 // evaluator does — on the awkward shapes above and on random CQs, over
-// the flat and the frozen representation, at either parallelism, with
+// default-size and 32-triple index blocks, at either parallelism, with
 // the store compacted and with a pending delta and tombstones.
 func TestCompiledProgramMatchesNaive(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
@@ -53,10 +53,10 @@ func TestCompiledProgramMatchesNaive(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			queries = append(queries, testkit.RandomQuery(e, rng))
 		}
-		for _, frozen := range []bool{false, true} {
+		for _, smallBlocks := range []bool{false, true} {
 			for _, pending := range []bool{false, true} {
 				st := e.RawStore()
-				if frozen {
+				if smallBlocks {
 					st = rebuildCompressed(st)
 				}
 				if pending {
@@ -75,7 +75,7 @@ func TestCompiledProgramMatchesNaive(t *testing.T) {
 						u.Vars = append(u.Vars, uint32(1000+i))
 					}
 					want := naive.EvalUCQ(st, u)
-					name := fmt.Sprintf("seed %d frozen=%v pending=%v query %d %v", seed, frozen, pending, qi, q)
+					name := fmt.Sprintf("seed %d smallBlocks=%v pending=%v query %d %v", seed, smallBlocks, pending, qi, q)
 					rel, _, err := engine.New(st, sts, engine.Native).EvalUCQ(u)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)

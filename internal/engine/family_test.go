@@ -60,8 +60,8 @@ func pend(st *storage.Store) {
 }
 
 // Member families must answer exactly as the naive evaluator does, on the
-// shapes their grouping and dispatch have a case for, over the flat and
-// the frozen representation, with and without pending additions and
+// shapes their grouping and dispatch have a case for, over default-size
+// and 32-triple index blocks, with and without pending additions and
 // tombstones under the wide probes — and must form: one family per case,
 // one depth-1 probe per depth-0 binding.
 func TestFamiliesMatchNaive(t *testing.T) {
@@ -98,10 +98,10 @@ func TestFamiliesMatchNaive(t *testing.T) {
 		{"empty depth-0 range", none, []bgp.CQ{
 			cq([]bgp.Term{x, c(cAll)}, none, typed(cAll)), cq([]bgp.Term{x, y}, none, bgp.Atom{S: x, P: c(fKnows), O: y})}},
 	}
-	for _, frozen := range []bool{false, true} {
+	for _, smallBlocks := range []bool{false, true} {
 		for _, pending := range []bool{false, true} {
 			st := familyStore()
-			if frozen {
+			if smallBlocks {
 				st = rebuildCompressed(st)
 			}
 			eng := engine.New(st, stats.Collect(st, schema.Vocab{}), engine.Native) // before pend: Collect's pass compacts
@@ -109,7 +109,7 @@ func TestFamiliesMatchNaive(t *testing.T) {
 				pend(st)
 			}
 			for _, tc := range cases {
-				name := fmt.Sprintf("frozen=%v pending=%v %s", frozen, pending, tc.name)
+				name := fmt.Sprintf("smallBlocks=%v pending=%v %s", smallBlocks, pending, tc.name)
 				u := bgp.UCQ{Vars: []uint32{1000, 1001}, CQs: tc.members}
 				rel, spans, _ := armSpans(t, eng, u.Vars, sources([]bgp.UCQ{u}))
 				if got, want := toRows(rel), naive.EvalUCQ(st, u); !naive.Equal(got, want) {
@@ -151,9 +151,9 @@ func TestFamilyKeyFilterDepths(t *testing.T) {
 		{Head: []bgp.Term{c(cNone), x}, Atoms: []bgp.Atom{third(x), {S: x, P: c(fType), O: c(cEven)}}},
 	}}
 	j := bgp.JUCQ{Head: []uint32{0, 1}, Arms: []bgp.UCQ{keys, arm}}
-	for _, frozen := range []bool{false, true} {
+	for _, smallBlocks := range []bool{false, true} {
 		st := familyStore()
-		if frozen {
+		if smallBlocks {
 			st = rebuildCompressed(st)
 		}
 		eng := engine.New(st, stats.Collect(st, schema.Vocab{}), engine.Native)
@@ -161,19 +161,19 @@ func TestFamilyKeyFilterDepths(t *testing.T) {
 		arms[0].EstRows, arms[1].EstRows = 1, 1e6
 		rel, spans, _ := armSpans(t, eng, j.Head, arms)
 		if got, want := toRows(rel), naive.EvalJUCQ(st, j); !naive.Equal(got, want) || len(want) == 0 {
-			t.Fatalf("frozen=%v: engine %v, naive %v", frozen, got, want)
+			t.Fatalf("smallBlocks=%v: engine %v, naive %v", smallBlocks, got, want)
 		}
 		fams, _ := spans[1].IntAttr("families")
 		dropped, _ := spans[1].IntAttr("filtered")
 		if _, keyed := spans[1].IntAttr("keys"); !keyed || fams != 2 || dropped == 0 {
-			t.Errorf("frozen=%v: arm ran in %d families dropping %d bindings (filtered: %v); want 2 families under the filter, some dropped", frozen, fams, dropped, keyed)
+			t.Errorf("smallBlocks=%v: arm ran in %d families dropping %d bindings (filtered: %v); want 2 families under the filter, some dropped", smallBlocks, fams, dropped, keyed)
 		}
 	}
 }
 
 // Random reformulated UCQs — many near-identical members, so families of
-// every shape the generator reaches — over the flat and the frozen
-// representation must answer as the naive evaluator does over the
+// every shape the generator reaches — over default-size and 32-triple
+// index blocks must answer as the naive evaluator does over the
 // saturated store.
 func TestRandomUCQFamiliesMatchSaturation(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
@@ -184,9 +184,9 @@ func TestRandomUCQFamiliesMatchSaturation(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			queries = append(queries, testkit.RandomQuery(e, rng))
 		}
-		for _, frozen := range []bool{false, true} {
+		for _, smallBlocks := range []bool{false, true} {
 			st := e.RawStore()
-			if frozen {
+			if smallBlocks {
 				st = rebuildCompressed(st)
 			}
 			eng := engine.New(st, stats.Collect(st, e.Vocab), engine.Native)
@@ -200,7 +200,7 @@ func TestRandomUCQFamiliesMatchSaturation(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got, want := toRows(rel), naive.EvalCQ(sat, q); !naive.Equal(got, want) {
-					t.Fatalf("seed %d frozen=%v query %d %v: engine %v, naive over the saturated store %v", seed, frozen, qi, q, got, want)
+					t.Fatalf("seed %d smallBlocks=%v query %d %v: engine %v, naive over the saturated store %v", seed, smallBlocks, qi, q, got, want)
 				}
 			}
 		}
@@ -226,9 +226,9 @@ func TestDepthZeroScanWithDeltaMatchesNaive(t *testing.T) {
 		arm(bgp.Atom{S: x, P: c(fKnows), O: y}),
 		arm(bgp.Atom{S: y, P: c(fKnows), O: x}),
 	}}
-	for _, frozen := range []bool{false, true} {
+	for _, smallBlocks := range []bool{false, true} {
 		st := familyStore()
-		if frozen {
+		if smallBlocks {
 			st = rebuildCompressed(st)
 		}
 		sts := stats.Collect(st, schema.Vocab{}) // before pend: Collect's pass compacts
@@ -242,10 +242,10 @@ func TestDepthZeroScanWithDeltaMatchesNaive(t *testing.T) {
 			}
 			want := naive.EvalJUCQ(st, j)
 			if got := toRows(rel); !naive.Equal(got, want) || len(want) == 0 {
-				t.Fatalf("frozen=%v %s: engine %v, naive %v", frozen, name, got, want)
+				t.Fatalf("smallBlocks=%v %s: engine %v, naive %v", smallBlocks, name, got, want)
 			}
 			if got := root.Registry().Snapshot()["snapshot_ranges"]; got != 0 {
-				t.Errorf("frozen=%v %s: %d depth-0 scans came back as ranges; the delta must make them stream", frozen, name, got)
+				t.Errorf("smallBlocks=%v %s: %d depth-0 scans came back as ranges; the delta must make them stream", smallBlocks, name, got)
 			}
 		}
 	}

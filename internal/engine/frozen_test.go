@@ -4,20 +4,19 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bgp"
 	"repro/internal/engine"
+	"repro/internal/naive"
 	"repro/internal/reformulate"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/testkit"
 )
 
-// rebuildCompressed copies a store into the compressed block-columnar
-// representation with deliberately small blocks, so engine scans cross
-// many block boundaries.
+// rebuildCompressed copies a store with deliberately small blocks, so
+// engine scans cross many block boundaries.
 func rebuildCompressed(src *storage.Store) *storage.Store {
-	b := storage.NewBuilder(src.Orders()...).
-		WithCompression(storage.CompressionOn).
-		WithBlockSize(32)
+	b := storage.NewBuilder(src.Orders()...).WithBlockSize(32)
 	src.Each(func(t storage.Triple) bool {
 		b.Add(t)
 		return true
@@ -25,59 +24,52 @@ func rebuildCompressed(src *storage.Store) *storage.Store {
 	return b.Build()
 }
 
-// The compressed frozen representation must be invisible to the engine:
-// byte-identical relations to evaluation over the flat representation,
-// for UCQs and multi-arm JUCQs.
+// Block boundaries must be invisible to the engine: over a store cut
+// into 32-triple blocks, UCQs and multi-arm JUCQs answer exactly what
+// the naive evaluator answers. (The name predates the single index
+// representation, when the reference was a flat-array store.)
 func TestCompressedStoreMatchesFlat(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		e := testkit.Random(seed, 50)
 		raw := e.RawStore()
 		comp := rebuildCompressed(raw)
-		if fp := comp.Footprint(); !fp.Compressed {
-			t.Fatalf("seed %d: rebuild is not compressed", seed)
+		if fp := comp.Footprint(); fp.Blocks < 2*len(comp.Orders()) {
+			t.Fatalf("seed %d: rebuild has only %d blocks", seed, fp.Blocks)
 		}
-		flatStats := stats.Collect(raw, e.Vocab)
-		compStats := stats.Collect(comp, e.Vocab)
+		compEng := engine.New(comp, stats.Collect(comp, e.Vocab), engine.Native)
 
 		rng := rand.New(rand.NewSource(seed + 771))
 		q := testkit.RandomQuery(e, rng)
 		if len(q.Atoms) < 2 || !connectedQuery(q) {
 			continue
 		}
-		ref, err := reformulate.Reformulate(q, e.Closed)
+		u, err := mustReformulate(q, e.Closed).UCQ(100000)
 		if err != nil {
 			t.Fatal(err)
-		}
-		u, err := ref.UCQ(100000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		head, arms := scqArms(t, e, q)
-		flatEng := engine.New(raw, flatStats, engine.Native)
-		compEng := engine.New(comp, compStats, engine.Native)
-
-		wantRel, _, err := flatEng.EvalUCQ(u)
-		if err != nil {
-			t.Fatalf("seed %d: flat UCQ: %v", seed, err)
 		}
 		gotRel, _, err := compEng.EvalUCQ(u)
 		if err != nil {
-			t.Fatalf("seed %d: compressed UCQ: %v", seed, err)
+			t.Fatalf("seed %d: UCQ: %v", seed, err)
 		}
-		if !relEqual(gotRel, wantRel) {
-			t.Errorf("seed %d: compressed UCQ relation differs from flat", seed)
+		if !naive.Equal(toRows(gotRel), naive.EvalUCQ(raw, u)) {
+			t.Errorf("seed %d: UCQ relation differs from the naive answer", seed)
 		}
 
-		wantRel, _, err = flatEng.EvalArms(head, arms)
-		if err != nil {
-			t.Fatalf("seed %d: flat JUCQ: %v", seed, err)
+		head := headVars(q)
+		var arms []bgp.UCQ
+		for i := range q.Atoms {
+			u, err := mustReformulate(coverQuery(q, []int{i}, head), e.Closed).UCQ(100000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arms = append(arms, u)
 		}
-		gotRel, _, err = compEng.EvalArms(head, arms)
+		gotRel, _, err = compEng.EvalArms(head, sources(arms))
 		if err != nil {
-			t.Fatalf("seed %d: compressed JUCQ: %v", seed, err)
+			t.Fatalf("seed %d: JUCQ: %v", seed, err)
 		}
-		if !relEqual(gotRel, wantRel) {
-			t.Errorf("seed %d: compressed JUCQ relation differs from flat", seed)
+		if !naive.Equal(toRows(gotRel), naive.EvalJUCQ(raw, bgp.JUCQ{Head: head, Arms: arms})) {
+			t.Errorf("seed %d: JUCQ relation differs from the naive answer", seed)
 		}
 	}
 }

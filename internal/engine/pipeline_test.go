@@ -103,8 +103,8 @@ func disconnected(e *testkit.Example, rng *rand.Rand) bgp.CQ {
 // Theorem 3.1 as a metamorphic relation over the arm pipeline: whatever
 // cover a query is cut into, whatever order the estimates put the arms in
 // and whichever filters that order makes possible, the JUCQ's answer is
-// the query's answer over the saturated data — on the flat and the frozen
-// representation, with and without a pending delta and tombstones.
+// the query's answer over the saturated data — over default-size and
+// 32-triple index blocks, with and without a pending delta and tombstones.
 func TestArmPipelineMatchesNaive(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		base := testkit.Random(seed, 90)
@@ -116,10 +116,10 @@ func TestArmPipelineMatchesNaive(t *testing.T) {
 			}
 		}
 		queries = append(queries, disconnected(base, rng), disconnected(base, rng))
-		for _, frozen := range []bool{false, true} {
+		for _, smallBlocks := range []bool{false, true} {
 			for _, pending := range []bool{false, true} {
 				st := base.RawStore()
-				if frozen {
+				if smallBlocks {
 					st = rebuildCompressed(st)
 				}
 				e := *base
@@ -171,7 +171,7 @@ func TestArmPipelineMatchesNaive(t *testing.T) {
 									arms[i].EstRows = 0
 								}
 							}
-							name := fmt.Sprintf("seed %d frozen=%v pending=%v query %d %v cover %v estimates %s", seed, frozen, pending, qi, q, c, est)
+							name := fmt.Sprintf("seed %d smallBlocks=%v pending=%v query %d %v cover %v estimates %s", seed, smallBlocks, pending, qi, q, c, est)
 							rel, _, err := eng.EvalArms(headVars(q), arms)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)

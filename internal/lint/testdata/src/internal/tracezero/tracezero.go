@@ -51,12 +51,27 @@ func Reassigned(c *ctx, other *trace.Span, i int) {
 	}
 }
 
-// CompoundCond is conservatively unproven through &&; hoisting the nil
-// check into its own if would satisfy the analyzer, the directive
-// documents why this fixture keeps the compound form.
+// CompoundCond folds the nil check into an && on the branch it guards.
 func CompoundCond(c *ctx, on bool, i int) {
 	if c.span != nil && on {
-		//lint:ignore tracezero fixture: nil check is present but folded into a compound condition
 		c.span.SetStr("arm", fmt.Sprintf("arm[%d]", i))
 	}
+}
+
+// CompoundReturn folds the nil check into an || guarding a return.
+func CompoundReturn(c *ctx, on bool, i int) {
+	if c.span == nil || !on {
+		return
+	}
+	c.span.SetStr("arm", fmt.Sprintf("arm[%d]", i))
+}
+
+// CompoundWrongEdge returns on a condition whose false edge proves
+// nothing: past `c.span == nil && on`, the span is nil whenever on is
+// false, so the call is still flagged.
+func CompoundWrongEdge(c *ctx, on bool, i int) {
+	if c.span == nil && on {
+		return
+	}
+	c.span.SetStr("arm", fmt.Sprintf("arm[%d]", i))
 }

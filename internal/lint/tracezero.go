@@ -182,13 +182,7 @@ func checkFuncTrace(pass *Pass, body *ast.BlockStmt) {
 		if e.Cond == nil {
 			return
 		}
-		path, eq, ok := nilCheck(info, e.Cond)
-		if !ok || path == "" {
-			return
-		}
-		// `p != nil` proves non-nil on the true edge; `p == nil`
-		// proves it on the false edge.
-		if eq == e.Negated {
+		for _, path := range provenNonNil(info, e.Cond, e.Negated) {
 			if id, known := keyID[path]; known {
 				fs.Add(id)
 			}
@@ -227,6 +221,28 @@ func checkFuncTrace(pass *Pass, body *ast.BlockStmt) {
 		pass.Reportf(c.call.Pos(), "%s argument is evaluated even when %s is nil; guard the call with a nil check to keep disabled tracing allocation-free",
 			c.what, recvText)
 	}
+}
+
+// provenNonNil returns the paths that cond proves non-nil on the edge
+// taken when it is true (negated=false) or false (negated=true): `p !=
+// nil` proves p on the true edge and `p == nil` on the false one, and a
+// compound condition passes on what every operand must satisfy — both
+// operands of an `&&` hold on its true edge, both of an `||` fail on its
+// false edge — so `p == nil || cond` guards a return and `p != nil &&
+// cond` guards a block.
+func provenNonNil(info *types.Info, cond ast.Expr, negated bool) []string {
+	switch c := cond.(type) {
+	case *ast.ParenExpr:
+		return provenNonNil(info, c.X, negated)
+	case *ast.BinaryExpr:
+		if (c.Op == token.LAND && !negated) || (c.Op == token.LOR && negated) {
+			return append(provenNonNil(info, c.X, negated), provenNonNil(info, c.Y, negated)...)
+		}
+	}
+	if path, eq, ok := nilCheck(info, cond); ok && path != "" && eq == negated {
+		return []string{path}
+	}
+	return nil
 }
 
 // nilCheck decomposes a `<path> == nil` / `nil == <path>` (eq=true) or

@@ -1,5 +1,5 @@
-// The compressed block-columnar frozen representation. A frozen
-// permutation index is a sequence of independently-decodable compressed
+// The compressed block-columnar frozen form every sorted index takes. A
+// frozen permutation index is a sequence of independently-decodable compressed
 // blocks (see encode.go) plus an in-memory fence-key directory — the
 // first triple key and global offset of every block — over which range
 // lookups binary-search without touching the payload: the fences narrow
@@ -37,8 +37,7 @@ const (
 
 	// maxSpanTriples bounds one materialized multi-block range. A range
 	// wider than this is declined (Range reports ok=false) and the
-	// caller streams through Scan instead — the flat representation
-	// hands such ranges out as free subslices, but materializing them
+	// caller streams through Scan instead: materializing such a range
 	// from blocks would cost O(range) memory per call.
 	maxSpanTriples = 1 << 16
 
@@ -239,8 +238,7 @@ func (v *frozenView) firstBlock(q *probe, lo, hi, thr int) int {
 }
 
 // seek returns the [lo, hi) global range of triples matching the probe's
-// bound prefix — the frozen counterpart of the flat branch of
-// Snapshot.locate — in one descent: the fence directory names the one
+// bound prefix, in one descent: the fence directory names the one
 // block that can hold the lower bound, a search inside its decoded
 // triples finds it, and the upper bound is galloped to from there, in
 // the same block unless the run reaches the block's end (then one more
@@ -447,7 +445,7 @@ func (v *frozenView) putSpanLocked(k spanKey, s []Triple) {
 }
 
 // frozenBuilder encodes a sorted triple stream into a frozenIndex
-// without materializing the flat slice — the streaming encoder the
+// without materializing it as one slice — the streaming encoder the
 // merge-based compaction feeds. Blocks are cut every blockTriples.
 type frozenBuilder struct {
 	order        Order

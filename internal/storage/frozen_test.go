@@ -10,33 +10,24 @@ import (
 	"repro/internal/dict"
 )
 
-// buildPair builds the same triple set twice — flat and compressed with
-// deliberately tiny blocks so every lookup crosses block boundaries —
-// and applies an identical mutation mix to both, so the pair carries the
-// same delta and tombstones over different physical representations.
-func buildPair(t *testing.T, rng *rand.Rand, n int, maxID dict.ID, orders ...Order) (flat, comp *Store, data []Triple) {
-	t.Helper()
+// buildModeled builds a store with deliberately tiny blocks, so every
+// lookup crosses block boundaries, beside the model that specifies it.
+func buildModeled(rng *rand.Rand, n int, maxID dict.ID, orders ...Order) (s *Store, m *model, data []Triple) {
 	data = randomTriples(rng, n, maxID)
-	mk := func(c Compression) *Store {
-		b := NewBuilder(orders...).WithCompression(c).WithBlockSize(16).WithParallelism(4)
-		for _, tr := range data {
-			b.Add(tr)
-		}
-		return b.Build()
+	b := NewBuilder(orders...).WithBlockSize(16).WithParallelism(4)
+	for _, tr := range data {
+		b.Add(tr)
 	}
-	flat, comp = mk(CompressionOff), mk(CompressionOn)
-	if len(comp.frozen) > 0 && comp.frozen[comp.orders[0]] == nil {
-		t.Fatalf("CompressionOn store is not frozen")
-	}
-	return flat, comp, data
+	return b.Build(), newModel(data, orders...), data
 }
 
-// mutatePair applies the same adds and removes to both stores.
-func mutatePair(flat, comp *Store, rng *rand.Rand, data []Triple, maxID dict.ID) {
+// mutateModeled applies the same adds and removes to the store and its
+// model, so the store carries a delta and tombstones.
+func mutateModeled(s *Store, m *model, rng *rand.Rand, data []Triple, maxID dict.ID) {
 	for i := 0; i < len(data)/5; i++ {
 		victim := data[rng.Intn(len(data))]
-		flat.Remove(victim)
-		comp.Remove(victim)
+		s.Remove(victim)
+		m.remove(victim)
 	}
 	for i := 0; i < len(data)/5; i++ {
 		add := Triple{
@@ -44,8 +35,8 @@ func mutatePair(flat, comp *Store, rng *rand.Rand, data []Triple, maxID dict.ID)
 			P: dict.ID(rng.Intn(8) + 1),
 			O: dict.ID(rng.Intn(int(maxID)) + 1),
 		}
-		flat.Add(add)
-		comp.Add(add)
+		s.Add(add)
+		m.add(add)
 	}
 }
 
@@ -63,24 +54,23 @@ func probePatterns(rng *rand.Rand, data []Triple, k int) []Pattern {
 func TestFrozenDifferentialStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, orders := range [][]Order{nil, AllOrders} {
-		flat, comp, data := buildPair(t, rng, 600, 50, orders...)
-		mutatePair(flat, comp, rng, data, 50)
-		if flat.Len() != comp.Len() {
-			t.Fatalf("len: flat %d, compressed %d", flat.Len(), comp.Len())
+		s, m, data := buildModeled(rng, 600, 50, orders...)
+		mutateModeled(s, m, rng, data, 50)
+		if live := m.live(); s.Len() != len(live) {
+			t.Fatalf("len: store %d, model %d", s.Len(), len(live))
 		}
 		for _, p := range probePatterns(rng, data, 40) {
-			want := collectScan(flat.Scan, p)
-			got := collectScan(comp.Scan, p)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("orders %v pattern %+v: compressed scan %v, flat scan %v", orders, p, got, want)
+			want := m.scan(p)
+			if got := collectScan(s.Scan, p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("orders %v pattern %+v: scan %v, model %v", orders, p, got, want)
 			}
-			if cf, cc := flat.Count(p), comp.Count(p); cf != cc {
-				t.Fatalf("pattern %+v: compressed count %d, flat count %d", p, cc, cf)
+			if c := s.Count(p); c != len(want) {
+				t.Fatalf("pattern %+v: count %d, model %d", p, c, len(want))
 			}
 		}
 		for _, tr := range data[:80] {
-			if flat.Contains(tr) != comp.Contains(tr) {
-				t.Fatalf("contains(%v): flat %v, compressed %v", tr, flat.Contains(tr), comp.Contains(tr))
+			if want := len(m.scan(Pattern(tr))) == 1; s.Contains(tr) != want {
+				t.Fatalf("contains(%v) = %v, model %v", tr, !want, want)
 			}
 		}
 	}
@@ -89,57 +79,53 @@ func TestFrozenDifferentialStore(t *testing.T) {
 func TestFrozenDifferentialSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, withMutations := range []bool{false, true} {
-		flat, comp, data := buildPair(t, rng, 600, 50)
+		s, m, data := buildModeled(rng, 600, 50)
 		if withMutations {
-			mutatePair(flat, comp, rng, data, 50)
+			mutateModeled(s, m, rng, data, 50)
 		}
-		fs, cs := flat.Snapshot(), comp.Snapshot()
+		sn := s.Snapshot()
 		for _, p := range probePatterns(rng, data, 40) {
-			want := collectScan(fs.Scan, p)
-			got := collectScan(cs.Scan, p)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("mut=%v pattern %+v: compressed snapshot scan %v, flat %v", withMutations, p, got, want)
+			want := m.scan(p)
+			if got := collectScan(sn.Scan, p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("mut=%v pattern %+v: snapshot scan %v, model %v", withMutations, p, got, want)
 			}
-			if cf, cc := fs.Count(p), cs.Count(p); cf != cc {
-				t.Fatalf("pattern %+v: snapshot count flat %d, compressed %d", p, cf, cc)
+			if c := sn.Count(p); c != len(want) {
+				t.Fatalf("pattern %+v: snapshot count %d, model %d", p, c, len(want))
 			}
-			fr, fok := fs.Range(p)
-			cr, cok := cs.Range(p)
-			if fok && cok {
-				if !reflect.DeepEqual(append([]Triple{}, fr...), append([]Triple{}, cr...)) {
-					t.Fatalf("pattern %+v: range content differs (flat %d triples, compressed %d)", p, len(fr), len(cr))
-				}
+			r, ok := sn.Range(p)
+			if !ok {
+				continue
 			}
-			// Whatever each representation answered, replaying the range
-			// through ScanRange must equal Scan — the engine's contract.
-			if cok {
-				viaRange := collectScan(func(p Pattern, f func(Triple) bool) { cs.ScanRange(cr, p, f) }, p)
-				if !reflect.DeepEqual(viaRange, want) {
-					t.Fatalf("pattern %+v: compressed ScanRange(Range()) %v, want %v", p, viaRange, want)
-				}
+			// An answered range is the exact answer, and replaying it
+			// through ScanRange equals Scan — the engine's contract.
+			if !reflect.DeepEqual(append([]Triple(nil), r...), want) {
+				t.Fatalf("pattern %+v: range %v, model %v", p, r, want)
+			}
+			viaRange := collectScan(func(p Pattern, f func(Triple) bool) { sn.ScanRange(r, p, f) }, p)
+			if !reflect.DeepEqual(viaRange, want) {
+				t.Fatalf("pattern %+v: ScanRange(Range()) %v, want %v", p, viaRange, want)
 			}
 		}
-		fs.Release()
-		cs.Release()
+		sn.Release()
 	}
 }
 
 func TestFrozenDifferentialMultiRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	flat, comp, data := buildPair(t, rng, 900, 60)
-	fs, cs := flat.Snapshot(), comp.Snapshot()
-	defer fs.Release()
-	defer cs.Release()
+	s, m, data := buildModeled(rng, 900, 60)
+	sn := s.Snapshot()
+	defer sn.Release()
 
 	families := []struct {
 		g    Pattern
 		vpos int
+		ok   bool
 	}{
-		{Pattern{}, 0},                           // vary S over the SPO index
-		{Pattern{P: data[0].P}, 2},               // vary O over the POS index
-		{Pattern{S: data[1].S, P: data[1].P}, 2}, // fully bound members
-		{Pattern{O: data[2].O}, 0},               // vary S over the OSP index
-		{Pattern{P: data[3].P}, 0},               // wrong vpos: both must decline
+		{Pattern{}, 0, true},                           // vary S over the SPO index
+		{Pattern{P: data[0].P}, 2, true},               // vary O over the POS index
+		{Pattern{S: data[1].S, P: data[1].P}, 2, true}, // fully bound members
+		{Pattern{O: data[2].O}, 0, true},               // vary S over the OSP index
+		{Pattern{P: data[3].P}, 0, false},              // wrong vpos: must decline
 	}
 	for fi, fam := range families {
 		var consts []dict.ID
@@ -148,20 +134,20 @@ func TestFrozenDifferentialMultiRange(t *testing.T) {
 		}
 		consts = append(consts, consts[len(consts)-1]) // equal repeat
 		sortIDs(consts)
-		fr, fok := fs.MultiRange(fam.g, fam.vpos, consts, nil)
-		cr, cok := cs.MultiRange(fam.g, fam.vpos, consts, nil)
-		if fok != cok {
-			t.Fatalf("family %d: flat ok=%v, compressed ok=%v", fi, fok, cok)
+		ranges, ok := sn.MultiRange(fam.g, fam.vpos, consts, nil)
+		if ok != fam.ok {
+			t.Fatalf("family %d: ok=%v, want %v", fi, ok, fam.ok)
 		}
-		if !fok {
+		if !ok {
 			continue
 		}
-		if len(fr) != len(cr) {
-			t.Fatalf("family %d: %d vs %d ranges", fi, len(fr), len(cr))
+		if len(ranges) != len(consts) {
+			t.Fatalf("family %d: %d ranges for %d constants", fi, len(ranges), len(consts))
 		}
-		for i := range fr {
-			if !reflect.DeepEqual(append([]Triple{}, fr[i]...), append([]Triple{}, cr[i]...)) {
-				t.Fatalf("family %d range %d: flat %v, compressed %v", fi, i, fr[i], cr[i])
+		for i, c := range consts {
+			want := m.scan(withPos(fam.g, fam.vpos, c))
+			if !reflect.DeepEqual(append([]Triple(nil), ranges[i]...), want) {
+				t.Fatalf("family %d range %d: %v, model %v", fi, i, ranges[i], want)
 			}
 		}
 	}
@@ -175,78 +161,35 @@ func sortIDs(ids []dict.ID) {
 	}
 }
 
-// TestFrozenSnapshotIsolationAcrossCompact pins a snapshot of a frozen
-// store, mutates and compacts the store (which replaces the whole frozen
+// TestFrozenSnapshotIsolationAcrossCompact pins a snapshot of a store,
+// mutates and compacts the store (which replaces the whole frozen
 // generation), and checks the snapshot still answers from the old
-// generation, byte-identically to a flat snapshot taken at the same
-// point.
+// generation, exactly as the model taken at the same point specifies.
 func TestFrozenSnapshotIsolationAcrossCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	flat, comp, data := buildPair(t, rng, 600, 50)
-	mutatePair(flat, comp, rng, data, 50)
-	fs, cs := flat.Snapshot(), comp.Snapshot()
-	defer fs.Release()
-	defer cs.Release()
+	s, m, data := buildModeled(rng, 600, 50)
+	mutateModeled(s, m, rng, data, 50)
+	sn, pinned := s.Snapshot(), m.clone()
+	defer sn.Release()
 
-	// Mutate past the snapshot and fold everything — the compressed
-	// store re-encodes every block, the flat one re-sorts.
-	mutatePair(flat, comp, rng, data, 50)
-	flat.Compact()
-	comp.Compact()
-	mutatePair(flat, comp, rng, data, 50)
+	// Mutate past the snapshot and fold everything — the store
+	// re-encodes every block.
+	mutateModeled(s, m, rng, data, 50)
+	s.Compact()
+	m.compact()
+	mutateModeled(s, m, rng, data, 50)
 
 	for _, p := range probePatterns(rng, data, 30) {
-		want := collectScan(fs.Scan, p)
-		got := collectScan(cs.Scan, p)
-		if !reflect.DeepEqual(got, want) {
+		if got, want := collectScan(sn.Scan, p), pinned.scan(p); !reflect.DeepEqual(got, want) {
 			t.Fatalf("pattern %+v after compact: snapshot scan %v, want %v", p, got, want)
 		}
 	}
-	// And the live stores agree with each other post-compaction.
+	// And the live store agrees with its model post-compaction.
 	for _, p := range probePatterns(rng, data, 30) {
-		if !reflect.DeepEqual(collectScan(comp.Scan, p), collectScan(flat.Scan, p)) {
-			t.Fatalf("pattern %+v: live stores disagree after compact", p)
+		if got, want := collectScan(s.Scan, p), m.scan(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pattern %+v: live store %v after compact, model %v", p, got, want)
 		}
 	}
-}
-
-// TestFrozenCompactTransitionsRepresentation checks CompressionAuto
-// crossing the threshold on Compact: a store built small (flat) that
-// grows past compressMinTriples becomes frozen on the next Compact, with
-// identical contents.
-func TestFrozenCompactTransitionsRepresentation(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	b := NewBuilder()
-	data := randomTriples(rng, compressMinTriples/2, 4000)
-	for _, tr := range data {
-		b.Add(tr)
-	}
-	s := b.Build()
-	if s.frozen[OrderSPO] != nil {
-		t.Fatalf("small store should be flat under CompressionAuto")
-	}
-	var added []Triple
-	for i := 0; len(added) < compressMinTriples; i++ {
-		tr := Triple{
-			S: dict.ID(rng.Intn(4000) + 1),
-			P: dict.ID(rng.Intn(8) + 1),
-			O: dict.ID(rng.Intn(4000) + 1),
-		}
-		if s.Add(tr) {
-			added = append(added, tr)
-		}
-	}
-	s.Compact()
-	if s.frozen[OrderSPO] == nil {
-		t.Fatalf("store with %d triples should be frozen after Compact", s.Len())
-	}
-	for _, tr := range added {
-		if !s.Contains(tr) {
-			t.Fatalf("lost %v across the flat→frozen transition", tr)
-		}
-	}
-	checkAgainstLinear(t, s, append(append([]Triple{}, data...), added...),
-		probePatterns(rng, data, 20))
 }
 
 // TestLoaderParallelismEquivalence proves the chunked parallel sort and
@@ -255,7 +198,7 @@ func TestLoaderParallelismEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data := randomTriples(rng, parallelSortMin+3000, 2000)
 	mk := func(par int) *Store {
-		b := NewBuilder(AllOrders...).WithCompression(CompressionOn).WithParallelism(par)
+		b := NewBuilder(AllOrders...).WithParallelism(par)
 		for _, tr := range data {
 			b.Add(tr)
 		}
@@ -263,7 +206,7 @@ func TestLoaderParallelismEquivalence(t *testing.T) {
 	}
 	serial, parallel := mk(1), mk(8)
 	for _, o := range AllOrders {
-		a, b := serial.frozen[o], parallel.frozen[o]
+		a, b := serial.views[o].fi, parallel.views[o].fi
 		if a.n != b.n || len(a.blocks) != len(b.blocks) || a.dataBytes != b.dataBytes {
 			t.Fatalf("order %v: shape differs (%d/%d blocks, %d/%d bytes)", o, len(a.blocks), len(b.blocks), a.dataBytes, b.dataBytes)
 		}
@@ -357,15 +300,15 @@ func TestBlockBufPool(t *testing.T) {
 // the cached blocks and spans.
 func TestFrozenViewRelease(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	_, comp, data := buildPair(t, rng, 400, 40)
-	sn := comp.Snapshot()
+	s, _, data := buildModeled(rng, 400, 40)
+	sn := s.Snapshot()
 	for _, tr := range data[:20] {
 		sn.Scan(Pattern{S: tr.S}, func(Triple) bool { return true })
 		sn.Range(Pattern{P: tr.P})
 	}
 	v := sn.frozen[OrderSPO]
 	if v == nil {
-		t.Fatalf("no frozen view on compressed snapshot")
+		t.Fatalf("no frozen view on the snapshot")
 	}
 	sn.Release()
 	sn.Release() // idempotent
@@ -379,7 +322,7 @@ func TestFrozenViewRelease(t *testing.T) {
 // streams it, so the engine's fallback path stays correct.
 func TestFrozenRangeDeclinesWideSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	b := NewBuilder().WithCompression(CompressionOn)
+	b := NewBuilder()
 	seen := 0
 	for seen < maxSpanTriples+500 {
 		b.Add(Triple{
@@ -403,17 +346,21 @@ func TestFrozenRangeDeclinesWideSpans(t *testing.T) {
 }
 
 // TestEachMatchesTriples checks the streaming iterator: same order and
-// contents as Triples, early stop honored, on both representations.
+// contents as Triples and the model, early stop honored, with and
+// without an SPO index.
 func TestEachMatchesTriples(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	flat, comp, data := buildPair(t, rng, 500, 40)
-	mutatePair(flat, comp, rng, data, 40)
-	for _, s := range []*Store{flat, comp} {
+	for _, orders := range [][]Order{nil, {OrderPOS, OrderOSP}} {
+		s, m, data := buildModeled(rng, 500, 40, orders...)
+		mutateModeled(s, m, rng, data, 40)
 		want := s.Triples()
+		if live := m.live(); !reflect.DeepEqual(want, live) {
+			t.Fatalf("orders %v: Triples %d triples, model %d", orders, len(want), len(live))
+		}
 		var got []Triple
 		s.Each(func(tr Triple) bool { got = append(got, tr); return true })
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Each != Triples (%d vs %d triples)", len(got), len(want))
+			t.Fatalf("orders %v: Each != Triples (%d vs %d triples)", orders, len(got), len(want))
 		}
 		n := 0
 		s.Each(func(Triple) bool { n++; return n < 10 })
@@ -423,35 +370,33 @@ func TestEachMatchesTriples(t *testing.T) {
 	}
 }
 
-// TestFootprint sanity-checks the resident-size report: the compressed
-// form of a realistic store must be substantially smaller than flat.
+// TestFootprint sanity-checks the resident-size report of a realistic
+// store: every part filled, and the block payload well under the 24
+// bytes per triple per order of a sorted []Triple array.
 func TestFootprint(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	flat, comp, _ := buildPair(t, rng, 5000, 400)
-	ff, cf := flat.Footprint(), comp.Footprint()
-	if ff.Compressed || !cf.Compressed {
-		t.Fatalf("footprint representation flags wrong: flat=%+v compressed=%+v", ff, cf)
+	s, m, _ := buildModeled(rng, 5000, 400)
+	fp := s.Footprint()
+	if fp.Triples != len(m.live()) || fp.Orders != len(DefaultOrders) {
+		t.Fatalf("footprint counts wrong: %+v, want %d triples", fp, len(m.live()))
 	}
-	if ff.Triples != cf.Triples {
-		t.Fatalf("triple counts differ: %d vs %d", ff.Triples, cf.Triples)
-	}
-	if ff.FlatBytes == 0 || cf.BlockBytes == 0 || cf.Blocks == 0 {
-		t.Fatalf("zero sizes: flat=%+v compressed=%+v", ff, cf)
+	if fp.BlockBytes == 0 || fp.Blocks == 0 || fp.DirBytes != fp.Blocks*fblockDirBytes {
+		t.Fatalf("footprint sizes wrong: %+v", fp)
 	}
 	// Tiny 16-triple test blocks carry heavy directory overhead; compare
 	// payload alone, which must beat 24 bytes/triple/order comfortably.
-	if cf.BlockBytes*3 > ff.FlatBytes {
-		t.Fatalf("compression too weak: %d block bytes vs %d flat", cf.BlockBytes, ff.FlatBytes)
+	if flat := fp.Triples * fp.Orders * 24; fp.BlockBytes*3 > flat {
+		t.Fatalf("compression too weak: %d block bytes vs %d as arrays", fp.BlockBytes, flat)
 	}
 }
 
 // TestFrozenConcurrentScansRaceLoader is the -race stress test: snapshot
 // scans and live-store reads race Add/Remove/Compact — the bulk-loader
-// path that swaps whole frozen generations — on a compressed store.
+// path that swaps whole frozen generations.
 func TestFrozenConcurrentScansRaceLoader(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	data := randomTriples(rng, 3000, 200)
-	b := NewBuilder().WithCompression(CompressionOn).WithBlockSize(64)
+	b := NewBuilder().WithBlockSize(64)
 	for _, tr := range data {
 		b.Add(tr)
 	}

@@ -1,10 +1,11 @@
 // The parallel sort-merge bulk loader. Builder.Build sorts every
-// permutation index concurrently on a bounded worker gate; large inputs
-// sort chunk-wise and k-way merge, so a multi-core loader is limited by
-// the merge bandwidth rather than one serial sort. Compact folds the
-// mutation delta by merging sorted runs — the existing sorted index
-// (flat or frozen, streamed block by block), the tombstone filter, and
-// the freshly sorted delta — instead of re-sorting the world, so
+// permutation index concurrently on a bounded worker gate and encodes it
+// into the compressed block-columnar form; large inputs sort chunk-wise
+// and k-way merge, so a multi-core loader is limited by the merge
+// bandwidth rather than one serial sort. Compact folds the mutation
+// delta by merging sorted runs — the existing index streamed block by
+// block, the tombstone filter, and the freshly sorted delta — into a
+// streaming block encoder instead of re-sorting the world, so
 // write-heavy workloads pay O(n + d) per index, not O(n log n).
 package storage
 
@@ -13,26 +14,7 @@ import (
 	"sync"
 )
 
-// Compression selects the frozen representation of a store's sorted
-// indexes.
-type Compression uint8
-
 const (
-	// CompressionAuto (the default) compresses stores with at least
-	// compressMinTriples triples and keeps smaller ones flat.
-	CompressionAuto Compression = iota
-	// CompressionOn always builds the compressed block-columnar form.
-	CompressionOn
-	// CompressionOff always keeps flat sorted []Triple indexes.
-	CompressionOff
-)
-
-const (
-	// compressMinTriples is the CompressionAuto threshold: below it the
-	// flat representation's zero-copy ranges beat compression's memory
-	// savings.
-	compressMinTriples = 4096
-
 	// sortChunkTriples is the chunk size of the parallel sort: chunks
 	// sort independently and k-way merge.
 	sortChunkTriples = 1 << 16
@@ -60,13 +42,6 @@ func (b *Builder) WithParallelism(n int) *Builder {
 	return b
 }
 
-// WithCompression selects the frozen representation (CompressionAuto by
-// default). It returns the builder.
-func (b *Builder) WithCompression(c Compression) *Builder {
-	b.compress = c
-	return b
-}
-
 // WithBlockSize sets the compressed block's target triple count (the
 // default is defaultBlockTriples); tests use small blocks to exercise
 // many boundaries. It returns the builder.
@@ -77,9 +52,10 @@ func (b *Builder) WithBlockSize(n int) *Builder {
 
 // Build sorts, deduplicates and indexes the triples, consuming the
 // builder. Per-order sorts run concurrently on a bounded worker gate;
-// large inputs sort chunk-wise and k-way merge. Depending on the
-// compression policy the sorted indexes are kept flat or encoded into
-// the compressed block-columnar form.
+// large inputs sort chunk-wise and k-way merge, and every sorted index
+// is encoded into the compressed block-columnar form. The store is
+// assembled only once every index is built, so no goroutine writes a
+// store another can see.
 func (b *Builder) Build() *Store {
 	par := b.par
 	if par <= 0 {
@@ -89,17 +65,16 @@ func (b *Builder) Build() *Store {
 	if bt <= 0 {
 		bt = defaultBlockTriples
 	}
-	s := &Store{orders: b.orders, compress: b.compress, blockTriples: bt, par: par}
 	g := make(gate, par)
 
 	base := b.triples
 	b.triples = nil
 	base = sortTriples(base, OrderSPO.perm(), g)
 	base = dedupSorted(base)
-	//lint:ignore lockguard construction: s is not shared until Build returns
-	s.n = len(base)
-	compressed := wantCompressed(b.compress, len(base))
 
+	// Distinct orders write distinct slots, so the concurrent per-order
+	// builders never contend.
+	var views [numOrders]*frozenView
 	var wg sync.WaitGroup
 	for _, o := range b.orders {
 		if o == OrderSPO {
@@ -114,45 +89,14 @@ func (b *Builder) Build() *Store {
 				copy(cp, base)
 			})
 			cp = sortTriples(cp, o.perm(), g)
-			s.installBuilt(o, cp, compressed, bt, g)
+			views[o] = newFrozenView(buildFrozenIndex(cp, o, bt, g))
 		}(o)
 	}
 	if hasOrder(b.orders, OrderSPO) {
-		s.installBuilt(OrderSPO, base, compressed, bt, g)
+		views[OrderSPO] = newFrozenView(buildFrozenIndex(base, OrderSPO, bt, g))
 	}
 	wg.Wait()
-	for _, o := range b.orders {
-		if fz := s.frozen[o]; fz != nil {
-			//lint:ignore lockguard construction: s is not shared until Build returns
-			s.views[o] = newFrozenView(fz)
-		}
-	}
-	return s
-}
-
-// installBuilt stores one sorted index in the representation the policy
-// chose. Distinct orders write distinct array slots, so the concurrent
-// per-order builders in Build never contend.
-func (s *Store) installBuilt(o Order, ts []Triple, compressed bool, blockTriples int, g gate) {
-	if compressed {
-		//lint:ignore lockguard construction: s is not shared until Build returns
-		s.frozen[o] = buildFrozenIndex(ts, o, blockTriples, g)
-		return
-	}
-	//lint:ignore lockguard construction: s is not shared until Build returns
-	s.indexes[o] = ts
-}
-
-// wantCompressed applies the compression policy for a store of n triples.
-func wantCompressed(c Compression, n int) bool {
-	switch c {
-	case CompressionOn:
-		return true
-	case CompressionOff:
-		return false
-	default:
-		return n >= compressMinTriples
-	}
+	return &Store{orders: b.orders, views: views, n: len(base), blockTriples: bt, par: par}
 }
 
 // sortTriples sorts ts by perm. Small inputs sort serially in place;
@@ -278,16 +222,13 @@ func buildFrozenIndex(ts []Triple, order Order, blockTriples int, g gate) *froze
 // compactLocked folds the delta into the sorted indexes and drops
 // tombstoned triples; the caller holds the write lock. Each index is
 // rebuilt by a linear merge of sorted runs — the existing index
-// (streamed block by block when frozen, never fully decoded), the
-// tombstone filter, and the sorted delta — and re-encoded or kept flat
-// per the compression policy. Orders rebuild concurrently under the
-// loader gate.
+// (streamed block by block, never fully decoded), the tombstone filter,
+// and the sorted delta — straight into a streaming block encoder.
+// Orders rebuild concurrently under the loader gate.
 func (s *Store) compactLocked() {
 	if len(s.delta) == 0 && len(s.deleted) == 0 {
 		return
 	}
-	newN := s.n + len(s.delta) - len(s.deleted)
-	compressed := wantCompressed(s.compress, newN)
 	bt := s.blockTriples
 	par := s.par
 	if par <= 0 {
@@ -295,17 +236,13 @@ func (s *Store) compactLocked() {
 	}
 	g := make(gate, par)
 
-	type rebuilt struct {
-		flat []Triple
-		fz   *frozenIndex
-	}
-	out := make([]rebuilt, len(s.orders))
+	out := make([]*frozenIndex, len(s.orders))
 	var wg sync.WaitGroup
 	for i, o := range s.orders {
 		// Capture the inputs outside the goroutine: the write lock is
 		// held for the whole rebuild (wg.Wait below), so the snapshot of
 		// fields taken here is stable.
-		flat, fz, deleted, delta := s.indexes[o], s.frozen[o], s.deleted, s.delta
+		fz, deleted, delta := s.views[o].fi, s.deleted, s.delta
 		wg.Add(1)
 		go func(i int, o Order) {
 			defer wg.Done()
@@ -314,70 +251,48 @@ func (s *Store) compactLocked() {
 				d := make([]Triple, len(delta))
 				copy(d, delta)
 				sortByOrder(d, perm)
-				if compressed {
-					fb := newFrozenBuilder(o, bt)
-					mergeRuns(flat, fz, deleted, d, perm, fb.add)
-					out[i].fz = fb.finish()
-				} else {
-					merged := make([]Triple, 0, newN)
-					mergeRuns(flat, fz, deleted, d, perm, func(t Triple) { merged = append(merged, t) })
-					out[i].flat = merged
-				}
+				fb := newFrozenBuilder(o, bt)
+				mergeRuns(fz, deleted, d, perm, fb.add)
+				out[i] = fb.finish()
 			})
 		}(i, o)
 	}
 	wg.Wait()
 	for i, o := range s.orders {
-		if v := s.views[o]; v != nil {
-			v.release() // snapshots of the old generation keep their own refs
-			s.views[o] = nil
-		}
-		s.indexes[o], s.frozen[o] = out[i].flat, out[i].fz
-		if out[i].fz != nil {
-			s.views[o] = newFrozenView(out[i].fz)
-		}
+		s.views[o].release() // snapshots of the old generation keep their own refs
+		s.views[o] = newFrozenView(out[i])
 	}
-	s.n = newN
+	s.n += len(s.delta) - len(s.deleted)
 	s.delta = nil
 	s.present = nil
 	s.deleted = nil
 	// The visible triple set is unchanged, but the physical layout the
-	// zero-copy readers (Triples, snapshots) may be holding is not; a
-	// bump keeps version-stamped consumers maximally conservative.
+	// snapshots may be holding is not; a bump keeps version-stamped
+	// consumers maximally conservative.
 	s.version.Add(1)
 }
 
-// mergeRuns merges one sorted index (flat or frozen — exactly one is
-// non-nil unless the store is empty) with a sorted delta, dropping
+// mergeRuns merges one sorted index with a sorted delta, dropping
 // tombstoned triples, and emits the merged run in order. Delta triples
 // are never already present in the index (Add checks) and tombstones
 // only name index entries, so the merge sees no equal pairs.
-func mergeRuns(flat []Triple, fz *frozenIndex, deleted map[Triple]struct{}, d []Triple, perm [3]int, emit func(Triple)) {
+func mergeRuns(fz *frozenIndex, deleted map[Triple]struct{}, d []Triple, perm [3]int, emit func(Triple)) {
 	i := 0
-	step := func(t Triple) {
-		if _, dead := deleted[t]; dead {
-			return
-		}
-		for i < len(d) && less(perm, d[i], t) {
-			emit(d[i])
-			i++
-		}
-		emit(t)
-	}
-	if fz != nil {
-		for bi := range fz.blocks {
-			fb := &fz.blocks[bi]
-			buf := decodePool.get(fb.n)
-			decodeBlockInto(buf.ts, fb.data, fz.perm)
-			for _, t := range buf.ts {
-				step(t)
+	for bi := range fz.blocks {
+		fb := &fz.blocks[bi]
+		buf := decodePool.get(fb.n)
+		decodeBlockInto(buf.ts, fb.data, fz.perm)
+		for _, t := range buf.ts {
+			if _, dead := deleted[t]; dead {
+				continue
 			}
-			buf.release()
+			for i < len(d) && less(perm, d[i], t) {
+				emit(d[i])
+				i++
+			}
+			emit(t)
 		}
-	} else {
-		for _, t := range flat {
-			step(t)
-		}
+		buf.release()
 	}
 	for ; i < len(d); i++ {
 		emit(d[i])

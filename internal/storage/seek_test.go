@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -79,62 +80,51 @@ func seekProbes(rng *rand.Rand, idx []Triple, perm [3]int, block int) [][]Patter
 
 // One hinted seek must land where a cold seek lands and where a linear
 // walk lands, whatever the hint last saw: on every index order, for every
-// bound-prefix length, on flat indexes and on frozen ones with blocks of
-// 4, 7 and 1024 triples, for ascending, shuffled and backwards-jumping
-// probe sequences that include absent keys and every block edge.
+// bound-prefix length, with blocks of 4, 7 and 1024 triples, for
+// ascending, shuffled and backwards-jumping probe sequences that include
+// absent keys and every block edge.
 func TestSeekHintedEqualsColdEqualsLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, o := range AllOrders {
 		for _, block := range []int{4, 7, 1024} {
 			data := randomTriples(rng, 150+rng.Intn(200), dict.ID(6+rng.Intn(20)))
-			mk := func(c Compression) *Snapshot {
-				b := NewBuilder(o).WithCompression(c).WithBlockSize(block)
-				for _, tr := range data {
-					b.Add(tr)
-				}
-				return b.Build().Snapshot()
+			b := NewBuilder(o).WithBlockSize(block)
+			for _, tr := range data {
+				b.Add(tr)
 			}
-			flat, frozen := mk(CompressionOff), mk(CompressionOn)
-			idx, perm := flat.indexes[o], o.perm()
-			if frozen.frozen[o] == nil || flat.frozen[o] != nil {
-				t.Fatalf("order %v: representations not as requested", o)
-			}
+			sn := b.Build().Snapshot()
+			perm := o.perm()
+			idx := dedupSorted(sortedBy(data, perm))
 			for si, seq := range seekProbes(rng, idx, perm, block) {
-				var hFlat, hFrozen Hint
+				var h Hint
 				for pi, p := range seq {
 					name := fmt.Sprintf("order %v block %d sequence %d probe %d %+v", o, block, si, pi, p)
-					path := choosePath(flat.orders, maskOf(p))
+					path := choosePath(sn.orders, maskOf(p))
 					wantLo, wantHi := refRange(idx, perm, path.prefix, p)
-					for _, c := range []struct {
-						repr string
-						sn   *Snapshot
-						h    *Hint
-					}{{"flat", flat, &hFlat}, {"frozen", frozen, &hFrozen}} {
-						if lo, hi := c.sn.seek(p, c.h); lo != wantLo || hi != wantHi {
-							t.Fatalf("%s: %s hinted seek = [%d,%d), linear walk [%d,%d)", name, c.repr, lo, hi, wantLo, wantHi)
+					if lo, hi := sn.seek(p, &h); lo != wantLo || hi != wantHi {
+						t.Fatalf("%s: hinted seek = [%d,%d), linear walk [%d,%d)", name, lo, hi, wantLo, wantHi)
+					}
+					if lo, hi := sn.seek(p, &Hint{}); lo != wantLo || hi != wantHi {
+						t.Fatalf("%s: cold seek = [%d,%d), linear walk [%d,%d)", name, lo, hi, wantLo, wantHi)
+					}
+					if !path.covered {
+						if _, ok := sn.RangeFrom(p, &h); ok {
+							t.Fatalf("%s: RangeFrom answered a pattern needing a residual filter", name)
 						}
-						if lo, hi := c.sn.seek(p, &Hint{}); lo != wantLo || hi != wantHi {
-							t.Fatalf("%s: %s cold seek = [%d,%d), linear walk [%d,%d)", name, c.repr, lo, hi, wantLo, wantHi)
-						}
-						if !path.covered {
-							if _, ok := c.sn.RangeFrom(p, c.h); ok {
-								t.Fatalf("%s: %s RangeFrom answered a pattern needing a residual filter", name, c.repr)
-							}
-							continue
-						}
-						want := idx[wantLo:wantHi]
-						hinted, ok1 := c.sn.RangeFrom(p, c.h)
-						cold, ok2 := c.sn.Range(p)
-						if !ok1 || !ok2 {
-							t.Fatalf("%s: %s range declined (hinted %v, cold %v)", name, c.repr, ok1, ok2)
-						}
-						if len(hinted) != len(want) || len(cold) != len(want) {
-							t.Fatalf("%s: %s RangeFrom %d / Range %d triples, want %d", name, c.repr, len(hinted), len(cold), len(want))
-						}
-						for i := range want {
-							if hinted[i] != want[i] || cold[i] != want[i] {
-								t.Fatalf("%s: %s range[%d]: hinted %v cold %v want %v", name, c.repr, i, hinted[i], cold[i], want[i])
-							}
+						continue
+					}
+					want := idx[wantLo:wantHi]
+					hinted, ok1 := sn.RangeFrom(p, &h)
+					cold, ok2 := sn.Range(p)
+					if !ok1 || !ok2 {
+						t.Fatalf("%s: range declined (hinted %v, cold %v)", name, ok1, ok2)
+					}
+					if len(hinted) != len(want) || len(cold) != len(want) {
+						t.Fatalf("%s: RangeFrom %d / Range %d triples, want %d", name, len(hinted), len(cold), len(want))
+					}
+					for i := range want {
+						if hinted[i] != want[i] || cold[i] != want[i] {
+							t.Fatalf("%s: range[%d]: hinted %v cold %v want %v", name, i, hinted[i], cold[i], want[i])
 						}
 					}
 				}
@@ -168,25 +158,22 @@ func TestHintStartsOverOnAnotherSnapshot(t *testing.T) {
 // Range, RangeFrom, Scan and Count must agree with a model of the store —
 // a sorted base, a tombstone set and an insertion-ordered delta — under
 // random additions and removals, for probes inside and outside the boxes
-// of the pending changes, on both representations.
+// of the pending changes, with small blocks and with the default size.
 func TestReadsAgreeWithModelUnderDeltaAndTombstones(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for round := 0; round < 12; round++ {
 		const maxID = 40
 		data := dedupSorted(sortedSPO(randomTriples(rng, 400, maxID)))
-		for _, c := range []Compression{CompressionOff, CompressionOn} {
-			b := NewBuilder().WithCompression(c).WithBlockSize(8)
+		for _, block := range []int{8, defaultBlockTriples} {
+			b := NewBuilder().WithBlockSize(block)
 			for _, tr := range data {
 				b.Add(tr)
 			}
-			s := b.Build()
-			dead := map[Triple]bool{}
-			var delta []Triple
+			s, m := b.Build(), newModel(data)
 			for i := 0; i < rng.Intn(12); i++ { // tombstones, clustered low or spread
 				v := data[rng.Intn(len(data)/(1+round%3))]
-				if s.Remove(v) {
-					dead[v] = true
-				}
+				s.Remove(v)
+				m.remove(v)
 			}
 			for i := 0; i < rng.Intn(12); i++ {
 				add := Triple{S: dict.ID(rng.Intn(maxID) + 1), P: dict.ID(rng.Intn(8) + 1), O: dict.ID(rng.Intn(maxID) + 1)}
@@ -194,49 +181,32 @@ func TestReadsAgreeWithModelUnderDeltaAndTombstones(t *testing.T) {
 					add.S += maxID
 					add.O += maxID
 				}
-				if s.Add(add) {
-					if dead[add] {
-						delete(dead, add)
-					} else {
-						delta = append(delta, add)
-					}
-				}
+				s.Add(add)
+				m.add(add)
 			}
 			sn := s.Snapshot()
 			var h Hint
-			base := map[[3]int][]Triple{} // the sorted base in each order probes read
-			for _, o := range sn.orders {
-				base[o.perm()] = sortedBy(data, o.perm())
-			}
 			for i := 0; i < 300; i++ {
 				probe := data[rng.Intn(len(data))]
-				if i%5 == 0 && len(delta) > 0 {
-					probe = delta[rng.Intn(len(delta))]
+				if i%5 == 0 && len(m.delta) > 0 {
+					probe = m.delta[rng.Intn(len(m.delta))]
 				}
 				for _, p := range allPatterns(probe) {
-					path := choosePath(sn.orders, maskOf(p))
-					var want []Triple
-					exact := true
-					for _, tr := range base[path.perm] {
-						if p.Matches(tr) {
-							if dead[tr] {
-								exact = false
-							} else {
-								want = append(want, tr)
-							}
-						}
-					}
-					nSorted := len(want)
-					for _, tr := range delta {
-						if p.Matches(tr) {
-							want = append(want, tr)
+					want := m.scan(p)
+					// The sorted range alone is the answer when no
+					// tombstone hides one of its triples and no delta
+					// triple matches.
+					exact := !slices.ContainsFunc(m.delta, p.Matches)
+					for tr, alive := range m.base {
+						if !alive && p.Matches(tr) {
+							exact = false
 						}
 					}
 					if got := collectScan(sn.Scan, p); !reflect.DeepEqual(got, want) {
-						t.Fatalf("round %d %v %+v: Scan %v, model %v", round, c, p, got, want)
+						t.Fatalf("round %d block %d %+v: Scan %v, model %v", round, block, p, got, want)
 					}
 					if got := sn.Count(p); got != len(want) {
-						t.Fatalf("round %d %v %+v: Count %d, model %d", round, c, p, got, len(want))
+						t.Fatalf("round %d block %d %+v: Count %d, model %d", round, block, p, got, len(want))
 					}
 					for name, get := range map[string]func() ([]Triple, bool){
 						"Range":     func() ([]Triple, bool) { return sn.Range(p) },
@@ -246,17 +216,17 @@ func TestReadsAgreeWithModelUnderDeltaAndTombstones(t *testing.T) {
 						if !ok {
 							continue
 						}
-						if !exact || nSorted != len(want) {
-							t.Fatalf("round %d %v %+v: %s answered over a matching tombstone or delta triple", round, c, p, name)
+						if !exact {
+							t.Fatalf("round %d block %d %+v: %s answered over a matching tombstone or delta triple", round, block, p, name)
 						}
 						if !reflect.DeepEqual(append([]Triple(nil), got...), want) {
-							t.Fatalf("round %d %v %+v: %s %v, model %v", round, c, p, name, got, want)
+							t.Fatalf("round %d block %d %+v: %s %v, model %v", round, block, p, name, got, want)
 						}
 					}
-					// Outside both boxes the zero-copy range must survive.
-					if path.covered && !sn.deadBox.mayMatch(p) && !sn.deltaBox.mayMatch(p) {
+					// Outside both boxes the range must survive.
+					if choosePath(sn.orders, maskOf(p)).covered && !sn.deadBox.mayMatch(p) && !sn.deltaBox.mayMatch(p) {
 						if _, ok := sn.Range(p); !ok {
-							t.Fatalf("round %d %v %+v: Range declined outside the delta and tombstone boxes", round, c, p)
+							t.Fatalf("round %d block %d %+v: Range declined outside the delta and tombstone boxes", round, block, p)
 						}
 					}
 				}
@@ -286,7 +256,7 @@ func BenchmarkProbeWithDelta(b *testing.B) {
 		fresh[i] = Triple{S: dict.ID(maxID + 1 + i), P: 9, O: dict.ID(maxID + 1 + i%20)}
 	}
 	build := func() *Store {
-		bl := NewBuilder().WithCompression(CompressionOn)
+		bl := NewBuilder()
 		for _, tr := range data {
 			bl.Add(tr)
 		}

@@ -11,11 +11,11 @@
 // the engine pins one Snapshot at the top of an evaluation and every
 // bind-join, statistics probe and shard worker reads through it.
 //
-// Over the compressed frozen representation a snapshot reads through the
-// store generation's shared frozenView cursors (retained at capture):
-// Scan streams blocks, Range hands out lazily-decoded cached views with
-// the same zero-copy stability contract as flat subslices, and the
-// optional Release returns the cached decode buffers to the pool early.
+// A snapshot reads through the store generation's shared frozenView
+// cursors (retained at capture): Scan streams blocks, Range hands out
+// subslices of lazily decoded, cached blocks that stay valid for the
+// snapshot's lifetime, and the optional Release returns the cached
+// decode buffers to the pool early.
 package storage
 
 import (
@@ -26,9 +26,9 @@ import (
 )
 
 // Snapshot is an immutable view of a Store at one mutation version.
-// The sorted indexes are shared zero-copy with the store (mutations
-// always install fresh index slices and views, never write through old
-// ones); the small delta and tombstone sets are copied at capture time
+// The sorted indexes are shared with the store through their views
+// (mutations always install fresh indexes and views, never write through
+// old ones); the small delta and tombstone sets are copied at capture time
 // because Add and Remove update them in place. All methods are safe for
 // concurrent use by any number of goroutines without synchronization,
 // and — unlike Store.Scan callbacks — may be nested freely and may run
@@ -37,8 +37,7 @@ type Snapshot struct {
 	store    *Store
 	version  uint64
 	orders   []Order
-	indexes  [numOrders][]Triple
-	frozen   [numOrders]*frozenView // retained cursors; nil for flat or unused orders
+	frozen   [numOrders]*frozenView // retained cursors; nil for unused orders
 	delta    []Triple               // additions not yet compacted, in insertion order
 	deleted  map[Triple]struct{}    // tombstoned sorted entries
 	deltaBox box                    // per-position value range of delta
@@ -84,8 +83,8 @@ func (b *box) mayMatch(p Pattern) bool {
 
 // Snapshot captures an immutable view of the store's current contents.
 // The capture cost is one read-lock acquisition plus a copy of the
-// (typically empty) delta and tombstone sets; on a frozen store it is a
-// handful of pointer copies and view retains.
+// (typically empty) delta and tombstone sets, and a handful of pointer
+// copies and view retains.
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -93,7 +92,6 @@ func (s *Store) Snapshot() *Snapshot {
 		store:   s,
 		version: s.version.Load(),
 		orders:  s.orders,
-		indexes: s.indexes,
 		n:       s.n + len(s.delta) - len(s.deleted),
 	}
 	for _, o := range s.orders {
@@ -173,8 +171,8 @@ type Hint struct {
 	store   *Store
 	version uint64
 	path    path
-	ts      []Triple // the flat index, or the cached decoded block of the last landing
-	blk     int      // that block's number in a frozen index
+	ts      []Triple // the cached decoded block of the last landing
+	blk     int      // that block's number in the index
 	at      int      // landing position in ts; -1 before the first probe
 }
 
@@ -196,24 +194,13 @@ func (sn *Snapshot) seek(p Pattern, h *Hint) (lo, hi int) {
 // locate is seek on a resolved hint.
 func (sn *Snapshot) locate(p Pattern, h *Hint) (lo, hi int) {
 	q := h.path.probe(p)
-	if v := sn.frozen[h.path.order]; v != nil {
-		return v.seek(&q, h)
-	}
-	idx := sn.indexes[h.path.order]
-	if q.prefix > 0 {
-		lo = q.lowerFrom(idx, h.at)
-		hi = q.gallop(idx, lo, 1)
-	} else {
-		hi = len(idx)
-	}
-	h.ts, h.at = idx, lo
-	return lo, hi
+	return sn.frozen[h.path.order].seek(&q, h)
 }
 
 // sorted returns the sorted range of p as a slice stable for the
-// snapshot's lifetime: a subslice of the flat index or of the cached
-// decoded block the probe landed in, else a span the view materializes
-// (ok=false when it is too wide for that).
+// snapshot's lifetime: a subslice of the cached decoded block the probe
+// landed in, else a span the view materializes (ok=false when it is too
+// wide for that).
 func (sn *Snapshot) sorted(p Pattern, h *Hint) (ts []Triple, ok bool) {
 	lo, hi := sn.locate(p, h)
 	n := hi - lo
@@ -266,19 +253,14 @@ func (sn *Snapshot) Contains(t Triple) bool {
 // f returns false, in exactly the order Store.Scan would produce: the
 // sorted range first, then matching delta triples in insertion order.
 // No lock is held; f may nest further snapshot reads and may run
-// concurrently with store mutations. On a frozen index the range streams
-// block by block, holding O(block) decoded memory however wide it is.
+// concurrently with store mutations. The range streams block by block,
+// holding O(block) decoded memory however wide it is.
 func (sn *Snapshot) Scan(p Pattern, f func(Triple) bool) {
 	var h Hint
 	lo, hi := sn.seek(p, &h)
-	v := sn.frozen[h.path.order]
-	if v == nil {
-		sn.ScanRange(sn.indexes[h.path.order][lo:hi], p, f)
-		return
-	}
 	dead := sn.deadBox.mayMatch(p)
 	stopped := false
-	v.iterate(lo, hi, func(t Triple) bool {
+	sn.frozen[h.path.order].iterate(lo, hi, func(t Triple) bool {
 		if sn.visible(p, dead, t) && !f(t) {
 			stopped = true
 		}
@@ -335,14 +317,12 @@ func (sn *Snapshot) scanDelta(p Pattern, f func(Triple) bool) {
 // and the range is Settled. ok=false means the caller must fall back to
 // Scan.
 //
-// On a flat index the subslice is zero-copy into the shared index. On a
-// frozen index it is a view of a lazily-decoded block (or a materialized
-// multi-block span) cached on the generation's cursor — equally stable
-// for the snapshot's lifetime, so callers (the engine's bind-joins)
-// treat both identically; a range wider than the
-// materialization cap is declined (ok=false) and streams through Scan
-// instead. On a frozen store with the default index set, every pattern
-// shape narrower than the cap takes the ok path.
+// The subslice is a view of a lazily decoded block (or a materialized
+// multi-block span) cached on the generation's cursor, stable for the
+// snapshot's lifetime; a range wider than the materialization cap is
+// declined (ok=false) and streams through Scan instead. With the default
+// index set, every pattern shape narrower than the cap takes the ok
+// path.
 func (sn *Snapshot) Range(p Pattern) (ts []Triple, ok bool) { return sn.RangeFrom(p, nil) }
 
 // RangeFrom is Range for a probe site that keeps a Hint between probes;
@@ -369,27 +349,20 @@ func (sn *Snapshot) Path(p Pattern) (perm [3]int, prefix int) {
 
 // Count returns the number of triples matching the pattern, exactly as
 // Store.Count would, without taking any lock. Covered patterns count by
-// one seek — on a frozen index through the fence-key directory, decoding
-// at most two boundary blocks, never the range.
+// one seek through the fence-key directory, decoding at most two
+// boundary blocks, never the range.
 func (sn *Snapshot) Count(p Pattern) int {
 	var h Hint
 	lo, hi := sn.seek(p, &h)
 	n := hi - lo
 	if !h.path.covered {
 		n = 0
-		count := func(t Triple) bool {
+		sn.frozen[h.path.order].iterate(lo, hi, func(t Triple) bool {
 			if p.Matches(t) {
 				n++
 			}
 			return true
-		}
-		if v := sn.frozen[h.path.order]; v != nil {
-			v.iterate(lo, hi, count)
-		} else {
-			for _, t := range sn.indexes[h.path.order][lo:hi] {
-				count(t)
-			}
-		}
+		})
 	}
 	// Tombstones always refer to sorted entries, so matching ones were
 	// counted above and must be subtracted.

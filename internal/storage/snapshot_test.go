@@ -112,7 +112,7 @@ func TestSnapshotRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ts := randomTriples(rng, 300, 40)
 
-	// Frozen store: every pattern shape must take the exact-range path
+	// Compacted store: every pattern shape must take the exact-range path
 	// under the default complete index set.
 	s := buildStore(ts)
 	sn := s.Snapshot()
@@ -120,7 +120,7 @@ func TestSnapshotRange(t *testing.T) {
 		for _, p := range allPatterns(probe) {
 			got, ok := sn.Range(p)
 			if !ok {
-				t.Fatalf("frozen store: Range(%+v) not exact", p)
+				t.Fatalf("compacted store: Range(%+v) not exact", p)
 			}
 			want := collectScan(sn.Scan, p)
 			if len(got) != len(want) {
@@ -176,9 +176,9 @@ func TestSnapshotRange(t *testing.T) {
 func TestSnapshotMultiRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ts := randomTriples(rng, 400, 30)
-	for _, frozen := range []bool{true, false} {
+	for _, mutated := range []bool{false, true} {
 		s := buildStore(ts)
-		if !frozen {
+		if mutated {
 			mutate(s, rng, ts)
 		}
 		sn := s.Snapshot()
@@ -219,7 +219,7 @@ func TestSnapshotMultiRange(t *testing.T) {
 			var got []Triple
 			sn.ScanRange(ranges[i], member, func(tr Triple) bool { got = append(got, tr); return true })
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("frozen=%v const %d: merged range gives %v, Scan gives %v", frozen, c, got, want)
+				t.Fatalf("mutated=%v const %d: merged range gives %v, Scan gives %v", mutated, c, got, want)
 			}
 		}
 

@@ -9,12 +9,11 @@
 // can be configured with all six (the difference is benchmarked by the
 // index-set ablation).
 //
-// A sorted index has two physical representations: a flat []Triple, whose
-// ranges are free zero-copy subslices, and the compressed block-columnar
-// frozen form (block.go/encode.go) that cuts resident bytes per triple by
-// roughly an order of magnitude at larger scales. The Compression policy
-// on the Builder picks between them; every read path works identically
-// over both and produces byte-identical answers.
+// Every sorted index is held in one physical form, the compressed
+// block-columnar frozen form (block.go/encode.go): independently
+// decodable blocks of delta- and varint-coded columns under a fence-key
+// directory, about 9 bytes per triple across the three default orders
+// against 72 for sorted []Triple arrays.
 package storage
 
 import (
@@ -128,11 +127,10 @@ func less(order [3]int, a, b Triple) bool {
 // write lock. Scan callbacks run under the read lock and must not call
 // mutating store methods.
 //
-// Each sorted index lives in exactly one of two slots: indexes[o] (flat)
-// or frozen[o] (compressed block-columnar, read through the ref-counted
-// views[o] cursor shared with every snapshot of the current generation).
-// Mutations always install fresh indexes and fresh views — old
-// generations stay valid for the snapshots still holding them.
+// Each sorted index is a compressed frozenIndex read through the
+// ref-counted views[o] cursor shared with every snapshot of the current
+// generation. Mutations always install fresh views over fresh indexes —
+// old generations stay valid for the snapshots still holding them.
 //
 // Every state change bumps a monotonic version counter (see Version);
 // consumers such as the statistics memo and the plan cache stamp derived
@@ -143,17 +141,14 @@ type Store struct {
 
 	mu      sync.RWMutex
 	orders  []Order
-	indexes [numOrders][]Triple     // flat representation; nil when frozen or unused
-	frozen  [numOrders]*frozenIndex // compressed representation; nil when flat or unused
-	views   [numOrders]*frozenView  // current-generation cursors over frozen
-	delta   []Triple                // unsorted recent additions
-	present map[Triple]struct{}     // set semantics for Add
-	deleted map[Triple]struct{}     // tombstones for Remove
+	views   [numOrders]*frozenView // current-generation cursors; nil for unused orders
+	delta   []Triple               // unsorted recent additions
+	present map[Triple]struct{}    // set semantics for Add
+	deleted map[Triple]struct{}    // tombstones for Remove
 	n       int
 
-	compress     Compression // policy applied on Build and every Compact
-	blockTriples int         // target triples per compressed block
-	par          int         // loader parallelism (0 = GOMAXPROCS)
+	blockTriples int // target triples per compressed block
+	par          int // loader parallelism (0 = GOMAXPROCS)
 }
 
 // Version returns the store's mutation counter: it increases on every
@@ -167,9 +162,8 @@ type Builder struct {
 	orders  []Order
 	triples []Triple
 
-	par          int         // see WithParallelism
-	compress     Compression // see WithCompression
-	blockTriples int         // see WithBlockSize
+	par          int // see WithParallelism
+	blockTriples int // see WithBlockSize
 }
 
 // NewBuilder returns a builder using the given index orders (or
@@ -321,7 +315,7 @@ func (s *Store) containsLocked(t Triple) bool {
 // under the lock: nothing is copied or retained, so it must not outlive
 // the lock, and its boxes are the conservative "anything may match".
 func (s *Store) live() *Snapshot {
-	sn := &Snapshot{store: s, version: s.version.Load(), orders: s.orders, indexes: s.indexes, frozen: s.views, delta: s.delta, deleted: s.deleted}
+	sn := &Snapshot{store: s, version: s.version.Load(), orders: s.orders, frozen: s.views, delta: s.delta, deleted: s.deleted}
 	if len(s.delta) > 0 {
 		sn.deltaBox = fullBox
 	}
@@ -450,8 +444,8 @@ func (q *probe) lowerFrom(ts []Triple, at int) int {
 }
 
 // Scan calls f for every triple matching the pattern, stopping early if f
-// returns false. The sorted range streams zero-copy (flat) or block by
-// block (frozen); the delta is filtered.
+// returns false. The sorted range streams block by block; the delta is
+// filtered.
 //
 // Legacy locking contract: f runs under the store's read lock, must not
 // call mutating store methods (Add, Remove, Compact, Freeze, Triples),
@@ -468,9 +462,9 @@ func (s *Store) Scan(p Pattern, f func(Triple) bool) {
 
 // Count returns the number of triples matching the pattern. For patterns
 // whose bound positions are a sort prefix of some index this is one seek
-// — on a frozen index the fence-key directory narrows it to at most two
-// boundary-block decodes, never a full decode — which is what makes
-// statistics collection cheap.
+// — the fence-key directory narrows it to at most two boundary-block
+// decodes, never a full decode — which is what makes statistics
+// collection cheap.
 func (s *Store) Count(p Pattern) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -478,65 +472,44 @@ func (s *Store) Count(p Pattern) int {
 }
 
 // Triples returns all triples in SPO order (delta compacted first). It
-// materializes an O(store) slice on a frozen store or a custom order set;
-// callers that only iterate should use Each, which streams block by block
-// and allocates nothing on the flat path.
+// materializes an O(store) slice; callers that only iterate should use
+// Each, which streams block by block.
 func (s *Store) Triples() []Triple {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.compactLocked()
-	ts, sorted := s.spoTriplesLocked()
-	if !sorted {
+	return s.spoTriplesLocked()
+}
+
+// spoTriplesLocked copies the compacted store's triples out in SPO
+// order. Custom order sets may lack SPO entirely; the first order is
+// copied out and sorted then.
+func (s *Store) spoTriplesLocked() []Triple {
+	o := OrderSPO
+	if s.views[o] == nil {
+		o = s.orders[0]
+	}
+	ts := make([]Triple, 0, s.n)
+	s.views[o].iterate(0, s.n, func(t Triple) bool { ts = append(ts, t); return true })
+	if o != OrderSPO {
 		sortByOrder(ts, OrderSPO.perm())
 	}
 	return ts
 }
 
-// spoTriplesLocked returns the compacted store's triples, flat. sorted
-// reports whether they are already in SPO order; when false the slice is
-// a private copy the caller may sort in place. The flat-SPO case shares
-// the index zero-copy: later mutations build fresh index slices and never
-// write through it.
-func (s *Store) spoTriplesLocked() (ts []Triple, sorted bool) {
-	if idx := s.indexes[OrderSPO]; idx != nil {
-		return idx, true
-	}
-	if v := s.views[OrderSPO]; v != nil {
-		cp := make([]Triple, 0, s.n)
-		v.iterate(0, s.n, func(t Triple) bool { cp = append(cp, t); return true })
-		return cp, true
-	}
-	// Custom order sets may lack SPO entirely; copy out the first order.
-	first := s.orders[0]
-	if v := s.views[first]; v != nil {
-		cp := make([]Triple, 0, s.n)
-		v.iterate(0, s.n, func(t Triple) bool { cp = append(cp, t); return true })
-		return cp, false
-	}
-	src := s.indexes[first]
-	cp := make([]Triple, len(src))
-	copy(cp, src)
-	return cp, false
-}
-
 // Each calls f for every triple in the store in SPO order (delta
 // compacted first), stopping early if f returns false. Unlike Triples it
-// never materializes the store: the flat representation iterates the
-// index in place and the frozen one streams block by block, so a full
-// pass holds O(block) decoded memory. f runs without the store lock —
-// the captured index generation is immutable — and may call any store
-// method.
+// never materializes the store: it streams the SPO index block by block,
+// so a full pass holds O(block) decoded memory. f runs without the store
+// lock — the captured index generation is immutable — and may call any
+// store method.
 func (s *Store) Each(f func(Triple) bool) {
 	s.mu.Lock()
 	s.compactLocked()
-	flat := s.indexes[OrderSPO]
 	view := s.views[OrderSPO]
-	if flat == nil && view == nil {
+	if view == nil {
 		// Custom order set without SPO: fall back to the sorted copy.
-		ts, sorted := s.spoTriplesLocked()
-		if !sorted {
-			sortByOrder(ts, OrderSPO.perm())
-		}
+		ts := s.spoTriplesLocked()
 		s.mu.Unlock()
 		for _, t := range ts {
 			if !f(t) {
@@ -546,37 +519,25 @@ func (s *Store) Each(f func(Triple) bool) {
 		return
 	}
 	n := s.n
-	if view != nil {
-		view.retain()
-	}
+	view.retain()
 	s.mu.Unlock()
-	if view != nil {
-		defer view.release()
-		view.iterate(0, n, f)
-		return
-	}
-	for _, t := range flat {
-		if !f(t) {
-			return
-		}
-	}
+	defer view.release()
+	view.iterate(0, n, f)
 }
 
-// Footprint describes the resident cost of the store's current index
-// representation (excluding the transient delta and tombstone sets).
+// Footprint describes the resident cost of the store's sorted indexes
+// (excluding the transient delta and tombstone sets).
 type Footprint struct {
-	Triples    int  // distinct triples in the sorted indexes
-	Orders     int  // index orders maintained
-	Compressed bool // true when the indexes are block-columnar
+	Triples int // distinct triples in the sorted indexes
+	Orders  int // index orders maintained
 
-	FlatBytes  int // flat []Triple index bytes (24 per triple per order)
 	BlockBytes int // compressed block payload bytes across orders
 	DirBytes   int // fence-key directory bytes across orders
 	Blocks     int // compressed blocks across orders
 }
 
 // IndexBytes returns the total resident index bytes.
-func (f Footprint) IndexBytes() int { return f.FlatBytes + f.BlockBytes + f.DirBytes }
+func (f Footprint) IndexBytes() int { return f.BlockBytes + f.DirBytes }
 
 // BytesPerTriple returns resident index bytes divided by triple count,
 // summed over all maintained orders.
@@ -598,14 +559,10 @@ func (s *Store) Footprint() Footprint {
 	defer s.mu.RUnlock()
 	fp := Footprint{Triples: s.n, Orders: len(s.orders)}
 	for _, o := range s.orders {
-		if fz := s.frozen[o]; fz != nil {
-			fp.Compressed = true
-			fp.BlockBytes += fz.dataBytes
-			fp.DirBytes += len(fz.blocks) * fblockDirBytes
-			fp.Blocks += len(fz.blocks)
-			continue
-		}
-		fp.FlatBytes += len(s.indexes[o]) * 24
+		fz := s.views[o].fi
+		fp.BlockBytes += fz.dataBytes
+		fp.DirBytes += len(fz.blocks) * fblockDirBytes
+		fp.Blocks += len(fz.blocks)
 	}
 	return fp
 }

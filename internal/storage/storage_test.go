@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dict"
@@ -58,6 +60,94 @@ func allPatterns(t Triple) []Pattern {
 		ps = append(ps, p)
 	}
 	return ps
+}
+
+// model is the specification of a store under mutation: the distinct
+// triples the last Build or Compact sorted, each marked false once
+// tombstoned, and the insertion-ordered delta. Its scan is the exact
+// sequence Scan must produce.
+type model struct {
+	orders []Order
+	base   map[Triple]bool
+	delta  []Triple
+}
+
+func newModel(data []Triple, orders ...Order) *model {
+	if len(orders) == 0 {
+		orders = DefaultOrders
+	}
+	m := &model{orders: orders, base: make(map[Triple]bool, len(data))}
+	for _, t := range data {
+		m.base[t] = true
+	}
+	return m
+}
+
+// add and remove mirror Store.Add and Store.Remove.
+func (m *model) add(t Triple) {
+	if _, ok := m.base[t]; ok {
+		m.base[t] = true
+		return
+	}
+	if !slices.Contains(m.delta, t) {
+		m.delta = append(m.delta, t)
+	}
+}
+
+func (m *model) remove(t Triple) {
+	if _, ok := m.base[t]; ok {
+		m.base[t] = false
+		return
+	}
+	if i := slices.Index(m.delta, t); i >= 0 {
+		m.delta = slices.Delete(m.delta, i, i+1)
+	}
+}
+
+// compact mirrors Store.Compact: the live triples become the sorted base.
+func (m *model) compact() {
+	live := m.live()
+	m.base = make(map[Triple]bool, len(live))
+	for _, t := range live {
+		m.base[t] = true
+	}
+	m.delta = nil
+}
+
+func (m *model) clone() *model {
+	return &model{orders: m.orders, base: maps.Clone(m.base), delta: slices.Clone(m.delta)}
+}
+
+// live returns the visible triples in SPO order.
+func (m *model) live() []Triple {
+	var ts []Triple
+	for t, alive := range m.base {
+		if alive {
+			ts = append(ts, t)
+		}
+	}
+	ts = append(ts, m.delta...)
+	sortByOrder(ts, OrderSPO.perm())
+	return ts
+}
+
+// scan returns what Scan(p) yields, in its order: the live sorted
+// triples matching p in the order of the index p's shape reads, then the
+// matching delta triples in insertion order.
+func (m *model) scan(p Pattern) []Triple {
+	var out []Triple
+	for t, alive := range m.base {
+		if alive && p.Matches(t) {
+			out = append(out, t)
+		}
+	}
+	sortByOrder(out, choosePath(m.orders, maskOf(p)).perm)
+	for _, t := range m.delta {
+		if p.Matches(t) {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 func checkAgainstLinear(t *testing.T, st *Store, data []Triple, pats []Pattern) {
@@ -133,8 +223,15 @@ func TestAddAndCompact(t *testing.T) {
 	}
 	checkAgainstLinear(t, st, data, pats)
 
+	// Compaction folds the grown store into fresh blocks: every added
+	// triple survives it.
 	st.Compact()
 	checkAgainstLinear(t, st, data, pats)
+	for _, tr := range data[100:] {
+		if !st.Contains(tr) {
+			t.Fatalf("lost %v across Compact", tr)
+		}
+	}
 
 	want := linearScan(data, Pattern{})
 	if st.Len() != len(want) {
@@ -274,18 +371,64 @@ func TestOrderString(t *testing.T) {
 	}
 }
 
+// An empty store answers every read with nothing: one built empty, and
+// one whose every triple was removed and compacted away.
 func TestEmptyStore(t *testing.T) {
-	st := NewBuilder().Build()
-	if st.Len() != 0 {
-		t.Error("empty store has nonzero Len")
+	data := randomTriples(rand.New(rand.NewSource(19)), 300, 20)
+	emptied := buildStore(data)
+	for _, tr := range data {
+		emptied.Remove(tr)
 	}
-	if st.Count(Pattern{S: 1}) != 0 {
-		t.Error("empty store Count nonzero")
+	emptied.Compact()
+	for name, st := range map[string]*Store{"built empty": NewBuilder().Build(), "emptied": emptied} {
+		if st.Len() != 0 {
+			t.Errorf("%s: Len = %d", name, st.Len())
+		}
+		if got := st.Triples(); len(got) != 0 {
+			t.Errorf("%s: Triples = %v", name, got)
+		}
+		st.Each(func(tr Triple) bool {
+			t.Errorf("%s: Each yielded %v", name, tr)
+			return false
+		})
+		if st.Contains(data[0]) {
+			t.Errorf("%s: Contains(%v)", name, data[0])
+		}
+		sn := st.Snapshot()
+		if sn.Len() != 0 || sn.Contains(data[0]) {
+			t.Errorf("%s: snapshot Len %d, Contains %v", name, sn.Len(), sn.Contains(data[0]))
+		}
+		var h Hint
+		for _, p := range append(allPatterns(data[0]), Pattern{S: 1}) {
+			if n := st.Count(p); n != 0 {
+				t.Errorf("%s: Count(%+v) = %d", name, p, n)
+			}
+			if n := sn.Count(p); n != 0 {
+				t.Errorf("%s: snapshot Count(%+v) = %d", name, p, n)
+			}
+			for _, scan := range []func(Pattern, func(Triple) bool){st.Scan, sn.Scan} {
+				if got := collectScan(scan, p); len(got) != 0 {
+					t.Errorf("%s: Scan(%+v) = %v", name, p, got)
+				}
+			}
+			if got, ok := sn.Range(p); !ok || len(got) != 0 {
+				t.Errorf("%s: Range(%+v) = %v, %v", name, p, got, ok)
+			}
+			if got, ok := sn.RangeFrom(p, &h); !ok || len(got) != 0 {
+				t.Errorf("%s: RangeFrom(%+v) = %v, %v", name, p, got, ok)
+			}
+		}
+		ranges, ok := sn.MultiRange(Pattern{P: data[0].P}, 2, []dict.ID{1, 2, 2, 5}, nil)
+		if !ok || len(ranges) != 4 {
+			t.Fatalf("%s: MultiRange = %v, %v", name, ranges, ok)
+		}
+		for i, r := range ranges {
+			if len(r) != 0 {
+				t.Errorf("%s: MultiRange range %d = %v", name, i, r)
+			}
+		}
+		sn.Release()
 	}
-	st.Scan(Pattern{}, func(Triple) bool {
-		t.Error("empty store Scan yielded a triple")
-		return false
-	})
 }
 
 func TestPatternMatches(t *testing.T) {
