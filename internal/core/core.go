@@ -494,11 +494,7 @@ func headVars(q bgp.CQ) []uint32 {
 // artifacts, completing the report. A cached plan (rep.Cached) marks its
 // evaluate span so traces show the skipped stages.
 func (a *Answerer) evaluateFrags(ctx context.Context, head []uint32, frags []plancache.Fragment, rep Report) (*Answer, error) {
-	arms := make([]engine.ArmSource, len(frags))
-	for i, f := range frags {
-		arms[i] = armSource(f.CQ, f.Ref)
-		arms[i].EstRows = f.Stats.ResultTuples
-	}
+	arms := estimatedArms(frags)
 	eng := engineFor(a.raw, ctx)
 	var evalSp *trace.Span
 	if a.opts.Trace != nil {
@@ -552,16 +548,22 @@ func (a *Answerer) ExplainPlan(q bgp.CQ, c cover.Cover, name func(dict.ID) strin
 	if err != nil {
 		return "", err
 	}
-	arms := make([]engine.ArmSource, len(c))
-	for i, f := range c {
-		info := s.frag(f)
-		arms[i] = armSource(info.cq, info.ref)
-		arms[i].EstRows = info.stats.ResultTuples
-	}
-	if err := s.failure(); err != nil {
+	frags, err := searchedFrags(c, s)
+	if err != nil {
 		return "", err
 	}
-	return a.raw.ExplainArms(headVars(q), arms, name), nil
+	return a.raw.ExplainArms(headVars(q), estimatedArms(frags), name), nil
+}
+
+// estimatedArms turns fragment artifacts into engine arms carrying the
+// row estimates the engine orders and filters them by.
+func estimatedArms(frags []plancache.Fragment) []engine.ArmSource {
+	arms := make([]engine.ArmSource, len(frags))
+	for i, f := range frags {
+		arms[i] = armSource(f.CQ, f.Ref)
+		arms[i].EstRows = f.Stats.ResultTuples
+	}
+	return arms
 }
 
 // armSource streams a fragment's factorized reformulation as an engine
