@@ -28,14 +28,11 @@ import (
 
 func benchScale(b *testing.B) benchkit.Scale {
 	b.Helper()
-	if s := os.Getenv("REPRO_BENCH_SCALE"); s != "" {
-		sc, ok := benchkit.ScaleByName(s)
-		if !ok {
-			b.Fatalf("REPRO_BENCH_SCALE=%q: want tiny, small or medium", s)
-		}
-		return sc
+	sc, err := benchkit.EnvScale(benchkit.ScaleTiny)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return benchkit.ScaleTiny
+	return sc
 }
 
 func lubmDB(b *testing.B) *benchkit.Database {

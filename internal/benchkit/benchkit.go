@@ -9,6 +9,7 @@ package benchkit
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -84,6 +85,20 @@ func ScaleByName(name string) (Scale, bool) {
 	default:
 		return Scale{}, false
 	}
+}
+
+// EnvScale resolves REPRO_BENCH_SCALE, the scale every benchmark reads:
+// def when it is unset, an error naming the accepted values when it
+// names no scale.
+func EnvScale(def Scale) (Scale, error) {
+	name := os.Getenv("REPRO_BENCH_SCALE")
+	if name == "" {
+		return def, nil
+	}
+	if sc, ok := ScaleByName(name); ok {
+		return sc, nil
+	}
+	return Scale{}, fmt.Errorf("REPRO_BENCH_SCALE=%q: want tiny, small or medium", name)
 }
 
 // The generator seeds of BuildLUBM and BuildDBLP; cmd/datagen -scale

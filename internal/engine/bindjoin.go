@@ -11,8 +11,9 @@ import (
 // constant, a slot bound at an earlier depth, a slot first bound here, or
 // a repeat of a slot bound earlier in the same atom — and run over the
 // pinned snapshot with a []dict.ID environment: no map, no undo stack and
-// no closure on the path where the snapshot hands back sorted ranges,
-// which is every probe of a covering index outside the pending delta.
+// no closure on the path where the snapshot hands back sorted ranges —
+// segments of its cached decoded blocks, walked in place — which is every
+// probe of a covering index outside the pending delta.
 //
 // The same loop runs a member family (see evalFamily): the members of an
 // arm that share their depth-0 atom walk its range once, issue one depth-1
@@ -117,7 +118,7 @@ type bindJoin struct {
 	fam *fanout
 
 	// pre, when preOK, is the depth-0 sorted range a merged scan located.
-	pre   []storage.Triple
+	pre   storage.Span
 	preOK bool
 
 	// filter, when non-nil, is the key filter the program runs under.
@@ -275,10 +276,11 @@ func (k *bindJoin) exec(slots, depths int) error {
 
 // run bind-joins the program from the given depth under the current
 // environment: it completes the depth's probe pattern from the slots
-// bound so far, asks for its sorted range and walks it; only a probe the
-// snapshot cannot answer with a range (a residual filter, a pending delta
-// or tombstone that may match, a span too wide to materialize) streams
-// through a callback. At depth 1 of a family the probe is the family's.
+// bound so far, asks for its sorted range and walks it segment by
+// segment; only a probe the snapshot cannot answer with a range (a
+// residual filter, or a pending delta or tombstone that may match)
+// streams through a callback. At depth 1 of a family the probe is the
+// family's.
 func (k *bindJoin) run(depth int) error {
 	fan := k.fam
 	if depth != 1 {
@@ -304,25 +306,30 @@ func (k *bindJoin) run(depth int) error {
 	if s := st.use[2]; s >= 0 {
 		pat.O = k.env[s]
 	}
-	var ts []storage.Triple
+	var sp storage.Span
 	var ok bool
 	switch snap := k.m.ctx.snap; {
 	case depth > 0:
 		if depth == 1 {
 			k.m.probes++
 		}
-		ts, ok = snap.RangeFrom(pat, &k.hints[depth])
+		sp, ok = snap.RangeFrom(pat, &k.hints[depth])
 	case k.preOK:
-		ts, ok = k.pre, snap.Settled(pat)
+		sp, ok = k.pre, snap.Settled(pat)
 	default:
-		if ts, ok = snap.RangeFrom(pat, &k.hints[0]); ok {
+		if sp, ok = snap.RangeFrom(pat, &k.hints[0]); ok {
 			k.m.ranges++
 		}
 	}
-	if ok {
-		return k.walk(depth, ts)
+	if !ok {
+		return k.stream(depth, pat)
 	}
-	return k.stream(depth, pat)
+	for ts := sp.Next(); ts != nil; ts = sp.Next() {
+		if err := k.walk(depth, ts); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // out projects the binding on the program's head and emits it.
@@ -348,10 +355,10 @@ func (k *bindJoin) bind(st *step, tr storage.Triple) bool {
 	return true
 }
 
-// walk joins every triple of one probe's answer with the deeper atoms,
-// skipping at the depth that completes the filter key a binding whose key
-// the join so far cannot match. The triples are charged ahead, a batch at
-// a time.
+// walk joins every triple of one segment of a probe's answer with the
+// deeper atoms, skipping at the depth that completes the filter key a
+// binding whose key the join so far cannot match. The triples are
+// charged ahead, a batch at a time.
 func (k *bindJoin) walk(depth int, ts []storage.Triple) error {
 	st, keyed, fan := &k.prog.steps[depth], depth == k.prog.fdepth, depth == 1 && k.fam != nil
 	for len(ts) > 0 {

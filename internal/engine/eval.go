@@ -521,7 +521,7 @@ type memberPlan struct {
 	cq    bgp.CQ
 	order []int
 	pat0  storage.Pattern
-	pre   []storage.Triple
+	pre   storage.Span
 	preOK bool
 }
 
@@ -718,7 +718,7 @@ type armScratch struct {
 	claimed []bool
 	members []int
 	consts  []dict.ID
-	ranges  [][]storage.Triple
+	ranges  []storage.Span
 
 	// orderKey scratch: the byte key under construction and the
 	// first-appearance variable numbering of the member being keyed.
@@ -785,7 +785,7 @@ func (sc *armScratch) release() {
 	clear(sc.cards)
 	clear(sc.dist)
 	clear(sc.bj.hints)
-	sc.bj.m, sc.bj.dedup, sc.bj.pre = meter{}, nil, nil
+	sc.bj.m, sc.bj.dedup, sc.bj.pre = meter{}, nil, storage.Span{}
 	sc.bj.filter, sc.filter, sc.bj.prog, sc.bj.fam = nil, nil, nil, nil
 	clear(sc.plans[:cap(sc.plans)])
 	sc.plans = sc.plans[:0]

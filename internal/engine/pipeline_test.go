@@ -314,17 +314,24 @@ func TestKeyFilterCornerCases(t *testing.T) {
 }
 
 // BenchmarkArmPipeline measures the arm pipeline on the covers GCov chooses
-// for the six serve_join queries at the small scale — Q01 (a 528-member arm
-// filtered by a one-row arm), Q09 (the 176-member type arm filtered by the
-// advisors of a five-atom arm), Q13 and Q23 (hundreds of members sharing
-// their depth-0 atom, evaluated as member families), Q08 and Q18 — and for
-// the two large-answer queries of lib_cold, Q02 and Q28 (two type variables,
-// whose final projection deduplicates tens of thousands of rows): one
-// worker, the plan warm in a plan cache, so an operation is one evaluation
-// — every arm, key set, join and the projection — plus a cache hit. rows/op
-// is the answer size.
+// for the six serve_join queries — at the default small scale, Q01 (a
+// 528-member arm filtered by a one-row arm), Q09 (the 176-member type arm
+// filtered by the advisors of a five-atom arm), Q13 and Q23 (hundreds of
+// members sharing their depth-0 atom, evaluated as member families), Q08
+// and Q18 — and for the two large-answer queries of lib_cold, Q02 and Q28
+// (two type variables, whose final projection deduplicates tens of
+// thousands of rows): one worker, the plan warm in a plan cache, so an
+// operation is one evaluation — every arm, key set, join and the
+// projection — plus a cache hit. REPRO_BENCH_SCALE picks another scale.
+// rows/op is the answer size; decoded_B/triple is the decoded blocks the
+// raw store's views cache once the sub-benchmark is done, per stored
+// triple.
 func BenchmarkArmPipeline(b *testing.B) {
-	db, err := benchkit.BuildLUBM(benchkit.ScaleSmall)
+	scale, err := benchkit.EnvScale(benchkit.ScaleSmall)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := benchkit.BuildLUBM(scale)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -344,6 +351,7 @@ func BenchmarkArmPipeline(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(ans.Rel.Len()), "rows/op")
+			b.ReportMetric(float64(db.Raw.Footprint().DecodedBytes)/float64(db.Raw.Len()), "decoded_B/triple")
 		})
 	}
 }

@@ -8,18 +8,21 @@
 //
 // Decoded blocks come out of a size-class pool of ref-counted triple
 // buffers (the mbuf idiom: explicit retain/release, zero-copy views)
-// shared process-wide, so steady-state query traffic re-decodes hot
-// blocks into recycled memory instead of allocating. A frozenView is
-// the cursor layer on top: it caches decoded blocks and materialized
-// multi-block spans for its lifetime, is shared by every snapshot of
-// one store generation, and returns everything to the pool when the
-// last holder releases it.
+// shared process-wide. A frozenView is the cursor layer on top: it
+// decodes each block a probe touches once and keeps it, so the decoded
+// state of one store generation is exactly the blocks its queries
+// touched. Ranges are handed out in place, as per-block segments of
+// those cached blocks (Span), never as copies. Whole-index walks read the
+// cached blocks in place and decode the rest transiently. The view is
+// shared by every snapshot of one store generation and returns its
+// blocks to the pool when the last holder releases it.
 package storage
 
 import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 const (
@@ -35,21 +38,14 @@ const (
 	minBufClass   = 256
 	numBufClasses = 9
 
-	// maxSpanTriples bounds one materialized multi-block range. A range
-	// wider than this is declined (Range reports ok=false) and the
-	// caller streams through Scan instead: materializing such a range
-	// from blocks would cost O(range) memory per call.
+	// maxSpanTriples bounds the multi-block range Range copies out into
+	// one slice. A range wider than this is declined (Range reports
+	// ok=false) and the caller streams through Scan or walks RangeFrom's
+	// span instead: copying it would cost O(range) memory per call.
 	maxSpanTriples = 1 << 16
 
-	// maxCachedSpans bounds the per-view span cache; beyond it spans are
-	// materialized into unpooled buffers owned by the caller alone.
-	maxCachedSpans = 256
-
-	// maxCachedBlocks bounds the per-view decoded-block cache; beyond
-	// it blocks decode transiently through the pool. It caps the
-	// decoded residency of one store generation at roughly
-	// maxCachedBlocks × blockTriples × 24 bytes per order.
-	maxCachedBlocks = 512
+	// tripleBytes is the in-memory size of one decoded Triple.
+	tripleBytes = int(unsafe.Sizeof(Triple{}))
 )
 
 // fblock is one compressed block plus its fence-directory entry.
@@ -138,35 +134,24 @@ func (p *bufPool) get(n int) *blockBuf {
 	return b
 }
 
-// spanKey identifies one materialized global range of a frozen index.
-type spanKey struct{ lo, hi int }
-
-// frozenView is the read cursor over one frozen index: it lazily decodes
-// blocks into pooled buffers and caches them (and materialized
-// multi-block spans) for its lifetime. One view is shared by the owning
-// store and every snapshot of that store generation — the view is
-// ref-counted, and the last release (store compaction replacing the
-// generation, or the last snapshot done with it) returns every cached
-// buffer to the pool. All methods are safe for concurrent lock-free use.
-//
-// The caches below are keyed purely by position within one immutable
-// frozenIndex — a view never outlives its generation, so entries cannot
-// go stale; the versionstamp discipline is satisfied structurally, which
-// is what the suppressions on the span map record.
-//
-//lint:cache blockview
+// frozenView is the read cursor over one frozen index: it decodes each
+// block a probe touches into a pooled buffer, once, and keeps it for its
+// lifetime. One view is shared by the owning store and every snapshot of
+// that store generation — the view is ref-counted, and the last release
+// (store compaction replacing the generation, or the last snapshot done
+// with it) returns every cached buffer to the pool. Its decoded state is
+// therefore bounded by the blocks the generation's probes touched: at
+// most 12 bytes per triple of every order they read. All methods are
+// safe for concurrent lock-free use.
 type frozenView struct {
 	fi   *frozenIndex
 	refs atomic.Int32
 
-	// dec caches decoded blocks, installed by CAS; nCached bounds it.
-	dec     []atomic.Pointer[blockBuf]
-	nCached atomic.Int32
-
-	// spans caches materialized multi-block ranges.
-	mu    sync.Mutex
-	spans map[spanKey][]Triple
-	bufs  []*blockBuf // pooled backings of cached spans
+	// dec caches decoded blocks, installed by CAS.
+	dec []atomic.Pointer[blockBuf]
+	// decodes counts the blocks acquire decoded, a lost install race
+	// included: one per touched block when probes do not race.
+	decodes atomic.Int64
 }
 
 func newFrozenView(fi *frozenIndex) *frozenView {
@@ -178,9 +163,9 @@ func newFrozenView(fi *frozenIndex) *frozenView {
 func (v *frozenView) retain() { v.refs.Add(1) }
 
 // release drops one reference; the last holder's release returns every
-// cached block and span buffer to the pool. The caller must guarantee
-// that no reads through its reference are still in flight — the engine
-// releases its snapshot only after joining all evaluation workers.
+// cached block to the pool. The caller must guarantee that no reads
+// through its reference are still in flight — the engine releases its
+// snapshot only after joining all evaluation workers.
 func (v *frozenView) release() {
 	if v.refs.Add(-1) != 0 {
 		return
@@ -190,36 +175,23 @@ func (v *frozenView) release() {
 			b.release()
 		}
 	}
-	v.mu.Lock()
-	bufs := v.bufs
-	v.bufs = nil
-	v.spans = nil
-	v.mu.Unlock()
-	for _, b := range bufs {
-		b.release()
-	}
 }
 
-// acquire returns the decoded triples of block i. cached=true means the
-// block is cached on the view and stays valid until the view's release;
-// cached=false hands the caller a transient pooled buffer it must
-// release via buf.release() when done (buf is nil iff cached).
-func (v *frozenView) acquire(i int) (ts []Triple, buf *blockBuf, cached bool) {
+// acquire returns the decoded triples of block i, decoding and caching
+// the block on first touch; the slice stays valid until the view's
+// release.
+func (v *frozenView) acquire(i int) []Triple {
 	if b := v.dec[i].Load(); b != nil {
-		return b.ts, nil, true
+		return b.ts
 	}
 	fb := &v.fi.blocks[i]
 	b := decodePool.get(fb.n)
 	decodeBlockInto(b.ts, fb.data, v.fi.perm)
-	if v.nCached.Load() < maxCachedBlocks && v.dec[i].CompareAndSwap(nil, b) {
-		v.nCached.Add(1)
-		return b.ts, nil, true
-	}
-	if w := v.dec[i].Load(); w != nil { // lost the race: use the winner
+	v.decodes.Add(1)
+	if !v.dec[i].CompareAndSwap(nil, b) { // lost the race: use the winner
 		b.release()
-		return w.ts, nil, true
 	}
-	return b.ts, b, false
+	return v.dec[i].Load().ts
 }
 
 // firstBlock returns the first block in [lo, hi) whose fence key compares
@@ -245,9 +217,10 @@ func (v *frozenView) firstBlock(q *probe, lo, hi, thr int) int {
 // directory search finds the block it stops in). A hint whose block still
 // brackets the key skips the directory and the block lookup; one whose
 // block lies wholly below or above the key narrows the directory search
-// to the blocks on that side. The hint leaves holding the landing block
-// only if that block is cached on the view, so its slice stays valid as
-// long as the snapshot that owns the hint's view reference does.
+// to the blocks on that side. The hint leaves holding the landing block,
+// cached on the view, so its slice stays valid as long as the snapshot
+// that owns the hint's view reference does. An unbound probe is the whole
+// index and touches no block.
 func (v *frozenView) seek(q *probe, h *Hint) (lo, hi int) {
 	blocks := v.fi.blocks
 	ts, c, in := h.ts, h.blk, 0
@@ -265,14 +238,12 @@ func (v *frozenView) seek(q *probe, h *Hint) (lo, hi int) {
 	default:
 		in = q.lowerFrom(ts, h.at)
 	}
-	var buf *blockBuf
 	if ts == nil {
 		c, in = v.firstBlock(q, from, to, 0), 0
 		if c > from { // block c-1 starts below the key: the bound is inside it or at its end
-			if ts, buf, _ = v.acquire(c - 1); q.cmp(ts[len(ts)-1]) >= 0 {
+			if ts = v.acquire(c - 1); q.cmp(ts[len(ts)-1]) >= 0 {
 				c, in = c-1, q.bound(ts, 0, len(ts)-1, 0)
 			} else {
-				buf.release()
 				ts = nil
 			}
 		}
@@ -280,168 +251,62 @@ func (v *frozenView) seek(q *probe, h *Hint) (lo, hi int) {
 			return v.fi.n, v.fi.n
 		}
 		if ts == nil {
-			ts, buf, _ = v.acquire(c)
+			ts = v.acquire(c)
 		}
 	}
 	end := q.gallop(ts, in, 1)
 	lo, hi = blocks[c].off+in, blocks[c].off+end
 	if end == len(ts) && c+1 < len(blocks) && q.cmp(blocks[c+1].first) == 0 {
 		last := v.firstBlock(q, c+2, len(blocks), 1) - 1 // the run stops inside this block or at its end
-		lts, lbuf, _ := v.acquire(last)
+		lts := v.acquire(last)
 		hi = blocks[last].off + q.bound(lts, 0, len(lts), 1)
-		lbuf.release()
 	}
-	if buf == nil {
-		h.ts, h.blk, h.at = ts, c, in
-	}
-	buf.release()
+	h.ts, h.blk, h.at = ts, c, in
 	return lo, hi
 }
 
 // iterate streams the triples of the global range [lo, hi) to f in index
-// order, stopping early if f returns false. Blocks already cached on the
-// view are walked in place; others decode transiently into one pooled
-// buffer that is reused block after block, so a full-index scan holds
-// O(block) decoded memory, not O(index).
-func (v *frozenView) iterate(lo, hi int, f func(Triple) bool) {
-	if lo >= hi {
-		return
-	}
-	for i := v.fi.blockOf(lo); i < len(v.fi.blocks) && v.fi.blocks[i].off < hi; i++ {
+// order, stopping early if f returns false. A probe's range (keep) reads
+// through acquire, caching what it decodes. A whole-index walk reads the
+// cached blocks in place and decodes the rest transiently into one pooled
+// buffer, reused block after block: it holds O(block) decoded memory and
+// leaves the view as it found it.
+func (v *frozenView) iterate(lo, hi int, keep bool, f func(Triple) bool) {
+	var tmp *blockBuf
+	defer func() { tmp.release() }()
+	for i := v.fi.blockOf(lo); lo < hi && i < len(v.fi.blocks) && v.fi.blocks[i].off < hi; i++ {
 		fb := &v.fi.blocks[i]
-		ts, buf, cached := v.acquire(i)
-		a, b := 0, fb.n
-		if fb.off < lo {
-			a = lo - fb.off
+		var ts []Triple
+		switch b := v.dec[i].Load(); {
+		case b != nil:
+			ts = b.ts
+		case keep:
+			ts = v.acquire(i)
+		default:
+			if tmp == nil || cap(tmp.ts) < fb.n {
+				tmp.release()
+				tmp = decodePool.get(fb.n)
+			}
+			ts = tmp.ts[:fb.n]
+			decodeBlockInto(ts, fb.data, v.fi.perm)
 		}
-		if fb.off+fb.n > hi {
-			b = hi - fb.off
-		}
-		for _, t := range ts[a:b] {
+		for _, t := range ts[max(lo-fb.off, 0):min(hi-fb.off, fb.n)] {
 			if !f(t) {
-				if !cached {
-					buf.release()
-				}
 				return
 			}
 		}
-		if !cached {
-			buf.release()
-		}
 	}
 }
 
-// slice materializes the global range [lo, hi) as one contiguous triple
-// slice, valid until the view's release. A range within a single block
-// is a zero-copy view of the cached decoded block; a multi-block range
-// is assembled once into a pooled span buffer and cached under its
-// (lo, hi) key. ok=false means the range is too wide to materialize
-// (maxSpanTriples) — callers fall back to streaming.
-func (v *frozenView) slice(lo, hi int) (ts []Triple, ok bool) {
-	if lo >= hi {
-		return nil, true
-	}
-	b0 := v.fi.blockOf(lo)
-	fb0 := &v.fi.blocks[b0]
-	if hi <= fb0.off+fb0.n {
-		ts, buf, cached := v.acquire(b0)
-		if cached {
-			return ts[lo-fb0.off : hi-fb0.off : hi-fb0.off], true
-		}
-		// Block cache full: copy the range out so the transient buffer
-		// can go back to the pool, and cache the copy as a span.
-		out := v.copySpan(lo, hi, ts[lo-fb0.off:hi-fb0.off])
-		buf.release()
-		return out, true
-	}
-	if hi-lo > maxSpanTriples {
-		return nil, false
-	}
-	v.mu.Lock()
-	//lint:ignore versionstamp span cache keyed by position in one immutable frozenIndex; the view dies with its store generation, so entries cannot span versions
-	if s, hit := v.spans[spanKey{lo, hi}]; hit {
-		v.mu.Unlock()
-		return s, true
-	}
-	v.mu.Unlock()
-	out := v.materialize(lo, hi)
-	return out, true
-}
-
-// copySpan installs a copy of src as the cached span for [lo, hi).
-func (v *frozenView) copySpan(lo, hi int, src []Triple) []Triple {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	//lint:ignore versionstamp span cache keyed by position in one immutable frozenIndex (see slice)
-	if s, hit := v.spans[spanKey{lo, hi}]; hit {
-		return s
-	}
-	out := v.newSpanLocked(hi - lo)
-	copy(out, src)
-	v.putSpanLocked(spanKey{lo, hi}, out)
-	return out
-}
-
-// materialize assembles the multi-block range [lo, hi): interior blocks
-// decode straight into the span buffer, boundary blocks decode through
-// acquire and copy their overlap.
-func (v *frozenView) materialize(lo, hi int) []Triple {
-	v.mu.Lock()
-	out := v.newSpanLocked(hi - lo)
-	v.mu.Unlock()
-	w := 0
-	for i := v.fi.blockOf(lo); i < len(v.fi.blocks) && v.fi.blocks[i].off < hi; i++ {
-		fb := &v.fi.blocks[i]
-		if fb.off >= lo && fb.off+fb.n <= hi {
-			decodeBlockInto(out[w:w+fb.n], fb.data, v.fi.perm)
-			w += fb.n
-			continue
-		}
-		ts, buf, cached := v.acquire(i)
-		a, b := 0, fb.n
-		if fb.off < lo {
-			a = lo - fb.off
-		}
-		if fb.off+fb.n > hi {
-			b = hi - fb.off
-		}
-		w += copy(out[w:], ts[a:b])
-		if !cached {
-			buf.release()
+// decoded reports the view's cached blocks and their resident bytes.
+func (v *frozenView) decoded() (blocks, bytes int) {
+	for i := range v.dec {
+		if b := v.dec[i].Load(); b != nil {
+			blocks++
+			bytes += cap(b.ts) * tripleBytes
 		}
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	//lint:ignore versionstamp span cache keyed by position in one immutable frozenIndex (see slice)
-	if s, hit := v.spans[spanKey{lo, hi}]; hit {
-		return s // a concurrent materialization of the same range won
-	}
-	v.putSpanLocked(spanKey{lo, hi}, out)
-	return out
-}
-
-// newSpanLocked allocates a span buffer of n triples: pooled while the
-// span cache has room (the view retains the backing and releases it with
-// the cache), plain otherwise.
-func (v *frozenView) newSpanLocked(n int) []Triple {
-	if v.spans != nil && len(v.spans) >= maxCachedSpans {
-		return make([]Triple, n)
-	}
-	b := decodePool.get(n)
-	v.bufs = append(v.bufs, b)
-	return b.ts
-}
-
-// putSpanLocked caches a materialized span while there is room.
-func (v *frozenView) putSpanLocked(k spanKey, s []Triple) {
-	if v.spans == nil {
-		v.spans = make(map[spanKey][]Triple, 16)
-	}
-	if len(v.spans) >= maxCachedSpans {
-		return
-	}
-	//lint:ignore versionstamp span cache keyed by position in one immutable frozenIndex (see slice)
-	v.spans[k] = s
+	return blocks, bytes
 }
 
 // frozenBuilder encodes a sorted triple stream into a frozenIndex

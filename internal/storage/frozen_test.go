@@ -101,7 +101,8 @@ func TestFrozenDifferentialSnapshot(t *testing.T) {
 			if !reflect.DeepEqual(append([]Triple(nil), r...), want) {
 				t.Fatalf("pattern %+v: range %v, model %v", p, r, want)
 			}
-			viaRange := collectScan(func(p Pattern, f func(Triple) bool) { sn.ScanRange(r, p, f) }, p)
+			sp, _ := sn.RangeFrom(p, nil)
+			viaRange := collectScan(func(p Pattern, f func(Triple) bool) { sn.ScanRange(sp, p, f) }, p)
 			if !reflect.DeepEqual(viaRange, want) {
 				t.Fatalf("pattern %+v: ScanRange(Range()) %v, want %v", p, viaRange, want)
 			}
@@ -146,7 +147,7 @@ func TestFrozenDifferentialMultiRange(t *testing.T) {
 		}
 		for i, c := range consts {
 			want := m.scan(withPos(fam.g, fam.vpos, c))
-			if !reflect.DeepEqual(append([]Triple(nil), ranges[i]...), want) {
+			if !reflect.DeepEqual(spanTriples(ranges[i]), want) {
 				t.Fatalf("family %d range %d: %v, model %v", fi, i, ranges[i], want)
 			}
 		}
@@ -296,8 +297,8 @@ func TestBlockBufPool(t *testing.T) {
 	huge.release()
 }
 
-// TestFrozenViewRelease checks that releasing the last reference drops
-// the cached blocks and spans.
+// TestFrozenViewRelease checks that releasing a snapshot drops its
+// reference on the view and leaves the store's.
 func TestFrozenViewRelease(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	s, _, data := buildModeled(rng, 400, 40)

@@ -222,7 +222,8 @@ func buildFrozenIndex(ts []Triple, order Order, blockTriples int, g gate) *froze
 // compactLocked folds the delta into the sorted indexes and drops
 // tombstoned triples; the caller holds the write lock. Each index is
 // rebuilt by a linear merge of sorted runs — the existing index
-// (streamed block by block, never fully decoded), the tombstone filter,
+// (walked block by block: cached blocks in place, the rest decoded
+// transiently, never fully decoded at once), the tombstone filter,
 // and the sorted delta — straight into a streaming block encoder.
 // Orders rebuild concurrently under the loader gate.
 func (s *Store) compactLocked() {
@@ -242,7 +243,7 @@ func (s *Store) compactLocked() {
 		// Capture the inputs outside the goroutine: the write lock is
 		// held for the whole rebuild (wg.Wait below), so the snapshot of
 		// fields taken here is stable.
-		fz, deleted, delta := s.views[o].fi, s.deleted, s.delta
+		view, deleted, delta := s.views[o], s.deleted, s.delta
 		wg.Add(1)
 		go func(i int, o Order) {
 			defer wg.Done()
@@ -252,7 +253,7 @@ func (s *Store) compactLocked() {
 				copy(d, delta)
 				sortByOrder(d, perm)
 				fb := newFrozenBuilder(o, bt)
-				mergeRuns(fz, deleted, d, perm, fb.add)
+				mergeRuns(view, deleted, d, perm, fb.add)
 				out[i] = fb.finish()
 			})
 		}(i, o)
@@ -276,24 +277,18 @@ func (s *Store) compactLocked() {
 // tombstoned triples, and emits the merged run in order. Delta triples
 // are never already present in the index (Add checks) and tombstones
 // only name index entries, so the merge sees no equal pairs.
-func mergeRuns(fz *frozenIndex, deleted map[Triple]struct{}, d []Triple, perm [3]int, emit func(Triple)) {
+func mergeRuns(v *frozenView, deleted map[Triple]struct{}, d []Triple, perm [3]int, emit func(Triple)) {
 	i := 0
-	for bi := range fz.blocks {
-		fb := &fz.blocks[bi]
-		buf := decodePool.get(fb.n)
-		decodeBlockInto(buf.ts, fb.data, fz.perm)
-		for _, t := range buf.ts {
-			if _, dead := deleted[t]; dead {
-				continue
-			}
+	v.iterate(0, v.fi.n, false, func(t Triple) bool {
+		if _, dead := deleted[t]; !dead {
 			for i < len(d) && less(perm, d[i], t) {
 				emit(d[i])
 				i++
 			}
 			emit(t)
 		}
-		buf.release()
-	}
+		return true
+	})
 	for ; i < len(d); i++ {
 		emit(d[i])
 	}

@@ -10,11 +10,16 @@ import (
 )
 
 // BenchmarkProbe measures one bind-join probe (RangeFrom with the site's
-// hint carried along) on the LUBM small store: bound-subject and bound-predicate-object patterns drawn
+// hint carried along) on the LUBM store at REPRO_BENCH_SCALE (default
+// small): bound-subject and bound-predicate-object patterns drawn
 // from the stored triples, issued in ascending key order — what a scan in
 // index order feeds the next depth — and shuffled. ns/op is ns per probe.
 func BenchmarkProbe(b *testing.B) {
-	db, err := benchkit.BuildLUBM(benchkit.ScaleSmall)
+	scale, err := benchkit.EnvScale(benchkit.ScaleSmall)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := benchkit.BuildLUBM(scale)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,7 +62,7 @@ func BenchmarkProbe(b *testing.B) {
 				if !ok {
 					b.Fatalf("probe %+v declined", c.probes[i%len(c.probes)])
 				}
-				n += len(ts)
+				n += ts.Len()
 			}
 			if n == 0 {
 				b.Fatal("probes found nothing")

@@ -114,7 +114,8 @@ func TestSeekHintedEqualsColdEqualsLinear(t *testing.T) {
 						continue
 					}
 					want := idx[wantLo:wantHi]
-					hinted, ok1 := sn.RangeFrom(p, &h)
+					hs, ok1 := sn.RangeFrom(p, &h)
+					hinted := spanTriples(hs)
 					cold, ok2 := sn.Range(p)
 					if !ok1 || !ok2 {
 						t.Fatalf("%s: range declined (hinted %v, cold %v)", name, ok1, ok2)
@@ -147,9 +148,10 @@ func TestHintStartsOverOnAnotherSnapshot(t *testing.T) {
 		if i%3 == 0 {
 			sn = b
 		}
-		got, ok := sn.RangeFrom(p, &h)
+		sp, ok := sn.RangeFrom(p, &h)
+		got := spanTriples(sp)
 		want, _ := sn.Range(p)
-		if !ok || !reflect.DeepEqual(append([]Triple(nil), got...), append([]Triple(nil), want...)) {
+		if !ok || !reflect.DeepEqual(got, append([]Triple(nil), want...)) {
 			t.Fatalf("probe %d %+v: shared hint gives %v, cold range %v", i, p, got, want)
 		}
 	}
@@ -210,7 +212,7 @@ func TestReadsAgreeWithModelUnderDeltaAndTombstones(t *testing.T) {
 					}
 					for name, get := range map[string]func() ([]Triple, bool){
 						"Range":     func() ([]Triple, bool) { return sn.Range(p) },
-						"RangeFrom": func() ([]Triple, bool) { return sn.RangeFrom(p, &h) },
+						"RangeFrom": func() ([]Triple, bool) { sp, ok := sn.RangeFrom(p, &h); return spanTriples(sp), ok },
 					} {
 						got, ok := get()
 						if !ok {
@@ -302,7 +304,7 @@ func BenchmarkProbeWithDelta(b *testing.B) {
 				if ok {
 					ranged++
 				}
-				n += len(ts)
+				n += ts.Len()
 			}
 			b.ReportMetric(float64(ranged)/float64(b.N), "range_ok_share")
 			sinkInt = n

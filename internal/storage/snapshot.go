@@ -12,10 +12,10 @@
 // bind-join, statistics probe and shard worker reads through it.
 //
 // A snapshot reads through the store generation's shared frozenView
-// cursors (retained at capture): Scan streams blocks, Range hands out
-// subslices of lazily decoded, cached blocks that stay valid for the
-// snapshot's lifetime, and the optional Release returns the cached
-// decode buffers to the pool early.
+// cursors (retained at capture): Scan streams blocks, RangeFrom and
+// MultiRange hand out Spans — per-block segments of lazily decoded,
+// cached blocks that stay valid for the snapshot's lifetime — and the
+// optional Release returns the cached decode buffers to the pool early.
 package storage
 
 import (
@@ -197,20 +197,46 @@ func (sn *Snapshot) locate(p Pattern, h *Hint) (lo, hi int) {
 	return sn.frozen[h.path.order].seek(&q, h)
 }
 
-// sorted returns the sorted range of p as a slice stable for the
-// snapshot's lifetime: a subslice of the cached decoded block the probe
-// landed in, else a span the view materializes (ok=false when it is too
-// wide for that).
-func (sn *Snapshot) sorted(p Pattern, h *Hint) (ts []Triple, ok bool) {
+// Span is a sorted index range handed out in place: a sequence of
+// segments, each a subslice of one decoded block cached on the snapshot's
+// view, valid until the snapshot's release. Next walks it; a block the
+// walk reaches is decoded on first touch and cached, and nothing is
+// copied. A Span is a value: a copy walks independently, and the zero
+// Span is empty.
+type Span struct {
+	v   *frozenView // the index the range lies in
+	blk int         // the block the next segment lies in
+	at  int         // where the next segment starts in that block
+	n   int         // triples left
+}
+
+// Len returns the number of triples the span has left.
+func (sp *Span) Len() int { return sp.n }
+
+// Next returns the span's next segment and advances past it; it returns
+// nil once the span is exhausted.
+func (sp *Span) Next() []Triple {
+	if sp.n == 0 {
+		return nil
+	}
+	ts := sp.v.acquire(sp.blk)[sp.at:]
+	k := min(len(ts), sp.n)
+	sp.blk, sp.at, sp.n = sp.blk+1, 0, sp.n-k
+	return ts[:k:k]
+}
+
+// sorted returns the sorted range of p as a Span: from the lower bound in
+// the block the probe landed in, on through the blocks after it. An
+// unbound pattern's range is the whole index, from its first block.
+func (sn *Snapshot) sorted(p Pattern, h *Hint) Span {
 	lo, hi := sn.locate(p, h)
-	n := hi - lo
-	if n <= 0 {
-		return nil, true
+	switch {
+	case hi <= lo:
+		return Span{}
+	case h.ts == nil:
+		return Span{v: sn.frozen[h.path.order], n: hi - lo}
 	}
-	if h.ts != nil && n <= len(h.ts)-h.at {
-		return h.ts[h.at : h.at+n : h.at+n], true
-	}
-	return sn.frozen[h.path.order].slice(lo, hi)
+	return Span{v: sn.frozen[h.path.order], blk: h.blk, at: h.at, n: hi - lo}
 }
 
 // Settled reports whether the sorted range of p alone is its answer: no
@@ -260,7 +286,7 @@ func (sn *Snapshot) Scan(p Pattern, f func(Triple) bool) {
 	lo, hi := sn.seek(p, &h)
 	dead := sn.deadBox.mayMatch(p)
 	stopped := false
-	sn.frozen[h.path.order].iterate(lo, hi, func(t Triple) bool {
+	sn.frozen[h.path.order].iterate(lo, hi, h.path.prefix > 0, func(t Triple) bool {
 		if sn.visible(p, dead, t) && !f(t) {
 			stopped = true
 		}
@@ -271,15 +297,17 @@ func (sn *Snapshot) Scan(p Pattern, f func(Triple) bool) {
 	}
 }
 
-// ScanRange replays a sorted subrange previously located by Range or
+// ScanRange replays a sorted range previously located by RangeFrom or
 // MultiRange through the snapshot's residual filter, tombstones and
 // delta — producing exactly the triple sequence Scan(p) would, given
-// that sub is the sorted range Scan would have binary-searched.
-func (sn *Snapshot) ScanRange(sub []Triple, p Pattern, f func(Triple) bool) {
+// that sp is the sorted range Scan would have binary-searched.
+func (sn *Snapshot) ScanRange(sp Span, p Pattern, f func(Triple) bool) {
 	dead := sn.deadBox.mayMatch(p)
-	for _, t := range sub {
-		if sn.visible(p, dead, t) && !f(t) {
-			return
+	for seg := sp.Next(); seg != nil; seg = sp.Next() {
+		for _, t := range seg {
+			if sn.visible(p, dead, t) && !f(t) {
+				return
+			}
 		}
 	}
 	sn.scanDelta(p, f)
@@ -311,31 +339,50 @@ func (sn *Snapshot) scanDelta(p Pattern, f func(Triple) bool) {
 	}
 }
 
-// Range returns the triples matching p as a sorted subslice, when the
-// subslice alone is provably the exact answer: the pattern's bound
-// positions are a sort prefix of the chosen index (no residual filter)
-// and the range is Settled. ok=false means the caller must fall back to
-// Scan.
-//
-// The subslice is a view of a lazily decoded block (or a materialized
-// multi-block span) cached on the generation's cursor, stable for the
-// snapshot's lifetime; a range wider than the materialization cap is
-// declined (ok=false) and streams through Scan instead. With the default
-// index set, every pattern shape narrower than the cap takes the ok
-// path.
-func (sn *Snapshot) Range(p Pattern) (ts []Triple, ok bool) { return sn.RangeFrom(p, nil) }
+// Range returns the triples matching p as one sorted slice, when the
+// slice alone is provably the exact answer (see RangeFrom). A range
+// within one block is a zero-copy subslice of the cached block, stable
+// for the snapshot's lifetime; a multi-block range is copied into a
+// fresh slice the caller owns, and one wider than maxSpanTriples is
+// declined (ok=false) and streams through Scan instead. The query engine
+// walks RangeFrom's Span, which copies nothing; Range is the
+// one-slice form for tests and measurements.
+func (sn *Snapshot) Range(p Pattern) (ts []Triple, ok bool) {
+	sp, ok := sn.RangeFrom(p, nil)
+	if !ok {
+		return nil, false
+	}
+	n := sp.Len()
+	switch first := sp.Next(); {
+	case sp.Len() == 0:
+		return first, true
+	case n > maxSpanTriples:
+		return nil, false
+	default:
+		ts = append(make([]Triple, 0, n), first...)
+	}
+	for seg := sp.Next(); seg != nil; seg = sp.Next() {
+		ts = append(ts, seg...)
+	}
+	return ts, true
+}
 
-// RangeFrom is Range for a probe site that keeps a Hint between probes;
-// a nil hint is a site with no memory.
-func (sn *Snapshot) RangeFrom(p Pattern, h *Hint) (ts []Triple, ok bool) {
+// RangeFrom returns the triples matching p as a sorted Span, when the
+// span alone is provably the exact answer: the pattern's bound positions
+// are a sort prefix of the chosen index (no residual filter) and the
+// range is Settled. ok=false means the caller must fall back to Scan.
+// With the default index set every pattern shape takes the ok path
+// outside a pending delta or tombstone that may match it. h is the probe
+// site's Hint, kept between probes; a nil hint is a site with no memory.
+func (sn *Snapshot) RangeFrom(p Pattern, h *Hint) (sp Span, ok bool) {
 	if h == nil {
 		h = &Hint{}
 	}
 	sn.resolve(p, h)
 	if !h.path.covered || !sn.Settled(p) {
-		return nil, false
+		return Span{}, false
 	}
-	return sn.sorted(p, h)
+	return sn.sorted(p, h), true
 }
 
 // Path returns the sort order of the index a probe of p's shape reads —
@@ -357,7 +404,7 @@ func (sn *Snapshot) Count(p Pattern) int {
 	n := hi - lo
 	if !h.path.covered {
 		n = 0
-		sn.frozen[h.path.order].iterate(lo, hi, func(t Triple) bool {
+		sn.frozen[h.path.order].iterate(lo, hi, h.path.prefix > 0, func(t Triple) bool {
 			if p.Matches(t) {
 				n++
 			}
@@ -396,17 +443,16 @@ func (sn *Snapshot) Count(p Pattern) int {
 // ok=false means the index layout does not support a shared pass for
 // this shape (the varying position is not the next sort position after
 // g's bound prefix, a residual filter would be needed, the chosen index
-// differs from the one per-pattern scans would use, consts are not
-// sorted, or a member range exceeds the frozen materialization cap);
-// callers then fall back to per-pattern scans. ranges[i] is the sorted
-// range for g with vpos bound to consts[i] — exactly the subslice Range
-// would return for that pattern, so it must be replayed through
+// differs from the one per-pattern scans would use, or consts are not
+// sorted); callers then fall back to per-pattern scans. ranges[i] is the
+// sorted range for g with vpos bound to consts[i] — exactly the Span
+// RangeFrom would return for that pattern, so it must be replayed through
 // ScanRange to apply tombstones and delta unless the pattern is Settled.
 //
 // dst, when non-nil, is reused as the backing for the returned ranges
-// slice (the per-range subslice headers are copied out by value, so a
-// caller looping over families may pass the previous result).
-func (sn *Snapshot) MultiRange(g Pattern, vpos int, consts []dict.ID, dst [][]Triple) (ranges [][]Triple, ok bool) {
+// slice (the Spans are values, so a caller looping over families may pass
+// the previous result).
+func (sn *Snapshot) MultiRange(g Pattern, vpos int, consts []dict.ID, dst []Span) (ranges []Span, ok bool) {
 	if vpos < 0 || vpos > 2 || len(consts) == 0 {
 		return nil, false
 	}
@@ -426,7 +472,7 @@ func (sn *Snapshot) MultiRange(g Pattern, vpos int, consts []dict.ID, dst [][]Tr
 	if cap(dst) >= len(consts) {
 		ranges = dst[:len(consts)]
 	} else {
-		ranges = make([][]Triple, len(consts))
+		ranges = make([]Span, len(consts))
 	}
 	for i, c := range consts {
 		if i > 0 {
@@ -438,9 +484,7 @@ func (sn *Snapshot) MultiRange(g Pattern, vpos int, consts []dict.ID, dst [][]Tr
 				continue
 			}
 		}
-		if ranges[i], ok = sn.sorted(withPos(g, vpos, c), &h); !ok {
-			return nil, false
-		}
+		ranges[i] = sn.sorted(withPos(g, vpos, c), &h)
 	}
 	return ranges, true
 }

@@ -9,6 +9,14 @@ import (
 	"repro/internal/dict"
 )
 
+// spanTriples copies a Span's triples out, nil for an empty span.
+func spanTriples(sp Span) (ts []Triple) {
+	for seg := sp.Next(); seg != nil; seg = sp.Next() {
+		ts = append(ts, seg...)
+	}
+	return ts
+}
+
 // collectScan materializes a Scan into a slice, preserving order.
 func collectScan(scan func(Pattern, func(Triple) bool), p Pattern) []Triple {
 	var out []Triple
@@ -133,7 +141,8 @@ func TestSnapshotRange(t *testing.T) {
 			}
 			// ScanRange over the exact range replays the same sequence.
 			var replay []Triple
-			sn.ScanRange(got, p, func(tr Triple) bool { replay = append(replay, tr); return true })
+			sp, _ := sn.RangeFrom(p, nil)
+			sn.ScanRange(sp, p, func(tr Triple) bool { replay = append(replay, tr); return true })
 			if !reflect.DeepEqual(replay, want) {
 				t.Fatalf("ScanRange(%+v) diverges from Scan", p)
 			}
@@ -208,7 +217,7 @@ func TestSnapshotMultiRange(t *testing.T) {
 			t.Fatalf("MultiRange refused the canonical POS family")
 		}
 		// Reusing the previous result as dst must yield the same ranges.
-		orig := append([][]Triple(nil), ranges...)
+		orig := append([]Span(nil), ranges...)
 		reused, ok := sn.MultiRange(g, 2, consts, ranges)
 		if !ok || !reflect.DeepEqual(reused, orig) {
 			t.Fatalf("MultiRange with reused dst diverges")
@@ -246,7 +255,7 @@ func TestSnapshotMultiRangeDuplicateConsts(t *testing.T) {
 	if !ok {
 		t.Fatalf("MultiRange refused duplicate constants")
 	}
-	if len(ranges) != 2 || len(ranges[0]) != len(ranges[1]) {
+	if len(ranges) != 2 || ranges[0].Len() != ranges[1].Len() {
 		t.Fatalf("duplicate constants got different ranges")
 	}
 }

@@ -490,7 +490,7 @@ func (s *Store) spoTriplesLocked() []Triple {
 		o = s.orders[0]
 	}
 	ts := make([]Triple, 0, s.n)
-	s.views[o].iterate(0, s.n, func(t Triple) bool { ts = append(ts, t); return true })
+	s.views[o].iterate(0, s.n, false, func(t Triple) bool { ts = append(ts, t); return true })
 	if o != OrderSPO {
 		sortByOrder(ts, OrderSPO.perm())
 	}
@@ -500,7 +500,8 @@ func (s *Store) spoTriplesLocked() []Triple {
 // Each calls f for every triple in the store in SPO order (delta
 // compacted first), stopping early if f returns false. Unlike Triples it
 // never materializes the store: it streams the SPO index block by block,
-// so a full pass holds O(block) decoded memory. f runs without the store
+// so a full pass holds O(block) decoded memory and caches no block on the
+// index's view. f runs without the store
 // lock — the captured index generation is immutable — and may call any
 // store method.
 func (s *Store) Each(f func(Triple) bool) {
@@ -522,7 +523,7 @@ func (s *Store) Each(f func(Triple) bool) {
 	view.retain()
 	s.mu.Unlock()
 	defer view.release()
-	view.iterate(0, n, f)
+	view.iterate(0, n, false, f)
 }
 
 // Footprint describes the resident cost of the store's sorted indexes
@@ -534,9 +535,15 @@ type Footprint struct {
 	BlockBytes int // compressed block payload bytes across orders
 	DirBytes   int // fence-key directory bytes across orders
 	Blocks     int // compressed blocks across orders
+
+	// The decoded blocks cached on the current generation's views: the
+	// blocks probes have touched since the last Compact, and their
+	// pooled buffers' bytes. Not part of IndexBytes.
+	DecodedBlocks int
+	DecodedBytes  int
 }
 
-// IndexBytes returns the total resident index bytes.
+// IndexBytes returns the total resident compressed index bytes.
 func (f Footprint) IndexBytes() int { return f.BlockBytes + f.DirBytes }
 
 // BytesPerTriple returns resident index bytes divided by triple count,
@@ -563,6 +570,9 @@ func (s *Store) Footprint() Footprint {
 		fp.BlockBytes += fz.dataBytes
 		fp.DirBytes += len(fz.blocks) * fblockDirBytes
 		fp.Blocks += len(fz.blocks)
+		blocks, bytes := s.views[o].decoded()
+		fp.DecodedBlocks += blocks
+		fp.DecodedBytes += bytes
 	}
 	return fp
 }

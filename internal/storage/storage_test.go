@@ -414,7 +414,7 @@ func TestEmptyStore(t *testing.T) {
 			if got, ok := sn.Range(p); !ok || len(got) != 0 {
 				t.Errorf("%s: Range(%+v) = %v, %v", name, p, got, ok)
 			}
-			if got, ok := sn.RangeFrom(p, &h); !ok || len(got) != 0 {
+			if got, ok := sn.RangeFrom(p, &h); !ok || got.Len() != 0 {
 				t.Errorf("%s: RangeFrom(%+v) = %v, %v", name, p, got, ok)
 			}
 		}
@@ -423,7 +423,7 @@ func TestEmptyStore(t *testing.T) {
 			t.Fatalf("%s: MultiRange = %v, %v", name, ranges, ok)
 		}
 		for i, r := range ranges {
-			if len(r) != 0 {
+			if r.Len() != 0 {
 				t.Errorf("%s: MultiRange range %d = %v", name, i, r)
 			}
 		}
