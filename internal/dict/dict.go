@@ -4,8 +4,10 @@
 // stored over IDs. The paper stores the same dictionary as a separate
 // relational table indexed both by code and by value (Section 5.1); here
 // it is one in-memory term table, indexed by code through its position
-// and by value through an open-addressing hash index of IDs into it. No
-// term's bytes are stored twice.
+// and by value through an open-addressing hash index of IDs into it.
+// Values are copied once into an arena of fixed-size chunks the
+// dictionary owns, so no term pins the buffer its value was cut from, and
+// no term's bytes are stored twice.
 //
 // ID 0 is reserved and never assigned; encoded query patterns use it as
 // the wildcard ("any value") marker.
@@ -13,6 +15,7 @@ package dict
 
 import (
 	"hash/maphash"
+	"strings"
 	"sync"
 	"unicode/utf8"
 	"unsafe"
@@ -38,8 +41,21 @@ const None ID = 0
 type Dict struct {
 	mu   sync.RWMutex
 	seed maphash.Seed
-	// entries[i] is the term with ID i+1; append-only, see View.
+	// entries[id] is the term with that ID; entries[0] stands for None,
+	// with a value ending at 0. Append-only, see View.
 	entries []entry
+	// chunks is the value arena: chunks[k] holds the values whose
+	// positions lie in slot k, the k-th 64 KiB of positions (a value over
+	// 64 KiB takes the slots after its own too, which stay nil). Each
+	// value is copied in once and never moves, and a chunk, once in the
+	// slice, is never replaced, so a view's copy of the slice stays valid
+	// beside Encode. open is the unused rest of the chunk small values go
+	// to; aside reports that a large value set it aside, so that it is not
+	// in chunks yet. arenaBytes sums the capacities of the chunks made.
+	chunks     [][]byte
+	open       []byte
+	aside      bool
+	arenaBytes int
 	// index is an open-addressing table of IDs into entries, probed
 	// linearly from a term's hash; None marks an empty slot. Its length
 	// is a power of two, at least twice len(entries).
@@ -48,17 +64,36 @@ type Dict struct {
 	// language tag, as given, with an empty value; entries refer to it by
 	// position. Append-only, like entries; shapeIDs finds a shape's
 	// position.
-	shapes     []rdf.Term
-	shapeIDs   map[rdf.Term]uint32
-	valueBytes int // sum of len(entry.value)
+	shapes   []rdf.Term
+	shapeIDs map[rdf.Term]uint32
 }
 
-// entry is one term of the table: its value and the position of its
-// shape.
-type entry struct {
-	value string
-	shape uint32
-}
+const (
+	// chunkBits sizes the arena's slots and chunks: a value's position
+	// names its slot by the bits above chunkBits and its byte in the
+	// slot's chunk by the bits below.
+	chunkBits = 16
+	chunkSize = 1 << chunkBits
+
+	// largeValue is the length above which a value that does not fit the
+	// open chunk gets a chunk of its own, exactly sized, and the open
+	// chunk's rest is kept for the values after it. A shorter one starts
+	// a new open chunk, so a closed chunk leaves under 1/64 of itself
+	// unused.
+	largeValue = chunkSize / 64
+
+	// shapeBits is the width of an entry's shape position; the bits above
+	// hold the end of its value.
+	shapeBits = 24
+)
+
+// entry is one term of the table, packed into 8 pointer-free bytes: the
+// arena position where its value ends, above the position of its shape.
+// Values are laid out in ID order, so a value starts where the one
+// before it ends or, if it would not lie in that end's slot, at the next
+// slot's start (see View.Term). The widths allow 1<<24 shapes and 1<<40
+// arena positions.
+type entry uint64
 
 // New returns an empty dictionary.
 func New() *Dict { return NewWithCapacity(0) }
@@ -67,7 +102,7 @@ func New() *Dict { return NewWithCapacity(0) }
 func NewWithCapacity(n int) *Dict {
 	return &Dict{
 		seed:     maphash.MakeSeed(),
-		entries:  make([]entry, 0, n),
+		entries:  make([]entry, 1, n+1),
 		index:    make([]ID, indexSize(n)),
 		shapeIDs: make(map[rdf.Term]uint32),
 	}
@@ -116,7 +151,7 @@ func (d *Dict) findLocked(h uint64, t rdf.Term) ID {
 	mask := uint64(len(d.index) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		id := d.index[i]
-		if id == None || d.sameLocked(d.entries[id-1], t) {
+		if id == None || d.sameLocked(id, t) {
 			return id
 		}
 	}
@@ -125,12 +160,12 @@ func (d *Dict) findLocked(h uint64, t rdf.Term) ID {
 // insertLocked appends the term, which is absent, under the next ID. The
 // caller holds the write lock.
 func (d *Dict) insertLocked(h uint64, t rdf.Term) ID {
-	if 2*(len(d.entries)+1) > len(d.index) {
+	if 2*len(d.entries) > len(d.index) {
 		d.growLocked()
 	}
-	d.entries = append(d.entries, entry{value: t.Value, shape: d.internLocked(t)})
-	d.valueBytes += len(t.Value)
-	id := ID(len(d.entries)) // IDs start at 1
+	end := d.storeLocked(t.Value)
+	d.entries = append(d.entries, entry(end<<shapeBits|uint64(d.internLocked(t))))
+	id := ID(len(d.entries) - 1)
 	d.placeLocked(h, id)
 	return id
 }
@@ -148,20 +183,69 @@ func (d *Dict) placeLocked(h uint64, id ID) {
 // growLocked doubles the index and re-places every ID in it.
 func (d *Dict) growLocked() {
 	d.index = make([]ID, 2*len(d.index))
-	for i, e := range d.entries {
-		t := d.shapes[e.shape]
-		t.Value = e.value
-		d.placeLocked(d.hash(t), ID(i+1))
+	v := d.viewLocked()
+	for id := ID(1); int(id) < len(d.entries); id++ {
+		d.placeLocked(d.hash(v.Term(id)), id)
 	}
 }
 
+// storeLocked copies v into the arena after the last value stored and
+// returns where it ends: in the open chunk if it fits, else, if it is
+// large, in a chunk of its own, else at the start of a fresh open chunk.
+// Whatever starts a chunk starts a slot. An empty value takes no bytes.
+func (d *Dict) storeLocked(v string) uint64 {
+	last := uint64(d.entries[len(d.entries)-1] >> shapeBits)
+	n := uint64(len(v))
+	switch {
+	case n == 0:
+		return last
+	case n <= uint64(len(d.open)):
+		if d.aside {
+			last = d.slotLocked(last, d.open)
+			d.aside = false
+		}
+		copy(d.open, v)
+		d.open = d.open[n:]
+		return last + n
+	case n > largeValue:
+		c := d.chunkLocked(int(n))
+		copy(c, v)
+		d.aside = len(d.open) > 0
+		return d.slotLocked(last, c) + n
+	default:
+		c := d.chunkLocked(chunkSize)
+		copy(c, v)
+		d.open, d.aside = c[n:], false
+		return d.slotLocked(last, c) + n
+	}
+}
+
+// chunkLocked allocates an arena chunk of n bytes.
+func (d *Dict) chunkLocked(n int) []byte {
+	d.arenaBytes += n
+	return make([]byte, n)
+}
+
+// slotLocked puts c in the first slot past position last and returns the
+// slot's start.
+func (d *Dict) slotLocked(last uint64, c []byte) uint64 {
+	slot := (last + chunkSize - 1) >> chunkBits
+	for uint64(len(d.chunks)) < slot { // a large value's further slots
+		d.chunks = append(d.chunks, nil)
+	}
+	d.chunks = append(d.chunks, c)
+	return slot << chunkBits
+}
+
 // internLocked returns the position of t's shape, appending it if it is
-// new.
+// new. The shape's datatype and language tag are copied, like values, so
+// they pin nothing of the caller's.
 func (d *Dict) internLocked(t rdf.Term) uint32 {
 	t.Value = ""
 	if i, ok := d.shapeIDs[t]; ok {
 		return i
 	}
+	t.Datatype, t.Lang = strings.Clone(t.Datatype), strings.Clone(t.Lang)
 	i := uint32(len(d.shapes))
 	d.shapes = append(d.shapes, t)
 	d.shapeIDs[t] = i
@@ -201,25 +285,25 @@ func (d *Dict) hash(t rdf.Term) uint64 {
 	}
 }
 
-// sameLocked reports whether the stored entry and the term have one
-// canonical spelling; hash names the parts that spelling shows.
-func (d *Dict) sameLocked(e entry, t rdf.Term) bool {
-	sh := d.shapes[e.shape]
-	if sh.Kind != t.Kind {
+// sameLocked reports whether the term under id and t have one canonical
+// spelling; hash names the parts that spelling shows.
+func (d *Dict) sameLocked(id ID, t rdf.Term) bool {
+	u := d.viewLocked().Term(id)
+	if u.Kind != t.Kind {
 		return false
 	}
 	switch t.Kind {
 	case rdf.IRI, rdf.Blank:
-		return e.value == t.Value
+		return u.Value == t.Value
 	case rdf.Literal:
-		if sh.Lang != "" || t.Lang != "" {
-			if sh.Lang != t.Lang {
+		if u.Lang != "" || t.Lang != "" {
+			if u.Lang != t.Lang {
 				return false
 			}
-		} else if sh.Datatype != t.Datatype {
+		} else if u.Datatype != t.Datatype {
 			return false
 		}
-		return e.value == t.Value || rendered(e.value) == rendered(t.Value)
+		return u.Value == t.Value || rendered(u.Value) == rendered(t.Value)
 	default:
 		return true
 	}
@@ -241,33 +325,48 @@ func rendered(s string) string {
 func (d *Dict) Term(id ID) rdf.Term {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return View{entries: d.entries, shapes: d.shapes}.Term(id)
+	return d.viewLocked().Term(id)
 }
 
 // View is a lock-free read view of the IDs assigned before it was taken.
-// The dictionary only ever appends to its term and shape tables, so a
-// view stays valid, and safe to read beside concurrent Encodes, for as
-// long as it is held: take one per answer rather than locking once per
-// cell.
+// The dictionary only ever appends to its term and shape tables and its
+// value arena, so a view stays valid, and safe to read beside concurrent
+// Encodes, for as long as it is held: take one per answer rather than
+// locking once per cell.
 type View struct {
 	entries []entry
 	shapes  []rdf.Term
+	chunks  [][]byte
 }
 
 // View returns a view of every ID assigned so far.
 func (d *Dict) View() View {
 	d.mu.RLock()
-	v := View{entries: d.entries, shapes: d.shapes}
+	v := d.viewLocked()
 	d.mu.RUnlock()
 	return v
 }
 
+func (d *Dict) viewLocked() View {
+	return View{entries: d.entries, shapes: d.shapes, chunks: d.chunks}
+}
+
 // Term is Dict.Term over the view's IDs; an ID assigned after the view
-// was taken is unassigned in it.
+// was taken is unassigned in it. The value is a string over the arena's
+// bytes, which never change, so it stays valid for good. It ends at the
+// ID's end and starts at the end before it, unless it would then span two
+// slots: storeLocked started it at the next slot. (Kept within the
+// inliner's budget: a call would cost each decoded cell more than the
+// lookup does.)
 func (v View) Term(id ID) rdf.Term {
-	e := v.entries[int(id)-1] // None indexes -1: every unassigned ID panics here
-	t := v.shapes[e.shape]
-	t.Value = e.value
+	e := v.entries[id] // past the view: every unassigned ID panics here
+	t := v.shapes[e&(1<<shapeBits-1)]
+	if start, end := v.entries[id-1]>>shapeBits, e>>shapeBits; start != end { // None indexes -1
+		if (end-1)^start >= chunkSize { // not in one slot
+			start = (start + chunkSize - 1) &^ (chunkSize - 1)
+		}
+		t.Value = unsafe.String(&v.chunks[start>>chunkBits][start&(chunkSize-1)], end-start)
+	}
 	return t
 }
 
@@ -275,18 +374,19 @@ func (v View) Term(id ID) rdf.Term {
 func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.entries)
+	return len(d.entries) - 1
 }
 
 // Bytes returns the bytes the dictionary keeps resident: the term table
-// at its capacity, the value bytes, the index, and the shape table with
-// its map (counted as one key and one position per shape, without the
-// map's own overhead).
+// at its capacity, the value arena's chunks and their directory at their
+// capacities, the index, and the shape table with its map (counted as
+// one key and one position per shape, without the map's own overhead).
 func (d *Dict) Bytes() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	const shape = int(unsafe.Sizeof(rdf.Term{}))
-	n := cap(d.entries)*int(unsafe.Sizeof(entry{})) + d.valueBytes +
+	n := cap(d.entries)*int(unsafe.Sizeof(entry(0))) +
+		d.arenaBytes + cap(d.chunks)*int(unsafe.Sizeof([]byte(nil))) +
 		len(d.index)*int(unsafe.Sizeof(None)) +
 		cap(d.shapes)*shape + len(d.shapes)*(shape+4)
 	for _, sh := range d.shapes {

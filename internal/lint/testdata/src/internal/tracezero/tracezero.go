@@ -75,3 +75,36 @@ func CompoundWrongEdge(c *ctx, on bool, i int) {
 	}
 	c.span.SetStr("arm", fmt.Sprintf("arm[%d]", i))
 }
+
+// FormattedLocal formats into a local that only a possibly-nil span's
+// method uses: the allocation happens whether or not tracing is on.
+func FormattedLocal(c *ctx, i int) *trace.Span {
+	name := fmt.Sprintf("arm[%d]", i)
+	return c.span.Child(name)
+}
+
+// FormattedLocalAboveGuard formats before the guard that protects the
+// call: the call is proven, the formatting is not.
+func FormattedLocalAboveGuard(c *ctx, i int) {
+	name := "arm:" + fmt.Sprint(i)
+	if c.span != nil {
+		c.span.SetStr("arm", name)
+	}
+}
+
+// FormattedLocalGuarded formats inside the guard.
+func FormattedLocalGuarded(c *ctx, i int) *trace.Span {
+	if c.span == nil {
+		return nil
+	}
+	name := fmt.Sprintf("arm[%d]", i)
+	return c.span.Child(name)
+}
+
+// FormattedLocalUsedElsewhere needs the string whether or not tracing is
+// on.
+func FormattedLocalUsedElsewhere(c *ctx, i int) string {
+	name := fmt.Sprintf("arm[%d]", i)
+	c.span.SetStr("arm", name)
+	return name
+}

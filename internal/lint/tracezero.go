@@ -11,7 +11,10 @@ package lint
 // The analyzer flags method calls on a possibly-nil *Span whose
 // arguments allocate — a fmt.Sprint/Sprintf/Sprintln call or a
 // non-constant string concatenation — unless the receiver is proven
-// non-nil at the call by a must-dataflow over the function's CFG. The
+// non-nil at the call by a must-dataflow over the function's CFG. It
+// follows the value through a local too: `name := fmt.Sprintf(…)`
+// whose every use is an argument of a *Span method is flagged at the
+// assignment unless each such receiver is proven non-nil there. The
 // proof facts come from branch conditions: the true edge of `sp != nil`
 // (and the false edge of `sp == nil`, covering the early-return guard
 // idiom) generate "sp is non-nil", and any assignment to the receiver
@@ -63,41 +66,72 @@ func spanReceiver(info *types.Info, call *ast.CallExpr) ast.Expr {
 // non-constant string concatenation. Constant-folded concats ("a"+"b")
 // are free and exempt.
 func allocatingArg(info *types.Info, call *ast.CallExpr) string {
-	desc := ""
 	for _, arg := range call.Args {
-		inspectShallow(arg, func(n ast.Node) bool {
-			if desc != "" {
-				return false
-			}
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if name := funcFullName(info, n); strings.HasPrefix(name, "fmt.Sprint") {
-					desc = name
-					return false
-				}
-			case *ast.BinaryExpr:
-				if n.Op != token.ADD {
-					return true
-				}
-				tv, ok := info.Types[n]
-				if !ok {
-					return true
-				}
-				if b, isBasic := tv.Type.Underlying().(*types.Basic); !isBasic || b.Info()&types.IsString == 0 {
-					return true
-				}
-				if tv.Value == nil { // not constant-folded
-					desc = "string concatenation"
-					return false
-				}
-			}
-			return true
-		})
-		if desc != "" {
-			break
+		if desc := allocatingExpr(info, arg); desc != "" {
+			return desc
 		}
 	}
+	return ""
+}
+
+// allocatingExpr is allocatingArg for one expression.
+func allocatingExpr(info *types.Info, e ast.Expr) string {
+	desc := ""
+	inspectShallow(e, func(n ast.Node) bool {
+		if desc != "" {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if name := funcFullName(info, n); strings.HasPrefix(name, "fmt.Sprint") {
+				desc = name
+				return false
+			}
+		case *ast.BinaryExpr:
+			if n.Op != token.ADD {
+				return true
+			}
+			tv, ok := info.Types[n]
+			if !ok {
+				return true
+			}
+			if b, isBasic := tv.Type.Underlying().(*types.Basic); !isBasic || b.Info()&types.IsString == 0 {
+				return true
+			}
+			if tv.Value == nil { // not constant-folded
+				desc = "string concatenation"
+				return false
+			}
+		}
+		return true
+	})
 	return desc
+}
+
+// spanOnlyLocal returns, for a local variable, the receivers of the
+// *Span method calls that take it as an argument, in source order; ok
+// reports that every use of it in body is such an argument, and that
+// there is one.
+func spanOnlyLocal(info *types.Info, body *ast.BlockStmt, obj types.Object) (recvs []ast.Expr, ok bool) {
+	uses := 0
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if recv := spanReceiver(info, n); recv != nil {
+				for _, arg := range n.Args {
+					if id, isID := ast.Unparen(arg).(*ast.Ident); isID && info.Uses[id] == obj {
+						recvs = append(recvs, recv)
+					}
+				}
+			}
+		case *ast.Ident:
+			if info.Uses[n] == obj {
+				uses++
+			}
+		}
+		return true
+	})
+	return recvs, uses > 0 && uses == len(recvs)
 }
 
 func checkFuncTrace(pass *Pass, body *ast.BlockStmt) {
@@ -105,27 +139,50 @@ func checkFuncTrace(pass *Pass, body *ast.BlockStmt) {
 
 	// Find the flagged candidate calls first; most functions have none
 	// and skip the dataflow entirely.
+	// A candidate is an allocating expression (site) that must run only
+	// where every receiver in recvs is proven non-nil: a span method's
+	// argument, or the value of a local only span methods use.
 	type candidate struct {
-		call *ast.CallExpr
-		recv ast.Expr
-		key  string
-		what string
+		site  ast.Node
+		recvs []ast.Expr
+		keys  []string
+		what  string // the allocating expression, as reported
+		guard string // what the report says to guard
 	}
 	var cands []candidate
+	add := func(site ast.Node, recvs []ast.Expr, what, guard string) {
+		c := candidate{site: site, recvs: recvs, what: what, guard: guard}
+		for _, recv := range recvs {
+			c.keys = append(c.keys, pathKey(info, recv))
+		}
+		cands = append(cands, c)
+	}
 	inspectShallow(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if recv := spanReceiver(info, n); recv != nil {
+				if what := allocatingArg(info, n); what != "" {
+					add(n, []ast.Expr{recv}, what+" argument", "the call")
+				}
+			}
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE || len(n.Lhs) != len(n.Rhs) {
+				return true
+			}
+			for i, lhs := range n.Lhs {
+				id, isID := lhs.(*ast.Ident)
+				if !isID || info.Defs[id] == nil {
+					continue
+				}
+				what := allocatingExpr(info, n.Rhs[i])
+				if what == "" {
+					continue
+				}
+				if recvs, only := spanOnlyLocal(info, body, info.Defs[id]); only {
+					add(n.Rhs[i], recvs, what+" assigned to "+id.Name+", which only feeds span methods,", "the assignment")
+				}
+			}
 		}
-		recv := spanReceiver(info, call)
-		if recv == nil {
-			return true
-		}
-		what := allocatingArg(info, call)
-		if what == "" {
-			return true
-		}
-		cands = append(cands, candidate{call: call, recv: recv, key: pathKey(info, recv), what: what})
 		return true
 	})
 	if len(cands) == 0 {
@@ -145,8 +202,10 @@ func checkFuncTrace(pass *Pass, body *ast.BlockStmt) {
 		return id
 	}
 	for _, c := range cands {
-		if c.key != "" {
-			intern(c.key)
+		for _, key := range c.keys {
+			if key != "" {
+				intern(key)
+			}
 		}
 	}
 	// Pre-intern guard paths from every nil-comparison condition so the
@@ -192,18 +251,22 @@ func checkFuncTrace(pass *Pass, body *ast.BlockStmt) {
 	g := pass.CFG(body)
 	flow := solve(g, &Problem{Join: JoinIntersect, Transfer: transfer, EdgeFilter: edgeFilter})
 
-	proven := make(map[*ast.CallExpr]bool)
+	// nonNil reports whether every key is proven non-nil in before.
+	nonNil := func(keys []string, before *FactSet) bool {
+		for _, key := range keys {
+			id, known := keyID[key]
+			if key == "" || !known || !before.Has(id) {
+				return false
+			}
+		}
+		return true
+	}
+	proven := make(map[ast.Node]bool)
 	flow.Walk(func(n ast.Node, before *FactSet) {
 		inspectShallow(n, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
 			for _, c := range cands {
-				if c.call == call && c.key != "" {
-					if id, known := keyID[c.key]; known && before.Has(id) {
-						proven[call] = true
-					}
+				if c.site == m && nonNil(c.keys, before) {
+					proven[m] = true
 				}
 			}
 			return true
@@ -211,15 +274,15 @@ func checkFuncTrace(pass *Pass, body *ast.BlockStmt) {
 	})
 
 	for _, c := range cands {
-		if proven[c.call] {
+		if proven[c.site] {
 			continue
 		}
-		recvText := pathText(c.recv)
+		recvText := pathText(c.recvs[0])
 		if recvText == "" {
 			recvText = "the span"
 		}
-		pass.Reportf(c.call.Pos(), "%s argument is evaluated even when %s is nil; guard the call with a nil check to keep disabled tracing allocation-free",
-			c.what, recvText)
+		pass.Reportf(c.site.Pos(), "%s is evaluated even when %s is nil; guard %s with a nil check to keep disabled tracing allocation-free",
+			c.what, recvText, c.guard)
 	}
 }
 

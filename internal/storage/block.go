@@ -356,15 +356,16 @@ func (fb *frozenBuilder) flush() {
 }
 
 // finish seals the index. The arena was built by append, so the block
-// payload subslices are carved out only now, when it stops moving.
+// payloads are carved out only now, when it stops moving, and packed
+// into an exactly sized copy: the append-grown arena's spare capacity
+// would otherwise stay resident with the index.
 func (fb *frozenBuilder) finish() *frozenIndex {
 	fb.flush()
 	fi := &frozenIndex{
-		order:     fb.order,
-		perm:      fb.perm,
-		blocks:    make([]fblock, len(fb.starts)),
-		n:         fb.n,
-		dataBytes: len(fb.arena),
+		order:  fb.order,
+		perm:   fb.perm,
+		blocks: make([]fblock, len(fb.starts)),
+		n:      fb.n,
 	}
 	off := 0
 	for i, start := range fb.starts {
@@ -380,5 +381,6 @@ func (fb *frozenBuilder) finish() *frozenIndex {
 		}
 		off += fb.counts[i]
 	}
+	fi.dataBytes = packPayloads(fi.blocks)
 	return fi
 }

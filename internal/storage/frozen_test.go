@@ -384,11 +384,56 @@ func TestFootprint(t *testing.T) {
 	if fp.BlockBytes == 0 || fp.Blocks == 0 || fp.DirBytes != fp.Blocks*fblockDirBytes {
 		t.Fatalf("footprint sizes wrong: %+v", fp)
 	}
+	if payload, dir := residentIndexBytes(s); fp.IndexBytes() != payload+dir {
+		t.Fatalf("IndexBytes %d, but the payloads hold %d B of capacity and the directories %d", fp.IndexBytes(), payload, dir)
+	}
 	// Tiny 16-triple test blocks carry heavy directory overhead; compare
 	// payload alone, which must beat 24 bytes/triple/order comfortably.
 	if flat := fp.Triples * fp.Orders * 24; fp.BlockBytes*3 > flat {
 		t.Fatalf("compression too weak: %d block bytes vs %d as arrays", fp.BlockBytes, flat)
 	}
+}
+
+// residentIndexBytes sums what the store's indexes hold: the capacity of
+// every block payload and of every fence directory.
+func residentIndexBytes(s *Store) (payload, dir int) {
+	for _, o := range s.orders {
+		fi := s.views[o].fi
+		for _, b := range fi.blocks {
+			payload += cap(b.data)
+		}
+		dir += cap(fi.blocks) * fblockDirBytes
+	}
+	return payload, dir
+}
+
+// Block payloads are sized exactly — their capacity is their length —
+// after Build, after a Compact that folds in a delta, and after Freeze,
+// so Footprint counts every byte the indexes keep.
+func TestPayloadsExactlySized(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	b := NewBuilder().WithBlockSize(64)
+	for _, tr := range randomTriples(rng, 4000, 300) {
+		b.Add(tr)
+	}
+	s := b.Build()
+	check := func(state string) {
+		t.Helper()
+		payload, _ := residentIndexBytes(s)
+		if fp := s.Footprint(); payload != fp.BlockBytes {
+			t.Errorf("%s: payloads hold %d B of capacity for %d B of data", state, payload, fp.BlockBytes)
+		}
+	}
+	check("after Build")
+	for _, tr := range randomTriples(rng, 500, 300) {
+		s.Add(tr)
+	}
+	s.Remove(s.views[OrderSPO].fi.blocks[0].first)
+	s.Compact()
+	check("after Compact")
+	s.Add(Triple{S: 301, P: 301, O: 301})
+	s.Freeze()
+	check("after Freeze")
 }
 
 // TestFrozenConcurrentScansRaceLoader is the -race stress test: snapshot

@@ -183,7 +183,8 @@ func kwayMerge(chunks [][]Triple, perm [3]int, dst []Triple) []Triple {
 
 // buildFrozenIndex encodes a sorted index into its compressed form.
 // Blocks are self-contained, so they encode concurrently: each worker
-// encodes a strided share of the blocks under one gate token.
+// encodes a strided share of the blocks under one gate token. The
+// payloads are then packed into one exactly sized allocation.
 func buildFrozenIndex(ts []Triple, order Order, blockTriples int, g gate) *frozenIndex {
 	perm := order.perm()
 	nb := (len(ts) + blockTriples - 1) / blockTriples
@@ -213,10 +214,26 @@ func buildFrozenIndex(ts []Triple, order Order, blockTriples int, g gate) *froze
 		}(w)
 	}
 	wg.Wait()
-	for i := range fi.blocks {
-		fi.dataBytes += len(fi.blocks[i].data)
-	}
+	fi.dataBytes = packPayloads(fi.blocks)
 	return fi
+}
+
+// packPayloads copies the blocks' payloads back to back into one
+// allocation of exactly their total size and points the blocks at it, so
+// the index holds no capacity beyond its bytes; it returns that size.
+func packPayloads(blocks []fblock) int {
+	total := 0
+	for _, b := range blocks {
+		total += len(b.data)
+	}
+	arena := make([]byte, total)
+	off := 0
+	for i := range blocks {
+		n := copy(arena[off:], blocks[i].data)
+		blocks[i].data = arena[off : off+n : off+n]
+		off += n
+	}
+	return total
 }
 
 // compactLocked folds the delta into the sorted indexes and drops

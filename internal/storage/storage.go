@@ -22,6 +22,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/dict"
 )
@@ -555,10 +556,10 @@ func (f Footprint) BytesPerTriple() float64 {
 	return float64(f.IndexBytes()) / float64(f.Triples)
 }
 
-// fblockDirBytes approximates the in-memory size of one fence-directory
-// entry: the fence key (12), off and n (16), and the payload slice
-// header (24), padded.
-const fblockDirBytes = 56
+// fblockDirBytes is the in-memory size of one fence-directory entry: the
+// fence key (12), off and n (16), and the payload slice header (24),
+// padded.
+const fblockDirBytes = int(unsafe.Sizeof(fblock{}))
 
 // Footprint reports the store's resident index cost.
 func (s *Store) Footprint() Footprint {

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -338,6 +339,53 @@ func TestLoadNTriples(t *testing.T) {
 	if n != len(lubm.Ontology()) {
 		t.Errorf("loaded %d statements, want %d", n, len(lubm.Ontology()))
 	}
+}
+
+// A store loaded from N-Triples text keeps no more heap than one given
+// the same triples in process: the dictionary copies each value, so no
+// term pins the line it was read from. Inputs are built and dropped
+// inside each measurement.
+func TestLoadedStoreRetainsNoInput(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector skews heap measurements")
+	}
+	generate := func() []rdf.Triple {
+		ts := lubm.Ontology()
+		lubm.Generate(1, 42, lubm.Default(), func(tr rdf.Triple) { ts = append(ts, tr) })
+		return ts
+	}
+	perTriple := func(load func(*repro.Store) error) float64 {
+		base := liveHeap()
+		st := repro.NewStore()
+		if err := load(st); err != nil {
+			t.Fatal(err)
+		}
+		st.Freeze()
+		held := float64(liveHeap() - base)
+		n := st.NumTriples()
+		runtime.KeepAlive(st)
+		return held / float64(n)
+	}
+	added := perTriple(func(st *repro.Store) error { return st.AddAll(generate()) })
+	loaded := perTriple(func(st *repro.Store) error {
+		var buf bytes.Buffer
+		if err := ntriples.NewWriter(&buf).WriteAll(generate()); err != nil {
+			return err
+		}
+		_, err := st.LoadNTriples(&buf)
+		return err
+	})
+	if loaded > 1.05*added || added > 1.05*loaded {
+		t.Errorf("heap after Freeze: %.1f B/triple loaded from N-Triples, %.1f B/triple added in process; want them within 5 %%", loaded, added)
+	}
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // Turtle input must load and answer like the equivalent N-Triples.

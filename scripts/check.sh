@@ -2,9 +2,9 @@
 # check.sh runs the full verification gauntlet: build, gofmt, go vet, the
 # repository's own static-analysis suite (cmd/lint), the test suite, the
 # benchmark module's tests, the race detector, short fuzzes of the answer
-# encoder and of evaluation against the naive evaluator, and the query
-# service smoke. CI runs exactly this script; run it locally before
-# sending changes.
+# encoder, of evaluation against the naive evaluator and of the
+# dictionary's identity contract, and the query service smoke. CI runs
+# exactly this script; run it locally before sending changes.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -45,6 +45,9 @@ go test -run='^$' -fuzz=FuzzAppendJSONCanonical -fuzztime=10s ./internal/rdf
 
 echo "==> go test -fuzz=FuzzDisconnectedMatchesNaive -fuzztime=10s ./internal/engine"
 go test -run='^$' -fuzz=FuzzDisconnectedMatchesNaive -fuzztime=10s ./internal/engine
+
+echo "==> go test -fuzz=FuzzDictionaryIdentity -fuzztime=10s ./internal/dict"
+go test -run='^$' -fuzz=FuzzDictionaryIdentity -fuzztime=10s ./internal/dict
 
 echo "==> scripts/serve_smoke.sh (query service end-to-end)"
 ./scripts/serve_smoke.sh
