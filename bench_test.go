@@ -19,9 +19,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/engine"
+	"repro/internal/lubm"
 	"repro/internal/plancache"
+	"repro/internal/rdf"
 	"repro/internal/reformulate"
 	"repro/internal/saturate"
+	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -431,12 +434,24 @@ func BenchmarkSnapshotScan(b *testing.B) {
 	_ = count
 }
 
-// BenchmarkBulkLoad measures building the triple store from the raw
-// LUBM stream with the block-columnar sort-merge loader, serial and
-// parallel, and reports the resident bytes/triple as a metric.
+// BenchmarkBulkLoad measures the two halves of freezing a store at
+// REPRO_BENCH_SCALE. serial and parallel time Builder.Build — radix-sort
+// the SPO base, derive and encode every permutation index — over the
+// LUBM stream in generation order (plus the closed constraints), as
+// Freeze feeds it, and report the resident bytes/triple; collect times
+// stats.Collect's one SPO walk over the built store.
 func BenchmarkBulkLoad(b *testing.B) {
+	sc := benchScale(b)
 	db := lubmDB(b)
 	n := db.Raw.Len()
+	var stream []storage.Triple
+	lubm.Generate(sc.LUBMUnivs, benchkit.LUBMSeed, sc.LUBMConfig, func(t rdf.Triple) {
+		s, p, o := db.Dict.EncodeTriple(t)
+		stream = append(stream, storage.Triple{S: s, P: p, O: o})
+	})
+	for _, c := range db.Closed.ConstraintTriples() {
+		stream = append(stream, storage.Triple{S: c[0], P: c[1], O: c[2]})
+	}
 	variants := []struct {
 		name string
 		par  int
@@ -450,10 +465,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 			var st *storage.Store
 			for i := 0; i < b.N; i++ {
 				bl := storage.NewBuilder().WithParallelism(v.par)
-				db.Raw.Each(func(t storage.Triple) bool {
-					bl.Add(t)
-					return true
-				})
+				bl.AddAll(stream)
 				st = bl.Build()
 				if st.Len() != n {
 					b.Fatal("load lost triples")
@@ -462,6 +474,14 @@ func BenchmarkBulkLoad(b *testing.B) {
 			b.ReportMetric(st.Footprint().BytesPerTriple(), "bytes/triple")
 		})
 	}
+	b.Run("collect", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if stats.Collect(db.Raw, db.Vocab).Total() != n {
+				b.Fatal("collect lost triples")
+			}
+		}
+	})
 }
 
 // BenchmarkArmJoins measures the three arm-join algorithms on the SCQ

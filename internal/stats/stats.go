@@ -7,8 +7,10 @@
 // searches, so looking the number up is cheaper than maintaining an
 // approximate histogram would be. Join-result cardinalities are estimated
 // with the classic value-set-containment assumption, using per-property
-// distinct-subject and distinct-object counts gathered in a single pass at
-// load time.
+// triple, distinct-subject and distinct-object counts gathered at load
+// time without a set per property: one uncached walk of the SPO index,
+// whose (S,P) runs give the triple and subject counts, and one sort of
+// the walk's (P,O) keys, whose distinct pairs give the object counts.
 package stats
 
 import (
@@ -44,6 +46,13 @@ type Stats struct {
 
 // Collect scans the store once and returns its statistics. vocab supplies
 // the rdf:type ID used to recognize class-membership patterns.
+//
+// The pass is Store.Each's SPO walk, which caches no decoded block. In SPO
+// order a property's triples with one subject form one (S,P) run, so each
+// run adds its length to the property's Count and one to its DistinctS.
+// The walk also keeps every triple's (P,O) pair as a key, S left None so
+// the radix sort skips its digits; sorted once into POS order, a
+// property's distinct keys are its DistinctO.
 func Collect(store *storage.Store, vocab schema.Vocab) *Stats {
 	st := &Stats{
 		store: store,
@@ -52,27 +61,44 @@ func Collect(store *storage.Store, vocab schema.Vocab) *Stats {
 		props: make(map[dict.ID]PropStat),
 		memo:  make(map[storage.Pattern]int),
 	}
-	// One map-based pass over the store; the number of distinct properties
-	// in RDF datasets is small, so per-property sets stay cheap.
 	byProp := make(map[dict.ID]*PropStat)
-	subjSets := make(map[dict.ID]map[dict.ID]struct{})
-	objSets := make(map[dict.ID]map[dict.ID]struct{})
-	store.Each(func(t storage.Triple) bool {
-		ps := byProp[t.P]
+	keys := make([]storage.Triple, 0, st.total)
+	var run storage.Triple // the current (S,P) run's first triple
+	runLen := 0
+	endRun := func() {
+		ps := byProp[run.P]
 		if ps == nil {
-			ps = &PropStat{}
-			byProp[t.P] = ps
-			subjSets[t.P] = make(map[dict.ID]struct{})
-			objSets[t.P] = make(map[dict.ID]struct{})
+			ps = new(PropStat)
+			byProp[run.P] = ps
 		}
-		ps.Count++
-		subjSets[t.P][t.S] = struct{}{}
-		objSets[t.P][t.O] = struct{}{}
+		ps.Count += runLen
+		ps.DistinctS++
+	}
+	store.Each(func(t storage.Triple) bool {
+		if t.S != run.S || t.P != run.P {
+			if runLen > 0 {
+				endRun()
+			}
+			run, runLen = t, 0
+		}
+		runLen++
+		keys = append(keys, storage.Triple{P: t.P, O: t.O})
 		return true
 	})
+	if runLen > 0 {
+		endRun()
+	}
+	storage.Sort(keys, storage.OrderPOS)
+	for i := 0; i < len(keys); {
+		p, distinct := keys[i].P, 0
+		for first := i; i < len(keys) && keys[i].P == p; i++ {
+			if i == first || keys[i].O != keys[i-1].O {
+				distinct++
+			}
+		}
+		byProp[p].DistinctO = distinct
+	}
 	for p, ps := range byProp {
-		ps.DistinctS = len(subjSets[p])
-		ps.DistinctO = len(objSets[p])
 		st.props[p] = *ps
 	}
 	// Read the version after the pass: Each() above may have compacted

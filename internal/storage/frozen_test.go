@@ -193,11 +193,12 @@ func TestFrozenSnapshotIsolationAcrossCompact(t *testing.T) {
 	}
 }
 
-// TestLoaderParallelismEquivalence proves the chunked parallel sort and
-// block encode produce byte-identical indexes to the serial path.
+// TestLoaderParallelismEquivalence proves the concurrent per-order builds
+// and strided block encode produce byte-identical indexes to the serial
+// path, over an input that spans dozens of blocks per order.
 func TestLoaderParallelismEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	data := randomTriples(rng, parallelSortMin+3000, 2000)
+	data := randomTriples(rng, 40000, 2000)
 	mk := func(par int) *Store {
 		b := NewBuilder(AllOrders...).WithParallelism(par)
 		for _, tr := range data {
@@ -208,6 +209,9 @@ func TestLoaderParallelismEquivalence(t *testing.T) {
 	serial, parallel := mk(1), mk(8)
 	for _, o := range AllOrders {
 		a, b := serial.views[o].fi, parallel.views[o].fi
+		if len(a.blocks) < 32 {
+			t.Fatalf("order %v: %d blocks, want the input to span at least 32", o, len(a.blocks))
+		}
 		if a.n != b.n || len(a.blocks) != len(b.blocks) || a.dataBytes != b.dataBytes {
 			t.Fatalf("order %v: shape differs (%d/%d blocks, %d/%d bytes)", o, len(a.blocks), len(b.blocks), a.dataBytes, b.dataBytes)
 		}

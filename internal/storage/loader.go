@@ -1,12 +1,14 @@
-// The parallel sort-merge bulk loader. Builder.Build sorts every
-// permutation index concurrently on a bounded worker gate and encodes it
-// into the compressed block-columnar form; large inputs sort chunk-wise
-// and k-way merge, so a multi-core loader is limited by the merge
-// bandwidth rather than one serial sort. Compact folds the mutation
-// delta by merging sorted runs — the existing index streamed block by
-// block, the tombstone filter, and the freshly sorted delta — into a
-// streaming block encoder instead of re-sorting the world, so
-// write-heavy workloads pay O(n + d) per index, not O(n log n).
+// The bulk loader. Builder.Build radix-sorts the triples once into SPO
+// order and deduplicates them; every other permutation index is derived
+// from that sorted base by a stable radix sort over only the leading
+// columns the SPO order does not already settle (OSP re-sorts by O
+// alone, POS by P and O). The per-order builds run concurrently on a bounded worker gate, and
+// each sorted index is encoded into the compressed block-columnar form.
+// Compact folds the mutation delta by merging sorted runs — the existing
+// index streamed block by block, the tombstone filter, and the freshly
+// sorted delta — into a streaming block encoder instead of re-sorting
+// the world, so write-heavy workloads pay O(n + d) per index, not
+// O(n log n).
 package storage
 
 import (
@@ -14,18 +16,8 @@ import (
 	"sync"
 )
 
-const (
-	// sortChunkTriples is the chunk size of the parallel sort: chunks
-	// sort independently and k-way merge.
-	sortChunkTriples = 1 << 16
-
-	// parallelSortMin is the input size below which sorting is serial —
-	// goroutine and merge overhead dominates under it.
-	parallelSortMin = 1 << 15
-)
-
-// gate bounds the loader's concurrency: leaf work units (chunk sorts,
-// merges, block encodes) run inside do, so however many index builds are
+// gate bounds the loader's concurrency: leaf work units (index sorts,
+// block encodes) run inside do, so however many index builds are
 // in flight, at most cap(g) of them burn a CPU at once.
 type gate chan struct{}
 
@@ -51,11 +43,11 @@ func (b *Builder) WithBlockSize(n int) *Builder {
 }
 
 // Build sorts, deduplicates and indexes the triples, consuming the
-// builder. Per-order sorts run concurrently on a bounded worker gate;
-// large inputs sort chunk-wise and k-way merge, and every sorted index
-// is encoded into the compressed block-columnar form. The store is
-// assembled only once every index is built, so no goroutine writes a
-// store another can see.
+// builder. The SPO base is sorted once; each other order is a copy of it
+// re-sorted by its spoPrefix columns. Per-order builds run concurrently
+// on a bounded worker gate, and every sorted index is encoded into the
+// compressed block-columnar form. The store is assembled only once every
+// index is built, so no goroutine writes a store another can see.
 func (b *Builder) Build() *Store {
 	par := b.par
 	if par <= 0 {
@@ -69,7 +61,7 @@ func (b *Builder) Build() *Store {
 
 	base := b.triples
 	b.triples = nil
-	base = sortTriples(base, OrderSPO.perm(), g)
+	g.do(func() { sortByOrder(base, OrderSPO.perm()) })
 	base = dedupSorted(base)
 
 	// Distinct orders write distinct slots, so the concurrent per-order
@@ -87,8 +79,9 @@ func (b *Builder) Build() *Store {
 			g.do(func() {
 				cp = make([]Triple, len(base))
 				copy(cp, base)
+				perm := o.perm()
+				sortPrefix(cp, perm, spoPrefix(perm))
 			})
-			cp = sortTriples(cp, o.perm(), g)
 			views[o] = newFrozenView(buildFrozenIndex(cp, o, bt, g))
 		}(o)
 	}
@@ -99,86 +92,86 @@ func (b *Builder) Build() *Store {
 	return &Store{orders: b.orders, views: views, n: len(base), blockTriples: bt, par: par}
 }
 
-// sortTriples sorts ts by perm. Small inputs sort serially in place;
-// large ones split into chunks sorted concurrently under the gate and
-// k-way merged into a fresh slice, which is returned.
-func sortTriples(ts []Triple, perm [3]int, g gate) []Triple {
-	nch := (len(ts) + sortChunkTriples - 1) / sortChunkTriples
-	if len(ts) < parallelSortMin || cap(g) <= 1 || nch < 2 {
-		g.do(func() { sortByOrder(ts, perm) })
-		return ts
+// Sort sorts ts into the order o in place with the loader's radix sort
+// (see sortPrefix).
+func Sort(ts []Triple, o Order) { sortByOrder(ts, o.perm()) }
+
+// sortByOrder sorts ts into the order perm (see sortPrefix). The order
+// is total and its ties are identical triples, so the result does not
+// depend on the input's arrangement.
+func sortByOrder(ts []Triple, perm [3]int) { sortPrefix(ts, perm, 3) }
+
+// sortPrefix stably sorts ts by the columns perm[:k] with an LSD radix
+// sort over byte digits: the low byte of perm[k-1] first, the high byte
+// of perm[0] last. One counting pass fills every digit's histogram; a
+// digit on which every key agrees is skipped (LUBM's 15-bit IDs keep two
+// of each column's four), and each remaining digit scatters the triples
+// between ts and one scratch buffer, which swap roles every pass. The
+// result ends in ts.
+func sortPrefix(ts []Triple, perm [3]int, k int) {
+	n := len(ts)
+	if n < 2 || k == 0 {
+		return
 	}
-	chunks := make([][]Triple, nch)
-	var wg sync.WaitGroup
-	for i := range chunks {
-		lo := i * sortChunkTriples
-		hi := min(lo+sortChunkTriples, len(ts))
-		chunks[i] = ts[lo:hi]
-		wg.Add(1)
-		go func(c []Triple) {
-			defer wg.Done()
-			g.do(func() { sortByOrder(c, perm) })
-		}(chunks[i])
+	// Digit 4j+b is byte b of column cols[j], least significant first;
+	// the columns after the first k only pad the counting pass.
+	cols := [3]int{perm[k-1], perm[max(k-2, 0)], perm[max(k-3, 0)]}
+	var hist [12][256]int
+	for _, t := range ts {
+		c := key(t)
+		x, y, z := c[cols[0]], c[cols[1]], c[cols[2]]
+		hist[0][byte(x)]++
+		hist[1][byte(x>>8)]++
+		hist[2][byte(x>>16)]++
+		hist[3][byte(x>>24)]++
+		hist[4][byte(y)]++
+		hist[5][byte(y>>8)]++
+		hist[6][byte(y>>16)]++
+		hist[7][byte(y>>24)]++
+		hist[8][byte(z)]++
+		hist[9][byte(z>>8)]++
+		hist[10][byte(z>>16)]++
+		hist[11][byte(z>>24)]++
 	}
-	wg.Wait()
+	src := ts
 	var dst []Triple
-	g.do(func() { dst = kwayMerge(chunks, perm, make([]Triple, 0, len(ts))) })
-	return dst
+	for d := 0; d < 4*k; d++ {
+		pos, shift := cols[d/4], uint(8*(d%4))
+		h := &hist[d]
+		if h[byte(key(src[0])[pos]>>shift)] == n {
+			continue // every key agrees on this digit
+		}
+		if dst == nil {
+			dst = make([]Triple, n)
+		}
+		off := 0
+		for i, c := range h {
+			h[i] = off
+			off += c
+		}
+		for _, t := range src {
+			b := byte(key(t)[pos] >> shift)
+			dst[h[b]] = t
+			h[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ts[0] {
+		copy(ts, src)
+	}
 }
 
-// kwayMerge merges sorted chunks into dst (appended and returned) with a
-// hand-rolled binary heap over the chunk heads. Ties between equal
-// triples break by chunk index, so the output is deterministic — and
-// since duplicates are identical values, byte-identical to a serial sort
-// of the concatenation.
-func kwayMerge(chunks [][]Triple, perm [3]int, dst []Triple) []Triple {
-	pos := make([]int, len(chunks))
-	h := make([]int, 0, len(chunks))
-	lessChunk := func(a, b int) bool {
-		ta, tb := chunks[a][pos[a]], chunks[b][pos[b]]
-		if ta != tb {
-			return less(perm, ta, tb)
-		}
-		return a < b
+// spoPrefix returns how many leading columns of perm an SPO-sorted input
+// must be stably re-sorted by to come out in perm's order: the shortest k
+// for which perm[k:] follows SPO's relative column order, since the
+// stable sort leaves ties on perm[:k] in SPO order. SPO needs 0, OSP and
+// PSO 1, POS, SOP and OPS 2.
+func spoPrefix(perm [3]int) int {
+	k := 2
+	for k > 0 && perm[k-1] < perm[k] {
+		k--
 	}
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(h) && lessChunk(h[l], h[small]) {
-				small = l
-			}
-			if r < len(h) && lessChunk(h[r], h[small]) {
-				small = r
-			}
-			if small == i {
-				return
-			}
-			h[i], h[small] = h[small], h[i]
-			i = small
-		}
-	}
-	for i := range chunks {
-		if len(chunks[i]) > 0 {
-			h = append(h, i)
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(h) > 0 {
-		c := h[0]
-		dst = append(dst, chunks[c][pos[c]])
-		pos[c]++
-		if pos[c] == len(chunks[c]) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if len(h) > 0 {
-			siftDown(0)
-		}
-	}
-	return dst
+	return k
 }
 
 // buildFrozenIndex encodes a sorted index into its compressed form.

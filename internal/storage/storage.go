@@ -17,9 +17,7 @@
 package storage
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -179,6 +177,10 @@ func NewBuilder(orders ...Order) *Builder {
 // Add appends a triple; duplicates are eliminated at Build time.
 func (b *Builder) Add(t Triple) { b.triples = append(b.triples, t) }
 
+// AddAll appends every triple of ts in one copy; duplicates are
+// eliminated at Build time.
+func (b *Builder) AddAll(ts []Triple) { b.triples = append(b.triples, ts...) }
+
 // Len returns the number of triples added so far (duplicates included).
 func (b *Builder) Len() int { return len(b.triples) }
 
@@ -189,18 +191,6 @@ func hasOrder(orders []Order, o Order) bool {
 		}
 	}
 	return false
-}
-
-func sortByOrder(ts []Triple, perm [3]int) {
-	slices.SortFunc(ts, func(a, b Triple) int {
-		ka, kb := key(a), key(b)
-		for _, pos := range perm {
-			if c := cmp.Compare(ka[pos], kb[pos]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
 }
 
 func dedupSorted(ts []Triple) []Triple {

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/bgp"
@@ -296,13 +297,11 @@ func (s *Store) Remove(t rdf.Triple) (bool, error) {
 	}
 	tr := storage.Triple{S: sub, P: p, O: o}
 	if !s.frozen {
-		for i, pend := range s.pending {
-			if pend == tr {
-				s.pending = append(s.pending[:i], s.pending[i+1:]...)
-				return true, nil
-			}
-		}
-		return false, nil
+		// Pending triples may repeat (Freeze deduplicates), so drop every
+		// copy in one filtering pass.
+		n := len(s.pending)
+		s.pending = slices.DeleteFunc(s.pending, func(pend storage.Triple) bool { return pend == tr })
+		return len(s.pending) < n, nil
 	}
 	removed := s.raw.Remove(tr)
 	if removed && s.sat != nil {
@@ -375,16 +374,14 @@ func (s *Store) Freeze() {
 		return
 	}
 	s.closed = s.sch.Close()
-	b := storage.NewBuilder(s.orders...)
-	for _, t := range s.pending {
-		b.Add(t)
-	}
 	for _, c := range s.closed.ConstraintTriples() {
-		b.Add(storage.Triple{S: c[0], P: c[1], O: c[2]})
+		s.pending = append(s.pending, storage.Triple{S: c[0], P: c[1], O: c[2]})
 	}
+	b := storage.NewBuilder(s.orders...)
+	b.AddAll(s.pending)
+	s.pending = nil
 	s.raw = b.Build()
 	s.rawStats = stats.Collect(s.raw, s.vocab)
-	s.pending = nil
 	s.frozen = true
 }
 

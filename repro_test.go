@@ -298,6 +298,43 @@ func TestStoreRemove(t *testing.T) {
 	}
 }
 
+// Removing a triple before Freeze removes it however often it was added:
+// the pending list keeps duplicates until Freeze deduplicates them.
+func TestRemoveBeforeFreezeDropsEveryPendingCopy(t *testing.T) {
+	st := repro.NewStore()
+	tr := rdf.NewTriple(rdf.NewIRI("http://x/s"), rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/o"))
+	keep := rdf.NewTriple(rdf.NewIRI("http://x/s"), rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/o2"))
+	st.MustAdd(tr)
+	st.MustAdd(keep)
+	st.MustAdd(tr)
+	removed, err := st.Remove(tr)
+	if err != nil || !removed {
+		t.Fatalf("Remove = %v, %v; want true, nil", removed, err)
+	}
+	if removed, _ := st.Remove(tr); removed {
+		t.Error("second removal before Freeze reported success")
+	}
+	st.Freeze()
+	if n := st.NumTriples(); n != 1 {
+		t.Fatalf("NumTriples after Freeze = %d, want 1 (only the other triple)", n)
+	}
+}
+
+// Freeze builds the indexes and collects the statistics by walking them
+// transiently: no decoded block stays cached on the frozen store.
+func TestFreezeCachesNoDecodedBlock(t *testing.T) {
+	st := repro.NewStore()
+	if err := st.AddAll(lubm.Ontology()); err != nil {
+		t.Fatal(err)
+	}
+	lubm.Generate(1, 42, lubm.Tiny(), func(tr rdf.Triple) { st.MustAdd(tr) })
+	st.Freeze()
+	fp := st.Footprint().Index
+	if fp.Triples == 0 || fp.DecodedBlocks != 0 || fp.DecodedBytes != 0 {
+		t.Fatalf("after Freeze: %d triples, %d decoded blocks (%d B) cached, want none", fp.Triples, fp.DecodedBlocks, fp.DecodedBytes)
+	}
+}
+
 // ASK queries flow through the whole stack: a boolean question that is
 // true only via reasoning must be answered true by every strategy.
 func TestAskQueries(t *testing.T) {

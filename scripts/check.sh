@@ -2,8 +2,9 @@
 # check.sh runs the full verification gauntlet: build, gofmt, go vet, the
 # repository's own static-analysis suite (cmd/lint), the test suite, the
 # benchmark module's tests, the race detector, short fuzzes of the answer
-# encoder, of evaluation against the naive evaluator and of the
-# dictionary's identity contract, and the query service smoke. CI runs
+# encoder, of evaluation against the naive evaluator, of the
+# dictionary's identity contract and of the loader's radix sort against a
+# comparison sort, and the query service smoke. CI runs
 # exactly this script; run it locally before sending changes.
 set -eu
 
@@ -48,6 +49,9 @@ go test -run='^$' -fuzz=FuzzDisconnectedMatchesNaive -fuzztime=10s ./internal/en
 
 echo "==> go test -fuzz=FuzzDictionaryIdentity -fuzztime=10s ./internal/dict"
 go test -run='^$' -fuzz=FuzzDictionaryIdentity -fuzztime=10s ./internal/dict
+
+echo "==> go test -fuzz=FuzzSortByOrder -fuzztime=10s ./internal/storage"
+go test -run='^$' -fuzz=FuzzSortByOrder -fuzztime=10s ./internal/storage
 
 echo "==> scripts/serve_smoke.sh (query service end-to-end)"
 ./scripts/serve_smoke.sh
