@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro"
 	"repro/internal/benchkit"
 	"repro/internal/core"
 	"repro/internal/cover"
@@ -434,24 +435,52 @@ func BenchmarkSnapshotScan(b *testing.B) {
 	_ = count
 }
 
-// BenchmarkBulkLoad measures the two halves of freezing a store at
-// REPRO_BENCH_SCALE. serial and parallel time Builder.Build — radix-sort
-// the SPO base, derive and encode every permutation index — over the
-// LUBM stream in generation order (plus the closed constraints), as
-// Freeze feeds it, and report the resident bytes/triple; collect times
-// stats.Collect's one SPO walk over the built store.
+// BenchmarkBulkLoad measures the steps of loading a store at
+// REPRO_BENCH_SCALE. generate times lubm.Generate alone; encode times
+// repro.Store.Add (dictionary encoding and the pending append) over the
+// pre-generated ontology and data, reported per triple. serial and
+// parallel time Builder.Build — radix-sort the SPO base, derive and
+// encode every permutation index, tally the per-property statistics —
+// over the LUBM stream in generation order (plus the closed constraints),
+// as Freeze feeds it, and report the resident bytes/triple; collect times
+// stats.Collect's read of those tallies.
 func BenchmarkBulkLoad(b *testing.B) {
 	sc := benchScale(b)
 	db := lubmDB(b)
 	n := db.Raw.Len()
+	var generated []rdf.Triple
+	lubm.Generate(sc.LUBMUnivs, benchkit.LUBMSeed, sc.LUBMConfig, func(t rdf.Triple) { generated = append(generated, t) })
 	var stream []storage.Triple
-	lubm.Generate(sc.LUBMUnivs, benchkit.LUBMSeed, sc.LUBMConfig, func(t rdf.Triple) {
+	for _, t := range generated {
 		s, p, o := db.Dict.EncodeTriple(t)
 		stream = append(stream, storage.Triple{S: s, P: p, O: o})
-	})
+	}
 	for _, c := range db.Closed.ConstraintTriples() {
 		stream = append(stream, storage.Triple{S: c[0], P: c[1], O: c[2]})
 	}
+	b.Run("generate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			count := 0
+			lubm.Generate(sc.LUBMUnivs, benchkit.LUBMSeed, sc.LUBMConfig, func(rdf.Triple) { count++ })
+			if count != len(generated) {
+				b.Fatal("generation changed size")
+			}
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		triples := append(lubm.Ontology(), generated...)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			st := repro.NewStore()
+			for _, t := range triples {
+				if err := st.Add(t); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(triples)), "ns/triple")
+	})
 	variants := []struct {
 		name string
 		par  int

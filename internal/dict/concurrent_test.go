@@ -104,6 +104,63 @@ func TestDictConcurrentReadWrite(t *testing.T) {
 	}
 }
 
+// EncodeTriple racing with Encode on overlapping terms, beside readers
+// of a View, must agree with Encode on every term's ID. Run with -race:
+// the one read pass and the one write pass of EncodeTriple must not
+// overlap Encode's writes or the view's reads.
+func TestEncodeTripleBesideEncodeAndView(t *testing.T) {
+	d := New()
+	seed := make([]rdf.Term, 50)
+	for i := range seed {
+		seed[i] = rdf.NewIRI(fmt.Sprintf("http://x/seed/%d", i))
+		d.Encode(seed[i])
+	}
+	v := d.View()
+	term := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://x/t/%d", i)) }
+	const n = 600
+
+	var wg sync.WaitGroup
+	triples := make([][3]ID, n)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			s, p, o := d.EncodeTriple(rdf.NewTriple(term(i), seed[i%len(seed)], term(i+1)))
+			triples[i] = [3]ID{s, p, o}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := n; i >= 0; i-- {
+			d.Encode(term(i))
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for alive := true; alive; {
+		select {
+		case <-done:
+			alive = false
+		default:
+		}
+		for i, want := range seed {
+			if got := v.Term(ID(i + 1)); got != want {
+				t.Fatalf("view Term(%d) = %v, want %v", i+1, got, want)
+			}
+		}
+	}
+
+	for i, ids := range triples {
+		want := [3]ID{d.Encode(term(i)), d.Encode(seed[i%len(seed)]), d.Encode(term(i + 1))}
+		if ids != want {
+			t.Fatalf("triple %d: EncodeTriple gave %v, Encode gives %v", i, ids, want)
+		}
+	}
+	if want := len(seed) + n + 1; d.Len() != want {
+		t.Errorf("Len = %d, want %d", d.Len(), want)
+	}
+}
+
 // A View taken once keeps resolving its IDs, with no lock, while writers
 // append past it — including across the reallocations of the term table.
 // Run with -race: the view's reads and Encode's writes must not overlap.

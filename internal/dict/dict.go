@@ -130,6 +130,42 @@ func (d *Dict) Encode(t rdf.Term) ID {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.encodeLocked(h, t)
+}
+
+// EncodeTriple encodes the three terms of t, assigning exactly the IDs
+// Encode(t.S), Encode(t.P) and Encode(t.O) in turn would. Each term is
+// hashed once, all three are looked up under one read lock, and the
+// write lock is taken at most once, to insert the new ones in S, P, O
+// order. Encoding a known triple allocates nothing.
+func (d *Dict) EncodeTriple(t rdf.Triple) (s, p, o ID) {
+	hs, hp, ho := d.hash(t.S), d.hash(t.P), d.hash(t.O)
+	d.mu.RLock()
+	s, p, o = d.findLocked(hs, t.S), d.findLocked(hp, t.P), d.findLocked(ho, t.O)
+	d.mu.RUnlock()
+	if s != None && p != None && o != None {
+		return s, p, o
+	}
+	// An ID once assigned never changes, so only the terms the read pass
+	// missed are looked up again; one of them may be another's twin, or
+	// have been inserted since.
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if s == None {
+		s = d.encodeLocked(hs, t.S)
+	}
+	if p == None {
+		p = d.encodeLocked(hp, t.P)
+	}
+	if o == None {
+		o = d.encodeLocked(ho, t.O)
+	}
+	return s, p, o
+}
+
+// encodeLocked returns the ID of the term hashing to h, inserting it if
+// it is absent. The caller holds the write lock.
+func (d *Dict) encodeLocked(h uint64, t rdf.Term) ID {
 	if id := d.findLocked(h, t); id != None {
 		return id
 	}
@@ -286,15 +322,17 @@ func (d *Dict) hash(t rdf.Term) uint64 {
 }
 
 // sameLocked reports whether the term under id and t have one canonical
-// spelling; hash names the parts that spelling shows.
+// spelling; hash names the parts that spelling shows. It reads the
+// stored shape and value bytes where they lie.
 func (d *Dict) sameLocked(id ID, t rdf.Term) bool {
-	u := d.viewLocked().Term(id)
+	e := d.entries[id]
+	u := &d.shapes[e&(1<<shapeBits-1)]
 	if u.Kind != t.Kind {
 		return false
 	}
 	switch t.Kind {
 	case rdf.IRI, rdf.Blank:
-		return u.Value == t.Value
+		return d.valueLocked(id) == t.Value
 	case rdf.Literal:
 		if u.Lang != "" || t.Lang != "" {
 			if u.Lang != t.Lang {
@@ -303,10 +341,24 @@ func (d *Dict) sameLocked(id ID, t rdf.Term) bool {
 		} else if u.Datatype != t.Datatype {
 			return false
 		}
-		return u.Value == t.Value || rendered(u.Value) == rendered(t.Value)
+		v := d.valueLocked(id)
+		return v == t.Value || rendered(v) == rendered(t.Value)
 	default:
 		return true
 	}
+}
+
+// valueLocked returns the value of the term under id over the arena's
+// bytes, laid out as View.Term reads it (which inlines the same rule).
+func (d *Dict) valueLocked(id ID) string {
+	start, end := d.entries[id-1]>>shapeBits, d.entries[id]>>shapeBits
+	if start == end {
+		return ""
+	}
+	if (end-1)^start >= chunkSize { // not in one slot
+		start = (start + chunkSize - 1) &^ (chunkSize - 1)
+	}
+	return unsafe.String(&d.chunks[start>>chunkBits][start&(chunkSize-1)], end-start)
 }
 
 // rendered is a literal's lexical form as its canonical spelling renders
@@ -393,11 +445,6 @@ func (d *Dict) Bytes() int {
 		n += len(sh.Datatype) + len(sh.Lang)
 	}
 	return n
-}
-
-// EncodeTriple encodes the three terms of t.
-func (d *Dict) EncodeTriple(t rdf.Triple) (s, p, o ID) {
-	return d.Encode(t.S), d.Encode(t.P), d.Encode(t.O)
 }
 
 // DecodeTriple rebuilds a surface triple from encoded IDs.

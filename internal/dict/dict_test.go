@@ -64,6 +64,55 @@ func TestEncodeTriple(t *testing.T) {
 	}
 }
 
+// EncodeTriple assigns the IDs Encode(S), Encode(P), Encode(O) in turn
+// would, in the same order: with a term in two or three positions, with a
+// term new only in P or only in O, and across an index growth partway
+// through the triple. Each case runs after every prefill of 0 to 12
+// terms, so the growth lands on each position in turn.
+func TestEncodeTripleMatchesSequentialEncode(t *testing.T) {
+	iri := func(s string) rdf.Term { return rdf.NewIRI("http://x/" + s) }
+	known := iri("known")
+	cases := map[string]rdf.Triple{
+		"all new":           rdf.NewTriple(iri("s"), iri("p"), rdf.NewLiteral("o")),
+		"S is O":            rdf.NewTriple(iri("a"), iri("p"), iri("a")),
+		"S is P":            rdf.NewTriple(iri("a"), iri("a"), iri("o")),
+		"P is O":            rdf.NewTriple(iri("s"), iri("a"), iri("a")),
+		"one term thrice":   rdf.NewTriple(iri("a"), iri("a"), iri("a")),
+		"new only in P":     rdf.NewTriple(known, iri("p"), known),
+		"new only in O":     rdf.NewTriple(known, known, rdf.NewLangLiteral("o", "en")),
+		"new in S and O":    rdf.NewTriple(iri("s"), known, iri("o")),
+		"known everywhere":  rdf.NewTriple(known, known, known),
+		"literal spellings": rdf.NewTriple(iri("s"), known, rdf.NewTypedLiteral("o", rdf.XSDString)),
+	}
+	for name, tr := range cases {
+		for prefill := 0; prefill <= 12; prefill++ {
+			seq, one := New(), New()
+			for _, d := range []*Dict{seq, one} {
+				d.Encode(known)
+				for i := 0; i < prefill; i++ {
+					d.Encode(iri(fmt.Sprintf("fill/%d", i)))
+				}
+			}
+			ws, wp, wo := seq.Encode(tr.S), seq.Encode(tr.P), seq.Encode(tr.O)
+			gs, gp, go_ := one.EncodeTriple(tr)
+			if gs != ws || gp != wp || go_ != wo {
+				t.Fatalf("%s, prefill %d: EncodeTriple = %d %d %d, Encode in turn %d %d %d", name, prefill, gs, gp, go_, ws, wp, wo)
+			}
+			if one.Len() != seq.Len() {
+				t.Fatalf("%s, prefill %d: Len %d, Encode in turn %d", name, prefill, one.Len(), seq.Len())
+			}
+			for id := ID(1); int(id) <= seq.Len(); id++ {
+				if got, want := one.Term(id), seq.Term(id); got != want {
+					t.Fatalf("%s, prefill %d: Term(%d) = %v, Encode in turn %v", name, prefill, id, got, want)
+				}
+			}
+			if s, p, o := one.EncodeTriple(tr); s != ws || p != wp || o != wo {
+				t.Fatalf("%s, prefill %d: re-encoding gave %d %d %d", name, prefill, s, p, o)
+			}
+		}
+	}
+}
+
 // Encoding is injective and stable: equal terms share an ID, distinct
 // terms never do, and decoding returns the original term.
 func TestEncodeProperty(t *testing.T) {
@@ -244,8 +293,8 @@ func TestSuffixesRoundTrip(t *testing.T) {
 	}
 }
 
-// Encoding a known term, looking one up and decoding an ID allocate
-// nothing.
+// Encoding a known term or triple, looking one up and decoding an ID
+// allocate nothing.
 func TestKnownTermOpsAllocateNothing(t *testing.T) {
 	d := New()
 	terms := []rdf.Term{rdf.NewIRI("http://x/a"), rdf.NewLangLiteral("chat", "fr"), rdf.NewBlank("b0")}
@@ -258,6 +307,9 @@ func TestKnownTermOpsAllocateNothing(t *testing.T) {
 			for _, term := range terms {
 				d.Encode(term)
 			}
+		},
+		"EncodeTriple": func() {
+			d.EncodeTriple(rdf.NewTriple(terms[0], terms[2], terms[1]))
 		},
 		"Lookup": func() {
 			for _, term := range terms {

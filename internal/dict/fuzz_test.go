@@ -15,10 +15,13 @@ import (
 // change while the dictionary grows past it.
 //
 // Each byte of script is one step. Its low two bits pick the action:
-// encode (0, 1), take a view (2), or re-read every view taken (3). For
-// an encode, the other bits pick the kind, the value (one of the strings,
-// their concatenation, a long repeat that takes chunks of its own, or
-// the empty value), and the datatype and language tag.
+// encode a term (0), encode a triple through EncodeTriple (1), take a
+// view (2), or re-read every view taken (3). For an encode, the other
+// bits pick the kind, the value (one of the strings, their
+// concatenation, a long repeat that takes chunks of its own, or the
+// empty value), and the datatype and language tag; a triple's subject is
+// that term, and its property and object are the terms the same bits
+// shifted by one and by two pick, so its positions often share a term.
 func FuzzDictionaryIdentity(f *testing.F) {
 	f.Add([]byte{0, 4, 8, 2, 1, 3, 0x10, 0x31, 3}, "http://x/a", "chat", "en")
 	f.Add([]byte{0x40, 0x44, 2, 0xc0, 0xc4, 0x80, 3, 0xfc, 3}, "a\xff", "a\xfe", "")
@@ -58,19 +61,36 @@ func FuzzDictionaryIdentity(f *testing.F) {
 				}
 				continue
 			}
-			term := fuzzTerm(op>>2, a, b, c)
-			key := term.Canonical()
-			want, known := model[key]
-			if !known {
-				first = append(first, term)
-				want = ID(len(first))
-				model[key] = want
+			// expect returns the ID the model gives term, assigning the
+			// next one if it is new.
+			expect := func(term rdf.Term) ID {
+				key := term.Canonical()
+				want, known := model[key]
+				if !known {
+					first = append(first, term)
+					want = ID(len(first))
+					model[key] = want
+				}
+				return want
 			}
-			if got := d.Encode(term); got != want {
-				t.Fatalf("Encode(%#v) = %d, the model says %d (known %v)", term, got, want, known)
+			terms := []rdf.Term{fuzzTerm(op>>2, a, b, c)}
+			if op&3 == 0 {
+				want := expect(terms[0])
+				if got := d.Encode(terms[0]); got != want {
+					t.Fatalf("Encode(%#v) = %d, the model says %d", terms[0], got, want)
+				}
+			} else {
+				terms = append(terms, fuzzTerm(op>>3, a, b, c), fuzzTerm(op>>4, a, b, c))
+				want := [3]ID{expect(terms[0]), expect(terms[1]), expect(terms[2])}
+				s, p, o := d.EncodeTriple(rdf.NewTriple(terms[0], terms[1], terms[2]))
+				if got := [3]ID{s, p, o}; got != want {
+					t.Fatalf("EncodeTriple(%#v) = %v, the model says %v", terms, got, want)
+				}
 			}
-			if got, ok := d.Lookup(term); !ok || got != want {
-				t.Fatalf("Lookup(%#v) = %d, %v after Encode gave %d", term, got, ok, want)
+			for _, term := range terms {
+				if got, ok := d.Lookup(term); !ok || got != model[term.Canonical()] {
+					t.Fatalf("Lookup(%#v) = %d, %v after encoding gave %d", term, got, ok, model[term.Canonical()])
+				}
 			}
 		}
 		for _, w := range views {

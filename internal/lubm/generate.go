@@ -1,8 +1,8 @@
 package lubm
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/rdf"
 )
@@ -79,24 +79,41 @@ func Tiny() Config {
 
 // UniversityIRI returns the IRI of university n.
 func UniversityIRI(n int) rdf.Term {
-	return rdf.NewIRI(fmt.Sprintf("http://www.University%d.edu", n))
+	return rdf.NewIRI("http://www.University" + strconv.Itoa(n) + ".edu")
 }
 
 // DepartmentIRI returns the IRI of department d of university u.
 func DepartmentIRI(u, d int) rdf.Term {
-	return rdf.NewIRI(fmt.Sprintf("http://www.Department%d.University%d.edu", d, u))
+	return rdf.NewIRI("http://www." + departmentHost(u, d))
 }
 
-// memberIRI returns the IRI of an entity inside a department.
-func memberIRI(u, d int, kind string, n int) rdf.Term {
-	return rdf.NewIRI(fmt.Sprintf("http://www.Department%d.University%d.edu/%s%d", d, u, kind, n))
+// departmentHost is the host name of department d of university u.
+func departmentHost(u, d int) string {
+	return "Department" + strconv.Itoa(d) + ".University" + strconv.Itoa(u) + ".edu"
 }
+
+// The faculty ranks, in the order a department's roster lists them.
+const (
+	fullProfessor = iota
+	associateProfessor
+	assistantProfessor
+	lecturer
+	numRanks
+)
+
+var rankNames = [numRanks]string{"FullProfessor", "AssociateProfessor", "AssistantProfessor", "Lecturer"}
+
+var publicationKinds = [...]string{"JournalArticle", "ConferencePaper", "TechnicalReport", "Book"}
 
 // Generate emits the data triples of nUniv universities to emit,
 // deterministically for a given seed. The triple stream follows the LUBM
 // generator's structure: department organization, faculty with degrees
 // and courses, students with enrollments and advisors, publications with
 // authors, and research groups.
+//
+// Terms are built by concatenation: the property and class terms once
+// per call, a department's course IRIs once per department, and every
+// other IRI and literal once, in one allocation.
 func Generate(nUniv int, seed int64, cfg Config, emit func(rdf.Triple)) {
 	rng := rand.New(rand.NewSource(seed))
 	between := func(lo, hi int) int {
@@ -106,97 +123,160 @@ func Generate(nUniv int, seed int64, cfg Config, emit func(rdf.Triple)) {
 		return lo + rng.Intn(hi-lo+1)
 	}
 	t := func(s, p, o rdf.Term) { emit(rdf.NewTriple(s, p, o)) }
-	typ := func(s rdf.Term, class string) { t(s, rdf.Type, Class(class)) }
-	lit := func(s rdf.Term, prop, val string) { t(s, Prop(prop), rdf.NewLiteral(val)) }
+	typ := func(s, class rdf.Term) { t(s, rdf.Type, class) }
+	lit := func(s, p rdf.Term, val string) { t(s, p, rdf.NewLiteral(val)) }
+
+	var (
+		name                    = Prop("name")
+		emailAddress            = Prop("emailAddress")
+		telephone               = Prop("telephone")
+		researchInterest        = Prop("researchInterest")
+		subOrganizationOf       = Prop("subOrganizationOf")
+		worksFor                = Prop("worksFor")
+		undergraduateDegreeFrom = Prop("undergraduateDegreeFrom")
+		mastersDegreeFrom       = Prop("mastersDegreeFrom")
+		doctoralDegreeFrom      = Prop("doctoralDegreeFrom")
+		teacherOf               = Prop("teacherOf")
+		headOf                  = Prop("headOf")
+		publicationAuthor       = Prop("publicationAuthor")
+		memberOf                = Prop("memberOf")
+		takesCourse             = Prop("takesCourse")
+		advisor                 = Prop("advisor")
+		teachingAssistantOf     = Prop("teachingAssistantOf")
+
+		university           = Class("University")
+		department           = Class("Department")
+		courseClass          = Class("Course")
+		graduateCourse       = Class("GraduateCourse")
+		undergraduateStudent = Class("UndergraduateStudent")
+		graduateStudent      = Class("GraduateStudent")
+		researchAssistant    = Class("ResearchAssistant")
+		teachingAssistant    = Class("TeachingAssistant")
+		researchGroup        = Class("ResearchGroup")
+	)
+	var rankClasses [numRanks]rdf.Term
+	for r, n := range rankNames {
+		rankClasses[r] = Class(n)
+	}
+	var pubClasses [len(publicationKinds)]rdf.Term
+	for k, n := range publicationKinds {
+		pubClasses[k] = Class(n)
+	}
+
+	// buf builds each string before its one allocation.
+	var buf []byte
+	numbered := func(prefix string, n int) string {
+		buf = strconv.AppendInt(append(buf[:0], prefix...), int64(n), 10)
+		return string(buf)
+	}
+	phone := func(n int) string { // "xxx-%04d" for n < 10000
+		buf = append(buf[:0], "xxx-0000"...)
+		for i := len(buf) - 1; n > 0; i-- {
+			buf[i] = byte('0' + n%10)
+			n /= 10
+		}
+		return string(buf)
+	}
 
 	randUniv := func() rdf.Term { return UniversityIRI(rng.Intn(nUniv * 5)) } // degrees may come from unseen universities
 
 	for u := 0; u < nUniv; u++ {
 		univ := UniversityIRI(u)
-		typ(univ, "University")
-		lit(univ, "name", fmt.Sprintf("University%d", u))
+		typ(univ, university)
+		lit(univ, name, numbered("University", u))
 
 		nDepts := between(cfg.DeptsMin, cfg.DeptsMax)
 		for d := 0; d < nDepts; d++ {
-			dept := DepartmentIRI(u, d)
-			typ(dept, "Department")
-			t(dept, Prop("subOrganizationOf"), univ)
-			lit(dept, "name", fmt.Sprintf("Department%d", d))
+			host := departmentHost(u, d)
+			dept := rdf.NewIRI("http://www." + host)
+			typ(dept, department)
+			t(dept, subOrganizationOf, univ)
+			lit(dept, name, numbered("Department", d))
+
+			// member returns the IRI of an entity inside the department.
+			memberBase := dept.Value + "/"
+			member := func(kind string, n int) rdf.Term {
+				buf = append(append(buf[:0], memberBase...), kind...)
+				buf = strconv.AppendInt(buf, int64(n), 10)
+				return rdf.NewIRI(string(buf))
+			}
+			// email returns a mailbox at the department's host.
+			email := func(local string, n int) string {
+				buf = strconv.AppendInt(append(buf[:0], local...), int64(n), 10)
+				buf = append(append(buf, '@'), host...)
+				return string(buf)
+			}
 
 			// Faculty roster.
 			type facultyMember struct {
 				iri  rdf.Term
-				rank string
+				rank int
 			}
 			var faculty []facultyMember
-			addFaculty := func(kind string, n int) {
+			ranks := [numRanks]int{ // drawn left to right, rank by rank
+				between(cfg.FullProfMin, cfg.FullProfMax),
+				between(cfg.AssocProfMin, cfg.AssocProfMax),
+				between(cfg.AssistProfMin, cfg.AssistProfMax),
+				between(cfg.LecturerMin, cfg.LecturerMax),
+			}
+			for r, n := range ranks {
 				for i := 0; i < n; i++ {
-					f := memberIRI(u, d, kind, i)
-					faculty = append(faculty, facultyMember{f, kind})
+					faculty = append(faculty, facultyMember{member(rankNames[r], i), r})
 				}
 			}
-			addFaculty("FullProfessor", between(cfg.FullProfMin, cfg.FullProfMax))
-			addFaculty("AssociateProfessor", between(cfg.AssocProfMin, cfg.AssocProfMax))
-			addFaculty("AssistantProfessor", between(cfg.AssistProfMin, cfg.AssistProfMax))
-			addFaculty("Lecturer", between(cfg.LecturerMin, cfg.LecturerMax))
 
 			// Courses: every faculty member teaches CoursesPerFaculty
 			// undergraduate courses and one graduate course.
-			nCourses := len(faculty) * cfg.CoursesPerFaculty
-			nGradCourses := len(faculty)
-			course := func(i int) rdf.Term { return memberIRI(u, d, "Course", i) }
-			gradCourse := func(i int) rdf.Term { return memberIRI(u, d, "GraduateCourse", i) }
-			for i := 0; i < nCourses; i++ {
-				typ(course(i), "Course")
+			courses := make([]rdf.Term, len(faculty)*cfg.CoursesPerFaculty)
+			for i := range courses {
+				courses[i] = member("Course", i)
+				typ(courses[i], courseClass)
 			}
-			for i := 0; i < nGradCourses; i++ {
-				typ(gradCourse(i), "GraduateCourse")
+			gradCourses := make([]rdf.Term, len(faculty))
+			for i := range gradCourses {
+				gradCourses[i] = member("GraduateCourse", i)
+				typ(gradCourses[i], graduateCourse)
 			}
 
 			professors := faculty[:0:0]
 			for fi, f := range faculty {
-				typ(f.iri, f.rank)
-				if f.rank != "Lecturer" {
+				typ(f.iri, rankClasses[f.rank])
+				if f.rank != lecturer {
 					professors = append(professors, f)
 				}
-				t(f.iri, Prop("worksFor"), dept)
-				t(f.iri, Prop("undergraduateDegreeFrom"), randUniv())
-				t(f.iri, Prop("mastersDegreeFrom"), randUniv())
-				t(f.iri, Prop("doctoralDegreeFrom"), randUniv())
-				lit(f.iri, "name", fmt.Sprintf("%s%d", f.rank, fi))
-				lit(f.iri, "emailAddress", fmt.Sprintf("%s%d@Department%d.University%d.edu", f.rank, fi, d, u))
-				lit(f.iri, "telephone", fmt.Sprintf("xxx-%04d", rng.Intn(10000)))
-				lit(f.iri, "researchInterest", fmt.Sprintf("Research%d", rng.Intn(30)))
+				t(f.iri, worksFor, dept)
+				t(f.iri, undergraduateDegreeFrom, randUniv())
+				t(f.iri, mastersDegreeFrom, randUniv())
+				t(f.iri, doctoralDegreeFrom, randUniv())
+				lit(f.iri, name, numbered(rankNames[f.rank], fi))
+				lit(f.iri, emailAddress, email(rankNames[f.rank], fi))
+				lit(f.iri, telephone, phone(rng.Intn(10000)))
+				lit(f.iri, researchInterest, numbered("Research", rng.Intn(30)))
 				for c := 0; c < cfg.CoursesPerFaculty; c++ {
-					t(f.iri, Prop("teacherOf"), course((fi*cfg.CoursesPerFaculty+c)%nCourses))
+					t(f.iri, teacherOf, courses[(fi*cfg.CoursesPerFaculty+c)%len(courses)])
 				}
-				t(f.iri, Prop("teacherOf"), gradCourse(fi%nGradCourses))
+				t(f.iri, teacherOf, gradCourses[fi%len(gradCourses)])
 			}
 			// The department head is the first full professor.
-			t(faculty[0].iri, Prop("headOf"), dept)
+			t(faculty[0].iri, headOf, dept)
 
 			// Publications: authored by faculty, co-authored by a later
 			// graduate student when available (emitted after students).
-			type pub struct {
-				iri    rdf.Term
-				author rdf.Term
-			}
-			var pubs []pub
-			pubCount := 0
+			var pubs []rdf.Term
 			for fi, f := range faculty {
 				lo, hi := cfg.PubsOtherMin, cfg.PubsOtherMax
-				if f.rank == "FullProfessor" {
+				if f.rank == fullProfessor {
 					lo, hi = cfg.PubsFullMin, cfg.PubsFullMax
 				}
 				n := between(lo, hi)
 				for i := 0; i < n; i++ {
-					p := memberIRI(u, d, "Publication", pubCount)
-					pubCount++
-					pubs = append(pubs, pub{p, f.iri})
-					kind := [...]string{"JournalArticle", "ConferencePaper", "TechnicalReport", "Book"}[rng.Intn(4)]
-					typ(p, kind)
-					t(p, Prop("publicationAuthor"), f.iri)
-					lit(p, "name", fmt.Sprintf("Publication%d.%d", fi, i))
+					p := member("Publication", len(pubs))
+					pubs = append(pubs, p)
+					typ(p, pubClasses[rng.Intn(len(pubClasses))])
+					t(p, publicationAuthor, f.iri)
+					buf = strconv.AppendInt(append(buf[:0], "Publication"...), int64(fi), 10)
+					buf = strconv.AppendInt(append(buf, '.'), int64(i), 10)
+					lit(p, name, string(buf))
 				}
 			}
 
@@ -204,47 +284,47 @@ func Generate(nUniv int, seed int64, cfg Config, emit func(rdf.Triple)) {
 			nUndergrad := len(faculty) * between(cfg.UndergradRatioMin, cfg.UndergradRatioMax)
 			nGrad := len(faculty) * between(cfg.GradRatioMin, cfg.GradRatioMax)
 			for i := 0; i < nUndergrad; i++ {
-				s := memberIRI(u, d, "UndergraduateStudent", i)
-				typ(s, "UndergraduateStudent")
-				t(s, Prop("memberOf"), dept)
-				lit(s, "name", fmt.Sprintf("UndergraduateStudent%d", i))
-				lit(s, "telephone", fmt.Sprintf("xxx-%04d", rng.Intn(10000)))
+				s := member("UndergraduateStudent", i)
+				typ(s, undergraduateStudent)
+				t(s, memberOf, dept)
+				lit(s, name, numbered("UndergraduateStudent", i))
+				lit(s, telephone, phone(rng.Intn(10000)))
 				for c, n := 0, between(cfg.UndergradCoursesMin, cfg.UndergradCoursesMax); c < n; c++ {
-					t(s, Prop("takesCourse"), course(rng.Intn(nCourses)))
+					t(s, takesCourse, courses[rng.Intn(len(courses))])
 				}
 				if cfg.AdvisedUndergradFraction > 0 && i%cfg.AdvisedUndergradFraction == 0 {
-					t(s, Prop("advisor"), professors[rng.Intn(len(professors))].iri)
+					t(s, advisor, professors[rng.Intn(len(professors))].iri)
 				}
 			}
 			for i := 0; i < nGrad; i++ {
-				s := memberIRI(u, d, "GraduateStudent", i)
-				typ(s, "GraduateStudent")
-				t(s, Prop("memberOf"), dept)
-				t(s, Prop("undergraduateDegreeFrom"), randUniv())
-				lit(s, "name", fmt.Sprintf("GraduateStudent%d", i))
-				lit(s, "emailAddress", fmt.Sprintf("GraduateStudent%d@Department%d.University%d.edu", i, d, u))
-				t(s, Prop("advisor"), professors[rng.Intn(len(professors))].iri)
+				s := member("GraduateStudent", i)
+				typ(s, graduateStudent)
+				t(s, memberOf, dept)
+				t(s, undergraduateDegreeFrom, randUniv())
+				lit(s, name, numbered("GraduateStudent", i))
+				lit(s, emailAddress, email("GraduateStudent", i))
+				t(s, advisor, professors[rng.Intn(len(professors))].iri)
 				for c, n := 0, between(cfg.GradCoursesMin, cfg.GradCoursesMax); c < n; c++ {
-					t(s, Prop("takesCourse"), gradCourse(rng.Intn(nGradCourses)))
+					t(s, takesCourse, gradCourses[rng.Intn(len(gradCourses))])
 				}
 				if cfg.ResearchAssistantFraction > 0 && i%cfg.ResearchAssistantFraction == 0 {
-					typ(s, "ResearchAssistant")
+					typ(s, researchAssistant)
 				}
 				if cfg.TeachingAssistantFraction > 0 && i%cfg.TeachingAssistantFraction == 1 {
-					typ(s, "TeachingAssistant")
-					t(s, Prop("teachingAssistantOf"), course(rng.Intn(nCourses)))
+					typ(s, teachingAssistant)
+					t(s, teachingAssistantOf, courses[rng.Intn(len(courses))])
 				}
 				// Some graduate students co-author a publication.
 				if len(pubs) > 0 && i%3 == 0 {
-					t(pubs[rng.Intn(len(pubs))].iri, Prop("publicationAuthor"), s)
+					t(pubs[rng.Intn(len(pubs))], publicationAuthor, s)
 				}
 			}
 
 			// Research groups.
 			for g, n := 0, between(cfg.GroupsMin, cfg.GroupsMax); g < n; g++ {
-				grp := memberIRI(u, d, "ResearchGroup", g)
-				typ(grp, "ResearchGroup")
-				t(grp, Prop("subOrganizationOf"), dept)
+				grp := member("ResearchGroup", g)
+				typ(grp, researchGroup)
+				t(grp, subOrganizationOf, dept)
 			}
 		}
 	}

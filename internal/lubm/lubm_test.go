@@ -1,6 +1,8 @@
 package lubm
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/rdf"
@@ -60,6 +62,44 @@ func TestGenerateDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic triple at %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// The generated stream is pinned byte for byte: SHA-256 over its
+// N-Triples lines, for both profiles at two seeds and two sizes. Any
+// change to a term's spelling, to the order of the triples or to the
+// random draws moves a digest.
+func TestGenerateGolden(t *testing.T) {
+	for _, c := range []struct {
+		profile string
+		cfg     Config
+		seed    int64
+		univs   int
+		triples int
+		sha256  string
+	}{
+		{"Tiny", Tiny(), 7, 1, 851, "2e733d5261e631c1a9e4b0db4957060328bca55ba05c946b7f61bbaa5bfa9a32"},
+		{"Tiny", Tiny(), 7, 2, 2108, "aa7be952648049323605268773e92bdd391b968e6570dea69aebc95c8d817386"},
+		{"Tiny", Tiny(), 42, 1, 1180, "6eefa83fcb17716e11e486d67767b0e82ed89aae5dc45dc7185ae48f41e6b892"},
+		{"Tiny", Tiny(), 42, 2, 1917, "1545be3d72e5475f83a73ba51e77f6228aed0eb7aeb01323e55776fc0bd14a7e"},
+		{"Default", Default(), 7, 1, 96766, "a63f3e6710732a77367abba0d59ef046c4d97f0940ddba5e2a8d56d3476a0a51"},
+		{"Default", Default(), 7, 2, 186049, "59fbba649f3fdb340a3ca0390abee8d760cc608eb160a281759449fb94dce492"},
+		{"Default", Default(), 42, 1, 81205, "8bd19c7fff05d0a9ebae7eb7ee664b0c310d7f4c0f18692e8de066e835472214"},
+		{"Default", Default(), 42, 2, 190137, "f0654bbb817cd5e7a4fd10491ce2b92768753dd1cedfc9ac8659d19d414b7d0c"},
+	} {
+		h := sha256.New()
+		n := 0
+		var line []byte
+		Generate(c.univs, c.seed, c.cfg, func(tr rdf.Triple) {
+			line = rdf.AppendCanonical(line[:0], tr.S)
+			line = rdf.AppendCanonical(append(line, ' '), tr.P)
+			line = rdf.AppendCanonical(append(line, ' '), tr.O)
+			h.Write(append(line, " .\n"...))
+			n++
+		})
+		if got := hex.EncodeToString(h.Sum(nil)); n != c.triples || got != c.sha256 {
+			t.Errorf("%s, seed %d, %d universities: %d triples, SHA-256 %s; want %d, %s", c.profile, c.seed, c.univs, n, got, c.triples, c.sha256)
 		}
 	}
 }

@@ -7,10 +7,11 @@
 // searches, so looking the number up is cheaper than maintaining an
 // approximate histogram would be. Join-result cardinalities are estimated
 // with the classic value-set-containment assumption, using per-property
-// triple, distinct-subject and distinct-object counts gathered at load
-// time without a set per property: one uncached walk of the SPO index,
-// whose (S,P) runs give the triple and subject counts, and one sort of
-// the walk's (P,O) keys, whose distinct pairs give the object counts.
+// triple, distinct-subject and distinct-object counts. The storage
+// loader tallies those while it sorts the SPO and POS indexes, at bulk
+// load and at every compaction: a property's (S,P) runs in SPO order give
+// its subjects, its (P,O) runs in POS order its objects. Collect only
+// reads the tallies.
 package stats
 
 import (
@@ -44,64 +45,26 @@ type Stats struct {
 	memoVersion uint64 // store.Version() the memo contents were computed at
 }
 
-// Collect scans the store once and returns its statistics. vocab supplies
-// the rdf:type ID used to recognize class-membership patterns.
+// Collect returns the store's statistics. vocab supplies the rdf:type ID
+// used to recognize class-membership patterns.
 //
-// The pass is Store.Each's SPO walk, which caches no decoded block. In SPO
-// order a property's triples with one subject form one (S,P) run, so each
-// run adds its length to the property's Count and one to its DistinctS.
-// The walk also keeps every triple's (P,O) pair as a key, S left None so
-// the radix sort skips its digits; sorted once into POS order, a
-// property's distinct keys are its DistinctO.
+// The per-property statistics are the loader's tallies
+// (storage.Store.PropTallies), taken while it built or last compacted the
+// SPO and POS indexes, so Collect reads O(properties) numbers and walks
+// no index.
 func Collect(store *storage.Store, vocab schema.Vocab) *Stats {
+	tallies := store.PropTallies()
 	st := &Stats{
 		store: store,
 		vocab: vocab,
 		total: store.Len(),
-		props: make(map[dict.ID]PropStat),
+		props: make(map[dict.ID]PropStat, len(tallies)),
 		memo:  make(map[storage.Pattern]int),
 	}
-	byProp := make(map[dict.ID]*PropStat)
-	keys := make([]storage.Triple, 0, st.total)
-	var run storage.Triple // the current (S,P) run's first triple
-	runLen := 0
-	endRun := func() {
-		ps := byProp[run.P]
-		if ps == nil {
-			ps = new(PropStat)
-			byProp[run.P] = ps
-		}
-		ps.Count += runLen
-		ps.DistinctS++
+	for _, pt := range tallies {
+		st.props[pt.P] = PropStat{Count: pt.Count, DistinctS: pt.DistinctS, DistinctO: pt.DistinctO}
 	}
-	store.Each(func(t storage.Triple) bool {
-		if t.S != run.S || t.P != run.P {
-			if runLen > 0 {
-				endRun()
-			}
-			run, runLen = t, 0
-		}
-		runLen++
-		keys = append(keys, storage.Triple{P: t.P, O: t.O})
-		return true
-	})
-	if runLen > 0 {
-		endRun()
-	}
-	storage.Sort(keys, storage.OrderPOS)
-	for i := 0; i < len(keys); {
-		p, distinct := keys[i].P, 0
-		for first := i; i < len(keys) && keys[i].P == p; i++ {
-			if i == first || keys[i].O != keys[i-1].O {
-				distinct++
-			}
-		}
-		byProp[p].DistinctO = distinct
-	}
-	for p, ps := range byProp {
-		st.props[p] = *ps
-	}
-	// Read the version after the pass: Each() above may have compacted
+	// Read the version after the tallies: PropTallies may have compacted
 	// the store (bumping it), and the memo starts empty either way.
 	//lint:ignore lockguard construction: st is not shared until Collect returns
 	st.memoVersion = store.Version()

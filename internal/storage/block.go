@@ -322,6 +322,7 @@ type frozenBuilder struct {
 	counts       []int
 	buf          []Triple
 	n            int
+	tally        *tally // fed each block before it is encoded, if set
 }
 
 func newFrozenBuilder(order Order, blockTriples int) *frozenBuilder {
@@ -346,6 +347,9 @@ func (fb *frozenBuilder) add(t Triple) {
 func (fb *frozenBuilder) flush() {
 	if len(fb.buf) == 0 {
 		return
+	}
+	if fb.tally != nil {
+		fb.tally.add(fb.buf)
 	}
 	fb.starts = append(fb.starts, len(fb.arena))
 	fb.firsts = append(fb.firsts, fb.buf[0])

@@ -18,7 +18,8 @@ func buildModeled(rng *rand.Rand, n int, maxID dict.ID, orders ...Order) (s *Sto
 	for _, tr := range data {
 		b.Add(tr)
 	}
-	return b.Build(), newModel(data, orders...), data
+	s = b.Build()
+	return s, newModel(data, s.Orders()...), data
 }
 
 // mutateModeled applies the same adds and removes to the store and its
@@ -351,8 +352,8 @@ func TestFrozenRangeDeclinesWideSpans(t *testing.T) {
 }
 
 // TestEachMatchesTriples checks the streaming iterator: same order and
-// contents as Triples and the model, early stop honored, with and
-// without an SPO index.
+// contents as Triples and the model, early stop honored, for the default
+// orders and for a store asked for without SPO (which the builder adds).
 func TestEachMatchesTriples(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, orders := range [][]Order{nil, {OrderPOS, OrderOSP}} {

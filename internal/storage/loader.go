@@ -4,16 +4,22 @@
 // columns the SPO order does not already settle (OSP re-sorts by O
 // alone, POS by P and O). The per-order builds run concurrently on a bounded worker gate, and
 // each sorted index is encoded into the compressed block-columnar form.
+// The per-property statistics are tallied from the sorted SPO and POS
+// arrays on the way (see tally).
 // Compact folds the mutation delta by merging sorted runs — the existing
-// index streamed block by block, the tombstone filter, and the freshly
+// index streamed block by block, the sorted tombstones, and the freshly
 // sorted delta — into a streaming block encoder instead of re-sorting
 // the world, so write-heavy workloads pay O(n + d) per index, not
-// O(n log n).
+// O(n log n); the SPO and POS encoders re-tally the statistics block by
+// block.
 package storage
 
 import (
 	"runtime"
+	"slices"
 	"sync"
+
+	"repro/internal/dict"
 )
 
 // gate bounds the loader's concurrency: leaf work units (index sorts,
@@ -64,9 +70,11 @@ func (b *Builder) Build() *Store {
 	g.do(func() { sortByOrder(base, OrderSPO.perm()) })
 	base = dedupSorted(base)
 
-	// Distinct orders write distinct slots, so the concurrent per-order
-	// builders never contend.
+	// Distinct orders write distinct slots, and only the POS builder
+	// tallies into pos, so the concurrent per-order builders never
+	// contend.
 	var views [numOrders]*frozenView
+	spo, pos := tally{order: OrderSPO}, tally{order: OrderPOS}
 	var wg sync.WaitGroup
 	for _, o := range b.orders {
 		if o == OrderSPO {
@@ -81,15 +89,113 @@ func (b *Builder) Build() *Store {
 				copy(cp, base)
 				perm := o.perm()
 				sortPrefix(cp, perm, spoPrefix(perm))
+				if o == OrderPOS {
+					pos.add(cp)
+				}
 			})
 			views[o] = newFrozenView(buildFrozenIndex(cp, o, bt, g))
 		}(o)
 	}
-	if hasOrder(b.orders, OrderSPO) {
-		views[OrderSPO] = newFrozenView(buildFrozenIndex(base, OrderSPO, bt, g))
-	}
+	g.do(func() { spo.add(base) })
+	views[OrderSPO] = newFrozenView(buildFrozenIndex(base, OrderSPO, bt, g))
 	wg.Wait()
-	return &Store{orders: b.orders, views: views, n: len(base), blockTriples: bt, par: par}
+	return &Store{orders: b.orders, views: views, n: len(base), props: joinTallies(&spo, &pos), blockTriples: bt, par: par}
+}
+
+// tally accumulates the per-property statistics of one sorted stream of
+// distinct triples, fed in consecutive runs: the whole sorted array at
+// Build, each block as Compact's merge encodes it. From SPO order it
+// takes each property's DistinctS, one per (S,P) run; from POS order its
+// Count and DistinctO, one per triple and one per (P,O) run. It holds an
+// entry per property seen, ordered by property.
+type tally struct {
+	order Order // OrderSPO or OrderPOS
+	props []PropTally
+	last  Triple // the last triple fed, once props is non-empty
+
+	// SPO: where the next run's entry is looked for first. at is last.P's
+	// entry, first the entry that began last.S's runs, and next[i] the
+	// entry that followed entry i within the last subject that had it.
+	// Subjects of one kind come together, so a subject's properties
+	// usually follow the last one's; a guess is checked before use, and
+	// one made stale by an insertion only costs a search.
+	at, first int
+	next      []int
+}
+
+// add feeds the next sorted run of the stream.
+func (t *tally) add(ts []Triple) {
+	if t.order == OrderSPO {
+		t.addSPO(ts)
+	} else {
+		t.addPOS(ts)
+	}
+}
+
+func (t *tally) addPOS(ts []Triple) {
+	for _, tr := range ts {
+		if n := len(t.props); n == 0 || tr.P != t.last.P {
+			t.props = append(t.props, PropTally{P: tr.P, Count: 1, DistinctO: 1})
+		} else {
+			ps := &t.props[n-1]
+			ps.Count++
+			if tr.O != t.last.O {
+				ps.DistinctO++
+			}
+		}
+		t.last = tr
+	}
+}
+
+func (t *tally) addSPO(ts []Triple) {
+	for _, tr := range ts {
+		switch {
+		case len(t.props) > 0 && tr.S == t.last.S && tr.P == t.last.P:
+		case len(t.props) > 0 && tr.S == t.last.S: // a subject's runs ascend by property
+			i := t.entry(tr.P, t.next[t.at], t.at+1)
+			t.next[t.at], t.at = i, i
+			t.props[i].DistinctS++
+		default:
+			i := t.entry(tr.P, t.first, 0)
+			t.first, t.at = i, i
+			t.props[i].DistinctS++
+		}
+		t.last = tr
+	}
+}
+
+// entry returns the position of p's entry: guess if it holds p, else
+// found by a binary search of the entries from from on, which is added
+// there if p is new.
+func (t *tally) entry(p dict.ID, guess, from int) int {
+	if guess < len(t.props) && t.props[guess].P == p {
+		return guess
+	}
+	lo, hi := from, len(t.props)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.props[m].P < p {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(t.props) || t.props[lo].P != p {
+		t.props = slices.Insert(t.props, lo, PropTally{P: p})
+		t.next = slices.Insert(t.next, lo, 0)
+	}
+	return lo
+}
+
+// joinTallies returns the statistics of the triples both tallies were fed,
+// the SPO tally's DistinctS joined to the POS tally's entries: both hold
+// one entry per property, in property order.
+func joinTallies(spo, pos *tally) []PropTally {
+	props := pos.props
+	for i := range props {
+		props[i].DistinctS = spo.props[i].DistinctS
+	}
+	return props
 }
 
 // Sort sorts ts into the order o in place with the loader's radix sort
@@ -233,7 +339,7 @@ func packPayloads(blocks []fblock) int {
 // tombstoned triples; the caller holds the write lock. Each index is
 // rebuilt by a linear merge of sorted runs — the existing index
 // (walked block by block: cached blocks in place, the rest decoded
-// transiently, never fully decoded at once), the tombstone filter,
+// transiently, never fully decoded at once), the sorted tombstones,
 // and the sorted delta — straight into a streaming block encoder.
 // Orders rebuild concurrently under the loader gate.
 func (s *Store) compactLocked() {
@@ -248,12 +354,24 @@ func (s *Store) compactLocked() {
 	g := make(gate, par)
 
 	out := make([]*frozenIndex, len(s.orders))
+	dead := make([]Triple, 0, len(s.deleted))
+	for t := range s.deleted {
+		dead = append(dead, t)
+	}
+	spo, pos := tally{order: OrderSPO}, tally{order: OrderPOS}
 	var wg sync.WaitGroup
 	for i, o := range s.orders {
 		// Capture the inputs outside the goroutine: the write lock is
 		// held for the whole rebuild (wg.Wait below), so the snapshot of
 		// fields taken here is stable.
-		view, deleted, delta := s.views[o], s.deleted, s.delta
+		view, delta := s.views[o], s.delta
+		fb := newFrozenBuilder(o, bt)
+		switch o {
+		case OrderSPO:
+			fb.tally = &spo
+		case OrderPOS:
+			fb.tally = &pos
+		}
 		wg.Add(1)
 		go func(i int, o Order) {
 			defer wg.Done()
@@ -262,8 +380,10 @@ func (s *Store) compactLocked() {
 				d := make([]Triple, len(delta))
 				copy(d, delta)
 				sortByOrder(d, perm)
-				fb := newFrozenBuilder(o, bt)
-				mergeRuns(view, deleted, d, perm, fb.add)
+				x := make([]Triple, len(dead))
+				copy(x, dead)
+				sortByOrder(x, perm)
+				mergeRuns(view, x, d, perm, fb.add)
 				out[i] = fb.finish()
 			})
 		}(i, o)
@@ -273,6 +393,7 @@ func (s *Store) compactLocked() {
 		s.views[o].release() // snapshots of the old generation keep their own refs
 		s.views[o] = newFrozenView(out[i])
 	}
+	s.props = joinTallies(&spo, &pos)
 	s.n += len(s.delta) - len(s.deleted)
 	s.delta = nil
 	s.present = nil
@@ -283,20 +404,24 @@ func (s *Store) compactLocked() {
 	s.version.Add(1)
 }
 
-// mergeRuns merges one sorted index with a sorted delta, dropping
-// tombstoned triples, and emits the merged run in order. Delta triples
-// are never already present in the index (Add checks) and tombstones
-// only name index entries, so the merge sees no equal pairs.
-func mergeRuns(v *frozenView, deleted map[Triple]struct{}, d []Triple, perm [3]int, emit func(Triple)) {
-	i := 0
+// mergeRuns merges one sorted index with a sorted delta, dropping the
+// tombstoned triples dead (sorted in the index's order), and emits the
+// merged run in order. Every tombstone names an index entry (Remove
+// tombstones only those, and Add of one clears it), so the walk meets
+// them in dead's order; delta triples are never already present in the
+// index (Add checks), so the merge sees no equal pairs.
+func mergeRuns(v *frozenView, dead, d []Triple, perm [3]int, emit func(Triple)) {
+	i, j := 0, 0
 	v.iterate(0, v.fi.n, false, func(t Triple) bool {
-		if _, dead := deleted[t]; !dead {
-			for i < len(d) && less(perm, d[i], t) {
-				emit(d[i])
-				i++
-			}
-			emit(t)
+		if j < len(dead) && dead[j] == t {
+			j++
+			return true
 		}
+		for i < len(d) && less(perm, d[i], t) {
+			emit(d[i])
+			i++
+		}
+		emit(t)
 		return true
 	})
 	for ; i < len(d); i++ {

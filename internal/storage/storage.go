@@ -7,7 +7,8 @@
 // of them (SPO, POS, OSP) already give a sorted prefix for every
 // combination of bound positions, so the store defaults to those three and
 // can be configured with all six (the difference is benchmarked by the
-// index-set ablation).
+// index-set ablation). Every order set includes SPO and POS: the loader
+// tallies the per-property statistics from them.
 //
 // Every sorted index is held in one physical form, the compressed
 // block-columnar frozen form (block.go/encode.go): independently
@@ -18,6 +19,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -104,6 +106,11 @@ func (o Order) perm() [3]int {
 // for every combination of bound pattern positions.
 var DefaultOrders = []Order{OrderSPO, OrderPOS, OrderOSP}
 
+// tallyOrders are the orders every store keeps whatever it is asked for:
+// the loader tallies the per-property statistics (see PropTally) from
+// their sorted streams.
+var tallyOrders = [...]Order{OrderSPO, OrderPOS}
+
 // AllOrders is the paper's full six-permutation index set.
 var AllOrders = []Order{OrderSPO, OrderPOS, OrderOSP, OrderSOP, OrderPSO, OrderOPS}
 
@@ -145,6 +152,7 @@ type Store struct {
 	present map[Triple]struct{}    // set semantics for Add
 	deleted map[Triple]struct{}    // tombstones for Remove
 	n       int
+	props   []PropTally // the sorted indexes' per-property tallies; replaced, never changed
 
 	blockTriples int // target triples per compressed block
 	par          int // loader parallelism (0 = GOMAXPROCS)
@@ -166,10 +174,17 @@ type Builder struct {
 }
 
 // NewBuilder returns a builder using the given index orders (or
-// DefaultOrders when orders is empty).
+// DefaultOrders when orders is empty). SPO and POS are added after the
+// given orders when they are missing, since the loader tallies the
+// per-property statistics from them.
 func NewBuilder(orders ...Order) *Builder {
 	if len(orders) == 0 {
 		orders = DefaultOrders
+	}
+	for _, o := range tallyOrders {
+		if !hasOrder(orders, o) {
+			orders = append(slices.Clip(orders), o)
+		}
 	}
 	return &Builder{orders: orders}
 }
@@ -469,22 +484,8 @@ func (s *Store) Triples() []Triple {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.compactLocked()
-	return s.spoTriplesLocked()
-}
-
-// spoTriplesLocked copies the compacted store's triples out in SPO
-// order. Custom order sets may lack SPO entirely; the first order is
-// copied out and sorted then.
-func (s *Store) spoTriplesLocked() []Triple {
-	o := OrderSPO
-	if s.views[o] == nil {
-		o = s.orders[0]
-	}
 	ts := make([]Triple, 0, s.n)
-	s.views[o].iterate(0, s.n, false, func(t Triple) bool { ts = append(ts, t); return true })
-	if o != OrderSPO {
-		sortByOrder(ts, OrderSPO.perm())
-	}
+	s.views[OrderSPO].iterate(0, s.n, false, func(t Triple) bool { ts = append(ts, t); return true })
 	return ts
 }
 
@@ -499,22 +500,32 @@ func (s *Store) Each(f func(Triple) bool) {
 	s.mu.Lock()
 	s.compactLocked()
 	view := s.views[OrderSPO]
-	if view == nil {
-		// Custom order set without SPO: fall back to the sorted copy.
-		ts := s.spoTriplesLocked()
-		s.mu.Unlock()
-		for _, t := range ts {
-			if !f(t) {
-				return
-			}
-		}
-		return
-	}
 	n := s.n
 	view.retain()
 	s.mu.Unlock()
 	defer view.release()
 	view.iterate(0, n, false, f)
+}
+
+// PropTally is one property's share of the store: its triples, and the
+// distinct subjects and objects among them.
+type PropTally struct {
+	P         dict.ID
+	Count     int
+	DistinctS int
+	DistinctO int
+}
+
+// PropTallies returns the per-property tallies of the store's contents,
+// ordered by property, folding any pending delta and tombstones in first.
+// The loader takes them while it builds or compacts the SPO and POS
+// indexes, so this walks nothing. The slice is shared and never changed:
+// callers must not modify it.
+func (s *Store) PropTallies() []PropTally {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.compactLocked()
+	return s.props
 }
 
 // Footprint describes the resident cost of the store's sorted indexes

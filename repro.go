@@ -413,9 +413,12 @@ func (s *Store) Compact() {
 }
 
 // NumTriples returns the number of distinct triples (data plus closed
-// constraints) in the raw store; before Freeze it counts pending data.
+// constraints) in the raw store; before Freeze it counts the distinct
+// pending data triples, sorting and deduplicating them in place to do so.
 func (s *Store) NumTriples() int {
 	if !s.frozen {
+		storage.Sort(s.pending, storage.OrderSPO)
+		s.pending = slices.Compact(s.pending)
 		return len(s.pending)
 	}
 	return s.raw.Len()

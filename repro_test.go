@@ -320,8 +320,24 @@ func TestRemoveBeforeFreezeDropsEveryPendingCopy(t *testing.T) {
 	}
 }
 
-// Freeze builds the indexes and collects the statistics by walking them
-// transiently: no decoded block stays cached on the frozen store.
+// A triple added twice before Freeze is one triple, before Freeze as
+// after it.
+func TestNumTriplesCountsDistinctBeforeFreeze(t *testing.T) {
+	st := repro.NewStore()
+	tr := rdf.NewTriple(rdf.NewIRI("http://x/s"), rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/o"))
+	st.MustAdd(tr)
+	st.MustAdd(tr)
+	if n := st.NumTriples(); n != 1 {
+		t.Fatalf("NumTriples before Freeze = %d, want 1", n)
+	}
+	st.Freeze()
+	if n := st.NumTriples(); n != 1 {
+		t.Fatalf("NumTriples after Freeze = %d, want 1", n)
+	}
+}
+
+// Freeze builds the indexes and takes the statistics from the loader's
+// tallies: no decoded block stays cached on the frozen store.
 func TestFreezeCachesNoDecodedBlock(t *testing.T) {
 	st := repro.NewStore()
 	if err := st.AddAll(lubm.Ontology()); err != nil {

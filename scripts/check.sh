@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh runs the full verification gauntlet: build, gofmt, go vet, the
-# repository's own static-analysis suite (cmd/lint), the test suite, the
+# repository's own static-analysis suite (cmd/lint), the test suite, one
+# iteration of each load-path benchmark (BenchmarkBulkLoad), the
 # benchmark module's tests, the race detector, short fuzzes of the answer
 # encoder, of evaluation against the naive evaluator, of the
 # dictionary's identity contract and of the loader's radix sort against a
@@ -29,6 +30,9 @@ go run ./cmd/lint -jsonfile lint-findings.json ./...
 
 echo "==> go test ./..."
 go test ./...
+
+echo "==> go test -run '^\$' -bench BulkLoad -benchtime 1x . (the load-path benchmarks compile and run)"
+go test -run '^$' -bench BulkLoad -benchtime 1x .
 
 echo "==> (cd bench && go test ./...) (the benchmark module)"
 (cd bench && go test ./...)
