@@ -68,8 +68,8 @@ func (db *Database) TripleCharacteristics(w io.Writer, queryName string) error {
 }
 
 // sweepRuns is how many timed evaluations of each cover CoverSweep takes
-// the median of, after one untimed run that warms the decoded blocks and
-// the allocator.
+// the median of, after one untimed run that warms the caches and the
+// allocator.
 const sweepRuns = 7
 
 // CoverSweep renders the paper's Table 2: every cover of the query, its

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/bgp"
@@ -87,13 +88,15 @@ func NewCover(frags ...Fragment) Cover {
 	return c[:w]
 }
 
-// Key returns a canonical map key for the cover.
+// Key returns a canonical map key for the cover: each fragment's bits in
+// lowercase hex, each followed by a dot.
 func (c Cover) Key() string {
-	var b strings.Builder
+	b := make([]byte, 0, 8*len(c))
 	for _, f := range c {
-		fmt.Fprintf(&b, "%x.", uint64(f))
+		b = strconv.AppendUint(b, uint64(f), 16)
+		b = append(b, '.')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Union returns the union of all fragments.

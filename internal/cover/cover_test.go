@@ -1,7 +1,9 @@
 package cover
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bgp"
@@ -266,5 +268,29 @@ func TestNewGraphTooManyAtoms(t *testing.T) {
 	}
 	if g, err := NewGraph(chainQuery(MaxAtoms)); err != nil || g.N() != MaxAtoms {
 		t.Fatalf("NewGraph rejected a query at the MaxAtoms limit: %v", err)
+	}
+}
+
+// Key builds its bytes without fmt; they must be exactly the "%x." form
+// per fragment the cover search's maps were keyed by, for random covers
+// over every fragment width up to 64 atoms.
+func TestCoverKeyMatchesFmtForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	covers := []Cover{nil, {0}, {1}, {Fragment(^uint64(0))}}
+	for i := 0; i < 500; i++ {
+		var c Cover
+		for j := rng.Intn(6); j >= 0; j-- {
+			c = append(c, Fragment(rng.Uint64()>>uint(rng.Intn(64))))
+		}
+		covers = append(covers, NewCover(c...))
+	}
+	for _, c := range covers {
+		var want strings.Builder
+		for _, f := range c {
+			fmt.Fprintf(&want, "%x.", uint64(f))
+		}
+		if got := c.Key(); got != want.String() {
+			t.Fatalf("cover %v: Key %q, fmt form %q", []Fragment(c), got, want.String())
+		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // a repeat of a slot bound earlier in the same atom — and run over the
 // pinned snapshot with a []dict.ID environment: no map, no undo stack and
 // no closure on the path where the snapshot hands back sorted ranges —
-// segments of its cached decoded blocks, walked in place — which is every
-// probe of a covering index outside the pending delta.
+// segments unpacked from its packed blocks into the probe site's buffer —
+// which is every probe of a covering index outside the pending delta.
 //
 // The same loop runs a member family (see evalFamily): the members of an
 // arm that share their depth-0 atom walk its range once, issue one depth-1

@@ -106,8 +106,8 @@ func (e *Engine) EvalArms(head []uint32, arms []ArmSource) (*Relation, Metrics, 
 	if evalSnapshotHook != nil {
 		evalSnapshotHook(ctx.snap)
 	}
-	// By the time Release runs evalArms has returned, so no read of a
-	// range borrowed from the snapshot's decoded blocks is in flight.
+	// By the time Release runs evalArms has returned, so no read through
+	// the snapshot is in flight.
 	defer ctx.snap.Release()
 	rel, err := e.evalArms(ctx, head, arms)
 	ctx.finishSpan(e.span, err)
@@ -719,6 +719,10 @@ type armScratch struct {
 	members []int
 	consts  []dict.ID
 	ranges  []storage.Span
+	// merge is the merged-scan site's probe memory: every located
+	// subrange unpacks its rows into its buffer, which is safe because
+	// members walk their depth-0 ranges one after another.
+	merge storage.Hint
 
 	// orderKey scratch: the byte key under construction and the
 	// first-appearance variable numbering of the member being keyed.
@@ -776,15 +780,18 @@ func newArmScratch(ctx *evalCtx, f *keyFilter) *armScratch {
 }
 
 // release returns the scratch to the pool, dropping everything that
-// must not carry across evaluations: the planning memos and probe hints
-// (stale against the next evaluation's snapshot, and the hints hold its
-// decoded blocks) and every retained member or snapshot slice. Only the
-// owning goroutine may call it.
+// must not carry across evaluations: the planning memos, what the probe
+// hints learned (stale against the next evaluation's snapshot; their
+// scratch buffers stay) and every retained member or snapshot slice.
+// Only the owning goroutine may call it.
 func (sc *armScratch) release() {
 	clear(sc.orders)
 	clear(sc.cards)
 	clear(sc.dist)
-	clear(sc.bj.hints)
+	for i := range sc.bj.hints {
+		sc.bj.hints[i].Reset()
+	}
+	sc.merge.Reset()
 	sc.bj.m, sc.bj.dedup, sc.bj.pre = meter{}, nil, storage.Span{}
 	sc.bj.filter, sc.filter, sc.bj.prog, sc.bj.fam = nil, nil, nil, nil
 	clear(sc.plans[:cap(sc.plans)])
@@ -933,7 +940,7 @@ func (e *Engine) planMergedScans(ctx *evalCtx, sc *armScratch, plans []memberPla
 			consts = append(consts, patPos(plans[i].pat0, g.key.vpos))
 		}
 		sc.consts = consts
-		ranges, ok := ctx.snap.MultiRange(g.key.masked, g.key.vpos, consts, sc.ranges)
+		ranges, ok := ctx.snap.MultiRange(g.key.masked, g.key.vpos, consts, &sc.merge, sc.ranges)
 		if !ok {
 			continue
 		}

@@ -323,9 +323,7 @@ func TestKeyFilterCornerCases(t *testing.T) {
 // thousands of rows): one worker, the plan warm in a plan cache, so an
 // operation is one evaluation — every arm, key set, join and the
 // projection — plus a cache hit. REPRO_BENCH_SCALE picks another scale.
-// rows/op is the answer size; decoded_B/triple is the decoded blocks the
-// raw store's views cache once the sub-benchmark is done, per stored
-// triple.
+// rows/op is the answer size.
 func BenchmarkArmPipeline(b *testing.B) {
 	scale, err := benchkit.EnvScale(benchkit.ScaleSmall)
 	if err != nil {
@@ -351,7 +349,6 @@ func BenchmarkArmPipeline(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(ans.Rel.Len()), "rows/op")
-			b.ReportMetric(float64(db.Raw.Footprint().DecodedBytes)/float64(db.Raw.Len()), "decoded_B/triple")
 		})
 	}
 }

@@ -45,15 +45,11 @@ func referenceCollect(st *storage.Store) map[dict.ID]stats.PropStat {
 	return out
 }
 
-// checkCollect collects st's statistics (folding any pending delta),
-// checks that no decoded block was left cached, and compares every
-// property's PropStat with the reference pass.
+// checkCollect collects st's statistics (folding any pending delta) and
+// compares every property's PropStat with the reference pass.
 func checkCollect(t *testing.T, name string, st *storage.Store, vocab schema.Vocab) {
 	t.Helper()
 	s := stats.Collect(st, vocab)
-	if fp := st.Footprint(); fp.DecodedBlocks != 0 {
-		t.Errorf("%s: Collect left %d decoded blocks cached", name, fp.DecodedBlocks)
-	}
 	got := make(map[dict.ID]stats.PropStat)
 	s.EachProperty(func(p dict.ID, ps stats.PropStat) bool {
 		got[p] = ps

@@ -1,206 +1,145 @@
-// The compressed block-columnar frozen form every sorted index takes. A
-// frozen permutation index is a sequence of independently-decodable compressed
-// blocks (see encode.go) plus an in-memory fence-key directory — the
-// first triple key and global offset of every block — over which range
-// lookups binary-search without touching the payload: the fences narrow
-// any bound-prefix pattern to at most two boundary blocks, and only
-// those are decoded.
+// The frozen form every sorted index takes, and the one way it is read.
+// A frozen permutation index is a sequence of bit-packed blocks (see
+// encode.go) of a fixed row count, their payloads back to back in one
+// exactly sized arena, under a fence directory of block headers — each
+// block's first triple, column bases and widths, and payload offset.
 //
-// Decoded blocks come out of a size-class pool of ref-counted triple
-// buffers (the mbuf idiom: explicit retain/release, zero-copy views)
-// shared process-wide. A frozenView is the cursor layer on top: it
-// decodes each block a probe touches once and keeps it, so the decoded
-// state of one store generation is exactly the blocks its queries
-// touched. Ranges are handed out in place, as per-block segments of
-// those cached blocks (Span), never as copies. Whole-index walks read the
-// cached blocks in place and decode the rest transiently. The view is
-// shared by every snapshot of one store generation and returns its
-// blocks to the pool when the last holder releases it.
+// Probes read the packed columns in place; nothing is decoded ahead of a
+// read and nothing decoded is kept. A seek binary-searches the fence
+// keys for the block that can hold the key, then, inside it, column A
+// (which never decreases within a block), then column B inside A's run
+// and column C inside the (A,B) run. Counting and membership are pure
+// seeks. A range is walked through a Span, which unpacks only the rows
+// being walked into a block-sized scratch buffer its probe site owns.
+// Whole-index walks (Scan, Each, Triples, Compact's merge) unpack
+// consecutive rows through the same code into a small stack buffer.
+// The index is immutable, so every read is safe for concurrent use
+// without synchronization.
 package storage
 
 import (
-	"sort"
-	"sync"
-	"sync/atomic"
+	"encoding/binary"
 	"unsafe"
+
+	"repro/internal/dict"
 )
 
 const (
-	// defaultBlockTriples is the target triple count per block. At the
-	// observed ~2.5 bytes/triple this makes blocks a few KB: big enough
-	// to amortize fence-directory overhead, small enough that a point
-	// lookup decodes little.
-	defaultBlockTriples = 1024
+	// defaultBlockTriples is the row count of a block. Column widths are
+	// the bit length of a column's span within the block, so smaller
+	// blocks pack tighter but pay a header each (EXPERIMENTS.md,
+	// "Bit-packed blocks", has the 128-versus-256 measurement).
+	defaultBlockTriples = 128
 
-	// minBufClass is the smallest pooled decode-buffer capacity;
-	// numBufClasses size classes double from there (256 .. 64Ki
-	// triples). Larger requests are served unpooled.
-	minBufClass   = 256
-	numBufClasses = 9
-
-	// maxSpanTriples bounds the multi-block range Range copies out into
-	// one slice. A range wider than this is declined (Range reports
-	// ok=false) and the caller streams through Scan or walks RangeFrom's
-	// span instead: copying it would cost O(range) memory per call.
+	// maxSpanTriples bounds the range Range copies out into one slice.
+	// A range wider than this is declined (Range reports ok=false) and
+	// the caller streams through Scan or walks RangeFrom's span instead:
+	// copying it would cost O(range) memory per call.
 	maxSpanTriples = 1 << 16
 
-	// tripleBytes is the in-memory size of one decoded Triple.
-	tripleBytes = int(unsafe.Sizeof(Triple{}))
+	// walkChunk is how many rows a whole-index walk unpacks at a time.
+	walkChunk = 64
+
+	// tripleSize is the in-memory size of a Triple.
+	tripleSize = unsafe.Sizeof(Triple{})
 )
 
-// fblock is one compressed block plus its fence-directory entry.
-type fblock struct {
-	first Triple // the block's first triple — the fence key
-	off   int    // global position of the first triple in the index
-	n     int    // triples in the block
-	data  []byte // compressed payload
-}
-
-// frozenIndex is one immutable compressed permutation index.
+// frozenIndex is one immutable packed permutation index.
 type frozenIndex struct {
-	order     Order
-	perm      [3]int
-	blocks    []fblock
-	n         int // total triples
-	dataBytes int // compressed payload bytes across blocks
+	order        Order
+	perm         [3]int
+	blockTriples int      // rows per block; only the last block may hold fewer
+	blocks       []fblock // the fence directory
+	data         []byte   // every payload, then tailPad bytes
+	n            int      // total triples
 }
 
-// blockOf returns the index of the block containing global position pos.
-func (fi *frozenIndex) blockOf(pos int) int {
-	// First block whose off exceeds pos, minus one.
-	return sort.Search(len(fi.blocks), func(i int) bool { return fi.blocks[i].off > pos }) - 1
-}
+// rows returns the row count of block b.
+func (fi *frozenIndex) rows(b int) int { return min(fi.blockTriples, fi.n-b*fi.blockTriples) }
 
-// blockBuf is a pooled, ref-counted decode buffer (the mbuf idiom).
-// The triples slice is a zero-copy view for as long as the holder's
-// reference is live; release returns the buffer to its size class once
-// the last reference drops.
-type blockBuf struct {
-	ts    []Triple
-	refs  atomic.Int32
-	class int8 // pool size class, -1 for unpooled
-}
-
-func (b *blockBuf) retain() { b.refs.Add(1) }
-
-// release drops one reference; the last release returns the buffer to
-// the pool. The holder must not touch b.ts afterwards. Releasing nil — what
-// acquire hands out beside a cached block — is a no-op.
-func (b *blockBuf) release() {
-	if b == nil || b.refs.Add(-1) != 0 {
+// read unpacks rows [r, r+len(dst)) of block b, which must hold them,
+// into dst, column by column: each column's values go to their position
+// (0=S, 1=P, 2=O) of the triples. The first bound columns hold the values
+// of key on every row (a probe's bound prefix over its own range), and a
+// zero-width column its base, so neither is read.
+func (fi *frozenIndex) read(b, r int, dst []Triple, bound int, key [3]dict.ID) {
+	if len(dst) == 0 {
 		return
 	}
-	if b.class >= 0 {
-		decodePool.classes[b.class].Put(b)
-	}
-}
-
-// bufPool hands out decode buffers by size class.
-type bufPool struct {
-	classes [numBufClasses]sync.Pool
-}
-
-var decodePool bufPool
-
-// classFor returns the smallest size class with capacity ≥ n, or -1.
-func classFor(n int) int {
-	c, size := 0, minBufClass
-	for c < numBufClasses {
-		if n <= size {
-			return c
+	h, n := &fi.blocks[b], uint(fi.rows(b))
+	p := unsafe.Pointer(unsafe.SliceData(fi.data))
+	bit0 := 8 * uint(h.off)
+	for c, at := range fi.perm {
+		w, base := uint(h.width[c]), h.colBase(c)
+		ids := unsafe.Add(unsafe.Pointer(&dst[0]), uintptr(at)*unsafe.Sizeof(dict.None))
+		switch {
+		case c < bound:
+			fill(ids, len(dst), key[c])
+		case w == 0:
+			fill(ids, len(dst), dict.ID(base))
+		default:
+			unpack(ids, len(dst), p, bit0+uint(r)*w, w, base)
 		}
-		c++
-		size <<= 1
+		bit0 += n * w
 	}
-	return -1
 }
 
-// get returns a buffer with len n and one reference.
-func (p *bufPool) get(n int) *blockBuf {
-	c := classFor(n)
-	if c < 0 {
-		b := &blockBuf{ts: make([]Triple, n), class: -1}
-		b.refs.Store(1)
-		return b
+// fill writes v to the n IDs at ids, ids+tripleSize, and so on. The
+// pointer arithmetic never leaves the triples: an address past the last
+// one would keep whatever object follows them alive, or a freed one.
+func fill(ids unsafe.Pointer, n int, v dict.ID) {
+	for i := 0; i < n; i++ {
+		*(*dict.ID)(unsafe.Add(ids, uintptr(i)*tripleSize)) = v
 	}
-	if v := p.classes[c].Get(); v != nil {
-		b := v.(*blockBuf)
-		b.ts = b.ts[:n]
-		b.refs.Store(1)
-		return b
-	}
-	b := &blockBuf{ts: make([]Triple, n, minBufClass<<c), class: int8(c)}
-	b.refs.Store(1)
-	return b
 }
 
-// frozenView is the read cursor over one frozen index: it decodes each
-// block a probe touches into a pooled buffer, once, and keeps it for its
-// lifetime. One view is shared by the owning store and every snapshot of
-// that store generation — the view is ref-counted, and the last release
-// (store compaction replacing the generation, or the last snapshot done
-// with it) returns every cached buffer to the pool. Its decoded state is
-// therefore bounded by the blocks the generation's probes touched: at
-// most 12 bytes per triple of every order they read. All methods are
-// safe for concurrent lock-free use.
-type frozenView struct {
-	fi   *frozenIndex
-	refs atomic.Int32
-
-	// dec caches decoded blocks, installed by CAS.
-	dec []atomic.Pointer[blockBuf]
-	// decodes counts the blocks acquire decoded, a lost install race
-	// included: one per touched block when probes do not race.
-	decodes atomic.Int64
-}
-
-func newFrozenView(fi *frozenIndex) *frozenView {
-	v := &frozenView{fi: fi, dec: make([]atomic.Pointer[blockBuf], len(fi.blocks))}
-	v.refs.Store(1)
-	return v
-}
-
-func (v *frozenView) retain() { v.refs.Add(1) }
-
-// release drops one reference; the last holder's release returns every
-// cached block to the pool. The caller must guarantee that no reads
-// through its reference are still in flight — the engine releases its
-// snapshot only after joining all evaluation workers.
-func (v *frozenView) release() {
-	if v.refs.Add(-1) != 0 {
-		return
+// unpack writes n values of one column, starting at bit bit of the arena
+// p points at, to the IDs at ids, ids+tripleSize, and so on (see fill).
+func unpack(ids unsafe.Pointer, n int, p unsafe.Pointer, bit, w uint, base uint32) {
+	mask := uint64(1)<<w - 1
+	for i := 0; i < n; i++ {
+		x := binary.LittleEndian.Uint64((*[8]byte)(unsafe.Add(p, bit>>3))[:])
+		*(*dict.ID)(unsafe.Add(ids, uintptr(i)*tripleSize)) = dict.ID(base + uint32(x>>(bit&7)&mask))
+		bit += w
 	}
-	for i := range v.dec {
-		if b := v.dec[i].Swap(nil); b != nil {
-			b.release()
+}
+
+// readRange unpacks the triples at global positions [pos, pos+len(dst))
+// into dst.
+func (fi *frozenIndex) readRange(pos int, dst []Triple) {
+	b, r := pos/fi.blockTriples, pos%fi.blockTriples
+	for len(dst) > 0 {
+		k := min(fi.rows(b)-r, len(dst))
+		fi.read(b, r, dst[:k], 0, [3]dict.ID{})
+		dst, b, r = dst[k:], b+1, 0
+	}
+}
+
+// iterate streams the triples of the global range [lo, hi) to f in index
+// order, stopping early if f returns false. It holds walkChunk unpacked
+// triples at a time, however wide the range. The range's first bound
+// columns hold key's values (see read).
+func (fi *frozenIndex) iterate(lo, hi, bound int, key [3]dict.ID, f func(Triple) bool) {
+	var buf [walkChunk]Triple
+	for lo < hi {
+		k := min(hi-lo, walkChunk, fi.blockTriples-lo%fi.blockTriples)
+		fi.read(lo/fi.blockTriples, lo%fi.blockTriples, buf[:k], bound, key)
+		for _, t := range buf[:k] {
+			if !f(t) {
+				return
+			}
 		}
+		lo += k
 	}
-}
-
-// acquire returns the decoded triples of block i, decoding and caching
-// the block on first touch; the slice stays valid until the view's
-// release.
-func (v *frozenView) acquire(i int) []Triple {
-	if b := v.dec[i].Load(); b != nil {
-		return b.ts
-	}
-	fb := &v.fi.blocks[i]
-	b := decodePool.get(fb.n)
-	decodeBlockInto(b.ts, fb.data, v.fi.perm)
-	v.decodes.Add(1)
-	if !v.dec[i].CompareAndSwap(nil, b) { // lost the race: use the winner
-		b.release()
-	}
-	return v.dec[i].Load().ts
 }
 
 // firstBlock returns the first block in [lo, hi) whose fence key compares
 // >= thr against the probe (hi if none).
-func (v *frozenView) firstBlock(q *probe, lo, hi, thr int) int {
-	blocks := v.fi.blocks
+func (fi *frozenIndex) firstBlock(q *probe, lo, hi, thr int) int {
+	blocks := fi.blocks
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if q.cmp(blocks[m].first) >= thr {
+		if q.cmp(blocks[m].fence) >= thr {
 			hi = m
 		} else {
 			lo = m + 1
@@ -209,120 +148,109 @@ func (v *frozenView) firstBlock(q *probe, lo, hi, thr int) int {
 	return lo
 }
 
-// seek returns the [lo, hi) global range of triples matching the probe's
-// bound prefix, in one descent: the fence directory names the one
-// block that can hold the lower bound, a search inside its decoded
-// triples finds it, and the upper bound is galloped to from there, in
-// the same block unless the run reaches the block's end (then one more
-// directory search finds the block it stops in). A hint whose block still
-// brackets the key skips the directory and the block lookup; one whose
-// block lies wholly below or above the key narrows the directory search
-// to the blocks on that side. The hint leaves holding the landing block,
-// cached on the view, so its slice stays valid as long as the snapshot
-// that owns the hint's view reference does. An unbound probe is the whole
-// index and touches no block.
-func (v *frozenView) seek(q *probe, h *Hint) (lo, hi int) {
-	blocks := v.fi.blocks
-	ts, c, in := h.ts, h.blk, 0
-	h.ts = nil
-	if q.prefix == 0 || len(blocks) == 0 {
-		return 0, v.fi.n
-	}
-	from, to := 0, len(blocks) // the directory range left to search
-	switch {
-	case ts == nil:
-	case q.cmp(ts[len(ts)-1]) < 0: // the whole block is below the key
-		ts, from = nil, c+1
-	case c > 0 && q.cmp(ts[0]) >= 0: // the bound may lie in an earlier block
-		ts, to = nil, c+1
-	default:
-		in = q.lowerFrom(ts, h.at)
-	}
-	if ts == nil {
-		c, in = v.firstBlock(q, from, to, 0), 0
-		if c > from { // block c-1 starts below the key: the bound is inside it or at its end
-			if ts = v.acquire(c - 1); q.cmp(ts[len(ts)-1]) >= 0 {
-				c, in = c-1, q.bound(ts, 0, len(ts)-1, 0)
-			} else {
-				ts = nil
-			}
+// run returns the rows [lo, hi) of block b that match the probe's bound
+// prefix, searching from row from on (every row before it must lie below
+// the key): column A, then each further bound column inside the run of
+// the one before — near from while it is still the start, if the key is
+// expected there (near). A run's end is searched for near its start,
+// unless the column's last row shows that it reaches the end; a fully
+// bound key's run is at most one row, since the triples are distinct.
+// An empty run's lo is where the key would be.
+func (fi *frozenIndex) run(q *probe, b, from int, near bool) (lo, hi int) {
+	h, n := &fi.blocks[b], fi.rows(b)
+	lo, hi = from, n
+	col := col{p: unsafe.Pointer(unsafe.SliceData(fi.data)), bit0: 8 * uint(h.off)}
+	for c := 0; c < q.prefix && lo < hi; c++ {
+		if c > 0 {
+			col.bit0 += uint(n) * col.w
 		}
-		if c == len(blocks) {
-			return v.fi.n, v.fi.n
+		col.w, col.base = uint(h.width[c]), h.colBase(c)
+		col.mask = 1<<col.w - 1
+		v := uint32(q.want[c])
+		if near && lo == from { // nothing narrowed the expected start yet
+			lo = col.near(v, lo, hi)
+		} else {
+			lo = col.lower(v, lo, hi)
 		}
-		if ts == nil {
-			ts = v.acquire(c)
+		switch {
+		case lo == hi || col.at(hi-1) == v: // the run reaches hi
+		case col.at(lo) != v: // no row holds v
+			hi = lo
+		case c == 2 || col.at(lo+1) > v: // a fully bound run is at most one row
+			hi = lo + 1
+		default:
+			hi = col.near(v+1, lo+2, hi-1)
 		}
 	}
-	end := q.gallop(ts, in, 1)
-	lo, hi = blocks[c].off+in, blocks[c].off+end
-	if end == len(ts) && c+1 < len(blocks) && q.cmp(blocks[c+1].first) == 0 {
-		last := v.firstBlock(q, c+2, len(blocks), 1) - 1 // the run stops inside this block or at its end
-		lts := v.acquire(last)
-		hi = blocks[last].off + q.bound(lts, 0, len(lts), 1)
-	}
-	h.ts, h.blk, h.at = ts, c, in
 	return lo, hi
 }
 
-// iterate streams the triples of the global range [lo, hi) to f in index
-// order, stopping early if f returns false. A probe's range (keep) reads
-// through acquire, caching what it decodes. A whole-index walk reads the
-// cached blocks in place and decodes the rest transiently into one pooled
-// buffer, reused block after block: it holds O(block) decoded memory and
-// leaves the view as it found it.
-func (v *frozenView) iterate(lo, hi int, keep bool, f func(Triple) bool) {
-	var tmp *blockBuf
-	defer func() { tmp.release() }()
-	for i := v.fi.blockOf(lo); lo < hi && i < len(v.fi.blocks) && v.fi.blocks[i].off < hi; i++ {
-		fb := &v.fi.blocks[i]
-		var ts []Triple
-		switch b := v.dec[i].Load(); {
-		case b != nil:
-			ts = b.ts
-		case keep:
-			ts = v.acquire(i)
-		default:
-			if tmp == nil || cap(tmp.ts) < fb.n {
-				tmp.release()
-				tmp = decodePool.get(fb.n)
-			}
-			ts = tmp.ts[:fb.n]
-			decodeBlockInto(ts, fb.data, v.fi.perm)
+// seek returns the [lo, hi) global range of triples matching the probe's
+// bound prefix. The fence directory names the one block whose first key
+// lies below the key and whose successor's does not — the block that
+// holds the lower bound, or ends right before it — and a search of its
+// columns finds the run. Only when the run reaches the block's end does
+// a second directory search find the block it stops in, and a search of
+// that block's columns the upper bound. A hint that saw the same key
+// returns its range; one whose block still brackets the key skips the
+// directory, and searches on from its last lower bound when the key
+// ascends; one whose block lies below the key gallops through the
+// directory from there and searches the block it lands in from its
+// start, and one whose block lies above it narrows the directory search
+// to the blocks before. An unbound probe is the whole index and reads no
+// block.
+func (fi *frozenIndex) seek(q *probe, h *Hint) (lo, hi int) {
+	blocks := fi.blocks
+	nb := len(blocks)
+	if q.prefix == 0 || nb == 0 {
+		h.at = -1
+		return 0, fi.n
+	}
+	if h.at >= 0 && q.want == h.want { // the key repeats: so does its range
+		return h.lo, h.hi
+	}
+	b, from, near := 0, 0, false
+	switch c := h.blk; {
+	case h.at < 0:
+		b = max(fi.firstBlock(q, 0, nb, 0)-1, 0)
+	case c+1 < nb && q.cmp(blocks[c+1].fence) < 0: // block c+1 starts below the key
+		below, end, step := c+1, c+2, 2
+		for end < nb && q.cmp(blocks[end].fence) < 0 {
+			below, end, step = end, end+step, step<<1
 		}
-		for _, t := range ts[max(lo-fb.off, 0):min(hi-fb.off, fb.n)] {
-			if !f(t) {
-				return
-			}
+		b, near = fi.firstBlock(q, below+1, min(end, nb), 0)-1, true // an ascending key lands early in b
+	case c > 0 && q.cmp(blocks[c].fence) >= 0: // block c starts at or above the key
+		b = max(fi.firstBlock(q, 0, c, 0)-1, 0)
+	default:
+		b = c
+		if q.cmp(h.want) < 0 {
+			from, near = h.at, true // the key ascended: its bound is not before the last one
 		}
 	}
-}
-
-// decoded reports the view's cached blocks and their resident bytes.
-func (v *frozenView) decoded() (blocks, bytes int) {
-	for i := range v.dec {
-		if b := v.dec[i].Load(); b != nil {
-			blocks++
-			bytes += cap(b.ts) * tripleBytes
-		}
+	in, end := fi.run(q, b, from, near)
+	h.blk, h.at, h.want = b, in, q.want
+	lo, hi = b*fi.blockTriples+in, b*fi.blockTriples+end
+	if end == fi.rows(b) && b+1 < nb && q.cmp(blocks[b+1].fence) == 0 {
+		last := fi.firstBlock(q, b+2, nb, 1) - 1 // the run stops inside this block or at its end
+		_, end = fi.run(q, last, 0, true)
+		hi = last*fi.blockTriples + end
 	}
-	return blocks, bytes
+	h.lo, h.hi = lo, hi
+	return lo, hi
 }
 
-// frozenBuilder encodes a sorted triple stream into a frozenIndex
-// without materializing it as one slice — the streaming encoder the
-// merge-based compaction feeds. Blocks are cut every blockTriples.
+// frozenBuilder packs a sorted triple stream into a frozenIndex without
+// materializing it as one slice — the streaming packer the merge-based
+// compaction feeds. Blocks are cut every blockTriples.
 type frozenBuilder struct {
 	order        Order
 	perm         [3]int
 	blockTriples int
 	arena        []byte
-	starts       []int // arena offset where each block's payload begins
-	firsts       []Triple
-	counts       []int
+	blocks       []fblock
 	buf          []Triple
 	n            int
-	tally        *tally // fed each block before it is encoded, if set
+	tally        *tally // fed each block before it is packed, if set
 }
 
 func newFrozenBuilder(order Order, blockTriples int) *frozenBuilder {
@@ -351,40 +279,33 @@ func (fb *frozenBuilder) flush() {
 	if fb.tally != nil {
 		fb.tally.add(fb.buf)
 	}
-	fb.starts = append(fb.starts, len(fb.arena))
-	fb.firsts = append(fb.firsts, fb.buf[0])
-	fb.counts = append(fb.counts, len(fb.buf))
-	fb.arena = encodeBlock(fb.arena, fb.buf, fb.perm)
+	h := header(fb.buf, fb.perm)
+	h.off = uint32(len(fb.arena))
+	size := h.payloadBytes(len(fb.buf))
+	fb.arena = append(fb.arena, make([]byte, size)...)
+	pack(fb.arena[h.off:], fb.buf, fb.perm, &h)
+	fb.blocks = append(fb.blocks, h)
 	fb.n += len(fb.buf)
 	fb.buf = fb.buf[:0]
 }
 
-// finish seals the index. The arena was built by append, so the block
-// payloads are carved out only now, when it stops moving, and packed
-// into an exactly sized copy: the append-grown arena's spare capacity
-// would otherwise stay resident with the index.
+// finish seals the index. The arena and directory were built by append,
+// so they are copied into exactly sized allocations now, when they stop
+// growing: their spare capacity would otherwise stay resident with the
+// index.
 func (fb *frozenBuilder) finish() *frozenIndex {
 	fb.flush()
-	fi := &frozenIndex{
-		order:  fb.order,
-		perm:   fb.perm,
-		blocks: make([]fblock, len(fb.starts)),
-		n:      fb.n,
+	data := make([]byte, len(fb.arena)+tailPad)
+	copy(data, fb.arena)
+	return &frozenIndex{
+		order:        fb.order,
+		perm:         fb.perm,
+		blockTriples: fb.blockTriples,
+		blocks:       append([]fblock(nil), fb.blocks...),
+		data:         data,
+		n:            fb.n,
 	}
-	off := 0
-	for i, start := range fb.starts {
-		end := len(fb.arena)
-		if i+1 < len(fb.starts) {
-			end = fb.starts[i+1]
-		}
-		fi.blocks[i] = fblock{
-			first: fb.firsts[i],
-			off:   off,
-			n:     fb.counts[i],
-			data:  fb.arena[start:end:end],
-		}
-		off += fb.counts[i]
-	}
-	fi.dataBytes = packPayloads(fi.blocks)
-	return fi
 }
+
+// fblockDirBytes is the in-memory size of one fence-directory entry.
+const fblockDirBytes = int(unsafe.Sizeof(fblock{}))

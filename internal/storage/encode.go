@@ -1,120 +1,177 @@
-// Block encoding for the compressed frozen representation: one block
-// holds a fixed target number of consecutive triples of one permutation
-// index, encoded column-wise in the index's sort order.
+// The packer: the one layout every frozen block is written and read in.
 //
-// The leading sort column is run-length encoded (its value repeats for
-// long stretches of a sorted index — every triple of one subject in SPO,
-// of one property in POS), the second column is delta-coded within the
-// run (it is non-decreasing there), and the third column is delta-coded
-// while the second column holds still and stored raw when it moves. All
-// values and deltas are unsigned LEB128 varints, so dense dictionary IDs
-// cost one or two bytes instead of twelve per triple. Every block is
-// self-contained — deltas never cross a block boundary — which is what
-// lets blocks decode independently and encode in parallel.
+// A block holds up to a fixed number of consecutive triples of one
+// permutation index. Each of its three columns, taken in the index's sort
+// order, is stored as the offsets of its values from the column's
+// smallest value in the block (its base), each offset in exactly the
+// column's width of bits — the bit length of the column's span, 0 to 32.
+// The three columns follow each other in one bit stream, so a block's
+// payload is ⌈rows × (w₀+w₁+w₂) / 8⌉ bytes. Sorted indexes make the spans
+// small: the leading column is one run or a few adjacent ones, and the
+// dense dictionary IDs of the others cluster.
+//
+// Every cell stays addressable: the value at row r of column c is one
+// unaligned little-endian 64-bit load at the column's start plus r × w
+// bits, a shift, a mask and an add (a width of at most 32 and a shift of
+// at most 7 fit the load). Nothing is decoded ahead of a read, and the
+// arena carries tailPad bytes after the last payload so the load at any
+// cell stays in bounds. Blocks are self-contained, which is what lets
+// them be packed concurrently.
 package storage
 
-import "repro/internal/dict"
+import (
+	"encoding/binary"
+	"math/bits"
+	"unsafe"
 
-// appendUvarint appends v in unsigned LEB128.
-func appendUvarint(dst []byte, v uint32) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
+	"repro/internal/dict"
+)
+
+// tailPad is the slack after an index's last payload byte: a cell read
+// loads eight bytes from the byte its offset starts in.
+const tailPad = 8
+
+// fblock is one block's header, its entry in the fence directory.
+// Column A's base is its first value, the fence key's; the header holds
+// the other two. At 28 bytes it is a fifth of a byte per row of a full
+// block.
+type fblock struct {
+	fence [3]dict.ID // the block's first triple in sort order: the fence key
+	base  [2]uint32  // columns B and C: their smallest value
+	off   uint32     // where the payload starts in the index's arena
+	width [3]uint8   // per column, in sort order: bits per offset
 }
 
-// readUvarint decodes one unsigned LEB128 value at pos, returning the
-// value and the position after it. The encoder above is the only
-// producer, so the input is trusted; a truncated buffer fails loudly via
-// the bounds check.
-func readUvarint(data []byte, pos int) (uint32, int) {
-	var v uint32
-	var shift uint
-	for {
-		b := data[pos]
-		pos++
-		v |= uint32(b&0x7f) << shift
-		if b < 0x80 {
-			return v, pos
-		}
-		shift += 7
+// colBase returns the base of column c (in sort order).
+func (h *fblock) colBase(c int) uint32 {
+	if c == 0 {
+		return uint32(h.fence[0])
 	}
+	return h.base[c-1]
 }
 
-// encodeBlock appends the encoding of ts — sorted under perm — to dst
-// and returns the extended buffer. The layout is a sequence of runs:
-//
-//	uvarint(k0 − prev run's k0)   leading-column value, delta-coded
-//	uvarint(run length)
-//	per triple of the run:
-//	    uvarint(k1 − prev k1 in run)            second column
-//	    if that delta is zero:  uvarint(k2 − prev k2)
-//	    else:                   uvarint(k2)     third column restarts
-//
-// At the start of a block the previous run value is zero, and at the
-// start of a run the previous k1/k2 are zero, so the first occurrences
-// encode their raw values under the same rule — no special cases, and no
-// state crosses block boundaries.
-func encodeBlock(dst []byte, ts []Triple, perm [3]int) []byte {
-	var prevRun uint32
-	i := 0
-	for i < len(ts) {
-		k0 := uint32(key(ts[i])[perm[0]])
-		j := i
-		for j < len(ts) && uint32(key(ts[j])[perm[0]]) == k0 {
-			j++
-		}
-		dst = appendUvarint(dst, k0-prevRun)
-		dst = appendUvarint(dst, uint32(j-i))
-		prevRun = k0
-		var prevK1, prevK2 uint32
-		for ; i < j; i++ {
-			k := key(ts[i])
-			k1, k2 := uint32(k[perm[1]]), uint32(k[perm[2]])
-			d1 := k1 - prevK1
-			dst = appendUvarint(dst, d1)
-			if d1 == 0 {
-				dst = appendUvarint(dst, k2-prevK2)
-			} else {
-				dst = appendUvarint(dst, k2)
+// header returns the header of a block holding ts, sorted under perm; its
+// payload offset is left to the caller.
+func header(ts []Triple, perm [3]int) fblock {
+	var h fblock
+	for c, pos := range perm {
+		h.fence[c] = key(ts[0])[pos]
+		lo, hi := uint32(key(ts[0])[pos]), uint32(key(ts[0])[pos])
+		if c == 0 { // the leading column never decreases
+			hi = uint32(key(ts[len(ts)-1])[pos])
+		} else {
+			for _, t := range ts[1:] {
+				v := uint32(key(t)[pos])
+				lo, hi = min(lo, v), max(hi, v)
 			}
-			prevK1, prevK2 = k1, k2
 		}
+		if c > 0 {
+			h.base[c-1] = lo
+		}
+		h.width[c] = uint8(bits.Len32(hi - lo))
 	}
-	return dst
+	return h
 }
 
-// decodeBlockInto decodes a block payload into dst, which must have room
-// for exactly the block's triple count, and returns the number written.
-func decodeBlockInto(dst []Triple, data []byte, perm [3]int) int {
-	var runVal uint32
-	pos := 0
-	w := 0
-	for pos < len(data) {
-		var d0, runLen uint32
-		d0, pos = readUvarint(data, pos)
-		runLen, pos = readUvarint(data, pos)
-		runVal += d0
-		var k1, k2 uint32
-		for r := uint32(0); r < runLen; r++ {
-			var d1 uint32
-			d1, pos = readUvarint(data, pos)
-			k1 += d1
-			if d1 == 0 {
-				var d2 uint32
-				d2, pos = readUvarint(data, pos)
-				k2 += d2
-			} else {
-				k2, pos = readUvarint(data, pos)
+// payloadBytes is the size of the payload of a block of n rows.
+func (h *fblock) payloadBytes(n int) int {
+	return (n*int(h.width[0]+h.width[1]+h.width[2]) + 7) / 8
+}
+
+// pack writes the columns of ts, sorted under perm, into dst — the block's
+// zeroed payload, exactly h.payloadBytes(len(ts)) long — as one bit
+// stream, column after column.
+func pack(dst []byte, ts []Triple, perm [3]int, h *fblock) {
+	var acc uint64 // bits not yet written, lowest first
+	var n uint     // how many
+	p := 0
+	for c, pos := range perm {
+		w, base := uint(h.width[c]), h.colBase(c)
+		if w == 0 {
+			continue
+		}
+		for _, t := range ts {
+			acc |= uint64(uint32(key(t)[pos])-base) << n
+			for n += w; n >= 8; n -= 8 {
+				dst[p] = byte(acc)
+				p++
+				acc >>= 8
 			}
-			var k [3]dict.ID
-			k[perm[0]] = dict.ID(runVal)
-			k[perm[1]] = dict.ID(k1)
-			k[perm[2]] = dict.ID(k2)
-			dst[w] = Triple{S: k[0], P: k[1], O: k[2]}
-			w++
 		}
 	}
-	return w
+	if n > 0 {
+		dst[p] = byte(acc)
+	}
 }
+
+// col is one column of one block, ready to read: the value at row r is
+// base plus the w bits at bit bit0 + r·w of the index's arena, whose
+// first byte p points at. The arena's tail padding keeps every such load
+// inside it.
+type col struct {
+	p    unsafe.Pointer
+	bit0 uint
+	w    uint
+	mask uint64
+	base uint32
+}
+
+// load returns the eight arena bytes from bit's byte on, shifted so that
+// bit is the lowest.
+func (c *col) load(bit uint) uint64 {
+	return binary.LittleEndian.Uint64((*[8]byte)(unsafe.Add(c.p, bit>>3))[:]) >> (bit & 7)
+}
+
+// at returns the value at row r.
+func (c *col) at(r int) uint32 {
+	return c.base + uint32(c.load(c.bit0+uint(r)*c.w)&c.mask)
+}
+
+// lower returns the first row in [lo, hi) whose value is at least v, hi if
+// none; the column must not decrease over [lo, hi). The search compares
+// raw offsets against v's, and halves the range without a branch on the
+// comparison, which a sorted column would mispredict half the time: the
+// sign of the difference is the mask of the step.
+func (c *col) lower(v uint32, lo, hi int) int {
+	if v <= c.base {
+		return lo
+	}
+	t := int64(v - c.base)
+	if uint64(t) > c.mask {
+		return hi
+	}
+	p, w, mask := c.p, c.w, c.mask
+	blo := c.bit0 + uint(lo)*w // row lo's first bit, moved with lo
+	for n := hi - lo; n > 1; {
+		half := n >> 1
+		hw := uint(half) * w
+		bit := blo + hw - w
+		x := binary.LittleEndian.Uint64((*[8]byte)(unsafe.Add(p, bit>>3))[:]) >> (bit & 7) & mask
+		below := (int64(x) - t) >> 63 // all ones when row lo+half-1 holds less than v
+		lo += half & int(below)
+		blo += hw & uint(below)
+		n -= half
+	}
+	if lo < hi && int64(c.load(blo)&mask) < t {
+		lo++
+	}
+	return lo
+}
+
+// near is lower for an answer expected within nearRows rows of lo — the
+// end of a run, the next key of an ascending probe sequence: one read
+// decides which side of that window the answer lies on, and a branch-free
+// search of that side finds it.
+func (c *col) near(v uint32, lo, hi int) int {
+	if w := lo + nearRows; w < hi {
+		if c.at(w-1) >= v {
+			return c.lower(v, lo, w-1)
+		}
+		return c.lower(v, w, hi)
+	}
+	return c.lower(v, lo, hi)
+}
+
+// nearRows is the window near tries first: a few subjects' or objects'
+// runs.
+const nearRows = 16

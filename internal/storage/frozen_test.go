@@ -136,7 +136,7 @@ func TestFrozenDifferentialMultiRange(t *testing.T) {
 		}
 		consts = append(consts, consts[len(consts)-1]) // equal repeat
 		sortIDs(consts)
-		ranges, ok := sn.MultiRange(fam.g, fam.vpos, consts, nil)
+		ranges, ok := sn.MultiRange(fam.g, fam.vpos, consts, nil, nil)
 		if ok != fam.ok {
 			t.Fatalf("family %d: ok=%v, want %v", fi, ok, fam.ok)
 		}
@@ -195,7 +195,7 @@ func TestFrozenSnapshotIsolationAcrossCompact(t *testing.T) {
 }
 
 // TestLoaderParallelismEquivalence proves the concurrent per-order builds
-// and strided block encode produce byte-identical indexes to the serial
+// and strided block packing produce byte-identical indexes to the serial
 // path, over an input that spans dozens of blocks per order.
 func TestLoaderParallelismEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -209,26 +209,28 @@ func TestLoaderParallelismEquivalence(t *testing.T) {
 	}
 	serial, parallel := mk(1), mk(8)
 	for _, o := range AllOrders {
-		a, b := serial.views[o].fi, parallel.views[o].fi
+		a, b := serial.indexes[o], parallel.indexes[o]
 		if len(a.blocks) < 32 {
 			t.Fatalf("order %v: %d blocks, want the input to span at least 32", o, len(a.blocks))
 		}
-		if a.n != b.n || len(a.blocks) != len(b.blocks) || a.dataBytes != b.dataBytes {
-			t.Fatalf("order %v: shape differs (%d/%d blocks, %d/%d bytes)", o, len(a.blocks), len(b.blocks), a.dataBytes, b.dataBytes)
+		if a.n != b.n || len(a.blocks) != len(b.blocks) || len(a.data) != len(b.data) {
+			t.Fatalf("order %v: shape differs (%d/%d blocks, %d/%d bytes)", o, len(a.blocks), len(b.blocks), len(a.data), len(b.data))
+		}
+		if !reflect.DeepEqual(a.data, b.data) {
+			t.Fatalf("order %v: payloads differ between par=1 and par=8", o)
 		}
 		for i := range a.blocks {
-			if !reflect.DeepEqual(a.blocks[i].data, b.blocks[i].data) ||
-				a.blocks[i].first != b.blocks[i].first ||
-				a.blocks[i].off != b.blocks[i].off {
+			if a.blocks[i] != b.blocks[i] {
 				t.Fatalf("order %v block %d differs between par=1 and par=8", o, i)
 			}
 		}
 	}
 }
 
-// TestEncodeBlockRoundTrip exercises the varint/delta/RLE encoder on
-// edge shapes: single triples, maximal IDs, long runs, descending
-// second-column restarts, and exact block-boundary sizes.
+// TestEncodeBlockRoundTrip exercises the packer on edge shapes: single
+// triples, maximal IDs (32-bit widths), constant columns (0-bit widths),
+// long runs, descending later columns, and blocks cut at every size from
+// one row up, read back through the seek-free whole-index read.
 func TestEncodeBlockRoundTrip(t *testing.T) {
 	cases := [][]Triple{
 		{{S: 1, P: 1, O: 1}},
@@ -243,83 +245,45 @@ func TestEncodeBlockRoundTrip(t *testing.T) {
 	big = dedupSorted(big)
 	cases = append(cases, big)
 
-	for _, perm := range [][3]int{OrderSPO.perm(), OrderPOS.perm(), OrderOSP.perm()} {
+	for _, o := range []Order{OrderSPO, OrderPOS, OrderOSP} {
 		for ci, ts := range cases {
 			in := append([]Triple{}, ts...)
-			sortByOrder(in, perm)
-			data := encodeBlock(nil, in, perm)
-			out := make([]Triple, len(in))
-			if n := decodeBlockInto(out, data, perm); n != len(in) {
-				t.Fatalf("case %d perm %v: decoded %d of %d", ci, perm, n, len(in))
-			}
-			if !reflect.DeepEqual(out, in) {
-				t.Fatalf("case %d perm %v: round trip mismatch", ci, perm)
+			sortByOrder(in, o.perm())
+			for _, bt := range []int{1, 3, 128, len(in)} {
+				fi := buildFrozenIndex(in, o, bt, make(gate, 2))
+				out := make([]Triple, len(in))
+				fi.readRange(0, out)
+				if !reflect.DeepEqual(out, in) {
+					t.Fatalf("case %d order %v block %d: round trip mismatch", ci, o, bt)
+				}
 			}
 		}
 	}
 }
 
-func TestUvarintRoundTrip(t *testing.T) {
-	vals := []uint32{0, 1, 127, 128, 16383, 16384, 1<<21 - 1, 1 << 21, math.MaxUint32}
-	var buf []byte
-	for _, v := range vals {
-		buf = appendUvarint(buf, v)
-	}
-	pos := 0
-	for _, want := range vals {
-		var got uint32
-		got, pos = readUvarint(buf, pos)
-		if got != want {
-			t.Fatalf("uvarint round trip: got %d, want %d", got, want)
-		}
-	}
-	if pos != len(buf) {
-		t.Fatalf("trailing bytes: %d of %d consumed", pos, len(buf))
-	}
-}
-
-// TestBlockBufPool checks the ref-count contract: a buffer with live
-// references never returns to the pool, and release is balanced.
-func TestBlockBufPool(t *testing.T) {
-	b := decodePool.get(100)
-	if len(b.ts) != 100 {
-		t.Fatalf("got len %d, want 100", len(b.ts))
-	}
-	if b.class < 0 {
-		t.Fatalf("100-triple request should be pooled")
-	}
-	b.retain()
-	b.release()
-	if got := b.refs.Load(); got != 1 {
-		t.Fatalf("refs after retain+release: %d, want 1", got)
-	}
-	b.release() // returns to pool
-
-	huge := decodePool.get(minBufClass<<numBufClasses + 1)
-	if huge.class != -1 {
-		t.Fatalf("oversized request should be unpooled")
-	}
-	huge.release()
-}
-
-// TestFrozenViewRelease checks that releasing a snapshot drops its
-// reference on the view and leaves the store's.
+// TestFrozenViewRelease checks that releasing a snapshot is idempotent,
+// is observable, and leaves the store and later snapshots readable: a
+// snapshot pins nothing that Release would have to give back.
 func TestFrozenViewRelease(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	s, _, data := buildModeled(rng, 400, 40)
+	s, m, data := buildModeled(rng, 400, 40)
 	sn := s.Snapshot()
 	for _, tr := range data[:20] {
 		sn.Scan(Pattern{S: tr.S}, func(Triple) bool { return true })
 		sn.Range(Pattern{P: tr.P})
 	}
-	v := sn.frozen[OrderSPO]
-	if v == nil {
-		t.Fatalf("no frozen view on the snapshot")
-	}
 	sn.Release()
 	sn.Release() // idempotent
-	if got := v.refs.Load(); got != 1 {
-		t.Fatalf("view refs after snapshot release: %d, want 1 (the store's)", got)
+	if !sn.Released() {
+		t.Fatalf("Released() = false after Release")
+	}
+	next := s.Snapshot()
+	defer next.Release()
+	for _, tr := range data[:20] {
+		p := Pattern{P: tr.P}
+		if got, want := collectScan(next.Scan, p), m.scan(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v after an earlier snapshot's release: %d triples, model %d", p, len(got), len(want))
+		}
 	}
 }
 
@@ -377,7 +341,7 @@ func TestEachMatchesTriples(t *testing.T) {
 }
 
 // TestFootprint sanity-checks the resident-size report of a realistic
-// store: every part filled, and the block payload well under the 24
+// store: every part filled, and the packed payload well under the 12
 // bytes per triple per order of a sorted []Triple array.
 func TestFootprint(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -393,28 +357,35 @@ func TestFootprint(t *testing.T) {
 		t.Fatalf("IndexBytes %d, but the payloads hold %d B of capacity and the directories %d", fp.IndexBytes(), payload, dir)
 	}
 	// Tiny 16-triple test blocks carry heavy directory overhead; compare
-	// payload alone, which must beat 24 bytes/triple/order comfortably.
-	if flat := fp.Triples * fp.Orders * 24; fp.BlockBytes*3 > flat {
+	// payload alone, which must beat 12 bytes/triple/order comfortably.
+	if flat := fp.Triples * fp.Orders * 12; fp.BlockBytes*3 > flat {
 		t.Fatalf("compression too weak: %d block bytes vs %d as arrays", fp.BlockBytes, flat)
 	}
 }
 
 // residentIndexBytes sums what the store's indexes hold: the capacity of
-// every block payload and of every fence directory.
+// every payload arena and of every fence directory.
 func residentIndexBytes(s *Store) (payload, dir int) {
 	for _, o := range s.orders {
-		fi := s.views[o].fi
-		for _, b := range fi.blocks {
-			payload += cap(b.data)
-		}
+		fi := s.indexes[o]
+		payload += cap(fi.data)
 		dir += cap(fi.blocks) * fblockDirBytes
 	}
 	return payload, dir
 }
 
-// Block payloads are sized exactly — their capacity is their length —
-// after Build, after a Compact that folds in a delta, and after Freeze,
-// so Footprint counts every byte the indexes keep.
+// fenceTriple returns a block's first triple from its fence key.
+func fenceTriple(fb fblock, perm [3]int) Triple {
+	var k [3]dict.ID
+	for c, pos := range perm {
+		k[pos] = fb.fence[c]
+	}
+	return Triple{S: k[0], P: k[1], O: k[2]}
+}
+
+// Payload arenas and directories are sized exactly — their capacity is
+// their length — after Build, after a Compact that folds in a delta, and
+// after Freeze, so Footprint counts every byte the indexes keep.
 func TestPayloadsExactlySized(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	b := NewBuilder().WithBlockSize(64)
@@ -433,7 +404,7 @@ func TestPayloadsExactlySized(t *testing.T) {
 	for _, tr := range randomTriples(rng, 500, 300) {
 		s.Add(tr)
 	}
-	s.Remove(s.views[OrderSPO].fi.blocks[0].first)
+	s.Remove(fenceTriple(s.indexes[OrderSPO].blocks[0], OrderSPO.perm()))
 	s.Compact()
 	check("after Compact")
 	s.Add(Triple{S: 301, P: 301, O: 301})

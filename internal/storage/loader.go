@@ -2,16 +2,17 @@
 // order and deduplicates them; every other permutation index is derived
 // from that sorted base by a stable radix sort over only the leading
 // columns the SPO order does not already settle (OSP re-sorts by O
-// alone, POS by P and O). The per-order builds run concurrently on a bounded worker gate, and
-// each sorted index is encoded into the compressed block-columnar form.
+// alone, POS by P and O). The per-order builds run concurrently on a
+// bounded worker gate, and each sorted index is packed into bit-packed
+// blocks (block.go, encode.go).
 // The per-property statistics are tallied from the sorted SPO and POS
 // arrays on the way (see tally).
 // Compact folds the mutation delta by merging sorted runs — the existing
-// index streamed block by block, the sorted tombstones, and the freshly
-// sorted delta — into a streaming block encoder instead of re-sorting
-// the world, so write-heavy workloads pay O(n + d) per index, not
-// O(n log n); the SPO and POS encoders re-tally the statistics block by
-// block.
+// index streamed a few rows at a time, the sorted tombstones, and the
+// freshly sorted delta — into a streaming block packer instead of
+// re-sorting the world, so write-heavy workloads pay O(n + d) per index,
+// not O(n log n); the SPO and POS packers re-tally the statistics block
+// by block.
 package storage
 
 import (
@@ -23,7 +24,7 @@ import (
 )
 
 // gate bounds the loader's concurrency: leaf work units (index sorts,
-// block encodes) run inside do, so however many index builds are
+// block packing) run inside do, so however many index builds are
 // in flight, at most cap(g) of them burn a CPU at once.
 type gate chan struct{}
 
@@ -40,9 +41,9 @@ func (b *Builder) WithParallelism(n int) *Builder {
 	return b
 }
 
-// WithBlockSize sets the compressed block's target triple count (the
-// default is defaultBlockTriples); tests use small blocks to exercise
-// many boundaries. It returns the builder.
+// WithBlockSize sets the packed block's row count (the default is
+// defaultBlockTriples); tests use small blocks to exercise many
+// boundaries. It returns the builder.
 func (b *Builder) WithBlockSize(n int) *Builder {
 	b.blockTriples = n
 	return b
@@ -51,8 +52,8 @@ func (b *Builder) WithBlockSize(n int) *Builder {
 // Build sorts, deduplicates and indexes the triples, consuming the
 // builder. The SPO base is sorted once; each other order is a copy of it
 // re-sorted by its spoPrefix columns. Per-order builds run concurrently
-// on a bounded worker gate, and every sorted index is encoded into the
-// compressed block-columnar form. The store is assembled only once every
+// on a bounded worker gate, and every sorted index is packed into
+// bit-packed blocks. The store is assembled only once every
 // index is built, so no goroutine writes a store another can see.
 func (b *Builder) Build() *Store {
 	par := b.par
@@ -73,7 +74,7 @@ func (b *Builder) Build() *Store {
 	// Distinct orders write distinct slots, and only the POS builder
 	// tallies into pos, so the concurrent per-order builders never
 	// contend.
-	var views [numOrders]*frozenView
+	var indexes [numOrders]*frozenIndex
 	spo, pos := tally{order: OrderSPO}, tally{order: OrderPOS}
 	var wg sync.WaitGroup
 	for _, o := range b.orders {
@@ -93,18 +94,18 @@ func (b *Builder) Build() *Store {
 					pos.add(cp)
 				}
 			})
-			views[o] = newFrozenView(buildFrozenIndex(cp, o, bt, g))
+			indexes[o] = buildFrozenIndex(cp, o, bt, g)
 		}(o)
 	}
 	g.do(func() { spo.add(base) })
-	views[OrderSPO] = newFrozenView(buildFrozenIndex(base, OrderSPO, bt, g))
+	indexes[OrderSPO] = buildFrozenIndex(base, OrderSPO, bt, g)
 	wg.Wait()
-	return &Store{orders: b.orders, views: views, n: len(base), props: joinTallies(&spo, &pos), blockTriples: bt, par: par}
+	return &Store{orders: b.orders, indexes: indexes, n: len(base), props: joinTallies(&spo, &pos), blockTriples: bt, par: par}
 }
 
 // tally accumulates the per-property statistics of one sorted stream of
 // distinct triples, fed in consecutive runs: the whole sorted array at
-// Build, each block as Compact's merge encodes it. From SPO order it
+// Build, each block as Compact's merge packs it. From SPO order it
 // takes each property's DistinctS, one per (S,P) run; from POS order its
 // Count and DistinctO, one per triple and one per (P,O) run. It holds an
 // entry per property seen, ordered by property.
@@ -280,67 +281,48 @@ func spoPrefix(perm [3]int) int {
 	return k
 }
 
-// buildFrozenIndex encodes a sorted index into its compressed form.
-// Blocks are self-contained, so they encode concurrently: each worker
-// encodes a strided share of the blocks under one gate token. The
-// payloads are then packed into one exactly sized allocation.
+// buildFrozenIndex packs a sorted index. Blocks are self-contained, so
+// they pack concurrently, in two strided passes of the gate's workers:
+// the first takes every block's header, whose widths size its payload,
+// and once the payload offsets are summed the second packs every block
+// into its own bytes of one exactly sized arena.
 func buildFrozenIndex(ts []Triple, order Order, blockTriples int, g gate) *frozenIndex {
 	perm := order.perm()
 	nb := (len(ts) + blockTriples - 1) / blockTriples
-	fi := &frozenIndex{order: order, perm: perm, blocks: make([]fblock, nb), n: len(ts)}
-	workers := min(cap(g), nb)
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			g.do(func() {
-				for i := w; i < nb; i += workers {
-					lo := i * blockTriples
-					hi := min(lo+blockTriples, len(ts))
-					chunk := ts[lo:hi]
-					fi.blocks[i] = fblock{
-						first: chunk[0],
-						off:   lo,
-						n:     hi - lo,
-						data:  encodeBlock(nil, chunk, perm),
+	fi := &frozenIndex{order: order, perm: perm, blockTriples: blockTriples, blocks: make([]fblock, nb), n: len(ts)}
+	chunk := func(i int) []Triple { return ts[i*blockTriples : min((i+1)*blockTriples, len(ts))] }
+	strided := func(f func(i int)) {
+		workers := max(min(cap(g), nb), 1)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				g.do(func() {
+					for i := w; i < nb; i += workers {
+						f(i)
 					}
-				}
-			})
-		}(w)
+				})
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	fi.dataBytes = packPayloads(fi.blocks)
+	strided(func(i int) { fi.blocks[i] = header(chunk(i), perm) })
+	size := 0
+	for i := range fi.blocks {
+		fi.blocks[i].off = uint32(size)
+		size += fi.blocks[i].payloadBytes(len(chunk(i)))
+	}
+	fi.data = make([]byte, size+tailPad)
+	strided(func(i int) { pack(fi.data[fi.blocks[i].off:], chunk(i), perm, &fi.blocks[i]) })
 	return fi
-}
-
-// packPayloads copies the blocks' payloads back to back into one
-// allocation of exactly their total size and points the blocks at it, so
-// the index holds no capacity beyond its bytes; it returns that size.
-func packPayloads(blocks []fblock) int {
-	total := 0
-	for _, b := range blocks {
-		total += len(b.data)
-	}
-	arena := make([]byte, total)
-	off := 0
-	for i := range blocks {
-		n := copy(arena[off:], blocks[i].data)
-		blocks[i].data = arena[off : off+n : off+n]
-		off += n
-	}
-	return total
 }
 
 // compactLocked folds the delta into the sorted indexes and drops
 // tombstoned triples; the caller holds the write lock. Each index is
-// rebuilt by a linear merge of sorted runs — the existing index
-// (walked block by block: cached blocks in place, the rest decoded
-// transiently, never fully decoded at once), the sorted tombstones,
-// and the sorted delta — straight into a streaming block encoder.
+// rebuilt by a linear merge of sorted runs — the existing index (walked
+// a few rows at a time, never unpacked whole), the sorted tombstones,
+// and the sorted delta — straight into a streaming block packer.
 // Orders rebuild concurrently under the loader gate.
 func (s *Store) compactLocked() {
 	if len(s.delta) == 0 && len(s.deleted) == 0 {
@@ -364,7 +346,7 @@ func (s *Store) compactLocked() {
 		// Capture the inputs outside the goroutine: the write lock is
 		// held for the whole rebuild (wg.Wait below), so the snapshot of
 		// fields taken here is stable.
-		view, delta := s.views[o], s.delta
+		idx, delta := s.indexes[o], s.delta
 		fb := newFrozenBuilder(o, bt)
 		switch o {
 		case OrderSPO:
@@ -383,15 +365,14 @@ func (s *Store) compactLocked() {
 				x := make([]Triple, len(dead))
 				copy(x, dead)
 				sortByOrder(x, perm)
-				mergeRuns(view, x, d, perm, fb.add)
+				mergeRuns(idx, x, d, perm, fb.add)
 				out[i] = fb.finish()
 			})
 		}(i, o)
 	}
 	wg.Wait()
 	for i, o := range s.orders {
-		s.views[o].release() // snapshots of the old generation keep their own refs
-		s.views[o] = newFrozenView(out[i])
+		s.indexes[o] = out[i] // snapshots of the old generation keep theirs
 	}
 	s.props = joinTallies(&spo, &pos)
 	s.n += len(s.delta) - len(s.deleted)
@@ -410,9 +391,9 @@ func (s *Store) compactLocked() {
 // tombstones only those, and Add of one clears it), so the walk meets
 // them in dead's order; delta triples are never already present in the
 // index (Add checks), so the merge sees no equal pairs.
-func mergeRuns(v *frozenView, dead, d []Triple, perm [3]int, emit func(Triple)) {
+func mergeRuns(fi *frozenIndex, dead, d []Triple, perm [3]int, emit func(Triple)) {
 	i, j := 0, 0
-	v.iterate(0, v.fi.n, false, func(t Triple) bool {
+	fi.iterate(0, fi.n, 0, [3]dict.ID{}, func(t Triple) bool {
 		if j < len(dead) && dead[j] == t {
 			j++
 			return true

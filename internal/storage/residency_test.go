@@ -3,7 +3,6 @@ package storage
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 
@@ -22,7 +21,7 @@ func residencyStore(t *testing.T) (*Store, *model) {
 	}
 	s := b.Build()
 	for _, o := range s.orders {
-		if n := len(s.views[o].fi.blocks); n <= 512 {
+		if n := len(s.indexes[o].blocks); n <= 512 {
 			t.Fatalf("order %v has %d blocks; the test needs more than 512", o, n)
 		}
 	}
@@ -36,8 +35,8 @@ func residencyStore(t *testing.T) (*Store, *model) {
 func blockProbes(s *Store) map[Order][]Pattern {
 	out := make(map[Order][]Pattern)
 	for _, o := range s.orders {
-		for _, fb := range s.views[o].fi.blocks {
-			out[o] = append(out[o], prefix2(fb.first, o.perm()))
+		for _, fb := range s.indexes[o].blocks {
+			out[o] = append(out[o], prefix2(fenceTriple(fb, o.perm()), o.perm()))
 		}
 	}
 	return out
@@ -61,87 +60,6 @@ func answers(m *model, o Order) map[Pattern][]Triple {
 		out[p] = append(out[p], tr)
 	}
 	return out
-}
-
-func decodes(s *Store) (n int64) {
-	for _, o := range s.orders {
-		n += s.views[o].decodes.Load()
-	}
-	return n
-}
-
-// TestDecodeOncePerTouchedBlock probes every block of every order twice,
-// through RangeFrom and MultiRange, on a store with more blocks per order
-// than any decoded-block cap would hold: every answer equals the model,
-// every block decodes exactly once, the second pass decodes nothing, and
-// Footprint's decoded fields count exactly the blocks the views cache.
-// Whole-index walks before the probes leave no block cached.
-func TestDecodeOncePerTouchedBlock(t *testing.T) {
-	s, m := residencyStore(t)
-	s.Each(func(Triple) bool { return true })
-	_ = s.Triples()
-	sn := s.Snapshot()
-	defer sn.Release()
-	sn.Scan(Pattern{}, func(Triple) bool { return true })
-	if fp := s.Footprint(); fp.DecodedBlocks != 0 || fp.DecodedBytes != 0 || decodes(s) != 0 {
-		t.Fatalf("whole-index walks cached blocks: %+v, %d decodes", fp, decodes(s))
-	}
-
-	probes := blockProbes(s)
-	want := make(map[Order]map[Pattern][]Triple)
-	for _, o := range s.orders {
-		want[o] = answers(m, o)
-	}
-	for pass := 0; pass < 2; pass++ {
-		for _, o := range s.orders {
-			var h Hint
-			for _, p := range probes[o] {
-				sp, ok := sn.RangeFrom(p, &h)
-				if got, w := spanTriples(sp), want[o][p]; !ok || !reflect.DeepEqual(got, w) {
-					t.Fatalf("pass %d order %v %+v: RangeFrom %d triples (ok %v), model %d", pass, o, p, len(got), ok, len(w))
-				}
-			}
-		}
-		// One MultiRange family per property over the POS index: every
-		// object of the property, ascending.
-		for prop := dict.ID(1); prop <= 8; prop++ {
-			var consts []dict.ID
-			for p := range want[OrderPOS] {
-				if p.P == prop {
-					consts = append(consts, p.O)
-				}
-			}
-			slices.Sort(consts)
-			ranges, ok := sn.MultiRange(Pattern{P: prop}, 2, consts, nil)
-			if !ok {
-				t.Fatalf("MultiRange declined property %d", prop)
-			}
-			for i, c := range consts {
-				if got, w := spanTriples(ranges[i]), want[OrderPOS][Pattern{P: prop, O: c}]; !reflect.DeepEqual(got, w) {
-					t.Fatalf("pass %d MultiRange P=%d O=%d: %v, model %v", pass, prop, c, got, w)
-				}
-			}
-		}
-		fp := s.Footprint()
-		if fp.DecodedBlocks != fp.Blocks {
-			t.Fatalf("pass %d: %d of %d blocks cached after touching every block", pass, fp.DecodedBlocks, fp.Blocks)
-		}
-		if n := decodes(s); n != int64(fp.Blocks) {
-			t.Fatalf("pass %d: %d decodes for %d touched blocks", pass, n, fp.Blocks)
-		}
-		blocks, bytes := 0, 0
-		for _, o := range s.orders {
-			for i := range s.views[o].dec {
-				if b := s.views[o].dec[i].Load(); b != nil {
-					blocks++
-					bytes += cap(b.ts) * tripleBytes
-				}
-			}
-		}
-		if fp.DecodedBlocks != blocks || fp.DecodedBytes != bytes {
-			t.Fatalf("pass %d: Footprint reports %d blocks / %d bytes decoded, views cache %d / %d", pass, fp.DecodedBlocks, fp.DecodedBytes, blocks, bytes)
-		}
-	}
 }
 
 // TestSpansSurviveConcurrentCompact walks multi-block ranges on pinned
@@ -179,7 +97,7 @@ func TestSpansSurviveConcurrentCompact(t *testing.T) {
 						t.Errorf("%+v: RangeFrom %d triples (ok %v), model %d", probes[i], len(got), ok, len(want[i]))
 					}
 				}
-				ranges, ok := sn.MultiRange(Pattern{P: 1}, 2, consts, nil)
+				ranges, ok := sn.MultiRange(Pattern{P: 1}, 2, consts, nil, nil)
 				for i, c := range consts {
 					if !ok {
 						t.Errorf("MultiRange declined property 1")

@@ -11,11 +11,10 @@
 // the engine pins one Snapshot at the top of an evaluation and every
 // bind-join, statistics probe and shard worker reads through it.
 //
-// A snapshot reads through the store generation's shared frozenView
-// cursors (retained at capture): Scan streams blocks, RangeFrom and
-// MultiRange hand out Spans — per-block segments of lazily decoded,
-// cached blocks that stay valid for the snapshot's lifetime — and the
-// optional Release returns the cached decode buffers to the pool early.
+// A snapshot reads the store generation's immutable packed indexes in
+// place: Scan streams them a few rows at a time, and RangeFrom and
+// MultiRange hand out Spans, which unpack the rows being walked, one
+// block's worth at a time, into the probe site's scratch buffer.
 package storage
 
 import (
@@ -26,10 +25,10 @@ import (
 )
 
 // Snapshot is an immutable view of a Store at one mutation version.
-// The sorted indexes are shared with the store through their views
-// (mutations always install fresh indexes and views, never write through
-// old ones); the small delta and tombstone sets are copied at capture time
-// because Add and Remove update them in place. All methods are safe for
+// The sorted indexes are shared with the store (mutations always install
+// fresh indexes, never write through old ones); the small delta and
+// tombstone sets are copied at capture time because Add and Remove update
+// them in place. All methods are safe for
 // concurrent use by any number of goroutines without synchronization,
 // and — unlike Store.Scan callbacks — may be nested freely and may run
 // concurrently with store mutations.
@@ -37,11 +36,11 @@ type Snapshot struct {
 	store    *Store
 	version  uint64
 	orders   []Order
-	frozen   [numOrders]*frozenView // retained cursors; nil for unused orders
-	delta    []Triple               // additions not yet compacted, in insertion order
-	deleted  map[Triple]struct{}    // tombstoned sorted entries
-	deltaBox box                    // per-position value range of delta
-	deadBox  box                    // per-position value range of deleted
+	frozen   [numOrders]*frozenIndex // nil for unused orders
+	delta    []Triple                // additions not yet compacted, in insertion order
+	deleted  map[Triple]struct{}     // tombstoned sorted entries
+	deltaBox box                     // per-position value range of delta
+	deadBox  box                     // per-position value range of deleted
 	n        int
 	released atomic.Bool
 }
@@ -84,7 +83,7 @@ func (b *box) mayMatch(p Pattern) bool {
 // Snapshot captures an immutable view of the store's current contents.
 // The capture cost is one read-lock acquisition plus a copy of the
 // (typically empty) delta and tombstone sets, and a handful of pointer
-// copies and view retains.
+// copies.
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -92,13 +91,8 @@ func (s *Store) Snapshot() *Snapshot {
 		store:   s,
 		version: s.version.Load(),
 		orders:  s.orders,
+		frozen:  s.indexes,
 		n:       s.n + len(s.delta) - len(s.deleted),
-	}
-	for _, o := range s.orders {
-		if v := s.views[o]; v != nil {
-			v.retain()
-			sn.frozen[o] = v
-		}
 	}
 	if len(s.delta) > 0 {
 		sn.delta = make([]Triple, len(s.delta))
@@ -117,24 +111,13 @@ func (s *Store) Snapshot() *Snapshot {
 	return sn
 }
 
-// Release drops the snapshot's references on the frozen-generation
-// cursors, letting their cached decode buffers return to the pool as
-// soon as the store has moved past the generation too. Calling it is
-// optional — an unreleased snapshot is reclaimed by the garbage
-// collector like any value, the pool just recycles less — but the
-// engine releases at the end of every evaluation, after all workers have
-// joined and every borrowed range subslice has been dropped. Any reads
-// through the snapshot after Release are invalid. Release is idempotent.
-func (sn *Snapshot) Release() {
-	if sn.released.Swap(true) {
-		return
-	}
-	for _, v := range sn.frozen {
-		if v != nil {
-			v.release()
-		}
-	}
-}
+// Release marks the end of the snapshot's use. A snapshot holds nothing
+// but references to immutable indexes, so there is nothing to return:
+// an unreleased snapshot is reclaimed by the garbage collector like any
+// value. The engine still releases at the end of every evaluation, and
+// its tests check that through Released. Any reads through the snapshot
+// after Release are invalid. Release is idempotent.
+func (sn *Snapshot) Release() { sn.released.Store(true) }
 
 // Released reports whether Release has run — observability for the
 // engine's release-on-every-exit-path guarantee (the cancellation tests
@@ -155,31 +138,49 @@ func (sn *Snapshot) Len() int { return sn.n }
 func (sn *Snapshot) Orders() []Order { return sn.orders }
 
 // Hint is the memory of one probe site — one depth of a bind-join, one
-// merged-scan family: the access path its pattern shape resolved to, so
+// merged-scan site: the access path its pattern shape resolved to, so
 // the index choice is made once per shape rather than per probe, and
 // where its last probe landed, so an ascending probe sequence (what a
-// scan in index order feeds the next depth) gallops on from there instead
-// of descending from the top. The caller owns it and passes it to
-// successive probes; the zero Hint knows nothing. It is never stored on
-// the store, the view or the snapshot, and it names the store version it
-// learned from (one version is one set of indexes and cursors, kept alive
-// by whichever snapshot is being probed): a probe at any other version,
-// or of another shape, starts it over, and a key that moves backwards
-// silently re-descends, so a Hint cannot go stale — it can only fail to
-// help.
+// scan in index order feeds the next depth) searches on from there
+// instead of descending from the top. It also owns the site's scratch
+// buffer, the block's worth of rows the Spans its probes hand out are
+// unpacked into. The caller owns it and passes it to successive probes;
+// the zero Hint knows nothing. It is never stored on the store or the
+// snapshot, and it names the store version it learned from (one version
+// is one set of immutable indexes): a probe at any other version, or of
+// another shape, starts it over, and a key that moves backwards silently
+// re-descends, so a Hint cannot go stale — it can only fail to help.
 type Hint struct {
 	store   *Store
 	version uint64
 	path    path
-	ts      []Triple // the cached decoded block of the last landing
-	blk     int      // that block's number in the index
-	at      int      // landing position in ts; -1 before the first probe
+	blk     int        // the block the last probe searched
+	at      int        // its lower bound's row in that block; -1 before the first probe
+	want    [3]dict.ID // its key, in sort order
+	lo, hi  int        // its global range
+	buf     []Triple   // the site's scratch: Span.Next unpacks rows here
 }
 
-// resolve points the hint at p's access path on this snapshot.
+// Reset makes h forget what it learned, keeping only its scratch buffer,
+// so a pooled probe site pins no store.
+func (h *Hint) Reset() { *h = Hint{buf: h.buf} }
+
+// resolve points the hint at p's access path on this snapshot. The
+// scratch buffer is kept: it holds no data of any version. So is the
+// landing, when another shape reads the same index: a probe site whose
+// member programs bind different positions (a family's dispatch) still
+// searches on from where the index was last read.
 func (sn *Snapshot) resolve(p Pattern, h *Hint) {
-	if m := maskOf(p); h.store != sn.store || h.version != sn.version || h.path.mask != m {
-		*h = Hint{store: sn.store, version: sn.version, path: choosePath(sn.orders, m), at: -1}
+	m := maskOf(p)
+	switch {
+	case h.store != sn.store || h.version != sn.version:
+		*h = Hint{store: sn.store, version: sn.version, path: choosePath(sn.orders, m), at: -1, buf: h.buf}
+	case h.path.mask != m:
+		if pa := choosePath(sn.orders, m); pa.order == h.path.order {
+			h.path = pa
+		} else {
+			*h = Hint{store: sn.store, version: sn.version, path: pa, at: -1, buf: h.buf}
+		}
 	}
 }
 
@@ -197,17 +198,21 @@ func (sn *Snapshot) locate(p Pattern, h *Hint) (lo, hi int) {
 	return sn.frozen[h.path.order].seek(&q, h)
 }
 
-// Span is a sorted index range handed out in place: a sequence of
-// segments, each a subslice of one decoded block cached on the snapshot's
-// view, valid until the snapshot's release. Next walks it; a block the
-// walk reaches is decoded on first touch and cached, and nothing is
-// copied. A Span is a value: a copy walks independently, and the zero
-// Span is empty.
+// Span is a sorted index range, walked in segments of at most one block:
+// Next unpacks the segment's rows into the scratch buffer of the probe
+// site that located the range (its Hint) and returns them. A segment
+// stays valid until that site's next Next or probe; the rows are read
+// from the packed index, which the snapshot keeps alive. A Span is a
+// value: a copy walks independently, but shares the site's buffer. The
+// zero Span is empty.
 type Span struct {
-	v   *frozenView // the index the range lies in
-	blk int         // the block the next segment lies in
-	at  int         // where the next segment starts in that block
-	n   int         // triples left
+	fi    *frozenIndex // the index the range lies in
+	h     *Hint        // the site whose buffer segments are unpacked into
+	blk   int          // the block the next segment lies in
+	at    int          // where the next segment starts in that block
+	n     int          // triples left
+	bound int          // leading sort columns every triple holds key's values in
+	key   [3]dict.ID   // the probe's key, in sort order
 }
 
 // Len returns the number of triples the span has left.
@@ -219,24 +224,32 @@ func (sp *Span) Next() []Triple {
 	if sp.n == 0 {
 		return nil
 	}
-	ts := sp.v.acquire(sp.blk)[sp.at:]
-	k := min(len(ts), sp.n)
+	k := min(sp.fi.rows(sp.blk)-sp.at, sp.n)
+	if cap(sp.h.buf) < sp.fi.blockTriples {
+		sp.h.buf = make([]Triple, sp.fi.blockTriples)
+	}
+	ts := sp.h.buf[:k:k]
+	sp.fi.read(sp.blk, sp.at, ts, sp.bound, sp.key)
 	sp.blk, sp.at, sp.n = sp.blk+1, 0, sp.n-k
-	return ts[:k:k]
+	return ts
 }
 
-// sorted returns the sorted range of p as a Span: from the lower bound in
-// the block the probe landed in, on through the blocks after it. An
-// unbound pattern's range is the whole index, from its first block.
+// sorted returns the sorted range of p as a Span walked through h's
+// buffer: from the lower bound in the block the probe landed in, on
+// through the blocks after it. An unbound pattern's range is the whole
+// index, from its first block.
 func (sn *Snapshot) sorted(p Pattern, h *Hint) Span {
 	lo, hi := sn.locate(p, h)
-	switch {
-	case hi <= lo:
+	if hi <= lo {
 		return Span{}
-	case h.ts == nil:
-		return Span{v: sn.frozen[h.path.order], n: hi - lo}
 	}
-	return Span{v: sn.frozen[h.path.order], blk: h.blk, at: h.at, n: hi - lo}
+	sp := Span{fi: sn.frozen[h.path.order], h: h, n: hi - lo, bound: h.path.prefix, key: h.want}
+	if h.at >= 0 {
+		if sp.blk, sp.at = h.blk, h.at; sp.at == sp.fi.rows(sp.blk) {
+			sp.blk, sp.at = sp.blk+1, 0
+		}
+	}
+	return sp
 }
 
 // Settled reports whether the sorted range of p alone is its answer: no
@@ -279,14 +292,14 @@ func (sn *Snapshot) Contains(t Triple) bool {
 // f returns false, in exactly the order Store.Scan would produce: the
 // sorted range first, then matching delta triples in insertion order.
 // No lock is held; f may nest further snapshot reads and may run
-// concurrently with store mutations. The range streams block by block,
-// holding O(block) decoded memory however wide it is.
+// concurrently with store mutations. The range streams a few rows at a
+// time, however wide it is.
 func (sn *Snapshot) Scan(p Pattern, f func(Triple) bool) {
 	var h Hint
 	lo, hi := sn.seek(p, &h)
 	dead := sn.deadBox.mayMatch(p)
 	stopped := false
-	sn.frozen[h.path.order].iterate(lo, hi, h.path.prefix > 0, func(t Triple) bool {
+	sn.frozen[h.path.order].iterate(lo, hi, h.path.prefix, h.want, func(t Triple) bool {
 		if sn.visible(p, dead, t) && !f(t) {
 			stopped = true
 		}
@@ -340,29 +353,20 @@ func (sn *Snapshot) scanDelta(p Pattern, f func(Triple) bool) {
 }
 
 // Range returns the triples matching p as one sorted slice, when the
-// slice alone is provably the exact answer (see RangeFrom). A range
-// within one block is a zero-copy subslice of the cached block, stable
-// for the snapshot's lifetime; a multi-block range is copied into a
-// fresh slice the caller owns, and one wider than maxSpanTriples is
-// declined (ok=false) and streams through Scan instead. The query engine
-// walks RangeFrom's Span, which copies nothing; Range is the
-// one-slice form for tests and measurements.
+// slice alone is provably the exact answer (see RangeFrom). The slice is
+// unpacked fresh and the caller owns it; a range wider than
+// maxSpanTriples is declined (ok=false) and streams through Scan
+// instead. The query engine walks RangeFrom's Span, which unpacks one
+// block's worth at a time into its site's buffer; Range is the one-slice
+// form for tests and measurements.
 func (sn *Snapshot) Range(p Pattern) (ts []Triple, ok bool) {
 	sp, ok := sn.RangeFrom(p, nil)
-	if !ok {
+	if !ok || sp.n > maxSpanTriples {
 		return nil, false
 	}
-	n := sp.Len()
-	switch first := sp.Next(); {
-	case sp.Len() == 0:
-		return first, true
-	case n > maxSpanTriples:
-		return nil, false
-	default:
-		ts = append(make([]Triple, 0, n), first...)
-	}
-	for seg := sp.Next(); seg != nil; seg = sp.Next() {
-		ts = append(ts, seg...)
+	if sp.n > 0 {
+		ts = make([]Triple, sp.n)
+		sp.fi.readRange(sp.blk*sp.fi.blockTriples+sp.at, ts)
 	}
 	return ts, true
 }
@@ -396,15 +400,15 @@ func (sn *Snapshot) Path(p Pattern) (perm [3]int, prefix int) {
 
 // Count returns the number of triples matching the pattern, exactly as
 // Store.Count would, without taking any lock. Covered patterns count by
-// one seek through the fence-key directory, decoding at most two
-// boundary blocks, never the range.
+// one seek — the fence-key directory and the packed columns of at most
+// two boundary blocks — never reading the range.
 func (sn *Snapshot) Count(p Pattern) int {
 	var h Hint
 	lo, hi := sn.seek(p, &h)
 	n := hi - lo
 	if !h.path.covered {
 		n = 0
-		sn.frozen[h.path.order].iterate(lo, hi, h.path.prefix > 0, func(t Triple) bool {
+		sn.frozen[h.path.order].iterate(lo, hi, h.path.prefix, h.want, func(t Triple) bool {
 			if p.Matches(t) {
 				n++
 			}
@@ -437,8 +441,11 @@ func (sn *Snapshot) Count(p Pattern) int {
 // in ascending order (equal repeats allowed). The varying position must
 // be the next sort position after g's bound prefix, so the ascending
 // constants are an ascending probe sequence on one index: the family
-// shares one Hint, the first member descends and every later one gallops
-// on from its predecessor instead of paying a full lookup.
+// shares the merged-scan site's Hint h, the first member descends and
+// every later one searches on from its predecessor instead of paying a
+// full lookup. The returned Spans unpack into h's buffer, so a segment
+// stays valid until the next Next of any of them; a nil h is a site of
+// its own.
 //
 // ok=false means the index layout does not support a shared pass for
 // this shape (the varying position is not the next sort position after
@@ -452,7 +459,7 @@ func (sn *Snapshot) Count(p Pattern) int {
 // dst, when non-nil, is reused as the backing for the returned ranges
 // slice (the Spans are values, so a caller looping over families may pass
 // the previous result).
-func (sn *Snapshot) MultiRange(g Pattern, vpos int, consts []dict.ID, dst []Span) (ranges []Span, ok bool) {
+func (sn *Snapshot) MultiRange(g Pattern, vpos int, consts []dict.ID, h *Hint, dst []Span) (ranges []Span, ok bool) {
 	if vpos < 0 || vpos > 2 || len(consts) == 0 {
 		return nil, false
 	}
@@ -464,8 +471,10 @@ func (sn *Snapshot) MultiRange(g Pattern, vpos int, consts []dict.ID, dst []Span
 	// or the shared subranges would enumerate triples in a different
 	// sequence than per-member scans. A fully bound member pattern is
 	// exempt: its range holds at most one triple.
-	var h Hint
-	sn.resolve(withPos(g, vpos, consts[0]), &h)
+	if h == nil {
+		h = &Hint{}
+	}
+	sn.resolve(withPos(g, vpos, consts[0]), h)
 	if gp.prefix+1 < 3 && h.path.perm != gp.perm {
 		return nil, false
 	}
@@ -484,7 +493,7 @@ func (sn *Snapshot) MultiRange(g Pattern, vpos int, consts []dict.ID, dst []Span
 				continue
 			}
 		}
-		ranges[i] = sn.sorted(withPos(g, vpos, c), &h)
+		ranges[i] = sn.sorted(withPos(g, vpos, c), h)
 	}
 	return ranges, true
 }

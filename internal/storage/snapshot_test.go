@@ -212,13 +212,13 @@ func TestSnapshotMultiRange(t *testing.T) {
 		}
 
 		g := Pattern{P: prop}
-		ranges, ok := sn.MultiRange(g, 2, consts, nil)
+		ranges, ok := sn.MultiRange(g, 2, consts, nil, nil)
 		if !ok {
 			t.Fatalf("MultiRange refused the canonical POS family")
 		}
 		// Reusing the previous result as dst must yield the same ranges.
 		orig := append([]Span(nil), ranges...)
-		reused, ok := sn.MultiRange(g, 2, consts, ranges)
+		reused, ok := sn.MultiRange(g, 2, consts, nil, ranges)
 		if !ok || !reflect.DeepEqual(reused, orig) {
 			t.Fatalf("MultiRange with reused dst diverges")
 		}
@@ -234,13 +234,13 @@ func TestSnapshotMultiRange(t *testing.T) {
 
 		// Unsorted constants are refused.
 		if len(consts) >= 2 {
-			if _, ok := sn.MultiRange(g, 2, []dict.ID{consts[1], consts[0]}, nil); ok && consts[0] != consts[1] {
+			if _, ok := sn.MultiRange(g, 2, []dict.ID{consts[1], consts[0]}, nil, nil); ok && consts[0] != consts[1] {
 				t.Fatalf("MultiRange accepted unsorted constants")
 			}
 		}
 		// A varying position that is not the next sort position is refused:
 		// under POS, with P bound the next position is O, not S.
-		if _, ok := sn.MultiRange(g, 0, consts, nil); ok {
+		if _, ok := sn.MultiRange(g, 0, consts, nil, nil); ok {
 			t.Fatalf("MultiRange accepted a non-prefix varying position")
 		}
 	}
@@ -251,7 +251,7 @@ func TestSnapshotMultiRangeDuplicateConsts(t *testing.T) {
 	ts := randomTriples(rng, 200, 20)
 	sn := buildStore(ts).Snapshot()
 	c := ts[0].O
-	ranges, ok := sn.MultiRange(Pattern{P: ts[0].P}, 2, []dict.ID{c, c}, nil)
+	ranges, ok := sn.MultiRange(Pattern{P: ts[0].P}, 2, []dict.ID{c, c}, nil, nil)
 	if !ok {
 		t.Fatalf("MultiRange refused duplicate constants")
 	}

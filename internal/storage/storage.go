@@ -10,11 +10,12 @@
 // index-set ablation). Every order set includes SPO and POS: the loader
 // tallies the per-property statistics from them.
 //
-// Every sorted index is held in one physical form, the compressed
-// block-columnar frozen form (block.go/encode.go): independently
-// decodable blocks of delta- and varint-coded columns under a fence-key
-// directory, about 9 bytes per triple across the three default orders
-// against 72 for sorted []Triple arrays.
+// Every sorted index is held in one physical form, the bit-packed
+// frozen form (block.go/encode.go): blocks whose columns are stored as
+// offsets from a per-block base at each column's own bit width, under a
+// fence-key directory, and read in place. That is about 9 bytes per
+// triple across the three default orders, against 36 for sorted []Triple
+// arrays.
 package storage
 
 import (
@@ -22,7 +23,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/dict"
 )
@@ -133,10 +133,10 @@ func less(order [3]int, a, b Triple) bool {
 // write lock. Scan callbacks run under the read lock and must not call
 // mutating store methods.
 //
-// Each sorted index is a compressed frozenIndex read through the
-// ref-counted views[o] cursor shared with every snapshot of the current
-// generation. Mutations always install fresh views over fresh indexes —
-// old generations stay valid for the snapshots still holding them.
+// Each sorted index is an immutable frozenIndex shared with every
+// snapshot of the current generation. Mutations always install fresh
+// indexes — old generations stay valid for the snapshots still holding
+// them.
 //
 // Every state change bumps a monotonic version counter (see Version);
 // consumers such as the statistics memo and the plan cache stamp derived
@@ -147,14 +147,14 @@ type Store struct {
 
 	mu      sync.RWMutex
 	orders  []Order
-	views   [numOrders]*frozenView // current-generation cursors; nil for unused orders
-	delta   []Triple               // unsorted recent additions
-	present map[Triple]struct{}    // set semantics for Add
-	deleted map[Triple]struct{}    // tombstones for Remove
+	indexes [numOrders]*frozenIndex // current generation; nil for unused orders
+	delta   []Triple                // unsorted recent additions
+	present map[Triple]struct{}     // set semantics for Add
+	deleted map[Triple]struct{}     // tombstones for Remove
 	n       int
 	props   []PropTally // the sorted indexes' per-property tallies; replaced, never changed
 
-	blockTriples int // target triples per compressed block
+	blockTriples int // rows per packed block
 	par          int // loader parallelism (0 = GOMAXPROCS)
 }
 
@@ -321,7 +321,7 @@ func (s *Store) containsLocked(t Triple) bool {
 // under the lock: nothing is copied or retained, so it must not outlive
 // the lock, and its boxes are the conservative "anything may match".
 func (s *Store) live() *Snapshot {
-	sn := &Snapshot{store: s, version: s.version.Load(), orders: s.orders, frozen: s.views, delta: s.delta, deleted: s.deleted}
+	sn := &Snapshot{store: s, version: s.version.Load(), orders: s.orders, frozen: s.indexes, delta: s.delta, deleted: s.deleted}
 	if len(s.delta) > 0 {
 		sn.deltaBox = fullBox
 	}
@@ -375,26 +375,24 @@ func choosePath(orders []Order, mask uint8) path {
 	return path{mask: mask, order: orders[0], perm: perm, prefix: leading(perm)}
 }
 
-// probe is one lookup: a path plus the bound values of its sort prefix,
-// in sort order.
+// probe is one lookup: the length of a path's bound sort prefix and the
+// pattern's values in the path's sort order.
 type probe struct {
-	perm   [3]int
 	prefix int
 	want   [3]dict.ID
 }
 
 func (pa *path) probe(p Pattern) probe {
 	k := [3]dict.ID{p.S, p.P, p.O}
-	return probe{perm: pa.perm, prefix: pa.prefix, want: [3]dict.ID{k[pa.perm[0]], k[pa.perm[1]], k[pa.perm[2]]}}
+	return probe{prefix: pa.prefix, want: [3]dict.ID{k[pa.perm[0]], k[pa.perm[1]], k[pa.perm[2]]}}
 }
 
-// cmp places a triple against the probe's bound prefix: -1 below, 0
-// inside, +1 above the matching range. Small enough to inline into the
-// search loops, which is worth more than a cleverer compare.
-func (q *probe) cmp(t Triple) int {
-	k := [3]dict.ID{t.S, t.P, t.O}
+// cmp places a key, in the probe's sort order, against the probe's bound
+// prefix: -1 below, 0 inside, +1 above the matching range. Small enough
+// to inline into the search loops.
+func (q *probe) cmp(k [3]dict.ID) int {
 	for i := 0; i < q.prefix; i++ {
-		if a, b := k[q.perm[i]], q.want[i]; a != b {
+		if a, b := k[i], q.want[i]; a != b {
 			if a < b {
 				return -1
 			}
@@ -402,51 +400,6 @@ func (q *probe) cmp(t Triple) int {
 		}
 	}
 	return 0
-}
-
-// bound binary-searches ts[lo:hi] for the first triple with cmp >= thr:
-// thr 0 is the lower bound of the matching range, thr 1 its upper bound.
-func (q *probe) bound(ts []Triple, lo, hi, thr int) int {
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if q.cmp(ts[m]) >= thr {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return lo
-}
-
-// gallop is bound for an answer expected just after from (everything
-// before from compares below thr): it doubles a step until a triple
-// passes, then binary-searches the bracket — a handful of compares on
-// adjacent cache lines when the run is short or the probes ascend.
-func (q *probe) gallop(ts []Triple, from, thr int) int {
-	hi, step := from, 1
-	for hi < len(ts) && q.cmp(ts[hi]) < thr {
-		from = hi + 1
-		hi += step
-		step <<= 1
-	}
-	return q.bound(ts, from, min(hi, len(ts)), thr)
-}
-
-// lowerFrom returns the lower bound in ts given where the site's last
-// probe landed (at < 0: nowhere yet). An ascending sequence gallops
-// forward from there; a key that moved backwards re-descends on the part
-// before it.
-func (q *probe) lowerFrom(ts []Triple, at int) int {
-	switch {
-	case at < 0 || at >= len(ts):
-		return q.bound(ts, 0, len(ts), 0)
-	case q.cmp(ts[at]) < 0:
-		return q.gallop(ts, at+1, 0)
-	case at == 0 || q.cmp(ts[at-1]) < 0:
-		return at
-	default:
-		return q.bound(ts, 0, at-1, 0)
-	}
 }
 
 // Scan calls f for every triple matching the pattern, stopping early if f
@@ -468,8 +421,8 @@ func (s *Store) Scan(p Pattern, f func(Triple) bool) {
 
 // Count returns the number of triples matching the pattern. For patterns
 // whose bound positions are a sort prefix of some index this is one seek
-// — the fence-key directory narrows it to at most two boundary-block
-// decodes, never a full decode — which is what makes statistics
+// — the fence-key directory and the packed columns of at most two
+// boundary blocks, read in place — which is what makes statistics
 // collection cheap.
 func (s *Store) Count(p Pattern) int {
 	s.mu.RLock()
@@ -485,26 +438,21 @@ func (s *Store) Triples() []Triple {
 	defer s.mu.Unlock()
 	s.compactLocked()
 	ts := make([]Triple, 0, s.n)
-	s.views[OrderSPO].iterate(0, s.n, false, func(t Triple) bool { ts = append(ts, t); return true })
+	s.indexes[OrderSPO].iterate(0, s.n, 0, [3]dict.ID{}, func(t Triple) bool { ts = append(ts, t); return true })
 	return ts
 }
 
 // Each calls f for every triple in the store in SPO order (delta
 // compacted first), stopping early if f returns false. Unlike Triples it
-// never materializes the store: it streams the SPO index block by block,
-// so a full pass holds O(block) decoded memory and caches no block on the
-// index's view. f runs without the store
-// lock — the captured index generation is immutable — and may call any
-// store method.
+// never materializes the store: it streams the SPO index a few rows at a
+// time. f runs without the store lock — the captured index generation is
+// immutable — and may call any store method.
 func (s *Store) Each(f func(Triple) bool) {
 	s.mu.Lock()
 	s.compactLocked()
-	view := s.views[OrderSPO]
-	n := s.n
-	view.retain()
+	idx := s.indexes[OrderSPO]
 	s.mu.Unlock()
-	defer view.release()
-	view.iterate(0, n, false, f)
+	idx.iterate(0, idx.n, 0, [3]dict.ID{}, f)
 }
 
 // PropTally is one property's share of the store: its triples, and the
@@ -534,18 +482,12 @@ type Footprint struct {
 	Triples int // distinct triples in the sorted indexes
 	Orders  int // index orders maintained
 
-	BlockBytes int // compressed block payload bytes across orders
-	DirBytes   int // fence-key directory bytes across orders
-	Blocks     int // compressed blocks across orders
-
-	// The decoded blocks cached on the current generation's views: the
-	// blocks probes have touched since the last Compact, and their
-	// pooled buffers' bytes. Not part of IndexBytes.
-	DecodedBlocks int
-	DecodedBytes  int
+	BlockBytes int // packed payload bytes across orders, tail padding included
+	DirBytes   int // fence-directory (block header) bytes across orders
+	Blocks     int // packed blocks across orders
 }
 
-// IndexBytes returns the total resident compressed index bytes.
+// IndexBytes returns the total resident index bytes.
 func (f Footprint) IndexBytes() int { return f.BlockBytes + f.DirBytes }
 
 // BytesPerTriple returns resident index bytes divided by triple count,
@@ -557,24 +499,16 @@ func (f Footprint) BytesPerTriple() float64 {
 	return float64(f.IndexBytes()) / float64(f.Triples)
 }
 
-// fblockDirBytes is the in-memory size of one fence-directory entry: the
-// fence key (12), off and n (16), and the payload slice header (24),
-// padded.
-const fblockDirBytes = int(unsafe.Sizeof(fblock{}))
-
 // Footprint reports the store's resident index cost.
 func (s *Store) Footprint() Footprint {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	fp := Footprint{Triples: s.n, Orders: len(s.orders)}
 	for _, o := range s.orders {
-		fz := s.views[o].fi
-		fp.BlockBytes += fz.dataBytes
-		fp.DirBytes += len(fz.blocks) * fblockDirBytes
-		fp.Blocks += len(fz.blocks)
-		blocks, bytes := s.views[o].decoded()
-		fp.DecodedBlocks += blocks
-		fp.DecodedBytes += bytes
+		fi := s.indexes[o]
+		fp.BlockBytes += len(fi.data)
+		fp.DirBytes += len(fi.blocks) * fblockDirBytes
+		fp.Blocks += len(fi.blocks)
 	}
 	return fp
 }

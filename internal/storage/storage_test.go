@@ -418,7 +418,7 @@ func TestEmptyStore(t *testing.T) {
 				t.Errorf("%s: RangeFrom(%+v) = %v, %v", name, p, got, ok)
 			}
 		}
-		ranges, ok := sn.MultiRange(Pattern{P: data[0].P}, 2, []dict.ID{1, 2, 2, 5}, nil)
+		ranges, ok := sn.MultiRange(Pattern{P: data[0].P}, 2, []dict.ID{1, 2, 2, 5}, nil, nil)
 		if !ok || len(ranges) != 4 {
 			t.Fatalf("%s: MultiRange = %v, %v", name, ranges, ok)
 		}

@@ -548,15 +548,19 @@ func (r *Result) Rows() [][]rdf.Term {
 }
 
 // Each streams the decoded answers in their canonical order, one row at
-// a time; f returning false stops the iteration. Each row slice is distinct from every other and may be
-// retained; rows are carved from slabs of eachSlabTerms terms, so a
-// retained row keeps its slab alive.
+// a time; f returning false stops the iteration. Each row slice is
+// distinct from every other and may be retained; rows are carved from
+// slabs of at most eachSlabTerms terms, each sized to the rows still to
+// come, so a small answer allocates only what it holds, and a retained
+// row keeps its slab alive.
 func (r *Result) Each(f func(row []rdf.Term) bool) {
 	var slab []rdf.Term
+	left := r.NumRows()
 	r.EachIDs(func(ids []dict.ID, terms dict.View) bool {
 		if len(slab) < len(ids) {
-			slab = make([]rdf.Term, max(eachSlabTerms, len(ids)))
+			slab = make([]rdf.Term, max(min(eachSlabTerms, left*len(ids)), len(ids)))
 		}
+		left--
 		out := slab[:len(ids):len(ids)]
 		slab = slab[len(ids):]
 		for i, id := range ids {

@@ -249,6 +249,34 @@ func TestResultEachRowsAreDistinct(t *testing.T) {
 	}
 }
 
+// Each sizes its first slab to the answer: streaming a 4-row, 1-column
+// answer allocates what four terms need, not a thousand-term slab.
+func TestResultEachSmallAnswerAllocatesLittle(t *testing.T) {
+	st := repro.NewStore()
+	p := rdf.NewIRI("http://x/p")
+	for i := 0; i < 4; i++ {
+		st.MustAdd(rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("http://x/s%d", i)), p, rdf.NewIRI("http://x/o")))
+	}
+	st.Freeze()
+	res, err := st.NewAnswerer(repro.Native, repro.Options{}).Query(`SELECT ?x WHERE { ?x <http://x/p> <http://x/o> }`, repro.GCov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumRows() != 4 || len(res.Vars) != 1 {
+		t.Fatalf("answer is %d rows of %d columns, want 4 of 1", res.NumRows(), len(res.Vars))
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		res.Each(func([]rdf.Term) bool { return true })
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 1024 {
+		t.Errorf("Each over a 4-row, 1-column answer allocates %d B per call, want under 1 KB", per)
+	}
+}
+
 // Retracting a data triple must shrink both stores, including the
 // implicit consequences that lose their last derivation.
 func TestStoreRemove(t *testing.T) {
@@ -336,18 +364,30 @@ func TestNumTriplesCountsDistinctBeforeFreeze(t *testing.T) {
 	}
 }
 
-// Freeze builds the indexes and takes the statistics from the loader's
-// tallies: no decoded block stays cached on the frozen store.
-func TestFreezeCachesNoDecodedBlock(t *testing.T) {
+// Queries read the packed indexes in place and keep nothing: the index
+// footprint after all 28 LUBM queries under ECov and GCov is the one
+// Freeze left.
+func TestQueriesLeaveFootprintUnchanged(t *testing.T) {
 	st := repro.NewStore()
 	if err := st.AddAll(lubm.Ontology()); err != nil {
 		t.Fatal(err)
 	}
 	lubm.Generate(1, 42, lubm.Tiny(), func(tr rdf.Triple) { st.MustAdd(tr) })
 	st.Freeze()
-	fp := st.Footprint().Index
-	if fp.Triples == 0 || fp.DecodedBlocks != 0 || fp.DecodedBytes != 0 {
-		t.Fatalf("after Freeze: %d triples, %d decoded blocks (%d B) cached, want none", fp.Triples, fp.DecodedBlocks, fp.DecodedBytes)
+	before := st.Footprint().Index
+	if before.Triples == 0 || before.Blocks == 0 {
+		t.Fatalf("after Freeze: empty index footprint %+v", before)
+	}
+	a := st.NewAnswerer(repro.Native, repro.Options{})
+	for _, spec := range lubm.Queries() {
+		for _, strat := range []repro.Strategy{repro.ECov, repro.GCov} {
+			if _, err := a.Query(spec.Text, strat); err != nil {
+				t.Fatalf("%s via %s: %v", spec.Name, strat, err)
+			}
+		}
+	}
+	if after := st.Footprint().Index; after != before {
+		t.Fatalf("index footprint moved under queries: %+v, was %+v", after, before)
 	}
 }
 

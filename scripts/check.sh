@@ -4,8 +4,9 @@
 # iteration of each load-path benchmark (BenchmarkBulkLoad), the
 # benchmark module's tests, the race detector, short fuzzes of the answer
 # encoder, of evaluation against the naive evaluator, of the
-# dictionary's identity contract and of the loader's radix sort against a
-# comparison sort, and the query service smoke. CI runs
+# dictionary's identity contract, of the loader's radix sort against a
+# comparison sort and of the packed index's reads against a sorted-slice
+# reference, and the query service smoke. CI runs
 # exactly this script; run it locally before sending changes.
 set -eu
 
@@ -56,6 +57,9 @@ go test -run='^$' -fuzz=FuzzDictionaryIdentity -fuzztime=10s ./internal/dict
 
 echo "==> go test -fuzz=FuzzSortByOrder -fuzztime=10s ./internal/storage"
 go test -run='^$' -fuzz=FuzzSortByOrder -fuzztime=10s ./internal/storage
+
+echo "==> go test -fuzz=FuzzPackedBlock -fuzztime=10s ./internal/storage"
+go test -run='^$' -fuzz=FuzzPackedBlock -fuzztime=10s ./internal/storage
 
 echo "==> scripts/serve_smoke.sh (query service end-to-end)"
 ./scripts/serve_smoke.sh
