@@ -172,6 +172,7 @@ func build(name string, ontology []rdf.Triple, gen func(func(rdf.Triple)), specs
 		s, p, o := d.EncodeTriple(t)
 		b.Add(storage.Triple{S: s, P: p, O: o})
 	})
+	d.Trim()
 	for _, c := range closed.ConstraintTriples() {
 		b.Add(storage.Triple{S: c[0], P: c[1], O: c[2]})
 	}

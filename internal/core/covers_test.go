@@ -42,24 +42,52 @@ func TestChosenCoversGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
+	// One block per (cost source, profile), searched in parallel and
+	// joined in this fixed order.
+	type block struct {
+		name string
+		src  core.CostSource
+		prof engine.Profile
+		text strings.Builder
+	}
+	var blocks []*block
 	for _, src := range []core.CostSource{core.OwnModel, core.EngineInternal} {
 		for _, prof := range append(engine.Profiles(), engine.Native) {
-			a := db.Answerer(prof, core.Options{Params: goldenParams(prof), Source: src})
-			for _, strat := range []core.Strategy{core.ECov, core.GCov} {
-				for qi, spec := range db.Specs {
-					c, rep, err := a.ChooseCover(db.Encoded[qi], strat)
-					if err != nil {
-						t.Fatalf("%s %s %s: %v", prof.Name, strat, spec.Name, err)
-					}
-					if src == core.OwnModel {
-						fmt.Fprintf(&b, "%s %s %s %s %.9g %d\n", prof.Name, strat, spec.Name, c.Key(), rep.EstimatedCost, rep.CoversExplored)
-						continue
-					}
-					fmt.Fprintf(&b, "%s %s %s engine %s %.9g %d exhaustive=%v\n", prof.Name, strat, spec.Name, c.Key(), rep.EstimatedCost, rep.CoversExplored, rep.Exhaustive)
-				}
+			name := "own/" + prof.Name
+			if src == core.EngineInternal {
+				name = "engine/" + prof.Name
 			}
+			blocks = append(blocks, &block{name: name, src: src, prof: prof})
 		}
+	}
+	t.Run("blocks", func(t *testing.T) {
+		for _, bl := range blocks {
+			t.Run(bl.name, func(t *testing.T) {
+				t.Parallel()
+				src, prof, b := bl.src, bl.prof, &bl.text
+				a := db.Answerer(prof, core.Options{Params: goldenParams(prof), Source: src})
+				for _, strat := range []core.Strategy{core.ECov, core.GCov} {
+					for qi, spec := range db.Specs {
+						c, rep, err := a.ChooseCover(db.Encoded[qi], strat)
+						if err != nil {
+							t.Fatalf("%s %s %s: %v", prof.Name, strat, spec.Name, err)
+						}
+						if src == core.OwnModel {
+							fmt.Fprintf(b, "%s %s %s %s %.9g %d\n", prof.Name, strat, spec.Name, c.Key(), rep.EstimatedCost, rep.CoversExplored)
+							continue
+						}
+						fmt.Fprintf(b, "%s %s %s engine %s %.9g %d exhaustive=%v\n", prof.Name, strat, spec.Name, c.Key(), rep.EstimatedCost, rep.CoversExplored, rep.Exhaustive)
+					}
+				}
+			})
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	var b strings.Builder
+	for _, bl := range blocks {
+		b.WriteString(bl.text.String())
 	}
 	got := b.String()
 	path := filepath.Join("testdata", "covers.golden")

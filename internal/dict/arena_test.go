@@ -43,8 +43,9 @@ func arenaValues() []string {
 
 // Every value comes back as stored, and the arena holds each value once:
 // what it keeps beyond the value bytes is under one chunk plus 1/64 of
-// them. An entry is 8 pointer-free bytes, and Bytes is the capacity of
-// the tables the dictionary holds.
+// them. An entry is 8 pointer-free bytes, and Bytes, part by part, is
+// the capacity of the tables the dictionary holds, before Trim and
+// after.
 func TestArenaLayout(t *testing.T) {
 	if size, kind := unsafe.Sizeof(entry(0)), reflect.TypeOf(entry(0)).Kind(); size > 8 || kind != reflect.Uint64 {
 		t.Fatalf("entry is %d bytes of kind %v, want at most 8 pointer-free bytes", size, kind)
@@ -86,9 +87,34 @@ func TestArenaLayout(t *testing.T) {
 	for _, sh := range d.shapes {
 		shapes += int(unsafe.Sizeof(sh)) + 4 + len(sh.Datatype) + len(sh.Lang)
 	}
-	want := cap(d.entries)*8 + arena + cap(d.chunks)*int(unsafe.Sizeof([]byte(nil))) +
-		len(d.index)*4 + cap(d.shapes)*int(unsafe.Sizeof(rdf.Term{})) + shapes
-	if got := d.Bytes(); got != want {
-		t.Errorf("Bytes = %d, the tables hold %d", got, want)
+	check := func(when string) {
+		t.Helper()
+		want := footprint{
+			index:  40 * cap(d.index),
+			table:  8 * cap(d.entries),
+			arena:  arena + cap(d.chunks)*int(unsafe.Sizeof([]byte(nil))),
+			shapes: cap(d.shapes)*int(unsafe.Sizeof(rdf.Term{})) + shapes,
+		}
+		if got := d.footprintLocked(); got != want {
+			t.Errorf("%s: footprint %+v, the tables hold %+v", when, got, want)
+		}
+		if got := d.Bytes(); got != want.total() {
+			t.Errorf("%s: Bytes = %d, the tables hold %d", when, got, want.total())
+		}
+	}
+	check("loaded")
+	// Trim leaves the term table at its length and the index at the
+	// least size that holds the terms at a load of 7/8, and every value
+	// where it was.
+	d.Trim()
+	n := len(d.entries) - 1
+	if cap(d.entries) != n+1 || cap(d.index) != len(d.index) || n > 7*len(d.index) || n <= 7*(len(d.index)-1) {
+		t.Errorf("trimmed: %d terms in a table of capacity %d and an index of %d groups of 8 (capacity %d)", n, cap(d.entries), len(d.index), cap(d.index))
+	}
+	check("trimmed")
+	for i, v := range vs {
+		if got, ok := d.Lookup(rdf.NewLiteral(v)); !ok || got != ids[i] {
+			t.Fatalf("trimmed: Lookup of value %d = %d, %v; want %d", i, got, ok, ids[i])
+		}
 	}
 }

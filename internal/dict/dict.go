@@ -4,7 +4,8 @@
 // stored over IDs. The paper stores the same dictionary as a separate
 // relational table indexed both by code and by value (Section 5.1); here
 // it is one in-memory term table, indexed by code through its position
-// and by value through an open-addressing hash index of IDs into it.
+// and by value through an open-addressing hash index of IDs into it,
+// tagged with a byte of each term's hash.
 // Values are copied once into an arena of fixed-size chunks the
 // dictionary owns, so no term pins the buffer its value was cut from, and
 // no term's bytes are stored twice.
@@ -14,7 +15,9 @@
 package dict
 
 import (
+	"encoding/binary"
 	"hash/maphash"
+	"math/bits"
 	"strings"
 	"sync"
 	"unicode/utf8"
@@ -56,10 +59,15 @@ type Dict struct {
 	open       []byte
 	aside      bool
 	arenaBytes int
-	// index is an open-addressing table of IDs into entries, probed
-	// linearly from a term's hash; None marks an empty slot. Its length
-	// is a power of two, at least twice len(entries).
-	index []ID
+	// index is the value index, an open-addressing table of IDs into
+	// entries in groups of eight, probed group by group from a term's
+	// home group (see home). Each ID sits beside a one-byte tag cut from
+	// its term's hash, so a probe reads a stored value only where the
+	// tags match. The table is at most 7/8 full, and any number of groups
+	// long. growth is the factor it grows by: 4 while a load fills it, 2
+	// once Trim has sized it to its terms.
+	index  []group
+	growth int
 	// shapes[i] is an interned term shape: a kind, datatype IRI and
 	// language tag, as given, with an empty value; entries refer to it by
 	// position. Append-only, like entries; shapeIDs finds a shape's
@@ -103,19 +111,46 @@ func NewWithCapacity(n int) *Dict {
 	return &Dict{
 		seed:     maphash.MakeSeed(),
 		entries:  make([]entry, 1, n+1),
-		index:    make([]ID, indexSize(n)),
+		index:    make([]group, indexGroups(n)),
+		growth:   4,
 		shapeIDs: make(map[rdf.Term]uint32),
 	}
 }
 
-// indexSize is the smallest power of two of at least 8 slots that holds n
-// IDs at a load of one half.
-func indexSize(n int) int {
-	size := 8
-	for size < 2*n {
-		size *= 2
-	}
-	return size
+// group is eight slots of the value index. A slot is empty if its tag
+// is 0; otherwise ids holds an ID and tags a tag of its term's hash (see
+// tagOf). Within a group the slots fill in order. A group is 40 bytes: 5
+// a slot, under 6 an ID at a load of 7/8.
+type group struct {
+	tags [groupSlots]uint8
+	ids  [groupSlots]ID
+}
+
+const (
+	groupSlots = 8
+
+	// Byte lanes of a group's tags read as one word.
+	lanesLow  = 0x0101010101010101
+	lanesHigh = 0x8080808080808080
+)
+
+// indexGroups is the least number of groups, at least one, that holds n
+// IDs at a load of at most 7/8.
+func indexGroups(n int) int {
+	return max(1, (n+6)/7)
+}
+
+// Trim sizes the dictionary's tables to the terms it holds: the value
+// index to the least size at a load of 7/8, and the term table to its
+// length. A load calls it once it has encoded its terms; after it, an
+// insert that fills the index doubles it instead of quadrupling it.
+// Views taken before keep reading the tables they hold.
+func (d *Dict) Trim() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.entries = append(make([]entry, 0, len(d.entries)), d.entries...)
+	d.rebuildLocked(indexGroups(len(d.entries) - 1))
+	d.growth = 2
 }
 
 // Encode returns the ID for the term, assigning a fresh one if the term
@@ -182,22 +217,64 @@ func (d *Dict) Lookup(t rdf.Term) (ID, bool) {
 }
 
 // findLocked returns the ID of the term hashing to h, or None. The caller
-// holds the lock, for reading at least.
+// holds the lock, for reading at least. A term lies in the first group,
+// from its home on, that had an empty slot when it was placed, and slots
+// are never emptied, so the probe ends at the first group with one.
 func (d *Dict) findLocked(h uint64, t rdf.Term) ID {
-	mask := uint64(len(d.index) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		id := d.index[i]
-		if id == None || d.sameLocked(id, t) {
-			return id
+	tag := tagOf(h)
+	for g := home(h, len(d.index)); ; {
+		grp := &d.index[g]
+		w := binary.LittleEndian.Uint64(grp.tags[:])
+		for m := lanes(w, tag); m != 0; m &= m - 1 {
+			if id := grp.ids[bits.TrailingZeros64(m)/8]; d.sameLocked(id, t) {
+				return id
+			}
+		}
+		if empties(w) != 0 {
+			return None
+		}
+		if g++; g == len(d.index) {
+			g = 0
 		}
 	}
+}
+
+// lanes flags the high bit of each byte of a group's tags w that equals
+// tag, at least. A byte above a flagged one may be flagged falsely (when
+// it differs from tag in its low bit only): a tag, never an empty slot's
+// 0, since tags have their high bit set. A probe compares the value under
+// every flagged tag, so a false flag costs a compare and nothing else.
+func lanes(w uint64, tag uint8) uint64 {
+	x := w ^ lanesLow*uint64(tag)
+	return (x - lanesLow) &^ x & lanesHigh
+}
+
+// empties flags the high bit of each byte of a group's tags w that is an
+// empty slot's.
+func empties(w uint64) uint64 {
+	return lanesHigh &^ w
+}
+
+// home is the group a probe for hash h starts at in an index of size
+// groups: the high word of h × size, which is uniform over [0, size) for
+// a uniform h, whether or not size is a power of two.
+func home(h uint64, size int) int {
+	hi, _ := bits.Mul64(h, uint64(size))
+	return int(hi)
+}
+
+// tagOf is the tag of hash h: its low seven bits, which home reads
+// hardly at all, under a high bit set, which tells a tag from an empty
+// slot's 0.
+func tagOf(h uint64) uint8 {
+	return uint8(h) | 0x80
 }
 
 // insertLocked appends the term, which is absent, under the next ID. The
 // caller holds the write lock.
 func (d *Dict) insertLocked(h uint64, t rdf.Term) ID {
-	if 2*len(d.entries) > len(d.index) {
-		d.growLocked()
+	if 8*len(d.entries) > 7*groupSlots*len(d.index) {
+		d.rebuildLocked(d.growth * len(d.index))
 	}
 	end := d.storeLocked(t.Value)
 	d.entries = append(d.entries, entry(end<<shapeBits|uint64(d.internLocked(t))))
@@ -206,19 +283,26 @@ func (d *Dict) insertLocked(h uint64, t rdf.Term) ID {
 	return id
 }
 
-// placeLocked puts id in the first empty slot of h's probe sequence.
+// placeLocked puts id, whose term hashes to h, in the first empty slot
+// of the first group, from h's home on, that has one.
 func (d *Dict) placeLocked(h uint64, id ID) {
-	mask := uint64(len(d.index) - 1)
-	i := h & mask
-	for d.index[i] != None {
-		i = (i + 1) & mask
+	for g := home(h, len(d.index)); ; {
+		grp := &d.index[g]
+		if m := empties(binary.LittleEndian.Uint64(grp.tags[:])); m != 0 {
+			i := bits.TrailingZeros64(m) / 8
+			grp.tags[i], grp.ids[i] = tagOf(h), id
+			return
+		}
+		if g++; g == len(d.index) {
+			g = 0
+		}
 	}
-	d.index[i] = id
 }
 
-// growLocked doubles the index and re-places every ID in it.
-func (d *Dict) growLocked() {
-	d.index = make([]ID, 2*len(d.index))
+// rebuildLocked replaces the index by one of size groups and re-places
+// every ID in it.
+func (d *Dict) rebuildLocked(size int) {
+	d.index = make([]group, size)
 	v := d.viewLocked()
 	for id := ID(1); int(id) < len(d.entries); id++ {
 		d.placeLocked(d.hash(v.Term(id)), id)
@@ -429,22 +513,38 @@ func (d *Dict) Len() int {
 	return len(d.entries) - 1
 }
 
-// Bytes returns the bytes the dictionary keeps resident: the term table
-// at its capacity, the value arena's chunks and their directory at their
-// capacities, the index, and the shape table with its map (counted as
-// one key and one position per shape, without the map's own overhead).
+// Bytes returns the bytes the dictionary keeps resident: the term table,
+// the value arena's chunks and their directory and the value index, all
+// at their capacities, and the shape table with its map (counted as one
+// key and one position per shape, without the map's own overhead).
 func (d *Dict) Bytes() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	return d.footprintLocked().total()
+}
+
+// footprint is what Bytes counts, part by part.
+type footprint struct {
+	index  int // the groups
+	table  int // entries
+	arena  int // the chunks and their directory
+	shapes int // the shape table and its map
+}
+
+func (f footprint) total() int { return f.index + f.table + f.arena + f.shapes }
+
+func (d *Dict) footprintLocked() footprint {
 	const shape = int(unsafe.Sizeof(rdf.Term{}))
-	n := cap(d.entries)*int(unsafe.Sizeof(entry(0))) +
-		d.arenaBytes + cap(d.chunks)*int(unsafe.Sizeof([]byte(nil))) +
-		len(d.index)*int(unsafe.Sizeof(None)) +
-		cap(d.shapes)*shape + len(d.shapes)*(shape+4)
-	for _, sh := range d.shapes {
-		n += len(sh.Datatype) + len(sh.Lang)
+	f := footprint{
+		index:  cap(d.index) * int(unsafe.Sizeof(group{})),
+		table:  cap(d.entries) * int(unsafe.Sizeof(entry(0))),
+		arena:  d.arenaBytes + cap(d.chunks)*int(unsafe.Sizeof([]byte(nil))),
+		shapes: cap(d.shapes)*shape + len(d.shapes)*(shape+4),
 	}
-	return n
+	for _, sh := range d.shapes {
+		f.shapes += len(sh.Datatype) + len(sh.Lang)
+	}
+	return f
 }
 
 // DecodeTriple rebuilds a surface triple from encoded IDs.

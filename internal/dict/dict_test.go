@@ -294,15 +294,22 @@ func TestSuffixesRoundTrip(t *testing.T) {
 }
 
 // Encoding a known term or triple, looking one up and decoding an ID
-// allocate nothing.
+// allocate nothing, on an index at a load of 7/8 while loading and after
+// Trim.
 func TestKnownTermOpsAllocateNothing(t *testing.T) {
 	d := New()
 	terms := []rdf.Term{rdf.NewIRI("http://x/a"), rdf.NewLangLiteral("chat", "fr"), rdf.NewBlank("b0")}
 	for _, term := range terms {
 		d.Encode(term)
 	}
+	for i := len(terms); 8*(i+1) <= 7*slots(d); i++ {
+		d.Encode(rdf.NewIRI(fmt.Sprintf("http://x/fill/%d", i)))
+	}
+	if 8*d.Len() != 7*slots(d) {
+		t.Fatalf("%d terms in %d slots, want a load of 7/8", d.Len(), slots(d))
+	}
 	v := d.View()
-	for name, op := range map[string]func(){
+	ops := map[string]func(){
 		"Encode": func() {
 			for _, term := range terms {
 				d.Encode(term)
@@ -321,9 +328,15 @@ func TestKnownTermOpsAllocateNothing(t *testing.T) {
 				v.Term(id)
 			}
 		},
-	} {
-		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
-			t.Errorf("%s: %.1f allocations per run, want 0", name, allocs)
+	}
+	for _, when := range []string{"loading", "trimmed"} {
+		if when == "trimmed" {
+			d.Trim()
+		}
+		for name, op := range ops {
+			if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+				t.Errorf("%s: %s: %.1f allocations per run, want 0", when, name, allocs)
+			}
 		}
 	}
 }

@@ -367,12 +367,14 @@ func (s *Store) LoadTurtle(r io.Reader) (int, error) {
 	}
 }
 
-// Freeze closes the schema, loads the closed constraint triples next to
-// the data, builds the indexes and collects statistics. It is idempotent.
+// Freeze sizes the dictionary to its terms, closes the schema, loads the
+// closed constraint triples next to the data, builds the indexes and
+// collects statistics. It is idempotent.
 func (s *Store) Freeze() {
 	if s.frozen {
 		return
 	}
+	s.dict.Trim()
 	s.closed = s.sch.Close()
 	for _, c := range s.closed.ConstraintTriples() {
 		s.pending = append(s.pending, storage.Triple{S: c[0], P: c[1], O: c[2]})

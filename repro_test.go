@@ -177,7 +177,8 @@ func TestStoreLifecycle(t *testing.T) {
 }
 
 // Footprint reports the dictionary beside the indexes, before and after
-// Freeze; the dictionary grows with the terms, not with Freeze.
+// Freeze; the dictionary grows with the terms, and Freeze, which sizes its
+// tables to them, only shrinks it.
 func TestStoreFootprint(t *testing.T) {
 	st := repro.NewStore()
 	empty := st.Footprint().DictBytes
@@ -191,8 +192,8 @@ func TestStoreFootprint(t *testing.T) {
 	}
 	st.Freeze()
 	after := st.Footprint()
-	if after.DictBytes != before.DictBytes {
-		t.Errorf("Freeze moved the dictionary's bytes %d -> %d", before.DictBytes, after.DictBytes)
+	if after.DictBytes > before.DictBytes || after.DictBytes <= empty {
+		t.Errorf("Freeze moved the dictionary's bytes %d -> %d (empty dictionary %d B)", before.DictBytes, after.DictBytes, empty)
 	}
 	if after.Index.Triples != st.NumTriples() || after.Index.IndexBytes() == 0 {
 		t.Errorf("after Freeze: index %+v for %d triples", after.Index, st.NumTriples())

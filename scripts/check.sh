@@ -46,20 +46,23 @@ echo "==> (cd bench && go test ./...) (the benchmark module)"
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> go test -fuzz=FuzzAppendJSONCanonical -fuzztime=10s ./internal/rdf"
-go test -run='^$' -fuzz=FuzzAppendJSONCanonical -fuzztime=10s ./internal/rdf
+# fuzz runs one fuzz target for 10 s and prints how many inputs it ran.
+# Each new input is minimized for at most 1 s: at Go's default of 60 s a
+# target can spend most of its 10 s minimizing, running no new inputs.
+fuzz() {
+    echo "==> go test -fuzz=$1 -fuzztime=10s -fuzzminimizetime=1s $2"
+    status=0
+    out="$(go test -run='^$' -fuzz="$1" -fuzztime=10s -fuzzminimizetime=1s "$2" 2>&1)" || status=$?
+    echo "$out"
+    [ "$status" -eq 0 ] || exit "$status"
+    echo "$1: $(echo "$out" | grep -o 'execs: [0-9]*' | tail -n 1 | cut -d' ' -f2) execs"
+}
 
-echo "==> go test -fuzz=FuzzDisconnectedMatchesNaive -fuzztime=10s ./internal/engine"
-go test -run='^$' -fuzz=FuzzDisconnectedMatchesNaive -fuzztime=10s ./internal/engine
-
-echo "==> go test -fuzz=FuzzDictionaryIdentity -fuzztime=10s ./internal/dict"
-go test -run='^$' -fuzz=FuzzDictionaryIdentity -fuzztime=10s ./internal/dict
-
-echo "==> go test -fuzz=FuzzSortByOrder -fuzztime=10s ./internal/storage"
-go test -run='^$' -fuzz=FuzzSortByOrder -fuzztime=10s ./internal/storage
-
-echo "==> go test -fuzz=FuzzPackedBlock -fuzztime=10s ./internal/storage"
-go test -run='^$' -fuzz=FuzzPackedBlock -fuzztime=10s ./internal/storage
+fuzz FuzzAppendJSONCanonical ./internal/rdf
+fuzz FuzzDisconnectedMatchesNaive ./internal/engine
+fuzz FuzzDictionaryIdentity ./internal/dict
+fuzz FuzzSortByOrder ./internal/storage
+fuzz FuzzPackedBlock ./internal/storage
 
 echo "==> scripts/serve_smoke.sh (query service end-to-end)"
 ./scripts/serve_smoke.sh
